@@ -30,6 +30,7 @@ from .netlist import (
     build_capacitance_matrix,
     coupling_constants,
     extract_bare,
+    ground_capacitances,
     invert_capacitance,
     load_netlist,
     mode_reduce,
@@ -71,6 +72,16 @@ def _emit(out, meta: list[str], header: list[str], rows: list[list]) -> None:
         writer.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v for v in row])
 
 
+def _four_floats(text: str, option: str) -> list[float]:
+    """The four finite numbers of a comma-separated option value."""
+    values = [float(x) for x in text.split(",")]
+    if len(values) != 4:
+        raise ValueError(f"{option} needs four comma-separated values")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{option} values must be finite, got {text!r}")
+    return values
+
+
 def _meta(command: str, args=None) -> list[str]:
     meta = [f"kpokit {__version__}", f"command: {command}"]
     if args is not None:
@@ -92,11 +103,7 @@ def cmd_quantize(args, out) -> int:
     g = None
     if use_effective:
         g = invert_capacitance(build_capacitance_matrix(net), net)
-    to_ground: dict[str, float] = {}
-    for cap in net.capacitors:
-        if net.ground in (cap.node_a, cap.node_b):
-            node = cap.node_b if cap.node_a == net.ground else cap.node_a
-            to_ground[node] = to_ground.get(node, 0.0) + cap.capacitance
+    to_ground = ground_capacitances(net)
     rows = []
     branches = [b for b in net.branches if b.element is not None]
     if not branches:
@@ -123,9 +130,7 @@ def cmd_couplings(args, out) -> int:
     net = load_netlist(args.netlist)
     kpo_nodes = tuple(args.kpo_nodes.split(","))
     coupler_pair = tuple(args.coupler_nodes.split(","))
-    freqs = [float(x) * GHZ for x in args.freq_ghz.split(",")]
-    if len(freqs) != 4:
-        raise ValueError("--freq-ghz needs four comma-separated values")
+    freqs = [f * GHZ for f in _four_floats(args.freq_ghz, "--freq-ghz")]
     coupler_omega = float(args.coupler_freq_ghz) * GHZ if args.coupler_freq_ghz else None
     spectrum = ModeSpectrum(
         omega=np.array(freqs),
@@ -277,7 +282,9 @@ def cmd_pump_plan(args, out) -> int:
 
 
 def cmd_parity(args, out) -> int:
-    alpha = np.array([float(x) for x in args.alpha.split(",")])
+    if args.points < 2:
+        raise ValueError("parity needs at least 2 points")
+    alpha = np.array(_four_floats(args.alpha, "--alpha"))
     config = OscillationConfig(
         alpha=alpha,
         epsilon_d=np.zeros(4),
@@ -301,7 +308,7 @@ def _state_label(s: tuple[int, ...]) -> str:
 def cmd_boltzmann(args, out) -> int:
     model = EffectiveEnergyModel(
         eta=args.eta,
-        nu=tuple(float(x) for x in args.nu.split(",")),
+        nu=tuple(_four_floats(args.nu, "--nu")),
     )
     probs = boltzmann_probabilities(model, theta_d4=args.theta_d4)
     rows = [[_state_label(s), p] for s, p in probs.items()]
@@ -441,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args, sys.stdout)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"{ERROR_PREFIX}: {exc}", file=sys.stderr)

@@ -84,47 +84,10 @@ class CapacitanceMatrix:
 
 @dataclass(frozen=True)
 class InverseCapacitance:
-    """G = C^-1 [1/farads], with named accessors for the unit-circuit layout.
-
-    The accessors follow the convention that nodes 1-4 are the KPO nodes
-    and nodes 5-6 the coupler nodes, in node_order positions 0..5.
-    """
+    """G = C^-1 [1/farads], rows and columns in node_order."""
 
     matrix: np.ndarray
     node_order: tuple[str, ...]
-
-    def _elem(self, j: int, k: int) -> float:
-        if self.matrix.shape[0] < max(j, k) + 1:
-            raise ValueError("accessor needs the six-node unit-circuit layout")
-        return float(self.matrix[j, k])
-
-    @property
-    def g11(self) -> float:
-        return self._elem(0, 0)
-
-    @property
-    def g12(self) -> float:
-        return self._elem(0, 1)
-
-    @property
-    def g13(self) -> float:
-        return self._elem(0, 2)
-
-    @property
-    def g15(self) -> float:
-        return self._elem(0, 4)
-
-    @property
-    def g16(self) -> float:
-        return self._elem(0, 5)
-
-    @property
-    def g55(self) -> float:
-        return self._elem(4, 4)
-
-    @property
-    def g56(self) -> float:
-        return self._elem(4, 5)
 
 
 @dataclass(frozen=True)
@@ -261,6 +224,18 @@ def mode_reduce(
     )
 
 
+def ground_capacitances(netlist: CircuitNetlist) -> dict[str, float]:
+    """Summed capacitance from each node to ground [farads], keyed by node;
+    nodes with no capacitor to ground are absent."""
+    to_ground: dict[str, float] = {}
+    for cap in netlist.capacitors:
+        a, b = cap.node_a, cap.node_b
+        if netlist.ground in (a, b):
+            node = b if a == netlist.ground else a
+            to_ground[node] = to_ground.get(node, 0.0) + cap.capacitance
+    return to_ground
+
+
 def extract_bare(netlist: CircuitNetlist, kpo_nodes, coupler_node_pair) -> dict:
     """Read the design capacitances C_q (per KPO), C_g, C_c off the netlist.
 
@@ -268,16 +243,15 @@ def extract_bare(netlist: CircuitNetlist, kpo_nodes, coupler_node_pair) -> dict:
     nodes, and C_c is the KPO-coupler link (assumed equal for all links,
     validated).
     """
-    to_ground = {}
+    to_ground = ground_capacitances(netlist)
     links = []
     c_g = None
     coupler = set(coupler_node_pair)
     for cap in netlist.capacitors:
         a, b = cap.node_a, cap.node_b
         if netlist.ground in (a, b):
-            node = b if a == netlist.ground else a
-            to_ground[node] = to_ground.get(node, 0.0) + cap.capacitance
-        elif a in coupler and b in coupler:
+            continue
+        if a in coupler and b in coupler:
             c_g = cap.capacitance
         elif (a in coupler) != (b in coupler):
             links.append(cap.capacitance)
@@ -377,18 +351,29 @@ def unit_circuit(c_q: float, c_g: float, c_c: float) -> CircuitNetlist:
     )
 
 
+def _field(entry: dict, key: str, what: str):
+    """entry[key], or a ValueError naming the missing key."""
+    try:
+        return entry[key]
+    except KeyError:
+        raise ValueError(f"{what} missing required key {key!r}") from None
+
+
 def _element_from_dict(d: dict) -> JunctionElement:
     kind = d.get("kind")
+    what = f"netlist {kind} element"
     if kind == "squid":
-        return Squid(l_j=d["l_j_ph"] * PICO)
+        return Squid(l_j=_field(d, "l_j_ph", what) * PICO)
     if kind == "junction":
-        return SingleJunction(i0=d["i0_na"] * NANO)
+        return SingleJunction(i0=_field(d, "i0_na", what) * NANO)
     if kind == "series":
-        return SeriesStack(elements=tuple(_element_from_dict(e) for e in d["elements"]))
+        return SeriesStack(
+            elements=tuple(_element_from_dict(e) for e in _field(d, "elements", what))
+        )
     if kind == "snail":
         return Snail(
-            i0=d["i0_na"] * NANO,
-            gamma=d["gamma"],
+            i0=_field(d, "i0_na", what) * NANO,
+            gamma=_field(d, "gamma", what),
             n=d.get("n", 2),
             phi_x=d.get("phi_x_turns", 0.0) * 2.0 * np.pi,
         )
@@ -403,24 +388,27 @@ def load_netlist(path: str) -> CircuitNetlist:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"netlist parse error at line {exc.lineno}: {exc.msg}")
-    for key in ("nodes", "ground", "capacitors"):
-        if key not in doc:
-            raise ValueError(f"netlist missing required key {key!r}")
+    nodes = tuple(_field(doc, "nodes", "netlist"))
+    ground = _field(doc, "ground", "netlist")
     caps = tuple(
-        Capacitor(node_a=c["a"], node_b=c["b"], capacitance=c["f_farads"] * FEMTO)
-        for c in doc["capacitors"]
+        Capacitor(
+            node_a=_field(c, "a", "netlist capacitor"),
+            node_b=_field(c, "b", "netlist capacitor"),
+            capacitance=_field(c, "f_farads", "netlist capacitor") * FEMTO,
+        )
+        for c in _field(doc, "capacitors", "netlist")
     )
     branches = []
     for b in doc.get("branches", []):
-        node = b["node"]
-        nodes = (node,) if isinstance(node, str) else tuple(node)
+        node = _field(b, "node", "netlist branch")
+        ends = (node,) if isinstance(node, str) else tuple(node)
         element = _element_from_dict(b["element"]) if b.get("element") else None
         branches.append(
-            Branch(nodes=nodes, element=element, l_series=b.get("l_henries", 0.0) * PICO)
+            Branch(nodes=ends, element=element, l_series=b.get("l_henries", 0.0) * PICO)
         )
     return CircuitNetlist(
-        nodes=tuple(doc["nodes"]),
-        ground=doc["ground"],
+        nodes=nodes,
+        ground=ground,
         capacitors=caps,
         branches=tuple(branches),
     )

@@ -9,6 +9,17 @@ into every self-Kerr term and expands in normal order. The closed forms
 (four-body, residual, cross-Kerr, dressed spectrum) are independent
 evaluations of specific monomial coefficients of that expansion, so the
 two routes can be cross-checked to machine precision.
+
+Of the four-body closed forms, three are independent: h4_general (the
+four-term mixing-ratio sum for any coupling matrix), h4_symmetric (its
+closed form for h12 = h34, h13 = h14 = h23 = h24) and g4_closed_form /
+g4_symmetric (the coupler path). The others are special cases:
+h4_detuning is h4_symmetric on the detuning ladder, h4_double_tilde is
+h4_symmetric with K2 = K3 = 0, and h4_snail is h4_general on the SNAIL
+circuit's coupling matrix. h4_tilde (only K4 nonzero) is h4_symmetric
+with K1 = K2 = K3 = 0 but keeps its own formula: routed through
+h4_symmetric it moves the last printed digit of a `sweep` row that sits
+on an exact rounding tie.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import BosonicPolynomial, Monomial
-from .pumpplan import PumpAssignment
+from .pumpplan import PumpAssignment, classify_relation
 
 MIXING_WARN = 0.2   # perturbative-validity warning threshold on |htilde|, |gtilde|
 MIXING_LIMIT = 0.5  # hard validity limit
@@ -50,6 +61,8 @@ class ModeSpectrum:
             raise ValueError("omega and kerr must have matching shapes")
         if np.any(self.omega <= 0):
             raise ValueError("mode frequencies must be positive")
+        if self.coupler_omega is not None and not 0.0 < self.coupler_omega < np.inf:
+            raise ValueError("coupler frequency must be positive and finite")
 
     @property
     def n_kpo(self) -> int:
@@ -145,6 +158,26 @@ class FourBodyReport:
 # mixing coefficients
 # --------------------------------------------------------------------------
 
+def mixing_from_frequencies(h: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """htilde_jk = h_jk/(w_j - w_k) for every nonzero coupling.
+
+    Raises DegenerateModesError when a coupled pair is exactly degenerate;
+    applies no perturbative-validity limit (sw_mixing adds those).
+    """
+    n = len(omega)
+    h_tilde = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            if j != k and h[j, k] != 0.0:
+                delta = omega[j] - omega[k]
+                if delta == 0.0:
+                    raise DegenerateModesError(
+                        f"KPOs {j + 1} and {k + 1} are degenerate with h != 0"
+                    )
+                h_tilde[j, k] = h[j, k] / delta
+    return h_tilde
+
+
 def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoefficients:
     """First-order mixing ratios for every nonzero coupling.
 
@@ -152,17 +185,7 @@ def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoeffic
     Warns when any ratio exceeds the perturbative-validity threshold.
     """
     n = spectrum.n_kpo
-    h_tilde = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j == k or couplings.h[j, k] == 0.0:
-                continue
-            delta = spectrum.omega[j] - spectrum.omega[k]
-            if delta == 0.0:
-                raise DegenerateModesError(
-                    f"KPOs {j + 1} and {k + 1} are degenerate with h != 0"
-                )
-            h_tilde[j, k] = couplings.h[j, k] / delta
+    h_tilde = mixing_from_frequencies(couplings.h, spectrum.omega)
     g_tilde = None
     if couplings.g is not None:
         if not spectrum.has_coupler:
@@ -232,23 +255,19 @@ def _kerr_quartic(a_new: BosonicPolynomial, kerr: float) -> BosonicPolynomial:
 
 
 def classify_monomial(creation, annihilation, coupler_mode: int | None = None) -> str:
-    """Bucket a monomial by its net per-mode excitation pattern."""
+    """Bucket a monomial by its net per-mode excitation pattern.
+
+    A nonzero pattern is classified like the pump relation it needs
+    (pumpplan.classify_relation); a number-conserving one is cross-Kerr
+    when it has degree 2 in each of two modes.
+    """
     net = [c - a for c, a in zip(creation, annihilation)]
     if coupler_mode is not None:
         del net[coupler_mode]
-    nonzero = sorted(abs(x) for x in net if x != 0)
-    if sum(net) == 0:
-        if nonzero == [1, 1, 1, 1]:
-            return "four-body"
-        if nonzero == [1, 1, 2]:
-            return "residual-1"
-        if nonzero == [1, 2, 3]:
-            return "residual-2"
-    if not nonzero:
-        degrees = [c + a for c, a in zip(creation, annihilation)]
-        if sorted(d for d in degrees if d) == [2, 2]:
-            return "cross-kerr"
-    return "other"
+    if any(net):
+        return classify_relation(tuple(net))
+    degrees = sorted(c + a for c, a in zip(creation, annihilation) if c + a)
+    return "cross-kerr" if degrees == [2, 2] else "other"
 
 
 def rwa_filter(
@@ -330,20 +349,6 @@ def h4_general(kerr: np.ndarray, h_tilde: np.ndarray) -> float:
     return total
 
 
-def mixing_from_frequencies(h: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """htilde matrix from a coupling matrix and frequencies (no guards)."""
-    n = len(omega)
-    h_tilde = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j != k and h[j, k] != 0.0:
-                delta = omega[j] - omega[k]
-                if delta == 0.0:
-                    raise DegenerateModesError(f"modes {j + 1}, {k + 1} degenerate")
-                h_tilde[j, k] = h[j, k] / delta
-    return h_tilde
-
-
 def h4_symmetric(h12: float, h13: float, kerr: np.ndarray, deltas: dict) -> float:
     """Symmetric-circuit closed form (h12 = h34, h13 = h14 = h23 = h24).
 
@@ -366,23 +371,26 @@ def ladder_deltas(epsilon: float) -> dict:
 
 
 def h4_detuning(h_q: float, epsilon: float, kerr: np.ndarray) -> float:
-    """Detuning-ladder form: h_q^3 [(K2-K1) + 3(K3-K4)] / (3 eps^3)."""
-    if epsilon <= 0:
-        raise ValueError("unit detuning must be positive")
-    k1, k2, k3, k4 = np.asarray(kerr, dtype=float)
-    return h_q**3 * ((k2 - k1) + 3.0 * (k3 - k4)) / (3.0 * epsilon**3)
+    """Detuning-ladder form, h4_symmetric with every coupling h_q:
+    h_q^3 [(K2-K1) + 3(K3-K4)] / (3 eps^3)."""
+    return h4_symmetric(h_q, h_q, kerr, ladder_deltas(epsilon))
 
 
 def h4_snail(h_qn: float, h_nn: float, h_qq: float, kerr: np.ndarray, epsilon: float) -> float:
     """SNAIL/SQUID mixed circuit on the detuning ladder.
 
+    h4_general with h14 = h_NN, h23 = h_QQ and h_QN on every other pair:
     h4 = h_QN^2 [-h_NN (K1 + 3 K4) + h_QQ (K2 + 3 K3)] / (3 eps^3);
     KPOs 1 and 4 are the SNAILs, 2 and 3 the SQUIDs.
     """
     if epsilon <= 0:
         raise ValueError("unit detuning must be positive")
-    k1, k2, k3, k4 = np.asarray(kerr, dtype=float)
-    return h_qn**2 * (-h_nn * (k1 + 3.0 * k4) + h_qq * (k2 + 3.0 * k3)) / (3.0 * epsilon**3)
+    h = np.full((4, 4), h_qn)
+    np.fill_diagonal(h, 0.0)
+    h[0, 3] = h[3, 0] = h_nn
+    h[1, 2] = h[2, 1] = h_qq
+    omega = epsilon * np.array([0.0, -3.0, -1.0, -2.0])
+    return h4_general(kerr, mixing_from_frequencies(h, omega))
 
 
 def h4_tilde(h_prime: float, kerr4: float, epsilon: float | None = None, deltas: dict | None = None) -> float:
@@ -402,10 +410,10 @@ def h4_tilde(h_prime: float, kerr4: float, epsilon: float | None = None, deltas:
 def h4_double_tilde(h_pp: float, kerr1: float, kerr4: float, deltas: dict) -> float:
     """Two-nonlinearity circuit (h23 suppressed): K1 and K4 both couple.
 
+    h4_symmetric with K2 = K3 = 0:
     -2 h''^3 (K1 D34 + K4 D12) / (D12 D13 D14 D34), under w1+w2 = w3+w4.
     """
-    d12, d13, d14, d34 = deltas["d12"], deltas["d13"], deltas["d14"], deltas["d34"]
-    return -2.0 * h_pp**3 * (kerr1 * d34 + kerr4 * d12) / (d12 * d13 * d14 * d34)
+    return h4_symmetric(h_pp, h_pp, (kerr1, 0.0, 0.0, kerr4), deltas)
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,9 @@ RESONANCE_TOL = 2.0 * np.pi * 1e3  # rad/s, matches the RWA tolerance
 # periodic 3x3 pump-index pattern; row y, column x
 LHZ_PATTERN = ((1, 3, 7), (9, 2, 8), (5, 4, 6))
 
+# the three splits (a, b, c, d) of four pumps into pairs, w_a + w_b = w_c + w_d
+PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+
 
 @dataclass(frozen=True)
 class PumpAssignment:
@@ -103,32 +106,29 @@ def check_mixing(pump: PumpAssignment, tol: float = RESONANCE_TOL) -> list[str]:
     w = pump.omega_p
     if len(w) != 4:
         raise ValueError("mixing check needs exactly four pump frequencies")
-    out = []
-    for label, (a, b, c, d) in (
-        ("12|34", (0, 1, 2, 3)),
-        ("13|24", (0, 2, 1, 3)),
-        ("14|23", (0, 3, 1, 2)),
-    ):
-        if abs(w[a] + w[b] - w[c] - w[d]) < tol:
-            out.append(label)
-    return out
+    return [
+        f"{a + 1}{b + 1}|{c + 1}{d + 1}"
+        for a, b, c, d in PAIRINGS
+        if abs(w[a] + w[b] - w[c] - w[d]) < tol
+    ]
 
 
 # --------------------------------------------------------------------------
 # integer-relation enumeration
 # --------------------------------------------------------------------------
 
-def _exact_rescale(omega: tuple[float, ...], tol: float) -> list | None:
+def _exact_rescale(omega: tuple[float, ...]) -> list | None:
     """Map frequencies on a common grid to exact integers via Fractions.
 
-    Returns integers whose ratios match omega to well below tol, or None
-    when no modest-denominator grid exists (generic irrational inputs).
+    Returns integers whose ratios reproduce omega to float precision, or
+    None when no modest-denominator grid exists (generic inputs). A looser
+    match would let the rounding break a true relation among the integers.
     """
     scale = max(omega)
     fracs = []
     for w in omega:
         f = Fraction(w / scale).limit_denominator(10**6)
-        if abs(float(f) - w / scale) * scale > tol * 1e-3:
+        if abs(float(f) - w / scale) > 4 * np.finfo(float).eps:
             return None
         fracs.append(f)
     denom = math.lcm(*(f.denominator for f in fracs))
@@ -149,11 +149,10 @@ def detect_residual(
         raise ValueError("max_order capped at 8 (exhaustive enumeration bound)")
     omega = pump.omega_p
     n = len(omega)
-    ints = _exact_rescale(omega, tol)
+    ints = _exact_rescale(omega)
     found = []
-    seen = set()
     for coeffs in itertools.product(range(-max_order, max_order + 1), repeat=n):
-        if sum(abs(c) for c in coeffs) == 0 or sum(abs(c) for c in coeffs) > max_order:
+        if not 0 < sum(abs(c) for c in coeffs) <= max_order:
             continue
         g = math.gcd(*(abs(c) for c in coeffs))
         if g != 1:
@@ -169,9 +168,6 @@ def detect_residual(
             residual = abs(sum(c * w for c, w in zip(coeffs, omega)))
             if residual >= tol:
                 continue
-        if coeffs in seen:
-            continue
-        seen.add(coeffs)
         found.append(
             ResonanceCondition(
                 coefficients=coeffs,
@@ -269,7 +265,7 @@ def _best_pairing(idx: list[int], w: list) -> tuple[str, float]:
     integer input gives exact residuals.
     """
     best = None
-    for (a, b), (c, d) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+    for a, b, c, d in PAIRINGS:
         residual = abs(w[a] + w[b] - w[c] - w[d])
         label = f"w{idx[a]}+w{idx[b]}=w{idx[c]}+w{idx[d]}"
         if best is None or residual < best[1]:

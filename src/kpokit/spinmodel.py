@@ -24,6 +24,18 @@ SPIN_STATES: tuple[tuple[int, ...], ...] = tuple(product((1, -1), repeat=4))
 THREE_BODY_KEYS = ("234", "134", "124", "123")
 TWO_BODY_KEYS = ("12", "13", "14", "23", "24", "34")
 
+# the 15 spin products of the energy, one row per state of SPIN_STATES;
+# columns: eta (s1s2s3s4), lambda (THREE_BODY_KEYS), mu (TWO_BODY_KEYS),
+# nu1..nu4 (s_j; the nu4 term is further multiplied by sin(theta_d4))
+SPIN_FEATURES = np.array(
+    [
+        [math.prod(s[int(m) - 1] for m in term)
+         for term in ("1234",) + THREE_BODY_KEYS + TWO_BODY_KEYS + ("1", "2", "3", "4")]
+        for s in SPIN_STATES
+    ],
+    dtype=float,
+)
+
 
 @dataclass(frozen=True)
 class OscillationConfig:
@@ -138,34 +150,29 @@ def model_from_coefficients(coeffs: dict, beta: float) -> EffectiveEnergyModel:
     )
 
 
+def _features_at(theta_d4: float) -> np.ndarray:
+    """SPIN_FEATURES with the nu4 column multiplied by sin(theta_d4)."""
+    features = SPIN_FEATURES.copy()
+    features[:, -1] *= math.sin(theta_d4)
+    return features
+
+
+def _energies(model: EffectiveEnergyModel, theta_d4: float) -> np.ndarray:
+    """Dimensionless beta*E of every state, in SPIN_STATES order."""
+    coeffs = np.array([model.eta, *model.lam.values(), *model.mu.values(), *model.nu])
+    return _features_at(theta_d4) @ coeffs
+
+
 def state_energy(model: EffectiveEnergyModel, s: tuple[int, ...], theta_d4: float = math.pi / 2.0) -> float:
     """Dimensionless beta*E of one spin state."""
-    s1, s2, s3, s4 = s
-    lam, mu, nu = model.lam, model.mu, model.nu
-    return (
-        model.eta * s1 * s2 * s3 * s4
-        + lam["234"] * s2 * s3 * s4
-        + lam["134"] * s1 * s3 * s4
-        + lam["124"] * s1 * s2 * s4
-        + lam["123"] * s1 * s2 * s3
-        + mu["12"] * s1 * s2
-        + mu["13"] * s1 * s3
-        + mu["14"] * s1 * s4
-        + mu["23"] * s2 * s3
-        + mu["24"] * s2 * s4
-        + mu["34"] * s3 * s4
-        + nu[0] * s1
-        + nu[1] * s2
-        + nu[2] * s3
-        + nu[3] * s4 * math.sin(theta_d4)
-    )
+    return float(_energies(model, theta_d4)[SPIN_STATES.index(tuple(s))])
 
 
 def boltzmann_probabilities(
     model: EffectiveEnergyModel, theta_d4: float = math.pi / 2.0
 ) -> dict[tuple[int, ...], float]:
     """p_s = exp(-beta*E_s)/Z over the 16 states; overflow-safe."""
-    energies = np.array([state_energy(model, s, theta_d4) for s in SPIN_STATES])
+    energies = _energies(model, theta_d4)
     weights = np.exp(-(energies - energies.min()))
     probs = weights / weights.sum()
     return dict(zip(SPIN_STATES, probs))
@@ -232,26 +239,6 @@ def beta_for_even_parity(
 
 _REF_STATE = (-1, -1, -1, -1)
 
-_FEATURE_NAMES = (
-    ("eta",)
-    + tuple(f"lam{k}" for k in THREE_BODY_KEYS)
-    + tuple(f"mu{k}" for k in TWO_BODY_KEYS)
-    + ("nu1", "nu2", "nu3", "nu4")
-)
-
-
-def _features(s: tuple[int, ...], sin_theta: float) -> np.ndarray:
-    s1, s2, s3, s4 = s
-    return np.array(
-        [
-            s1 * s2 * s3 * s4,
-            s2 * s3 * s4, s1 * s3 * s4, s1 * s2 * s4, s1 * s2 * s3,
-            s1 * s2, s1 * s3, s1 * s4, s2 * s3, s2 * s4, s3 * s4,
-            s1, s2, s3, s4 * sin_theta,
-        ],
-        dtype=float,
-    )
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -286,16 +273,13 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
         probs = np.maximum(probs, PROB_FLOOR)
 
     ref_col = SPIN_STATES.index(_REF_STATE)
-    rows, rhs = [], []
+    others = [col for col in range(16) if col != ref_col]
+    blocks, rhs = [], []
     for i, theta in enumerate(theta_d4):
-        sin_t = math.sin(theta)
-        f_ref = _features(_REF_STATE, sin_t)
-        for col, s in enumerate(SPIN_STATES):
-            if col == ref_col:
-                continue
-            rows.append(-(_features(s, sin_t) - f_ref))
-            rhs.append(math.log(probs[i, col] / probs[i, ref_col]))
-    design = np.array(rows)
+        features = _features_at(theta)
+        blocks.append(-(features[others] - features[ref_col]))
+        rhs += [math.log(probs[i, col] / probs[i, ref_col]) for col in others]
+    design = np.concatenate(blocks)
     rhs = np.array(rhs)
     cond = np.linalg.cond(design)
     if cond > 1e8:
@@ -303,12 +287,11 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
     coeffs, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
     residual = float(np.linalg.norm(design @ coeffs - rhs))
 
-    named = dict(zip(_FEATURE_NAMES, coeffs))
     model = EffectiveEnergyModel(
-        eta=named["eta"],
-        lam={k: named[f"lam{k}"] for k in THREE_BODY_KEYS},
-        mu={k: named[f"mu{k}"] for k in TWO_BODY_KEYS},
-        nu=(named["nu1"], named["nu2"], named["nu3"], named["nu4"]),
+        eta=coeffs[0],
+        lam=dict(zip(THREE_BODY_KEYS, coeffs[1:5])),
+        mu=dict(zip(TWO_BODY_KEYS, coeffs[5:11])),
+        nu=tuple(coeffs[11:]),
     )
     # reference curve: ln p_ref = ln A + C + B sin(theta)
     sin_t = np.sin(theta_d4)

@@ -127,9 +127,83 @@ def test_console_entry_point():
     assert "state,probability" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--start-mhz", "nan"],
+        ["sweep", "--stop-mhz", "inf"],
+        ["boltzmann", "--eta", "nan"],
+        ["parity", "--h4-mhz", "nan"],
+        ["pump-plan", "--spacing-mhz", "nan"],
+    ],
+    ids=["sweep-start-nan", "sweep-stop-inf", "boltzmann-eta-nan", "parity-h4-nan",
+         "pump-plan-spacing-nan"],
+)
+def test_non_finite_numbers_rejected(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: {argv[1]} must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["boltzmann", "--nu", "0,0"], "--nu needs four"),
+        (["boltzmann", "--nu", "0,0,0,inf"], "--nu values must be finite"),
+        (["parity", "--alpha", "5.9,4.5,1.3"], "--alpha needs four"),
+        (["parity", "--alpha", "5.9,nan,1.3,5.3"], "--alpha values must be finite"),
+    ],
+    ids=["nu-short", "nu-inf", "alpha-short", "alpha-nan"],
+)
+def test_malformed_number_lists_rejected(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_parity_needs_two_points(capsys, points):
+    code, out, err = _run(capsys, ["parity", "--points", points])
+    assert code == 2
+    assert out == ""
+    assert "at least 2 points" in err
+
+
 # --------------------------------------------------------------------------
 # quantize / couplings
 # --------------------------------------------------------------------------
+
+def _branch_netlist(element, **branch):
+    return {
+        "nodes": ["q"],
+        "ground": "gnd",
+        "capacitors": [{"a": "q", "b": "gnd", "f_farads": 500.0}],
+        "branches": [dict({"node": "q", "element": element, "l_henries": 100.0}, **branch)],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"nodes": ["q"], "ground": "gnd", "capacitors": [{"a": "q", "b": "gnd"}]},
+         "f_farads"),
+        ({"nodes": ["q"], "ground": "gnd",
+          "capacitors": [{"a": "q", "b": "gnd", "f_farads": 500.0}],
+          "branches": [{"element": {"kind": "squid", "l_j_ph": 400.0}}]},
+         "node"),
+        (_branch_netlist({"kind": "snail", "i0_na": 3750.0, "n": 2}), "gamma"),
+    ],
+    ids=["capacitor", "branch", "snail"],
+)
+def test_netlist_missing_key_named(tmp_path, capsys, doc, key):
+    code, out, err = _run(capsys, ["quantize", _write_netlist(tmp_path / "bad.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(ERROR_PREFIX)
+    assert f"missing required key {key!r}" in err
+
 
 def test_quantize_coupler(tmp_path, capsys):
     code, out, _ = _run(capsys, ["quantize", _coupler_netlist(tmp_path)])
@@ -181,6 +255,26 @@ def test_couplings_unit_circuit(tmp_path, capsys):
         exact, approx = (float(x) for x in rows[f"g{j}"])
         assert approx == pytest.approx(5.0, rel=1e-9)
         assert exact == pytest.approx(5.0, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--freq-ghz", "10,10,10,10", "--coupler-freq-ghz", "0"], "coupler frequency"),
+        (["--freq-ghz", "10,10,10"], "--freq-ghz needs four"),
+        (["--freq-ghz", "10,10,nan,10"], "--freq-ghz values must be finite"),
+    ],
+    ids=["coupler-zero", "freq-short", "freq-nan"],
+)
+def test_couplings_bad_frequencies_rejected(tmp_path, capsys, extra, message):
+    code, out, err = _run(
+        capsys,
+        ["couplings", _unit_netlist(tmp_path), "--kpo-nodes", "q1,q2,q3,q4",
+         "--coupler-nodes", "c5,c6", *extra],
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 # --------------------------------------------------------------------------

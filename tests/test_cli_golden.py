@@ -1,0 +1,43 @@
+"""Golden CLI output: stdout pinned byte for byte.
+
+Each invocation's stdout was recorded once into tests/data/golden/ and
+must not move. File arguments are given relative to this directory, so
+the `# config:` digest (which hashes the argument values) is stable.
+`oracle` is left out: its gap digits are eigensolver roundoff.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from kpokit.cli import main
+
+HERE = Path(__file__).parent
+GOLDEN_DIR = HERE / "data" / "golden"
+
+COUPLINGS = ["couplings", "data/unit.json", "--kpo-nodes", "q1,q2,q3,q4",
+             "--coupler-nodes", "c5,c6", "--freq-ghz", "10,10,10,10",
+             "--coupler-freq-ghz", "10"]
+
+GOLDEN = {
+    "sweep": ["sweep"],
+    "sweep-log": ["sweep", "--log"],
+    "parity": ["parity"],
+    "boltzmann": ["boltzmann"],
+    "boltzmann-eta-nu": ["boltzmann", "--eta", "-0.29", "--nu", "0,0,0,0.4"],
+    "pump-plan": ["pump-plan"],
+    "snail": ["snail"],
+    "quantize": ["quantize", "data/unit.json"],
+    "quantize-effective": ["quantize", "--effective", "data/unit.json"],
+    "couplings": COUPLINGS,
+    "fit": ["fit", "data/probabilities.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_matches_recorded(name, capsys, monkeypatch):
+    monkeypatch.chdir(HERE)
+    code = main(GOLDEN[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.out").read_text()

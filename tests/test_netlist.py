@@ -121,25 +121,14 @@ def test_floating_node_diagnosed():
 
 def test_named_accessors_unit_circuit():
     net = unit_circuit(500e-15, 500e-15, 1e-15)
-    g = invert_capacitance(build_capacitance_matrix(net), net)
-    assert g.g11 == pytest.approx(g.matrix[0, 0])
-    assert g.g56 == pytest.approx(g.matrix[4, 5])
+    g = invert_capacitance(build_capacitance_matrix(net), net).matrix
     # first-order estimate G12 ~ G13 ~ C_c/(4 C_q^2) = 1.0e9 1/F
-    assert g.g12 == pytest.approx(1.0e9, rel=0.05)
-    assert g.g13 == pytest.approx(1.0e9, rel=0.05)
+    assert g[0, 1] == pytest.approx(1.0e9, rel=0.05)
+    assert g[0, 2] == pytest.approx(1.0e9, rel=0.05)
     # the big coupler capacitance ties nodes 5 and 6 together, so G15 and
     # G16 are nearly equal; only their difference drives the coupler mode
-    assert g.g15 > g.g16 > 0.0
-    assert g.g15 == pytest.approx(g.g16, rel=0.01)
-
-
-def test_accessors_need_six_nodes():
-    net = CircuitNetlist(
-        nodes=("a",), ground="gnd", capacitors=(Capacitor("a", "gnd", 100e-15),)
-    )
-    g = invert_capacitance(build_capacitance_matrix(net), net)
-    with pytest.raises(ValueError, match="six-node"):
-        g.g56
+    assert g[0, 4] > g[0, 5] > 0.0
+    assert g[0, 4] == pytest.approx(g[0, 5], rel=0.01)
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,14 @@ def test_degenerate_pair_raises():
         sw_mixing(spectrum, CouplingGraph(h=h))
 
 
+@pytest.mark.parametrize("coupler_omega", [0.0, -1.0 * GHZ, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_coupler_frequency_must_be_positive_and_finite(coupler_omega):
+    with pytest.raises(ValueError, match="coupler frequency"):
+        ModeSpectrum(omega=np.array([10.0, 9.9]) * GHZ, kerr=np.zeros(2),
+                     coupler_omega=coupler_omega, coupler_kerr=0.0)
+
+
 def test_degenerate_uncoupled_pair_allowed():
     spectrum = ModeSpectrum(omega=np.array([10.0, 10.0]) * GHZ, kerr=np.zeros(2))
     mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((2, 2))))
@@ -272,6 +280,16 @@ def test_h4_snail_sign_structure():
     val = h4_snail(5 * MHZ, 7.9 * MHZ, 3.2 * MHZ, kerr_snail, 100 * MHZ)
     both_positive = h4_snail(5 * MHZ, 7.9 * MHZ, 3.2 * MHZ, np.abs(kerr_snail), 100 * MHZ)
     assert abs(val) > abs(both_positive)
+
+
+def test_h4_snail_matches_its_ladder_closed_form():
+    kerr = np.array([-7.3, 20.0, 18.0, -6.1]) * MHZ
+    h_qn, h_nn, h_qq, eps = 5 * MHZ, 7.9 * MHZ, 3.2 * MHZ, 120 * MHZ
+    k1, k2, k3, k4 = kerr
+    closed = h_qn**2 * (-h_nn * (k1 + 3 * k4) + h_qq * (k2 + 3 * k3)) / (3 * eps**3)
+    assert h4_snail(h_qn, h_nn, h_qq, kerr, eps) == pytest.approx(closed, rel=1e-12)
+    with pytest.raises(ValueError, match="positive"):
+        h4_snail(h_qn, h_nn, h_qq, kerr, 0.0)
 
 
 def test_closed_forms_match_engine_on_structured_systems():

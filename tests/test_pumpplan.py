@@ -81,6 +81,16 @@ def test_residuals_incommensurate_frequencies_empty():
     assert detect_residual(pump, max_order=4) == []
 
 
+def test_off_grid_planted_relation_is_found():
+    # generic pumps with w1 + w2 = w3 + w4 planted: no exact integer grid
+    # reproduces them, so the relation must survive the float check
+    draws = np.random.default_rng(3).uniform(9.5, 10.0, (20, 3)) * TWO_PI * GHZ
+    for w1, w3, w4 in draws:
+        omega = 2.0 * np.array([w1, w3 + w4 - w1, w3, w4])
+        found = detect_residual(PumpAssignment(omega_p=tuple(omega)), max_order=4)
+        assert (1, 1, -1, -1) in [r.coefficients for r in found]
+
+
 def test_residual_representatives_are_primitive_and_sign_fixed():
     found = detect_residual(PumpAssignment(omega_p=SET_C), max_order=6)
     for r in found:
