@@ -96,15 +96,15 @@ def build_hamiltonian(
     return FockHamiltonian(n_modes=n_modes, truncation=d, matrix=h_total)
 
 
-def _low_spectrum(h: FockHamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs, dense below DENSE_LIMIT, sparse (shifted) above."""
-    dim = h.dimension
-    if dim <= DENSE_LIMIT:
-        vals, vecs = np.linalg.eigh(h.matrix.toarray())
-        return vals[:k], vecs[:, :k]
-    vals, vecs = eigsh(h.matrix, k=k, sigma=0.0, which="LM")
+def _low_spectrum(matrix: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """Lowest k eigenpairs and the solver that found them: dense below
+    DENSE_LIMIT, sparse (shifted) above."""
+    if matrix.shape[0] <= DENSE_LIMIT:
+        vals, vecs = np.linalg.eigh(matrix.toarray())
+        return vals[:k], vecs[:, :k], "dense"
+    vals, vecs = eigsh(matrix, k=k, sigma=0.0, which="LM")
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], "eigsh"
 
 
 def _basis_index(occupations: tuple[int, ...], d: int) -> int:
@@ -126,7 +126,7 @@ def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     ground energy, states identified by maximum bare-basis overlap."""
     n, d = h.n_modes, h.truncation
     k = min(h.dimension, 4 * n + 8)
-    vals, vecs = _low_spectrum(h, k)
+    vals, vecs, _ = _low_spectrum(h.matrix, k)
     ground_idx = _basis_index((0,) * n, d)
     e0, ov0 = _identify(vecs, vals, ground_idx)
     if ov0 < OVERLAP_THRESHOLD:
@@ -143,6 +143,25 @@ def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     return out
 
 
+def _occupations(h: FockHamiltonian) -> np.ndarray:
+    """Occupation number of each mode (rows) in each basis state (columns)."""
+    return np.indices((h.truncation,) * h.n_modes).reshape(h.n_modes, -1)
+
+
+def _even_sector(h: FockHamiltonian) -> np.ndarray:
+    """Basis indices with an even total excitation number.
+
+    Every term of H changes the total number by 0 or 2, so the even sector
+    is closed. That is checked on the assembled matrix, not assumed: a
+    ValueError is raised if any non-zero element links the two sectors.
+    """
+    parity = _occupations(h).sum(axis=0) % 2
+    coo = h.matrix.tocoo()
+    if np.any(coo.data[parity[coo.row] != parity[coo.col]]):
+        raise ValueError("Hamiltonian couples even and odd total excitation numbers")
+    return np.flatnonzero(parity == 0)
+
+
 def four_body_from_gap(
     spectrum: ModeSpectrum,
     couplings: CouplingGraph,
@@ -155,33 +174,53 @@ def four_body_from_gap(
     A common offset delta is added to modes 1 and 2 (shifting w1 + w2
     through w3 + w4); the dressed levels descending from |1100> and
     |0011> anticross, and the minimum gap equals twice the effective
-    coupling. Returns the scan trace, the refined minimum, and |h_eff|.
+    coupling. H is assembled once and restricted to the even sector of
+    total excitation number, which holds both states; an offset only adds
+    (delta/2)(n1 + n2) to the diagonal of that block.
+
+    Returns the scan trace, the refined minimum and |h_eff|, with the size
+    of the diagonalized block (`dimension`), its solver (`solver`, "dense"
+    or "eigsh") and `pair_weight`: the smallest weight, over the scan and
+    the refinement, that the two chosen eigenstates hold on {|1100>,
+    |0011>} (at most 2). Raises ValueError when that weight falls below
+    2 * OVERLAP_THRESHOLD, where the pair is no longer identifiable.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("gap extraction defined for four KPOs")
+    if not 0.0 < scan_halfwidth < np.inf:
+        raise ValueError(f"scan half-width must be positive and finite, got {scan_halfwidth}")
+    if n_scan < 3:
+        raise ValueError(f"gap scan needs at least 3 points, got {n_scan}")
+
+    ham = build_hamiltonian(spectrum, couplings, d)
+    sector = _even_sector(ham)
+    block = ham.matrix[sector][:, sector]
+    half_pair_number = 0.5 * _occupations(ham)[:2, sector].sum(axis=0)
+    pad = (0,) * (ham.n_modes - 4)
+    pair = np.searchsorted(
+        sector, [_basis_index((1, 1, 0, 0) + pad, d), _basis_index((0, 0, 1, 1) + pad, d)]
+    )
+    k = min(len(sector) - 1, 40)
+    pair_weights = []
+    solver = ""
 
     def gap(delta: float) -> float:
-        shifted = ModeSpectrum(
-            omega=spectrum.omega + np.array([delta, delta, 0.0, 0.0]) / 2.0,
-            kerr=spectrum.kerr,
-            coupler_omega=spectrum.coupler_omega,
-            coupler_kerr=spectrum.coupler_kerr,
-        )
-        h = build_hamiltonian(shifted, couplings, d)
-        n, dd = h.n_modes, h.truncation
-        k = min(h.dimension - 1, 40)
-        vals, vecs = _low_spectrum(h, k)
-        idx_a = _basis_index((1, 1, 0, 0) + (0,) * (n - 4), dd)
-        idx_b = _basis_index((0, 0, 1, 1) + (0,) * (n - 4), dd)
-        e_a, ov_a = _identify(vecs, vals, idx_a)
-        e_b, ov_b = _identify(vecs, vals, idx_b)
-        if min(ov_a, ov_b) < OVERLAP_THRESHOLD:
+        nonlocal solver
+        vals, vecs, solver = _low_spectrum(block + sp.diags(delta * half_pair_number), k)
+        overlaps = np.abs(vecs[pair, :]) ** 2
+        chosen = overlaps.argmax(axis=1)
+        if overlaps.max(axis=1).min() < OVERLAP_THRESHOLD or chosen[0] == chosen[1]:
             # near the crossing the two bare states hybridize 50/50; take
             # the two eigenstates with the largest combined overlap
-            combined = np.abs(vecs[idx_a, :]) ** 2 + np.abs(vecs[idx_b, :]) ** 2
-            top2 = np.argsort(combined)[-2:]
-            e_a, e_b = vals[top2[0]], vals[top2[1]]
-        return abs(e_a - e_b)
+            chosen = np.argsort(overlaps.sum(axis=0))[-2:]
+        weight = float(overlaps[:, chosen].sum())
+        if weight < 2 * OVERLAP_THRESHOLD:
+            raise ValueError(
+                f"|1100>, |0011> pair not identified at offset {delta:.6g} rad/s: "
+                f"the chosen eigenstates hold weight {weight:.3f} on it"
+            )
+        pair_weights.append(weight)
+        return float(abs(vals[chosen[0]] - vals[chosen[1]]))
 
     offsets = np.linspace(-scan_halfwidth, scan_halfwidth, n_scan)
     gaps = np.array([gap(x) for x in offsets])
@@ -189,29 +228,25 @@ def four_body_from_gap(
     if np.ptp(gaps) < 1e-12 * scale:
         # flat scan: the levels never repel (uncoupled or fully degenerate),
         # so the minimum gap is just the common value
-        g_min = float(gaps.min())
-        return {
-            "offsets": offsets,
-            "gaps": gaps,
-            "offset_min": 0.0,
-            "gap_min": g_min,
-            "h_eff": g_min / 2.0,
-        }
-    i_min = int(np.argmin(gaps))
-    if i_min in (0, len(offsets) - 1):
-        raise ValueError(
-            "no interior gap minimum in the scan range; widen scan_halfwidth"
-        )
-    lo, hi = offsets[max(i_min - 1, 0)], offsets[min(i_min + 1, n_scan - 1)]
-    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded",
-                          options={"xatol": scan_halfwidth * 1e-6})
-    g_min = float(res.fun)
+        offset_min, g_min = 0.0, float(gaps.min())
+    else:
+        i_min = int(np.argmin(gaps))
+        if i_min in (0, len(offsets) - 1):
+            raise ValueError(
+                "no interior gap minimum in the scan range; widen scan_halfwidth"
+            )
+        res = minimize_scalar(gap, bounds=(offsets[i_min - 1], offsets[i_min + 1]),
+                              method="bounded", options={"xatol": scan_halfwidth * 1e-6})
+        offset_min, g_min = float(res.x), float(res.fun)
     return {
         "offsets": offsets,
         "gaps": gaps,
-        "offset_min": float(res.x),
+        "offset_min": offset_min,
         "gap_min": g_min,
         "h_eff": g_min / 2.0,
+        "pair_weight": min(pair_weights),
+        "dimension": len(sector),
+        "solver": solver,
     }
 
 

@@ -59,6 +59,10 @@ class ModeSpectrum:
         object.__setattr__(self, "kerr", np.asarray(self.kerr, dtype=float))
         if self.omega.shape != self.kerr.shape:
             raise ValueError("omega and kerr must have matching shapes")
+        if not (np.all(np.isfinite(self.omega)) and np.all(np.isfinite(self.kerr))):
+            raise ValueError("mode frequencies and Kerr coefficients must be finite")
+        if self.coupler_kerr is not None and not np.isfinite(self.coupler_kerr):
+            raise ValueError("coupler Kerr coefficient must be finite")
         if np.any(self.omega <= 0):
             raise ValueError("mode frequencies must be positive")
         if self.coupler_omega is not None and not 0.0 < self.coupler_omega < np.inf:

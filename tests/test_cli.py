@@ -433,3 +433,11 @@ def test_oracle_metadata_and_scan(capsys):
     lines = _data_lines(out)
     assert lines[0] == "scan_offset_MHz,gap_MHz"
     assert len(lines) == 1 + 41
+
+
+@pytest.mark.parametrize("scan_mhz", ["0", "-2"])
+def test_oracle_rejects_non_positive_scan_width(capsys, scan_mhz):
+    code, out, err = _run(capsys, ["oracle", "--truncation", "3", "--scan-mhz", scan_mhz])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: scan half-width must be positive")

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from kpokit import oracle
 from kpokit.constants import GHZ, MHZ
 from kpokit.oracle import (
+    FockHamiltonian,
     build_hamiltonian,
     dressed_frequencies_exact,
     four_body_from_gap,
@@ -133,6 +136,118 @@ def test_gap_minimum_is_interior_and_refined():
     assert abs(result["offset_min"]) < 3 * MHZ
     assert result["gap_min"] <= result["gaps"].min() + 1e-9 * abs(result["gaps"].min())
     assert result["h_eff"] > 0
+
+
+def _with_coupler(spectrum):
+    return ModeSpectrum(omega=spectrum.omega, kerr=spectrum.kerr,
+                        coupler_omega=9.3 * GHZ, coupler_kerr=1.0 * MHZ)
+
+
+def _total_parity(n_modes, d):
+    occupations = np.indices((d,) * n_modes).reshape(n_modes, -1)
+    return occupations.sum(axis=0) % 2
+
+
+@pytest.mark.parametrize("coupler", [False, True], ids=["kpos", "with-coupler"])
+def test_hamiltonian_keeps_excitation_parity(coupler):
+    spectrum = _ladder()
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    if coupler:
+        spectrum = _with_coupler(spectrum)
+        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+    ham = build_hamiltonian(spectrum, couplings, d=3)
+    parity = _total_parity(ham.n_modes, ham.truncation)
+    dense = ham.matrix.toarray()
+    assert np.count_nonzero(dense[np.ix_(parity == 0, parity == 1)]) == 0
+    assert np.count_nonzero(dense[np.ix_(parity == 1, parity == 0)]) == 0
+    # the couplings are there: the even block is not diagonal
+    assert np.count_nonzero(dense - np.diag(np.diag(dense))) > 0
+
+
+def _full_space_gap(spectrum, couplings, d, offset):
+    """Gap of the two eigenstates with most weight on |1100>, |0011>, from a
+    full-space Hamiltonian rebuilt with modes 1 and 2 shifted by offset/2."""
+    shifted = ModeSpectrum(
+        omega=spectrum.omega + np.array([offset, offset, 0.0, 0.0]) / 2.0,
+        kerr=spectrum.kerr,
+        coupler_omega=spectrum.coupler_omega,
+        coupler_kerr=spectrum.coupler_kerr,
+    )
+    ham = build_hamiltonian(shifted, couplings, d)
+    vals, vecs = np.linalg.eigh(ham.matrix.toarray())
+    pad = (0,) * (ham.n_modes - 4)
+    a = np.ravel_multi_index((1, 1, 0, 0) + pad, (d,) * ham.n_modes)
+    b = np.ravel_multi_index((0, 0, 1, 1) + pad, (d,) * ham.n_modes)
+    top = np.argsort(vecs[a] ** 2 + vecs[b] ** 2)[-2:]
+    return abs(vals[top[1]] - vals[top[0]])
+
+
+@pytest.mark.parametrize("coupler", [False, True], ids=["kpos-d4", "with-coupler-d3"])
+def test_gap_trace_matches_full_space_rebuild(coupler):
+    spectrum = _ladder(eps_ghz=0.15)
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    d = 4
+    if coupler:
+        spectrum = _with_coupler(spectrum)
+        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+        d = 3
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ, n_scan=11)
+    expected = [_full_space_gap(spectrum, couplings, d, x) for x in result["offsets"]]
+    assert result["gaps"] == pytest.approx(expected, rel=1e-8)
+    n_modes = 5 if coupler else 4
+    assert result["dimension"] == (d**n_modes + 1) // 2
+    assert result["solver"] == "dense"
+    assert 2 * oracle.OVERLAP_THRESHOLD < result["pair_weight"] <= 2.0 + 1e-12
+
+
+def test_gap_sparse_solver_agrees_with_dense(monkeypatch):
+    spectrum = _ladder(eps_ghz=0.15)
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    kwargs = dict(d=4, scan_halfwidth=3 * MHZ, n_scan=11)
+    dense = four_body_from_gap(spectrum, couplings, **kwargs)
+    monkeypatch.setattr(oracle, "DENSE_LIMIT", 64)
+    sparse = four_body_from_gap(spectrum, couplings, **kwargs)
+    assert (dense["solver"], sparse["solver"]) == ("dense", "eigsh")
+    assert sparse["dimension"] == dense["dimension"] == 128
+    assert sparse["gaps"] == pytest.approx(dense["gaps"], rel=1e-8)
+    assert sparse["h_eff"] == pytest.approx(dense["h_eff"], rel=1e-6)
+
+
+def test_gap_rejects_hamiltonian_mixing_parity(monkeypatch):
+    spectrum = _ladder(eps_ghz=0.15)
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    ham = build_hamiltonian(spectrum, couplings, d=3)
+    # one element linking |0000> (even) and |1000> (odd)
+    odd = sp.csr_matrix(([1.0 * MHZ], ([0], [27])), shape=ham.matrix.shape)
+    broken = FockHamiltonian(n_modes=4, truncation=3, matrix=(ham.matrix + odd).tocsr())
+    monkeypatch.setattr(oracle, "build_hamiltonian", lambda *args: broken)
+    with pytest.raises(ValueError, match="even and odd"):
+        four_body_from_gap(spectrum, couplings, d=3, scan_halfwidth=3 * MHZ, n_scan=11)
+
+
+def test_gap_raises_when_pair_not_identified(monkeypatch):
+    # near the crossing the chosen pair holds ~1.98 of its weight of 2;
+    # demanding 1.99 makes the identification fail loudly
+    monkeypatch.setattr(oracle, "OVERLAP_THRESHOLD", 0.995)
+    with pytest.raises(ValueError, match="pair not identified"):
+        four_body_from_gap(_ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)),
+                           d=3, scan_halfwidth=3 * MHZ, n_scan=11)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"scan_halfwidth": 0.0}, "positive and finite"),
+        ({"scan_halfwidth": -2 * MHZ}, "positive and finite"),
+        ({"scan_halfwidth": float("nan")}, "positive and finite"),
+        ({"scan_halfwidth": float("inf")}, "positive and finite"),
+        ({"scan_halfwidth": 2 * MHZ, "n_scan": 2}, "at least 3"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "two-points"],
+)
+def test_gap_rejects_bad_scan_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        four_body_from_gap(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3, **kwargs)
 
 
 def _resonant_random_system(rng):

@@ -74,6 +74,20 @@ def test_coupler_frequency_must_be_positive_and_finite(coupler_omega):
                      coupler_omega=coupler_omega, coupler_kerr=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("omega", [float("nan"), 1.0]), ("omega", [float("inf"), 1.0]),
+     ("kerr", [0.0, float("nan")]), ("coupler_kerr", float("nan"))],
+    ids=["omega-nan", "omega-inf", "kerr-nan", "coupler-kerr-nan"],
+)
+def test_mode_spectrum_rejects_non_finite_input(field, value):
+    fields = dict(omega=np.array([10.0, 9.9]) * GHZ, kerr=np.zeros(2),
+                  coupler_omega=9.3 * GHZ, coupler_kerr=0.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpectrum(**fields)
+
+
 def test_degenerate_uncoupled_pair_allowed():
     spectrum = ModeSpectrum(omega=np.array([10.0, 10.0]) * GHZ, kerr=np.zeros(2))
     mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((2, 2))))
