@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .constants import GHZ, MHZ
+from .constants import GHZ, MHZ, PHI0_REDUCED
 from .elements import (
     SingleJunction,
     Snail,
@@ -25,6 +25,7 @@ from .elements import (
     snail_flux_sweep,
     snail_kerr_frequency_fit,
     snail_mode_params,
+    squid_inductance_for_frequency,
 )
 from .netlist import (
     build_capacitance_matrix,
@@ -37,6 +38,7 @@ from .netlist import (
 )
 from .oracle import four_body_from_gap
 from .perturbation import (
+    CouplingGraph,
     ModeSpectrum,
     g4_symmetric,
     h4_detuning,
@@ -206,9 +208,6 @@ def sweep_parameter_sets() -> dict:
 
 def _i0_for(c: float, l_geom: float) -> float:
     """Critical current putting a junction resonator at 10 GHz."""
-    from .constants import PHI0_REDUCED
-    from .elements import squid_inductance_for_frequency
-
     return PHI0_REDUCED / squid_inductance_for_frequency(10.0 * GHZ, c, l_geom)
 
 
@@ -355,8 +354,6 @@ def cmd_oracle(args, out) -> int:
     h = np.full((4, 4), h_q)
     np.fill_diagonal(h, 0.0)
     spectrum = ModeSpectrum(omega=omega, kerr=kerr)
-    from .perturbation import CouplingGraph
-
     couplings = CouplingGraph(h=h)
     result = four_body_from_gap(
         spectrum, couplings, d=args.truncation, scan_halfwidth=args.scan_mhz * MHZ

@@ -8,11 +8,9 @@ conversion to/from GHz and MHz happens only at I/O boundaries.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import E_CHARGE, HBAR, PHI0_REDUCED
 
@@ -179,11 +177,16 @@ def snail_current(phi: np.ndarray | float, element: Snail) -> np.ndarray | float
     return element.gamma * np.sin(phi) - np.sin((element.phi_x - phi) / element.n)
 
 
+def snail_current_slope(phi: float, element: Snail) -> float:
+    """d snail_current / dphi at `phi`, the potential's curvature c2 there."""
+    return element.gamma * math.cos(phi) + math.cos((element.phi_x - phi) / element.n) / element.n
+
+
 def snail_equilibrium_phase(element: Snail, grid_step: float = 1e-3) -> float:
     """Equilibrium phase, on the branch continuously connected to 0 at phi_X = 0.
 
     The flux is swept from 0 to phi_X; at each step the root nearest the
-    previous one is bracketed on a dense grid and refined by bisection.
+    previous one is bracketed on a dense grid and refined by `_refine_root`.
     """
     target = element.phi_x
     if target == 0.0:
@@ -209,11 +212,40 @@ def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
             f"no root bracket found in [{grid[0]:.3f}, {grid[-1]:.3f}] rad "
             f"around previous solution {guess:.3f}"
         )
-    roots = [
-        brentq(lambda p: snail_current(p, element), grid[i], grid[i + 1], xtol=1e-13)
-        for i in sign_flips
-    ]
+    roots = [_refine_root(element, float(grid[i]), float(grid[i + 1])) for i in sign_flips]
     return min(roots, key=lambda r: abs(r - guess))
+
+
+def _refine_root(element: Snail, lo: float, hi: float) -> float:
+    """Root of snail_current in [lo, hi], across which it changes sign.
+
+    Newton steps on scalars from the midpoint. Each evaluation moves
+    one end of the bracket onto the current point, and a step that would
+    leave the bracket becomes a bisection. It stops once a step is at most
+    1e-13 rad.
+    """
+    f_lo = snail_current(lo, element)
+    if f_lo == 0.0:
+        return lo
+    if snail_current(hi, element) == 0.0:
+        return hi
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        f = snail_current(x, element)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (f_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        x_next = 0.5 * (lo + hi)
+        slope = snail_current_slope(x, element)
+        if slope != 0.0 and lo <= x - f / slope <= hi:
+            x_next = x - f / slope
+        if abs(x_next - x) <= 1e-13:
+            return x_next
+        x = x_next
+    return x
 
 
 def snail_expansion(element: Snail, phi_bar: float, l_geom: float = 0.0) -> SnailExpansion:
@@ -227,7 +259,7 @@ def snail_expansion(element: Snail, phi_bar: float, l_geom: float = 0.0) -> Snai
         raise ValueError(f"phi_bar is not an equilibrium (residual {residual:.3e})")
     gamma, n, phi_x = element.gamma, element.n, element.phi_x
     arg = (phi_x - phi_bar) / n
-    c2 = gamma * math.cos(phi_bar) + math.cos(arg) / n
+    c2 = snail_current_slope(phi_bar, element)
     c3 = -gamma * math.sin(phi_bar) + math.sin(arg) / n**2
     c4 = -gamma * math.cos(phi_bar) - math.cos(arg) / n**3
     if c2 <= 0:

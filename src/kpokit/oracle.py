@@ -10,13 +10,17 @@ Hamiltonian also gives a Kerr-dressed third-order four-body estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
-from scipy.sparse.linalg import eigsh
 
 from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+# SciPy is imported inside the functions that use it, so that importing
+# kpokit (and every CLI command but `oracle`) does not pay for loading it.
 
 DIM_GUARD = 1_000_000
 DENSE_LIMIT = 2048
@@ -36,11 +40,15 @@ class FockHamiltonian:
 
 
 def _mode_ops(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    import scipy.sparse as sp
+
     adag = sp.diags(np.sqrt(np.arange(1, d)), -1, format="csr")
     return adag, adag.T.tocsr()
 
 
 def _embed(op: sp.spmatrix, mode: int, n_modes: int, d: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     eye = sp.identity(d, format="csr")
     out = None
     for m in range(n_modes):
@@ -54,6 +62,8 @@ def build_hamiltonian(
 ) -> FockHamiltonian:
     """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} h_jk (a_j - a_j+)(a_k - a_k+)
     - sum_j s_j g_j (a_j - a_j+)(a_g - a_g+), counter-rotating parts kept."""
+    import scipy.sparse as sp
+
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
     n_kpo = spectrum.n_kpo
@@ -102,6 +112,8 @@ def _low_spectrum(matrix: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray, 
     if matrix.shape[0] <= DENSE_LIMIT:
         vals, vecs = np.linalg.eigh(matrix.toarray())
         return vals[:k], vecs[:, :k], "dense"
+    from scipy.sparse.linalg import eigsh
+
     vals, vecs = eigsh(matrix, k=k, sigma=0.0, which="LM")
     order = np.argsort(vals)
     return vals[order], vecs[:, order], "eigsh"
@@ -183,8 +195,13 @@ def four_body_from_gap(
     or "eigsh") and `pair_weight`: the smallest weight, over the scan and
     the refinement, that the two chosen eigenstates hold on {|1100>,
     |0011>} (at most 2). Raises ValueError when that weight falls below
-    2 * OVERLAP_THRESHOLD, where the pair is no longer identifiable.
+    2 * OVERLAP_THRESHOLD, where the pair is no longer identifiable, and
+    when the gaps barely vary over the scan, which is then too narrow to
+    resolve the crossing.
     """
+    import scipy.sparse as sp
+    from scipy.optimize import minimize_scalar
+
     if spectrum.n_kpo != 4:
         raise ValueError("gap extraction defined for four KPOs")
     if not 0.0 < scan_halfwidth < np.inf:
@@ -224,26 +241,24 @@ def four_body_from_gap(
 
     offsets = np.linspace(-scan_halfwidth, scan_halfwidth, n_scan)
     gaps = np.array([gap(x) for x in offsets])
-    scale = max(abs(spectrum.omega).max(), 1.0)
-    if np.ptp(gaps) < 1e-12 * scale:
-        # flat scan: the levels never repel (uncoupled or fully degenerate),
-        # so the minimum gap is just the common value
-        offset_min, g_min = 0.0, float(gaps.min())
-    else:
-        i_min = int(np.argmin(gaps))
-        if i_min in (0, len(offsets) - 1):
-            raise ValueError(
-                "no interior gap minimum in the scan range; widen scan_halfwidth"
-            )
-        res = minimize_scalar(gap, bounds=(offsets[i_min - 1], offsets[i_min + 1]),
-                              method="bounded", options={"xatol": scan_halfwidth * 1e-6})
-        offset_min, g_min = float(res.x), float(res.fun)
+    # each offset moves |1100> against |0011> by delta, so only a scan too
+    # narrow to resolve the crossing comes out flat
+    if np.ptp(gaps) < 1e-12 * max(abs(spectrum.omega).max(), 1.0):
+        raise ValueError(
+            f"the gaps vary by {np.ptp(gaps):.3g} rad/s over the scan, too little "
+            "to resolve the avoided crossing; widen scan_halfwidth"
+        )
+    i_min = int(np.argmin(gaps))
+    if i_min in (0, len(offsets) - 1):
+        raise ValueError("no interior gap minimum in the scan range; widen scan_halfwidth")
+    res = minimize_scalar(gap, bounds=(offsets[i_min - 1], offsets[i_min + 1]),
+                          method="bounded", options={"xatol": scan_halfwidth * 1e-6})
     return {
         "offsets": offsets,
         "gaps": gaps,
-        "offset_min": offset_min,
-        "gap_min": g_min,
-        "h_eff": g_min / 2.0,
+        "offset_min": float(res.x),
+        "gap_min": float(res.fun),
+        "h_eff": float(res.fun) / 2.0,
         "pair_weight": min(pair_weights),
         "dimension": len(sector),
         "solver": solver,
@@ -268,6 +283,8 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     a truncation of 4 is exact. Raises ValueError when an intermediate
     state mixes with the model space by MIXING_LIMIT or more.
     """
+    import scipy.sparse as sp
+
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
     ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION)

@@ -127,6 +127,38 @@ def test_console_entry_point():
     assert "state,probability" in proc.stdout
 
 
+SCIPY_GUARD = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import kpokit
+import kpokit.cli
+assert scipy_modules() == [], scipy_modules()
+assert kpokit.cli.main(["boltzmann"]) == 0
+assert scipy_modules() == [], scipy_modules()
+
+import numpy as np
+from kpokit.constants import GHZ, MHZ
+omega = np.array([10.0, 9.7, 9.9, 9.8]) * GHZ
+h = np.full((4, 4), 5.0 * MHZ)
+np.fill_diagonal(h, 0.0)
+result = kpokit.four_body_from_gap(
+    kpokit.ModeSpectrum(omega=omega, kerr=np.array([5.1, 20.0, 20.0, 5.1]) * MHZ),
+    kpokit.CouplingGraph(h=h), d=3, scan_halfwidth=2 * MHZ, n_scan=11,
+)
+assert result["h_eff"] > 0.0, result["h_eff"]
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_is_loaded_only_when_the_oracle_runs():
+    # a fresh interpreter: this test process has SciPy loaded already
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -441,3 +473,13 @@ def test_oracle_rejects_non_positive_scan_width(capsys, scan_mhz):
     assert code == 2
     assert out == ""
     assert err.startswith(f"{ERROR_PREFIX}: scan half-width must be positive")
+
+
+def test_oracle_rejects_a_scan_too_narrow_to_see_the_crossing(capsys):
+    # +-1e-9 MHz: the gaps vary by ~0.01 rad/s, and half the unshifted gap
+    # (39x the avoided-crossing value) must not be reported as |h_eff|
+    code, out, err = _run(capsys, ["oracle", "--truncation", "3", "--scan-mhz", "1e-9"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: ")
+    assert "widen scan_halfwidth" in err

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from kpokit import elements
 from kpokit.constants import (
     E_CHARGE,
     GHZ,
@@ -205,6 +207,65 @@ def test_participation_one_limit():
     c32 = exp.c3**2 / exp.c2
     expected = -(1.0 / exp.c2) * (exp.c4 - (5.0 / 3.0) * c32) * E_CHARGE**2 / (2 * 200e-15) / HBAR
     assert mode.kerr == pytest.approx(expected, rel=1e-12)
+
+
+def _brentq_refine(element, lo, hi):
+    return brentq(lambda p: snail_current(p, element), lo, hi, xtol=1e-13)
+
+
+def _equilibrium_or_error(element):
+    try:
+        return snail_equilibrium_phase(element)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_equilibrium_refinement_matches_brentq(monkeypatch):
+    cases = [
+        Snail(i0=1e-6, gamma=gamma, n=n, phi_x=2 * math.pi * turns)
+        for gamma in (0.05, 0.3, 0.6, 0.9)
+        for n in (1, 2, 3, 4)
+        for turns in (-0.75, -0.5, -0.2, 0.1, 0.3, 0.5, 0.6, 0.75)
+    ]
+    ours = [_equilibrium_or_error(e) for e in cases]
+    brackets = []
+
+    def reference(element, lo, hi):
+        brackets.append(element.phi_x)
+        return _brentq_refine(element, lo, hi)
+
+    monkeypatch.setattr(elements, "_refine_root", reference)
+    theirs = [_equilibrium_or_error(e) for e in cases]
+    several = 0
+    for element, a, b in zip(cases, ours, theirs):
+        if isinstance(b, str):
+            assert a == b, element
+            continue
+        assert abs(a - b) <= 1e-13, element
+        # converged to roundoff, not merely to within the step tolerance
+        assert abs(snail_current(a, element)) <= 2e-15, element
+        several += brackets.count(element.phi_x) > 1
+    # some windows hold several sign changes, so the nearest root is chosen
+    assert several >= 4
+    assert sum(isinstance(b, float) for b in theirs) >= 100
+
+
+def test_root_on_a_grid_point_is_returned_exactly():
+    element = Snail(**DESIGN_SNAIL, phi_x=0.0)
+    # step 2**-10 puts phi = 0, where the current is exactly 0, on the grid
+    assert elements._nearest_root(element, 0.0, 2.0**-10) == 0.0
+    assert elements._refine_root(element, -0.1, 0.0) == 0.0
+    assert elements._refine_root(element, 0.0, 0.1) == 0.0
+    assert _brentq_refine(element, -2.0**-10, 0.0) == 0.0
+
+
+def test_missing_root_bracket_raises():
+    # on the n = 4 branch the current |sin((phi_X - phi)/4)| > 0.05 = gamma
+    # across the whole window around phi = -2 pi
+    element = Snail(i0=1e-6, gamma=0.05, n=4, phi_x=0.0)
+    with pytest.raises(RuntimeError, match=r"no root bracket found in \[-7\.783, -4\.782\] rad "
+                       r"around previous solution -6\.283"):
+        elements._nearest_root(element, -2 * math.pi, 1e-3)
 
 
 def test_branch_continuity_over_sweep():

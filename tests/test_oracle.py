@@ -104,6 +104,28 @@ def test_gap_extraction_zero_couplings_gives_zero():
     assert result["h_eff"] < 1e-12 * spectrum.omega.max()
 
 
+@pytest.mark.parametrize("n_scan", [12, 41])
+def test_gap_extraction_zero_couplings_refines_to_zero(n_scan):
+    # an uncoupled pair crosses without repelling: the gap is |delta| and the
+    # refinement finds its zero to within its tolerance (1e-6 of the scan
+    # half-width), whether or not 0 is a scan point
+    halfwidth = 2 * MHZ
+    result = four_body_from_gap(
+        _ladder(), CouplingGraph(h=np.zeros((4, 4))), d=4, scan_halfwidth=halfwidth,
+        n_scan=n_scan,
+    )
+    assert abs(result["offset_min"]) < 1e-6 * halfwidth
+    assert result["h_eff"] < 1e-6 * halfwidth
+
+
+def test_gap_scan_too_narrow_to_resolve_the_crossing_raises():
+    # the gaps barely move over a +-1e-9 MHz scan; their common value is the
+    # unshifted gap, far above the avoided-crossing minimum
+    with pytest.raises(ValueError, match="too little to resolve the avoided crossing"):
+        four_body_from_gap(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3,
+                           scan_halfwidth=1e-9 * MHZ)
+
+
 def test_gap_extraction_requires_four_modes():
     spectrum = ModeSpectrum(omega=np.array([10.0, 9.9]) * GHZ, kerr=np.zeros(2))
     with pytest.raises(ValueError, match="four"):
