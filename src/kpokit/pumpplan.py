@@ -8,7 +8,6 @@ condition by construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,8 +33,8 @@ class PumpAssignment:
     def __post_init__(self):
         omega = tuple(float(w) for w in self.omega_p)
         object.__setattr__(self, "omega_p", omega)
-        if any(w <= 0 for w in omega):
-            raise ValueError("pump frequencies must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in omega):
+            raise ValueError("pump frequencies must be finite and positive")
         theta = self.theta_p
         if theta is None:
             theta = (0.0,) * len(omega)
@@ -43,6 +42,8 @@ class PumpAssignment:
             theta = tuple(float(t) for t in theta)
             if len(theta) != len(omega):
                 raise ValueError("theta_p length must match omega_p")
+            if not all(math.isfinite(t) for t in theta):
+                raise ValueError("pump phases must be finite")
         object.__setattr__(self, "theta_p", theta)
 
     @property
@@ -135,46 +136,65 @@ def _exact_rescale(omega: tuple[float, ...]) -> list | None:
     return [int(f * denom) for f in fracs]
 
 
+def _relation_candidates(n: int, max_order: int) -> np.ndarray:
+    """Every primitive, sign-normalised integer vector of n entries with
+    0 < sum |n_j| <= max_order, one per row.
+
+    The L1 ball is built mode by mode: each partial vector carries the
+    order it has left, and the next entry takes every value within it.
+    """
+    rows = np.zeros((1, 0), dtype=np.int8)
+    left = np.array([max_order])
+    for _ in range(n):
+        choices = 2 * left + 1
+        start = np.repeat(np.cumsum(choices) - choices, choices)
+        left = np.repeat(left, choices)
+        entry = np.arange(len(start)) - start - left
+        rows = np.column_stack([np.repeat(rows, choices, axis=0), entry.astype(np.int8)])
+        left = left - np.abs(entry)
+    rows = rows[left < max_order]  # drop the zero vector
+    first = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    return rows[(first > 0) & (np.gcd.reduce(np.abs(rows), axis=1) == 1)]
+
+
 def detect_residual(
     pump: PumpAssignment, max_order: int = 8, tol: float = RESONANCE_TOL
 ) -> list[ResonanceCondition]:
     """All primitive integer relations among the pump frequencies.
 
-    Exhaustive over coefficient vectors with sum |n_j| <= max_order,
-    deduplicated up to overall sign (the representative has its first
-    nonzero coefficient positive). When the frequencies sit on a common
-    grid the check is exact integer arithmetic, immune to float rounding.
+    Exhaustive over the L1 ball of coefficient vectors with
+    0 < sum |n_j| <= max_order, deduplicated up to overall sign (the
+    representative has its first nonzero coefficient positive). The ball
+    holds sum_k 2^k C(n, k) C(max_order, k) vectors, k being the number of
+    nonzero entries: 3,649 for four pumps at order 8, where the
+    (2 max_order + 1)^n box holds 83,521. All candidates are checked at
+    once, summing n_j w_j one pump at a time from the first, so each
+    residual is the float sum taken in that order. When the frequencies
+    sit on a common grid the check is exact, on the grid's Python
+    integers (they can exceed 2**63), and immune to float rounding.
     """
+    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
+        raise ValueError(f"max_order must be an integer, got {max_order!r}")
     if max_order > 8:
         raise ValueError("max_order capped at 8 (exhaustive enumeration bound)")
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     omega = pump.omega_p
-    n = len(omega)
     ints = _exact_rescale(omega)
-    found = []
-    for coeffs in itertools.product(range(-max_order, max_order + 1), repeat=n):
-        if not 0 < sum(abs(c) for c in coeffs) <= max_order:
-            continue
-        g = math.gcd(*(abs(c) for c in coeffs))
-        if g != 1:
-            continue  # not primitive
-        first = next(c for c in coeffs if c != 0)
-        if first < 0:
-            continue  # sign-flipped duplicate
-        if ints is not None:
-            if sum(c * k for c, k in zip(coeffs, ints)) != 0:
-                continue
-            residual = 0.0
-        else:
-            residual = abs(sum(c * w for c, w in zip(coeffs, omega)))
-            if residual >= tol:
-                continue
-        found.append(
-            ResonanceCondition(
-                coefficients=coeffs,
-                residual=residual,
-                classification=classify_relation(coeffs),
-            )
+    coeffs = _relation_candidates(len(omega), max_order)
+    if ints is not None:
+        total = sum(coeffs[:, j].astype(object) * k for j, k in enumerate(ints))
+        hits = total == 0
+        residual = np.zeros(len(coeffs))
+    else:
+        residual = np.abs(sum(coeffs[:, j].astype(float) * w for j, w in enumerate(omega)))
+        hits = residual < tol
+    found = [
+        ResonanceCondition(
+            coefficients=c, residual=r, classification=classify_relation(c)
         )
+        for c, r in zip(map(tuple, coeffs[hits].tolist()), residual[hits].tolist())
+    ]
     found.sort(key=lambda r: (r.order, r.coefficients))
     return found
 
@@ -198,6 +218,8 @@ def lhz_frequencies(base: float, spacing: float) -> dict[int, float]:
     leave five free frequencies; the chosen spacing multipliers make all
     nine distinct.
     """
+    if not (math.isfinite(base) and math.isfinite(spacing)):
+        raise ValueError("base and spacing must be finite")
     if spacing <= 0 or base <= 0:
         raise ValueError("base and spacing must be positive")
     return {i: base + k * spacing for i, k in LHZ_MULTIPLIERS.items()}
@@ -232,6 +254,8 @@ def lhz_plan(
         resid, scale = dict(LHZ_MULTIPLIERS), spacing
     if sorted(freqs) != list(range(1, 10)):
         raise ValueError("frequency table must assign pump indices 1..9")
+    if not all(math.isfinite(w) for w in freqs.values()):
+        raise ValueError("frequency table entries must be finite")
 
     sites = {
         (x, y): LHZ_PATTERN[y % 3][x % 3]

@@ -1,12 +1,18 @@
 """Pump-frequency classification and lattice plan generation."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from kpokit.constants import GHZ, MHZ, TWO_PI
 from kpokit.pumpplan import (
+    LHZ_MULTIPLIERS,
     LHZ_PATTERN,
+    RESONANCE_TOL,
     PumpAssignment,
+    _exact_rescale,
     check_mixing,
     classify_relation,
     detect_residual,
@@ -24,6 +30,13 @@ def test_pump_assignment_validation():
         PumpAssignment(omega_p=(1.0, -1.0))
     with pytest.raises(ValueError):
         PumpAssignment(omega_p=(1.0, 2.0), theta_p=(0.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PumpAssignment(omega_p=(1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            PumpAssignment(omega_p=(1.0, 2.0), theta_p=(0.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        PumpAssignment(omega_p=(1.0, 2.0), theta_p=(-math.inf, 0.0))
     p = PumpAssignment(omega_p=(1.0, 2.0, 3.0, 4.0), theta_p=(0.1, 0.2, 0.3, 0.4))
     assert p.theta_p_aggregate == pytest.approx(0.1 + 0.2 - 0.3 - 0.4)
 
@@ -104,6 +117,94 @@ def test_residual_order_cap():
         detect_residual(PumpAssignment(omega_p=SET_A), max_order=9)
 
 
+def test_residual_max_order_must_be_a_positive_integer():
+    pump = PumpAssignment(omega_p=SET_A)
+    for bad in (2.5, 4.0, True, "4", None, 0, -1):
+        with pytest.raises(ValueError, match="max_order"):
+            detect_residual(pump, max_order=bad)
+    assert detect_residual(pump, max_order=np.int64(4)) == detect_residual(pump, max_order=4)
+
+
+def box_walk(omega: tuple[float, ...], max_order: int) -> list[tuple]:
+    """Reference enumeration: walk the (2 max_order + 1)^n box vector by
+    vector, keep the primitive, sign-normalised relations, and sum n_j w_j
+    left to right on Python ints (on a common grid) or floats."""
+    ints = _exact_rescale(omega)
+    found = []
+    for coeffs in itertools.product(range(-max_order, max_order + 1), repeat=len(omega)):
+        if not 0 < sum(map(abs, coeffs)) <= max_order:
+            continue
+        if math.gcd(*coeffs) != 1:
+            continue
+        if next(c for c in coeffs if c != 0) < 0:
+            continue
+        if ints is not None:
+            if sum(c * k for c, k in zip(coeffs, ints)) != 0:
+                continue
+            residual = 0.0
+        else:
+            residual = abs(sum(c * w for c, w in zip(coeffs, omega)))
+            if residual >= RESONANCE_TOL:
+                continue
+        found.append((coeffs, residual.hex(), classify_relation(coeffs)))
+    found.sort(key=lambda f: (sum(map(abs, f[0])), f[0]))
+    return found
+
+
+OFF_GRID_DRAWS = np.random.default_rng(3).uniform(9.5, 10.0, (20, 3)) * TWO_PI * GHZ
+REFERENCE_SETS = {
+    "A": SET_A,
+    "B": SET_B,
+    "C": SET_C,
+    "incommensurate": (np.pi * GHZ, np.e * GHZ, np.sqrt(2) * GHZ, 3.1 * GHZ),
+    **{
+        f"off-grid-{i}": tuple(2.0 * np.array([w1, w3 + w4 - w1, w3, w4]))
+        for i, (w1, w3, w4) in enumerate(OFF_GRID_DRAWS)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SETS))
+def test_residuals_match_the_box_walk_bit_for_bit(name):
+    omega = REFERENCE_SETS[name]
+    # n = 1..4 are prefixes of the set; n = 5 adds the midpoint of pumps 1
+    # and 3, planting w1 + w3 - 2 w5 = 0
+    cases = [(omega[:n], 8) for n in range(1, 5)]
+    cases.append((omega + ((omega[0] + omega[2]) / 2,), 5))
+    for pumps, top in cases:
+        # the filters do not depend on max_order, so lower orders are
+        # prefixes of the top-order walk
+        reference = box_walk(pumps, top)
+        for order in range(1, top + 1):
+            found = detect_residual(PumpAssignment(omega_p=pumps), max_order=order)
+            got = [(r.coefficients, r.residual.hex(), r.classification) for r in found]
+            assert got == [f for f in reference if sum(map(abs, f[0])) <= order]
+            assert all(type(c) is int for r in found for c in r.coefficients)
+
+
+def test_exact_branch_sums_grid_integers_beyond_int64():
+    q1, q2, q3, q4 = 999983, 999979, 999961, 999959
+    x1, x2 = 900001, 950003
+    ratios = (1, x1 / q1, x2 / q1, (x1 + x2 - q1) / q1, 700001 / q2, 800011 / q3, 850009 / q4)
+    pump = PumpAssignment(omega_p=tuple(20 * GHZ * r for r in ratios))
+    assert max(_exact_rescale(pump.omega_p)) > 2**63
+    found = detect_residual(pump, max_order=4)
+    assert [(r.coefficients, r.residual) for r in found] == [((1, -1, -1, 1, 0, 0, 0), 0.0)]
+
+
+def test_residuals_of_the_nine_lattice_pumps_are_exact():
+    freqs = lhz_frequencies(TWO_PI * 9.0e9, TWO_PI * 20.0e6)
+    found = detect_residual(PumpAssignment(omega_p=tuple(freqs[i] for i in range(1, 10))), 4)
+    coeffs = [r.coefficients for r in found]
+    for plaquette in [(1, 1, -1, 0, 0, 0, 0, 0, -1), (1, 0, 0, 0, 0, 0, -1, 1, -1),
+                      (1, 0, -1, 1, -1, 0, 0, 0, 0), (1, 0, 0, 0, -1, 1, -1, 0, 0)]:
+        assert plaquette in coeffs
+    assert all(r.residual == 0.0 for r in found)
+    # every pump is 450 + k spacings: each relation holds on those integers
+    grid = [450 + LHZ_MULTIPLIERS[i] for i in range(1, 10)]
+    assert all(sum(c * k for c, k in zip(r, grid)) == 0 for r in coeffs)
+
+
 def test_relation_set_invariant_under_common_shift():
     # shifting all pumps by the grid spacing preserves every sum-zero relation
     spacing = 2 * MHZ
@@ -176,3 +277,16 @@ def test_invalid_frequency_parameters():
         lhz_frequencies(0.0, TWO_PI * 20e6)
     with pytest.raises(ValueError):
         lhz_frequencies(TWO_PI * 9e9, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            lhz_frequencies(bad, TWO_PI * 20e6)
+        with pytest.raises(ValueError, match="finite"):
+            lhz_frequencies(TWO_PI * 9e9, bad)
+
+
+def test_user_table_rejects_non_finite_frequencies():
+    for bad in (math.nan, math.inf, -math.inf):
+        freqs = lhz_frequencies(TWO_PI * 9.0e9, TWO_PI * 20.0e6)
+        freqs[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lhz_plan(rows=3, frequencies=freqs)
