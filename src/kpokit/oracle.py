@@ -1,8 +1,9 @@
 """Exact-diagonalization verification on a truncated Fock space.
 
 Builds the full lab-frame Hamiltonian (self-Kerr plus beam-splitter
-couplings including their counter-rotating parts) as a sparse matrix and
-extracts dressed frequencies and effective four-body couplings
+couplings including their counter-rotating parts) as a sparse CSR matrix,
+placing each element by index lookup on the table of occupation numbers,
+and extracts dressed frequencies and effective four-body couplings
 nonperturbatively, for cross-checking the perturbative module. The same
 Hamiltonian also gives a Kerr-dressed third-order four-body estimate.
 """
@@ -39,29 +40,16 @@ class FockHamiltonian:
         return self.truncation**self.n_modes
 
 
-def _mode_ops(d: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    import scipy.sparse as sp
-
-    adag = sp.diags(np.sqrt(np.arange(1, d)), -1, format="csr")
-    return adag, adag.T.tocsr()
-
-
-def _embed(op: sp.spmatrix, mode: int, n_modes: int, d: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    eye = sp.identity(d, format="csr")
-    out = None
-    for m in range(n_modes):
-        factor = op if m == mode else eye
-        out = factor if out is None else sp.kron(out, factor, format="csr")
-    return out
-
-
 def build_hamiltonian(
     spectrum: ModeSpectrum, couplings: CouplingGraph, d: int
 ) -> FockHamiltonian:
     """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} h_jk (a_j - a_j+)(a_k - a_k+)
-    - sum_j s_j g_j (a_j - a_j+)(a_g - a_g+), counter-rotating parts kept."""
+    - sum_j s_j g_j (a_j - a_j+)(a_g - a_g+), counter-rotating parts kept.
+
+    Every element is placed by index lookup on the occupation table: the
+    diagonal from the single-mode diagonals of a+ a and a+ a+ a a, and each
+    two-mode term at its four (+-1, +-1) occupation offsets.
+    """
     import scipy.sparse as sp
 
     if d < 3:
@@ -71,34 +59,53 @@ def build_hamiltonian(
     if d**n_modes > DIM_GUARD:
         raise ValueError(f"dimension {d}**{n_modes} exceeds the {DIM_GUARD} guard")
 
-    adag, a = _mode_ops(d)
-    num = (adag @ a).tocsr()
-    kerr_op = (adag @ adag @ a @ a).tocsr()
     omega = list(spectrum.omega)
     kerr = list(spectrum.kerr)
     if spectrum.has_coupler:
         omega.append(spectrum.coupler_omega)
         kerr.append(spectrum.coupler_kerr or 0.0)
 
-    h_total = sp.csr_matrix((d**n_modes, d**n_modes))
-    diff_ops = []
+    # the diagonals are read off the operator products themselves, not
+    # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
+    dim = d**n_modes
+    adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
+    a = adag.T
+    num = np.diag(adag @ a)
+    kerr_op = np.diag(adag @ adag @ a @ a)
+    occ = _occupations(n_modes, d)
+    diagonal = np.zeros(dim)
     for m in range(n_modes):
-        h_total = h_total + omega[m] * _embed(num, m, n_modes, d)
-        h_total = h_total - 0.5 * kerr[m] * _embed(kerr_op, m, n_modes, d)
-        diff_ops.append(_embed((a - adag).tocsr(), m, n_modes, d))
+        diagonal += omega[m] * num[occ[m]]
+        diagonal -= 0.5 * kerr[m] * kerr_op[occ[m]]
 
-    for j in range(n_kpo):
-        for k in range(j + 1, n_kpo):
-            if couplings.h[j, k] != 0.0:
-                h_total = h_total - couplings.h[j, k] * (diff_ops[j] @ diff_ops[k])
+    # (a - a+) lowers n by one with element +sqrt(n) and raises it by one
+    # with -sqrt(n + 1); per mode: (occupation step, element, allowed) pairs
+    root = np.sqrt(np.arange(d + 1.0))
+    steps = [
+        ((-1, root[occ[m]], occ[m] > 0), (1, -root[occ[m] + 1], occ[m] < d - 1))
+        for m in range(n_modes)
+    ]
+    strides = d ** np.arange(n_modes - 1, -1, -1)
+    terms = [(j, k, couplings.h[j, k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
     if couplings.g is not None and spectrum.has_coupler:
-        for j in range(n_kpo):
-            if couplings.g[j] != 0.0:
-                h_total = h_total - couplings.s[j] * couplings.g[j] * (
-                    diff_ops[j] @ diff_ops[n_kpo]
-                )
+        terms += [(j, n_kpo, couplings.s[j] * couplings.g[j]) for j in range(n_kpo)]
 
-    h_total = h_total.tocsr()
+    states = np.arange(dim)
+    rows, cols, data = [states], [states], [diagonal]
+    for j, k, c in terms:
+        if c == 0.0:
+            continue
+        for step_j, elem_j, ok_j in steps[j]:
+            for step_k, elem_k, ok_k in steps[k]:
+                ok = ok_j & ok_k
+                cols.append(states[ok])
+                rows.append(states[ok] + step_j * strides[j] + step_k * strides[k])
+                data.append(-(c * (elem_j[ok] * elem_k[ok])))
+    h_total = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+
     asym = abs(h_total - h_total.T)
     scale = max(abs(h_total).max(), 1.0)
     if asym.nnz and asym.max() > 1e-12 * scale:
@@ -106,11 +113,15 @@ def build_hamiltonian(
     return FockHamiltonian(n_modes=n_modes, truncation=d, matrix=h_total)
 
 
-def _low_spectrum(matrix: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray, str]:
+def _low_spectrum(
+    matrix: sp.spmatrix | np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, str]:
     """Lowest k eigenpairs and the solver that found them: dense below
-    DENSE_LIMIT, sparse (shifted) above."""
+    DENSE_LIMIT, sparse (shifted) above. An ndarray is diagonalized as it is."""
     if matrix.shape[0] <= DENSE_LIMIT:
-        vals, vecs = np.linalg.eigh(matrix.toarray())
+        if not isinstance(matrix, np.ndarray):
+            matrix = matrix.toarray()
+        vals, vecs = np.linalg.eigh(matrix)
         return vals[:k], vecs[:, :k], "dense"
     from scipy.sparse.linalg import eigsh
 
@@ -155,9 +166,9 @@ def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     return out
 
 
-def _occupations(h: FockHamiltonian) -> np.ndarray:
+def _occupations(n_modes: int, d: int) -> np.ndarray:
     """Occupation number of each mode (rows) in each basis state (columns)."""
-    return np.indices((h.truncation,) * h.n_modes).reshape(h.n_modes, -1)
+    return np.indices((d,) * n_modes).reshape(n_modes, -1)
 
 
 def _even_sector(h: FockHamiltonian) -> np.ndarray:
@@ -167,7 +178,7 @@ def _even_sector(h: FockHamiltonian) -> np.ndarray:
     is closed. That is checked on the assembled matrix, not assumed: a
     ValueError is raised if any non-zero element links the two sectors.
     """
-    parity = _occupations(h).sum(axis=0) % 2
+    parity = _occupations(h.n_modes, h.truncation).sum(axis=0) % 2
     coo = h.matrix.tocoo()
     if np.any(coo.data[parity[coo.row] != parity[coo.col]]):
         raise ValueError("Hamiltonian couples even and odd total excitation numbers")
@@ -188,7 +199,8 @@ def four_body_from_gap(
     |0011> anticross, and the minimum gap equals twice the effective
     coupling. H is assembled once and restricted to the even sector of
     total excitation number, which holds both states; an offset only adds
-    (delta/2)(n1 + n2) to the diagonal of that block.
+    (delta/2)(n1 + n2) to the diagonal of that block. A block within
+    DENSE_LIMIT is made dense once and each offset shifts a copy of it.
 
     Returns the scan trace, the refined minimum and |h_eff|, with the size
     of the diagonalized block (`dimension`), its solver (`solver`, "dense"
@@ -212,7 +224,10 @@ def four_body_from_gap(
     ham = build_hamiltonian(spectrum, couplings, d)
     sector = _even_sector(ham)
     block = ham.matrix[sector][:, sector]
-    half_pair_number = 0.5 * _occupations(ham)[:2, sector].sum(axis=0)
+    if len(sector) <= DENSE_LIMIT:
+        block = block.toarray()
+    diag = np.arange(len(sector))
+    half_pair_number = 0.5 * _occupations(ham.n_modes, d)[:2, sector].sum(axis=0)
     pad = (0,) * (ham.n_modes - 4)
     pair = np.searchsorted(
         sector, [_basis_index((1, 1, 0, 0) + pad, d), _basis_index((0, 0, 1, 1) + pad, d)]
@@ -221,9 +236,16 @@ def four_body_from_gap(
     pair_weights = []
     solver = ""
 
+    def shifted(delta: float) -> sp.spmatrix | np.ndarray:
+        if not isinstance(block, np.ndarray):
+            return block + sp.diags(delta * half_pair_number)
+        out = block.copy()
+        out[diag, diag] += delta * half_pair_number
+        return out
+
     def gap(delta: float) -> float:
         nonlocal solver
-        vals, vecs, solver = _low_spectrum(block + sp.diags(delta * half_pair_number), k)
+        vals, vecs, solver = _low_spectrum(shifted(delta), k)
         overlaps = np.abs(vecs[pair, :]) ** 2
         chosen = overlaps.argmax(axis=1)
         if overlaps.max(axis=1).min() < OVERLAP_THRESHOLD or chosen[0] == chosen[1]:

@@ -33,6 +33,8 @@ class PumpAssignment:
     def __post_init__(self):
         omega = tuple(float(w) for w in self.omega_p)
         object.__setattr__(self, "omega_p", omega)
+        if not omega:
+            raise ValueError("omega_p must hold at least one pump frequency")
         if not all(math.isfinite(w) and w > 0 for w in omega):
             raise ValueError("pump frequencies must be finite and positive")
         theta = self.theta_p
@@ -240,6 +242,8 @@ def lhz_plan(
     every plaquette residual, so injected violations are reported rather
     than assumed away.
     """
+    if isinstance(rows, bool) or not isinstance(rows, (int, np.integer)):
+        raise ValueError(f"rows must be an integer, got {rows!r}")
     if rows < 2:
         raise ValueError("need at least a 2x2 plaquette lattice")
     if frequencies is not None:

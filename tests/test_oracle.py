@@ -51,6 +51,115 @@ def test_hamiltonian_is_hermitian_sparse():
     assert asym.nnz == 0 or abs(asym).max() < 1e-9
 
 
+def _kronecker_reference(spectrum, couplings, d):
+    """The former assembly, kept as the reference: every term is embedded in
+    the full space by a Kronecker chain and the sparse sums run in order."""
+    adag = sp.diags(np.sqrt(np.arange(1, d)), -1, format="csr")
+    a = adag.T.tocsr()
+    n_kpo = spectrum.n_kpo
+    n_modes = n_kpo + 1 if spectrum.has_coupler else n_kpo
+
+    def embed(op, mode):
+        out = None
+        for m in range(n_modes):
+            factor = op if m == mode else sp.identity(d, format="csr")
+            out = factor if out is None else sp.kron(out, factor, format="csr")
+        return out
+
+    num = (adag @ a).tocsr()
+    kerr_op = (adag @ adag @ a @ a).tocsr()
+    omega = list(spectrum.omega)
+    kerr = list(spectrum.kerr)
+    if spectrum.has_coupler:
+        omega.append(spectrum.coupler_omega)
+        kerr.append(spectrum.coupler_kerr or 0.0)
+    total = sp.csr_matrix((d**n_modes, d**n_modes))
+    diff = []
+    for m in range(n_modes):
+        total = total + omega[m] * embed(num, m)
+        total = total - 0.5 * kerr[m] * embed(kerr_op, m)
+        diff.append(embed((a - adag).tocsr(), m))
+    for j in range(n_kpo):
+        for k in range(j + 1, n_kpo):
+            if couplings.h[j, k] != 0.0:
+                total = total - couplings.h[j, k] * (diff[j] @ diff[k])
+    if couplings.g is not None and spectrum.has_coupler:
+        for j in range(n_kpo):
+            if couplings.g[j] != 0.0:
+                total = total - couplings.s[j] * couplings.g[j] * (diff[j] @ diff[n_kpo])
+    return FockHamiltonian(n_modes=n_modes, truncation=d, matrix=total.tocsr())
+
+
+def _assert_same_bits(x, y):
+    x, y = x.toarray(), y.toarray()
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _random_couplings(rng, zeros):
+    h = rng.uniform(1.0, 20.0, (4, 4)) * MHZ
+    h = np.triu(h, 1)
+    for j, k in zeros:
+        h[j, k] = 0.0
+    return h + h.T
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_direct_assembly_matches_kronecker_reference_on_ladders(d):
+    rng = np.random.default_rng(100 + d)
+    for eps_ghz in (0.1, 0.15, 0.2):
+        spectrum = _ladder(eps_ghz, kerr_mhz=rng.uniform(2.0, 25.0, 4))
+        for h in (_full_h(5.0 * MHZ), _random_couplings(rng, [(0, 2), (1, 3)])):
+            couplings = CouplingGraph(h=h)
+            _assert_same_bits(build_hamiltonian(spectrum, couplings, d).matrix,
+                              _kronecker_reference(spectrum, couplings, d).matrix)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize(
+    "s", [None, (1.0, -1.0, 1.0, -1.0), (-1.0, -1.0, -1.0, 1.0)], ids=["default", "alt", "neg"]
+)
+def test_direct_assembly_matches_kronecker_reference_with_coupler(d, s):
+    rng = np.random.default_rng(7 * d)
+    spectrum = ModeSpectrum(omega=_ladder().omega, kerr=rng.uniform(2.0, 25.0, 4) * MHZ,
+                            coupler_omega=11.1 * GHZ, coupler_kerr=rng.uniform(0.5, 3.0) * MHZ)
+    g = rng.uniform(10.0, 150.0, 4) * MHZ
+    g[2] = 0.0
+    couplings = CouplingGraph(h=_random_couplings(rng, [(0, 1)]), g=g, s=s)
+    _assert_same_bits(build_hamiltonian(spectrum, couplings, d).matrix,
+                      _kronecker_reference(spectrum, couplings, d).matrix)
+    # a coupler without Kerr and without couplings to it
+    bare = ModeSpectrum(omega=spectrum.omega, kerr=spectrum.kerr, coupler_omega=9.3 * GHZ)
+    for graph in (CouplingGraph(h=couplings.h), CouplingGraph(h=couplings.h, g=np.zeros(4))):
+        _assert_same_bits(build_hamiltonian(bare, graph, d).matrix,
+                          _kronecker_reference(bare, graph, d).matrix)
+
+
+def test_direct_assembly_matches_kronecker_reference_on_one_mode():
+    spectrum = ModeSpectrum(omega=np.array([10.0 * GHZ]), kerr=np.array([20.0 * MHZ]))
+    for d in (3, 7):
+        graph = CouplingGraph(h=np.zeros((1, 1)))
+        _assert_same_bits(build_hamiltonian(spectrum, graph, d).matrix,
+                          _kronecker_reference(spectrum, graph, d).matrix)
+
+
+@pytest.mark.parametrize("coupler", [False, True], ids=["kpos-d4", "with-coupler-d3"])
+def test_gap_scan_unchanged_by_direct_assembly(monkeypatch, coupler):
+    spectrum = _ladder(eps_ghz=0.15)
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    d = 4
+    if coupler:
+        spectrum = _with_coupler(spectrum)
+        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+        d = 3
+    kwargs = dict(d=d, scan_halfwidth=3 * MHZ, n_scan=11)
+    direct = four_body_from_gap(spectrum, couplings, **kwargs)
+    monkeypatch.setattr(oracle, "build_hamiltonian", _kronecker_reference)
+    reference = four_body_from_gap(spectrum, couplings, **kwargs)
+    assert np.all(direct["gaps"] == reference["gaps"])
+    assert direct["h_eff"] == reference["h_eff"]
+
+
 def test_truncation_and_dimension_guards():
     spectrum = _ladder()
     with pytest.raises(ValueError, match="at least 3"):

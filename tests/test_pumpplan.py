@@ -37,6 +37,9 @@ def test_pump_assignment_validation():
             PumpAssignment(omega_p=(1.0, 2.0), theta_p=(0.0, bad))
     with pytest.raises(ValueError, match="finite"):
         PumpAssignment(omega_p=(1.0, 2.0), theta_p=(-math.inf, 0.0))
+    for empty in ((), [], np.array([])):
+        with pytest.raises(ValueError, match="omega_p must hold at least one"):
+            PumpAssignment(omega_p=empty)
     p = PumpAssignment(omega_p=(1.0, 2.0, 3.0, 4.0), theta_p=(0.1, 0.2, 0.3, 0.4))
     assert p.theta_p_aggregate == pytest.approx(0.1 + 0.2 - 0.3 - 0.4)
 
@@ -248,6 +251,10 @@ def test_plan_counts_and_pattern():
 def test_plan_rejects_degenerate_lattice():
     with pytest.raises(ValueError, match="at least"):
         lhz_plan(rows=1)
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="rows must be an integer"):
+            lhz_plan(rows=bad)
+    assert lhz_plan(rows=np.int64(3)) == lhz_plan(rows=3)
 
 
 def test_injected_violation_is_caught():
