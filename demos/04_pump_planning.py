@@ -37,7 +37,7 @@ print("site assignment (pump index per lattice site):")
 for y in range(5):
     print("  " + " ".join(str(plan.sites[(x, y)]) for x in range(5)))
 print(f"plaquettes checked: {len(plan.plaquettes)}, "
-      f"violations: {len(plan.violations(tol=0.0))} (exact arithmetic)")
+      f"violations: {len(plan.violations())} (exact arithmetic)")
 significant = [s for s in plan.spurious if not s["negligible"]]
 print(f"spurious conditions: {len(plan.spurious)} reported, "
       f"{len(significant)} significant")

@@ -84,15 +84,10 @@ def _four_floats(text: str, option: str) -> list[float]:
     return values
 
 
-def _meta(command: str, args=None) -> list[str]:
-    meta = [f"kpokit {__version__}", f"command: {command}"]
-    if args is not None:
-        config = sorted(
-            (k, repr(v)) for k, v in vars(args).items() if k != "func"
-        )
-        digest = hashlib.sha256(repr(config).encode()).hexdigest()[:16]
-        meta.append(f"config: {digest}")
-    return meta
+def _meta(command: str, args) -> list[str]:
+    config = sorted((k, repr(v)) for k, v in vars(args).items() if k != "func")
+    digest = hashlib.sha256(repr(config).encode()).hexdigest()[:16]
+    return [f"kpokit {__version__}", f"command: {command}", f"config: {digest}"]
 
 
 # --------------------------------------------------------------------------

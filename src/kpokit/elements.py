@@ -182,11 +182,12 @@ def snail_current_slope(phi: float, element: Snail) -> float:
     return element.gamma * math.cos(phi) + math.cos((element.phi_x - phi) / element.n) / element.n
 
 
-def snail_equilibrium_phase(element: Snail, grid_step: float = 1e-3) -> float:
+def snail_equilibrium_phase(element: Snail) -> float:
     """Equilibrium phase, on the branch continuously connected to 0 at phi_X = 0.
 
     The flux is swept from 0 to phi_X; at each step the root nearest the
-    previous one is bracketed on a dense grid and refined by `_refine_root`.
+    previous one is bracketed on a 1e-3 rad grid and refined by
+    `_refine_root`.
     """
     target = element.phi_x
     if target == 0.0:
@@ -195,7 +196,7 @@ def snail_equilibrium_phase(element: Snail, grid_step: float = 1e-3) -> float:
     phi_bar = 0.0
     for flux in np.linspace(0.0, target, n_steps + 1)[1:]:
         snapshot = Snail(element.i0, element.gamma, element.n, flux)
-        phi_bar = _nearest_root(snapshot, phi_bar, grid_step)
+        phi_bar = _nearest_root(snapshot, phi_bar, 1e-3)
     residual = abs(snail_current(phi_bar, element))
     if residual >= 1e-10:
         raise RuntimeError(f"equilibrium residual {residual:.3e} exceeds 1e-10")

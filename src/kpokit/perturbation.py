@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import BosonicPolynomial, Monomial
-from .pumpplan import PumpAssignment, classify_relation
+from .pumpplan import RESONANCE_TOL, PumpAssignment, classify_relation
 
 MIXING_WARN = 0.2   # perturbative-validity warning threshold on |htilde|, |gtilde|
 MIXING_LIMIT = 0.5  # hard validity limit
-RWA_TOL_DEFAULT = 2.0 * np.pi * 1e3  # rad/s
 
 
 class DegenerateModesError(ValueError):
@@ -230,8 +229,7 @@ def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> Bosoni
     """
     n = spectrum.n_kpo
     m = n + 1 if spectrum.has_coupler else n
-    s = mixing.s if mixing.s is not None else np.array([1.0, 1.0, -1.0, -1.0])[:n]
-    g_tilde = mixing.g_tilde
+    s, g_tilde = mixing.s, mixing.g_tilde
 
     total = BosonicPolynomial.zero(m)
     for j in range(n):
@@ -277,14 +275,15 @@ def classify_monomial(creation, annihilation, coupler_mode: int | None = None) -
 def rwa_filter(
     poly: BosonicPolynomial,
     pump: PumpAssignment,
-    tol: float = RWA_TOL_DEFAULT,
+    *,
     coupler_mode: int | None = None,
 ) -> FourBodyReport:
     """Keep monomials that are stationary in the frame rotating at omega_p/2.
 
-    Each KPO mode rotates at half its pump frequency. The coupler (if any)
-    is not pumped: monomials with unpaired coupler operators rotate at
-    omega_g and are dropped outright.
+    Each KPO mode rotates at half its pump frequency, and a monomial is
+    kept when its rotation sum_j (c_j - a_j) omega_pj / 2 is below
+    RESONANCE_TOL. The coupler (if any) is not pumped: monomials with
+    unpaired coupler operators rotate at omega_g and are dropped outright.
     """
     omega_p = np.asarray(pump.omega_p, dtype=float)
     entries = []
@@ -296,7 +295,7 @@ def rwa_filter(
             if mode == coupler_mode:
                 continue
             rotation += (c[mode] - a[mode]) * omega_p[mode] / 2.0
-        if abs(rotation) < tol:
+        if abs(rotation) < RESONANCE_TOL:
             entries.append(
                 ReportEntry(
                     creation=c,
@@ -397,16 +396,13 @@ def h4_snail(h_qn: float, h_nn: float, h_qq: float, kerr: np.ndarray, epsilon: f
     return h4_general(kerr, mixing_from_frequencies(h, omega))
 
 
-def h4_tilde(h_prime: float, kerr4: float, epsilon: float | None = None, deltas: dict | None = None) -> float:
-    """Single-nonlinearity circuit: only K4 couples (KPO 4 mediates).
+def h4_tilde(h_prime: float, kerr4: float, epsilon: float) -> float:
+    """Single-nonlinearity circuit on the detuning ladder: only K4 couples
+    (KPO 4 mediates).
 
-    With explicit deltas: -2 h'^3 K4 / (D13 D14 D34); on the default
-    ladder this reduces to -h'^3 K4 / eps^3.
+    -2 h'^3 K4 / (D13 D14 D34), which reduces to -h'^3 K4 / eps^3.
     """
-    if deltas is None:
-        if epsilon is None or epsilon <= 0:
-            raise ValueError("need epsilon > 0 or explicit deltas")
-        deltas = ladder_deltas(epsilon)
+    deltas = ladder_deltas(epsilon)
     d13, d14, d34 = deltas["d13"], deltas["d14"], deltas["d34"]
     return -2.0 * h_prime**3 * kerr4 / (d13 * d14 * d34)
 

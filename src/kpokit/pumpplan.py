@@ -14,7 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-RESONANCE_TOL = 2.0 * np.pi * 1e3  # rad/s, matches the RWA tolerance
+# rad/s, the one stationarity tolerance: a pump relation |sum n_j w_j|, a
+# plaquette pairing residual or a monomial's rotation in the omega_p/2 frame
+# counts as stationary when it is below this
+RESONANCE_TOL = 2.0 * np.pi * 1e3
 
 # periodic 3x3 pump-index pattern; row y, column x
 LHZ_PATTERN = ((1, 3, 7), (9, 2, 8), (5, 4, 6))
@@ -77,8 +80,8 @@ class LhzPlan:
     plaquettes: list     # dicts with corners, indices, condition, residual
     spurious: list = field(default_factory=list)
 
-    def violations(self, tol: float = RESONANCE_TOL) -> list:
-        return [p for p in self.plaquettes if p["residual"] >= tol]
+    def violations(self) -> list:
+        return [p for p in self.plaquettes if p["residual"] >= RESONANCE_TOL]
 
 
 # --------------------------------------------------------------------------
@@ -99,7 +102,7 @@ def classify_relation(coefficients: tuple[int, ...]) -> str:
     return "other"
 
 
-def check_mixing(pump: PumpAssignment, tol: float = RESONANCE_TOL) -> list[str]:
+def check_mixing(pump: PumpAssignment) -> list[str]:
     """Which pairings of four pumps satisfy w_a + w_b = w_c + w_d.
 
     Returns a subset of {"12|34", "13|24", "14|23"}. The first pairing
@@ -112,7 +115,7 @@ def check_mixing(pump: PumpAssignment, tol: float = RESONANCE_TOL) -> list[str]:
     return [
         f"{a + 1}{b + 1}|{c + 1}{d + 1}"
         for a, b, c, d in PAIRINGS
-        if abs(w[a] + w[b] - w[c] - w[d]) < tol
+        if abs(w[a] + w[b] - w[c] - w[d]) < RESONANCE_TOL
     ]
 
 
@@ -159,9 +162,7 @@ def _relation_candidates(n: int, max_order: int) -> np.ndarray:
     return rows[(first > 0) & (np.gcd.reduce(np.abs(rows), axis=1) == 1)]
 
 
-def detect_residual(
-    pump: PumpAssignment, max_order: int = 8, tol: float = RESONANCE_TOL
-) -> list[ResonanceCondition]:
+def detect_residual(pump: PumpAssignment, max_order: int = 8) -> list[ResonanceCondition]:
     """All primitive integer relations among the pump frequencies.
 
     Exhaustive over the L1 ball of coefficient vectors with
@@ -171,9 +172,11 @@ def detect_residual(
     nonzero entries: 3,649 for four pumps at order 8, where the
     (2 max_order + 1)^n box holds 83,521. All candidates are checked at
     once, summing n_j w_j one pump at a time from the first, so each
-    residual is the float sum taken in that order. When the frequencies
-    sit on a common grid the check is exact, on the grid's Python
-    integers (they can exceed 2**63), and immune to float rounding.
+    residual is the float sum taken in that order; a relation is kept when
+    that residual is below RESONANCE_TOL, whatever the frequencies. When
+    they sit on a common grid, each kept relation is also summed on the
+    grid's Python integers (they can exceed 2**63), and one that holds
+    exactly there gets residual 0.0 instead of its float rounding.
     """
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
         raise ValueError(f"max_order must be an integer, got {max_order!r}")
@@ -182,20 +185,19 @@ def detect_residual(
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     omega = pump.omega_p
-    ints = _exact_rescale(omega)
     coeffs = _relation_candidates(len(omega), max_order)
+    residual = np.abs(sum(coeffs[:, j].astype(float) * w for j, w in enumerate(omega)))
+    hits = residual < RESONANCE_TOL
+    coeffs, residual = coeffs[hits], residual[hits]
+    ints = _exact_rescale(omega)
     if ints is not None:
         total = sum(coeffs[:, j].astype(object) * k for j, k in enumerate(ints))
-        hits = total == 0
-        residual = np.zeros(len(coeffs))
-    else:
-        residual = np.abs(sum(coeffs[:, j].astype(float) * w for j, w in enumerate(omega)))
-        hits = residual < tol
+        residual[total == 0] = 0.0
     found = [
         ResonanceCondition(
             coefficients=c, residual=r, classification=classify_relation(c)
         )
-        for c, r in zip(map(tuple, coeffs[hits].tolist()), residual[hits].tolist())
+        for c, r in zip(map(tuple, coeffs.tolist()), residual.tolist())
     ]
     found.sort(key=lambda r: (r.order, r.coefficients))
     return found
@@ -232,7 +234,6 @@ def lhz_plan(
     base: float = 2.0 * np.pi * 9.0e9,
     spacing: float = 2.0 * np.pi * 20.0e6,
     frequencies: dict[int, float] | None = None,
-    tol: float = RESONANCE_TOL,
 ) -> LhzPlan:
     """Tile a rows x rows plaquette lattice with the nine-frequency pattern.
 
@@ -282,7 +283,7 @@ def lhz_plan(
                     "residual": residual,
                 }
             )
-    spurious = _spurious_report(sites, freqs, rows, tol)
+    spurious = _spurious_report(sites, freqs, rows)
     return LhzPlan(sites=sites, frequencies=freqs, plaquettes=plaquettes, spurious=spurious)
 
 
@@ -301,7 +302,7 @@ def _best_pairing(idx: list[int], w: list) -> tuple[str, float]:
     return best
 
 
-def _spurious_report(sites: dict, freqs: dict, rows: int, tol: float) -> list:
+def _spurious_report(sites: dict, freqs: dict, rows: int) -> list:
     """Extra mixing conditions met by non-plaquette KPO quadruples.
 
     Checks the diamond of lattice neighbors around each interior site for
@@ -318,7 +319,7 @@ def _spurious_report(sites: dict, freqs: dict, rows: int, tol: float) -> list:
         idx = [sites[c] for c in neigh]
         w = [freqs[i] for i in idx]
         label, residual = _best_pairing(idx, w)
-        if residual < tol:
+        if residual < RESONANCE_TOL:
             out.append(
                 {
                     "kind": "third-order diamond",

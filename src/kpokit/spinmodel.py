@@ -137,16 +137,10 @@ def model_from_coefficients(coeffs: dict, beta: float) -> EffectiveEnergyModel:
     mu = {k: 0.0 for k in TWO_BODY_KEYS}
     mu["14"] = beta * (coeffs["g1"] + coeffs["g3"])
     mu["23"] = beta * (coeffs["g2"] + coeffs["g4"])
-    nu4_base = coeffs.get("nu4_base")
     return EffectiveEnergyModel(
         eta=beta * coeffs["h4"],
         mu=mu,
-        nu=(
-            beta * eps[0],
-            beta * eps[1],
-            beta * eps[2],
-            beta * nu4_base if nu4_base is not None else beta * eps[3],
-        ),
+        nu=(beta * eps[0], beta * eps[1], beta * eps[2], beta * coeffs["nu4_base"]),
     )
 
 

@@ -199,6 +199,10 @@ def test_rwa_drops_unpaired_coupler_operators():
     report = rwa_filter(poly, pump, coupler_mode=4)
     for entry in report.entries:
         assert entry.creation[4] == entry.annihilation[4]
+    # coupler_mode is keyword-only, so a positional third argument cannot
+    # bind to it
+    with pytest.raises(TypeError):
+        rwa_filter(poly, pump, 4)
 
 
 def test_report_serialization():

@@ -195,6 +195,19 @@ def test_exact_branch_sums_grid_integers_beyond_int64():
     assert [(r.coefficients, r.residual) for r in found] == [((1, -1, -1, 1, 0, 0, 0), 0.0)]
 
 
+def test_grid_keeps_a_near_resonance_under_the_tolerance():
+    # the set sits on a common grid (denominator 21 * 999997); w2 + w3 - w4
+    # misses it by one grid step, 10 GHz / (21 * 999997) = 476 Hz, which is
+    # under RESONANCE_TOL, so it is reported with its float residual
+    pump = PumpAssignment(omega_p=(10 * GHZ, 10 * GHZ / 3, 10 * GHZ / 7,
+                                   10 * GHZ * 476189 / 999997))
+    assert _exact_rescale(pump.omega_p) is not None
+    found = {r.coefficients: r.residual for r in detect_residual(pump, 4)}
+    assert sorted(found) == [(0, 1, 1, -1), (1, -3, 0, 0)]
+    assert found[(1, -3, 0, 0)] == 0.0
+    assert found[(0, 1, 1, -1)] == pytest.approx(2992, abs=1)
+
+
 def test_residuals_of_the_nine_lattice_pumps_are_exact():
     freqs = lhz_frequencies(TWO_PI * 9.0e9, TWO_PI * 20.0e6)
     found = detect_residual(PumpAssignment(omega_p=tuple(freqs[i] for i in range(1, 10))), 4)
@@ -234,9 +247,7 @@ def test_lhz_frequencies_distinct_and_consistent():
 
 def test_plan_has_no_violations_at_zero_tolerance():
     plan = lhz_plan(rows=4)
-    assert plan.violations(tol=0.0) == [] or all(
-        p["residual"] == 0.0 for p in plan.plaquettes
-    )
+    assert plan.violations() == []
     assert all(p["residual"] == 0.0 for p in plan.plaquettes)
 
 
