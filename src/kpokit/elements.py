@@ -204,17 +204,34 @@ def snail_equilibrium_phase(element: Snail) -> float:
 
 
 def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
+    """Refined root nearest `guess` among the sign changes on a +-1.5 rad grid.
+
+    The 64 grid points on either side of the guess are searched first. Any
+    root outside them lies beyond one of the slice's ends, so a slice root
+    strictly closer than both ends is the window's answer; otherwise the
+    whole window is searched.
+    """
     half_window = 1.5
     grid = np.arange(guess - half_window, guess + half_window + grid_step, grid_step)
-    vals = snail_current(grid, element)
-    sign_flips = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    if len(sign_flips) == 0:
+    centre = int(round(half_window / grid_step))
+    near = grid[max(centre - 64, 0):centre + 65]
+    root = _nearest_bracketed_root(element, near, guess)
+    if root is not None and abs(root - guess) < min(guess - near[0], near[-1] - guess):
+        return root
+    root = _nearest_bracketed_root(element, grid, guess)
+    if root is None:
         raise RuntimeError(
             f"no root bracket found in [{grid[0]:.3f}, {grid[-1]:.3f}] rad "
             f"around previous solution {guess:.3f}"
         )
+    return root
+
+
+def _nearest_bracketed_root(element: Snail, grid: np.ndarray, guess: float) -> float | None:
+    vals = snail_current(grid, element)
+    sign_flips = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
     roots = [_refine_root(element, float(grid[i]), float(grid[i + 1])) for i in sign_flips]
-    return min(roots, key=lambda r: abs(r - guess))
+    return min(roots, key=lambda r: abs(r - guess), default=None)
 
 
 def _refine_root(element: Snail, lo: float, hi: float) -> float:

@@ -11,12 +11,17 @@ single-mode identity
 
     a^p a^dag^q = sum_k  C(p,k) C(q,k) k!  a^dag^(q-k) a^(p-k),
 
-applied mode by mode (operators of distinct modes commute).
+applied mode by mode (operators of distinct modes commute). Only the modes
+where an annihilator of the left factor meets a creator of the right one
+contract; every other mode just adds its exponents.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
+from numbers import Number
+from operator import add
 
 import numpy as np
 
@@ -25,13 +30,14 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 PRUNE_TOL = 1e-18  # rad/s; coefficients below this are dropped
 
 
-def _contract_mode(q1: int, p2: int) -> list[tuple[int, float]]:
+@lru_cache(maxsize=None)
+def _contract_mode(q1: int, p2: int) -> tuple[tuple[int, int], ...]:
     """Contraction weights for a^q1 * a^dag^p2 within one mode.
 
     Returns (k, weight) pairs where k creations/annihilations annihilate
     against each other: a^q a^dag^p = sum_k C(q,k) C(p,k) k! a^dag^(p-k) a^(q-k).
     """
-    return [(k, comb(q1, k) * comb(p2, k) * factorial(k)) for k in range(min(q1, p2) + 1)]
+    return tuple((k, comb(q1, k) * comb(p2, k) * factorial(k)) for k in range(min(q1, p2) + 1))
 
 
 class BosonicPolynomial:
@@ -81,30 +87,35 @@ class BosonicPolynomial:
         return self + (other * -1.0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, Number):
             return BosonicPolynomial(
                 self.n_modes, {k: v * other for k, v in self.terms.items()}
             )
+        if not isinstance(other, BosonicPolynomial):
+            return NotImplemented
         self._check(other)
         out: dict[Monomial, complex] = {}
         for (c1, a1), v1 in self.terms.items():
             for (c2, a2), v2 in other.terms.items():
-                # per-mode contraction options
-                options = [_contract_mode(a1[m], c2[m]) for m in range(self.n_modes)]
-                self._accumulate(out, c1, a1, c2, a2, v1 * v2, options)
+                coeff = v1 * v2
+                # cartesian product over the contraction counts k of the modes
+                # where a1 meets c2, in mode order; every other mode only adds
+                # its exponents (k = 0, an exact weight 1)
+                stack = [(tuple(map(add, c1, c2)), tuple(map(add, a1, a2)), 1.0)]
+                for m in range(self.n_modes):
+                    if a1[m] > 0 and c2[m] > 0:
+                        stack = [
+                            (c[:m] + (c[m] - k,) + c[m + 1:],
+                             a[:m] + (a[m] - k,) + a[m + 1:],
+                             w * wk)
+                            for c, a, w in stack
+                            for k, wk in _contract_mode(a1[m], c2[m])
+                        ]
+                for c, a, w in stack:
+                    out[(c, a)] = out.get((c, a), 0.0) + coeff * w
         return BosonicPolynomial(self.n_modes, out)
 
     __rmul__ = __mul__
-
-    def _accumulate(self, out, c1, a1, c2, a2, coeff, options) -> None:
-        # cartesian product over per-mode contraction counts
-        stack = [((), 1.0)]
-        for opts in options:
-            stack = [(ks + (k,), w * wk) for ks, w in stack for k, wk in opts]
-        for ks, w in stack:
-            c = tuple(c1[m] + c2[m] - ks[m] for m in range(self.n_modes))
-            a = tuple(a1[m] + a2[m] - ks[m] for m in range(self.n_modes))
-            out[(c, a)] = out.get((c, a), 0.0) + coeff * w
 
     # -- hygiene --------------------------------------------------------
     def pruned(self, tol: float = PRUNE_TOL) -> "BosonicPolynomial":

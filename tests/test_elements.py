@@ -220,13 +220,16 @@ def _equilibrium_or_error(element):
         return str(exc)
 
 
+GRID_CASES = [
+    Snail(i0=1e-6, gamma=gamma, n=n, phi_x=2 * math.pi * turns)
+    for gamma in (0.05, 0.3, 0.6, 0.9)
+    for n in (1, 2, 3, 4)
+    for turns in (-0.75, -0.5, -0.2, 0.1, 0.3, 0.5, 0.6, 0.75)
+]
+
+
 def test_equilibrium_refinement_matches_brentq(monkeypatch):
-    cases = [
-        Snail(i0=1e-6, gamma=gamma, n=n, phi_x=2 * math.pi * turns)
-        for gamma in (0.05, 0.3, 0.6, 0.9)
-        for n in (1, 2, 3, 4)
-        for turns in (-0.75, -0.5, -0.2, 0.1, 0.3, 0.5, 0.6, 0.75)
-    ]
+    cases = GRID_CASES
     ours = [_equilibrium_or_error(e) for e in cases]
     brackets = []
 
@@ -248,6 +251,44 @@ def test_equilibrium_refinement_matches_brentq(monkeypatch):
     # some windows hold several sign changes, so the nearest root is chosen
     assert several >= 4
     assert sum(isinstance(b, float) for b in theirs) >= 100
+
+
+def _full_window_nearest_root(element, guess, grid_step):
+    """The root search as first written: every point of the +-1.5 rad window."""
+    half_window = 1.5
+    grid = np.arange(guess - half_window, guess + half_window + grid_step, grid_step)
+    vals = snail_current(grid, element)
+    sign_flips = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+    if len(sign_flips) == 0:
+        raise RuntimeError(
+            f"no root bracket found in [{grid[0]:.3f}, {grid[-1]:.3f}] rad "
+            f"around previous solution {guess:.3f}"
+        )
+    roots = [elements._refine_root(element, float(grid[i]), float(grid[i + 1]))
+             for i in sign_flips]
+    return min(roots, key=lambda r: abs(r - guess))
+
+
+def test_narrow_first_root_search_matches_full_window(monkeypatch):
+    design = [Snail(**DESIGN_SNAIL, phi_x=2 * math.pi * turns)
+              for turns in np.linspace(0.40, 0.43, 31)]
+    cases = GRID_CASES + design
+    ours = [_equilibrium_or_error(e) for e in cases]
+    monkeypatch.setattr(elements, "_nearest_root", _full_window_nearest_root)
+    theirs = [_equilibrium_or_error(e) for e in cases]
+    # equilibria bit for bit, error messages word for word
+    assert ours == theirs
+    assert sum(isinstance(r, str) for r in theirs) >= 1
+    assert all(isinstance(r, float) for r in theirs[len(GRID_CASES):])
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.03, 0.0639, 0.064, 0.0641, 0.065, 0.5, 1.2, 1.49])
+def test_narrow_first_root_search_falls_back_to_full_window(offset):
+    # guesses at and beyond the 64-point slice around the root at phi = 0
+    element = Snail(**DESIGN_SNAIL, phi_x=0.0)
+    for guess in (offset, -offset):
+        assert (elements._nearest_root(element, guess, 1e-3)
+                == _full_window_nearest_root(element, guess, 1e-3))
 
 
 def test_root_on_a_grid_point_is_returned_exactly():
