@@ -4,7 +4,7 @@ Sweeps the ladder detuning and evaluates every closed form: the
 coupler-mediated g4 (falls as 1/eps^4) for two coupler nonlinearities, and
 the detuning-mediated h4 variants (fall as 1/eps^3) for the SQUID and
 SNAIL Kerr patterns. Then cross-checks one point against the exact
-normal-ordered operator engine.
+expansion of the Kerr terms, the quartic built from the mode-mixing matrix.
 """
 
 import numpy as np

@@ -5,7 +5,10 @@ The engine substitutes the first-order transformed annihilation operators
     a_j -> a_j + sum_k htilde_kj a_k - s_j gtilde_j a_g,
     a_g -> a_g - sum_j s_j gtilde_j a_j,
 
-into every self-Kerr term and expands in normal order. The closed forms
+into every self-Kerr term. The rows of these substitutions form a
+mode-mixing matrix U, and the expansion is the quartic built from it
+(operators.BosonicPolynomial.quartic), normal-ordered as written because
+every transformed operator holds annihilators only. The closed forms
 (four-body, residual, cross-Kerr, dressed spectrum) are independent
 evaluations of specific monomial coefficients of that expansion, so the
 two routes can be cross-checked to machine precision.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import BosonicPolynomial, Monomial
+from .operators import BosonicPolynomial
 from .pumpplan import RESONANCE_TOL, PumpAssignment, classify_relation
 
 MIXING_WARN = 0.2   # perturbative-validity warning threshold on |htilde|, |gtilde|
@@ -89,16 +92,24 @@ class CouplingGraph:
         object.__setattr__(self, "h", h)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("h must be square")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("h must be finite")
         if not np.allclose(h, h.T):
             raise ValueError("h must be symmetric")
         if self.g is not None:
-            object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
+            g = np.asarray(self.g, dtype=float)
+            object.__setattr__(self, "g", g)
             s = self.s
             if s is None:
                 if h.shape[0] != 4:
                     raise ValueError("default sign factors need exactly 4 KPOs")
                 s = np.array([1.0, 1.0, -1.0, -1.0])
-            object.__setattr__(self, "s", np.asarray(s, dtype=float))
+            s = np.asarray(s, dtype=float)
+            object.__setattr__(self, "s", s)
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(s))):
+                raise ValueError("g and s must be finite")
+            if s.shape != g.shape:
+                raise ValueError(f"s has shape {s.shape} but g has shape {g.shape}")
 
 
 @dataclass(frozen=True)
@@ -188,6 +199,10 @@ def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoeffic
     Warns when any ratio exceeds the perturbative-validity threshold.
     """
     n = spectrum.n_kpo
+    if couplings.h.shape != (n, n):
+        raise ValueError(f"h has shape {couplings.h.shape}, expected ({n}, {n}) for {n} KPOs")
+    if couplings.g is not None and couplings.g.shape != (n,):
+        raise ValueError(f"g has shape {couplings.g.shape}, expected ({n},) for {n} KPOs")
     h_tilde = mixing_from_frequencies(couplings.h, spectrum.omega)
     g_tilde = None
     if couplings.g is not None:
@@ -217,43 +232,27 @@ def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoeffic
 
 
 # --------------------------------------------------------------------------
-# operator engine
+# transformed Kerr terms
 # --------------------------------------------------------------------------
 
 def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> BosonicPolynomial:
     """All self-Kerr terms with first-order transformed operators substituted.
 
     Modes 0..n-1 are the KPOs; when the spectrum has a coupler it is mode n.
-    The result is exact (all orders in the mixing ratios of the substituted
-    quartic), Hermitian, and normal-ordered.
+    Row j of the mixing matrix U gives a'_j = sum_p U[j, p] a_p, one row per
+    Kerr term (the coupler's only when its Kerr is nonzero), and the result
+    is sum_j (-K_j/2) a'_j^dag^2 a'_j^2: exact to all orders in the mixing
+    ratios of the substituted quartic, Hermitian, and normal-ordered.
     """
     n = spectrum.n_kpo
-    m = n + 1 if spectrum.has_coupler else n
-    s, g_tilde = mixing.s, mixing.g_tilde
-
-    total = BosonicPolynomial.zero(m)
-    for j in range(n):
-        a_new = BosonicPolynomial.annihilation(m, j)
-        for k in range(n):
-            if k != j and mixing.h_tilde[k, j] != 0.0:
-                a_new = a_new + BosonicPolynomial.annihilation(m, k, mixing.h_tilde[k, j])
-        if g_tilde is not None and g_tilde[j] != 0.0:
-            a_new = a_new + BosonicPolynomial.annihilation(m, n, -s[j] * g_tilde[j])
-        total = total + _kerr_quartic(a_new, spectrum.kerr[j])
-
+    u = np.eye(n + 1 if spectrum.has_coupler else n)
+    u[:n, :n] += mixing.h_tilde.T
+    if mixing.g_tilde is not None:
+        u[:n, n] = u[n, :n] = -mixing.s * mixing.g_tilde
+    kerr = list(spectrum.kerr)
     if spectrum.has_coupler and spectrum.coupler_kerr:
-        a_new = BosonicPolynomial.annihilation(m, n)
-        if g_tilde is not None:
-            for j in range(n):
-                if g_tilde[j] != 0.0:
-                    a_new = a_new + BosonicPolynomial.annihilation(m, j, -s[j] * g_tilde[j])
-        total = total + _kerr_quartic(a_new, spectrum.coupler_kerr)
-    return total.pruned()
-
-
-def _kerr_quartic(a_new: BosonicPolynomial, kerr: float) -> BosonicPolynomial:
-    adag = a_new.conjugate()
-    return (adag * adag * a_new * a_new) * (-kerr / 2.0)
+        kerr.append(spectrum.coupler_kerr)
+    return BosonicPolynomial.quartic(u[:len(kerr)], -np.asarray(kerr) / 2.0).pruned()
 
 
 def classify_monomial(creation, annihilation, coupler_mode: int | None = None) -> str:
@@ -284,8 +283,15 @@ def rwa_filter(
     kept when its rotation sum_j (c_j - a_j) omega_pj / 2 is below
     RESONANCE_TOL. The coupler (if any) is not pumped: monomials with
     unpaired coupler operators rotate at omega_g and are dropped outright.
+    There must be one pump frequency per non-coupler mode.
     """
+    if coupler_mode is not None and coupler_mode not in range(poly.n_modes):
+        raise ValueError(f"coupler_mode {coupler_mode} is not a mode of a "
+                         f"{poly.n_modes}-mode polynomial")
     omega_p = np.asarray(pump.omega_p, dtype=float)
+    n_pumped = poly.n_modes - (coupler_mode is not None)
+    if len(omega_p) != n_pumped:
+        raise ValueError(f"{len(omega_p)} pump frequencies for {n_pumped} KPO modes")
     entries = []
     for (c, a), v in poly.pruned().terms.items():
         if coupler_mode is not None and c[coupler_mode] != a[coupler_mode]:

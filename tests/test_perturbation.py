@@ -1,4 +1,4 @@
-"""Mixing coefficients, operator engine, and closed-form couplings."""
+"""Mixing coefficients, Kerr transformation, and closed-form couplings."""
 
 import numpy as np
 import pytest
@@ -88,6 +88,34 @@ def test_mode_spectrum_rejects_non_finite_input(field, value):
         ModeSpectrum(**fields)
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [(dict(h=np.zeros((4, 4)), g=np.array([np.nan, 1.0, 1.0, 1.0])), "finite"),
+     (dict(h=np.zeros((4, 4)), g=np.ones(4), s=np.array([1.0, 1.0, np.inf, -1.0])), "finite"),
+     (dict(h=np.array([[0.0, np.nan], [np.nan, 0.0]])), "h must be finite"),
+     (dict(h=np.zeros((4, 4)), g=np.ones(4), s=np.ones(3)), "shape"),
+     (dict(h=np.zeros((4, 4)), g=np.ones(5)), "shape"),
+     (dict(h=np.zeros((4, 4)), g=np.ones(3)), "shape")],
+    ids=["g-nan", "s-inf", "h-nan", "s-length-3", "g-length-5", "g-length-3"],
+)
+def test_coupling_graph_rejects_malformed_input(fields, match):
+    with pytest.raises(ValueError, match=match):
+        CouplingGraph(**{k: v * MHZ if k != "s" else v for k, v in fields.items()})
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [CouplingGraph(h=np.zeros((5, 5))),
+     CouplingGraph(h=np.zeros((4, 4)), g=np.ones(5) * MHZ, s=np.ones(5)),
+     CouplingGraph(h=np.zeros((4, 4)), g=np.ones(3) * MHZ, s=np.ones(3))],
+    ids=["h-5x5", "g-length-5", "g-length-3"],
+)
+def test_sw_mixing_rejects_couplings_of_the_wrong_size(couplings):
+    spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
+    with pytest.raises(ValueError, match="shape"):
+        sw_mixing(spectrum, couplings)
+
+
 def test_degenerate_uncoupled_pair_allowed():
     spectrum = ModeSpectrum(omega=np.array([10.0, 10.0]) * GHZ, kerr=np.zeros(2))
     mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((2, 2))))
@@ -122,7 +150,7 @@ def test_device_table_mixing_populated():
 
 
 # --------------------------------------------------------------------------
-# operator engine
+# Kerr transformation and rotating-frame filter
 # --------------------------------------------------------------------------
 
 def test_single_mode_transform_is_identity():
@@ -203,6 +231,27 @@ def test_rwa_drops_unpaired_coupler_operators():
     # bind to it
     with pytest.raises(TypeError):
         rwa_filter(poly, pump, 4)
+
+
+@pytest.mark.parametrize(
+    "n_pumps, coupler_mode, match",
+    [(3, 4, "3 pump frequencies for 4 KPO modes"),
+     (5, 4, "5 pump frequencies for 4 KPO modes"),
+     (4, None, "4 pump frequencies for 5 KPO modes"),
+     (4, 5, "coupler_mode 5 is not a mode"),
+     (4, -1, "coupler_mode -1 is not a mode")],
+    ids=["three-pumps", "five-pumps", "coupler-unnamed", "coupler-past-the-end",
+         "coupler-negative"],
+)
+def test_rwa_filter_rejects_a_pump_or_coupler_index_that_does_not_fit(n_pumps, coupler_mode,
+                                                                     match):
+    spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
+    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    poly = transform_kerr(spectrum, mix)
+    omega_p = [2 * w for w in spectrum.omega] + [2 * spectrum.coupler_omega]
+    pump = PumpAssignment(omega_p=tuple(omega_p[:n_pumps]))
+    with pytest.raises(ValueError, match=match):
+        rwa_filter(poly, pump, coupler_mode=coupler_mode)
 
 
 def test_report_serialization():
