@@ -185,36 +185,76 @@ def snail_current_slope(phi: float, element: Snail) -> float:
 def snail_equilibrium_phase(element: Snail) -> float:
     """Equilibrium phase, on the branch continuously connected to 0 at phi_X = 0.
 
-    The flux is swept from 0 to phi_X; at each step the root nearest the
-    previous one is bracketed on a 1e-3 rad grid and refined by
-    `_refine_root`.
+    The flux is swept from 0 to phi_X in steps of about 0.05 rad (at least
+    8). Each step is predicted along the tangent
+    dphi/dphi_X = -(dI/dphi_X)/(dI/dphi) at the previous root and corrected
+    by Newton steps (`_continued_root`). When the correction cannot be shown
+    to have found the root nearest the previous one, that root is bracketed
+    on a 1e-3 rad grid instead (`_nearest_root`).
     """
     target = element.phi_x
     if target == 0.0:
         return 0.0
     n_steps = max(8, int(abs(target) / 0.05))
+    fluxes = np.linspace(0.0, target, n_steps + 1).tolist()
+    gamma, n = element.gamma, element.n
     phi_bar = 0.0
-    for flux in np.linspace(0.0, target, n_steps + 1)[1:]:
-        snapshot = Snail(element.i0, element.gamma, element.n, flux)
-        phi_bar = _nearest_root(snapshot, phi_bar, 1e-3)
+    for previous_flux, flux in zip(fluxes, fluxes[1:]):
+        snapshot = Snail(element.i0, gamma, n, flux)
+        # pull = -dI/dphi_X and slope = dI/dphi at the previous root
+        pull = math.cos((previous_flux - phi_bar) / n) / n
+        slope = gamma * math.cos(phi_bar) + pull
+        root = None
+        if slope > 0.0:
+            predicted = phi_bar + pull / slope * (flux - previous_flux)
+            root = _continued_root(snapshot, phi_bar, predicted)
+        phi_bar = _nearest_root(snapshot, phi_bar, 1e-3) if root is None else root
     residual = abs(snail_current(phi_bar, element))
     if residual >= 1e-10:
         raise RuntimeError(f"equilibrium residual {residual:.3e} exceeds 1e-10")
-    return phi_bar
+    return float(phi_bar)
+
+
+def _continued_root(element: Snail, previous: float, predicted: float) -> float | None:
+    """Newton's root from `predicted` if it is provably the root nearest `previous`.
+
+    Scalar Newton steps on snail_current stop once a step is at most 1e-13
+    rad, as in `_refine_root`. The root x is accepted when the slope there
+    exceeds 2|x - previous|(gamma + 1/n^2): |d^2I/dphi^2| <= gamma + 1/n^2,
+    so the current then rises monotonically across the whole interval
+    within |x - previous| of `previous`, and x is the only root in it.
+    None is returned when the slope is not positive, Newton takes more than
+    20 steps, or the test fails.
+    """
+    x = predicted
+    for _ in range(20):
+        slope = snail_current_slope(x, element)
+        if not slope > 0.0:
+            return None
+        step = float(snail_current(x, element)) / slope
+        x -= step
+        if abs(step) <= 1e-13:
+            break
+    else:
+        return None
+    bound = 2.0 * abs(x - previous) * (element.gamma + 1.0 / element.n**2)
+    return x if snail_current_slope(x, element) > bound else None
 
 
 def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
     """Refined root nearest `guess` among the sign changes on a +-1.5 rad grid.
 
-    The 64 grid points on either side of the guess are searched first. Any
-    root outside them lies beyond one of the slice's ends, so a slice root
-    strictly closer than both ends is the window's answer; otherwise the
-    whole window is searched.
+    The grid is centred on the guess and holds the same number of points
+    for any guess, so its ends (and the error message that prints them)
+    do not depend on the guess's last bits. The 64 grid points on either
+    side of the guess are searched first. Any root outside them lies
+    beyond one of the slice's ends, so a slice root strictly closer than
+    both ends is the window's answer; otherwise the whole window is
+    searched.
     """
-    half_window = 1.5
-    grid = np.arange(guess - half_window, guess + half_window + grid_step, grid_step)
-    centre = int(round(half_window / grid_step))
-    near = grid[max(centre - 64, 0):centre + 65]
+    half = round(1.5 / grid_step)
+    grid = guess + grid_step * np.arange(-half, half + 1)
+    near = grid[max(half - 64, 0):half + 65]
     root = _nearest_bracketed_root(element, near, guess)
     if root is not None and abs(root - guess) < min(guess - near[0], near[-1] - guess):
         return root

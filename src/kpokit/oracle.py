@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 DIM_GUARD = 1_000_000
 DENSE_LIMIT = 2048
 OVERLAP_THRESHOLD = 0.5
-_LOWDIN_TRUNCATION = 4
+_LOWDIN_TRUNCATION = 3
 
 
 @dataclass(frozen=True)
@@ -301,40 +301,42 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     off-diagonal element picks up a basis-dependent part proportional to
     the detuning of the two model states.
 
-    Intermediate states hold at most two quanta per mode at this order, so
-    a truncation of 4 is exact. Raises ValueError when an intermediate
+    Every intermediate state is one hop of V from |1100> or |0011>, and V
+    moves one quantum in each of two modes, so it holds at most 2 quanta
+    per mode; the third-order sum uses V only between such states. A
+    truncation of 3 (occupations 0, 1, 2) therefore holds every term
+    exactly and is what is built. Raises ValueError when an intermediate
     state mixes with the model space by MIXING_LIMIT or more.
     """
-    import scipy.sparse as sp
-
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
     ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION)
     pad = (0,) * (ham.n_modes - 4)
     a = _basis_index((1, 1, 0, 0) + pad, ham.truncation)
     b = _basis_index((0, 0, 1, 1) + pad, ham.truncation)
-    energies = ham.matrix.diagonal()
-    v = (ham.matrix - sp.diags(energies)).tocsr()
+    v = ham.matrix.toarray()
+    energies = v.diagonal().copy()
+    np.fill_diagonal(v, 0.0)
     # V is real symmetric and, being two-body, has no element inside the
     # model space, so the first-order and the model-space third-order
-    # terms of the expansion vanish
-    v_a = v[a].toarray().ravel()
-    v_b = v[b].toarray().ravel()
-    strength = np.maximum(abs(v_a), abs(v_b))
+    # terms of the expansion vanish; every other term runs over the states
+    # one hop from |1100> or |0011>, in basis order
+    strength = np.maximum(abs(v[a]), abs(v[b]))
     strength[[a, b]] = 0.0
-    coupled = strength != 0.0
+    hop = np.flatnonzero(strength)
+    v_a, v_b, v_hop = v[a, hop], v[b, hop], v[np.ix_(hop, hop)]
 
     resolvents = []
     for e_m in (energies[a], energies[b]):
-        den = e_m - energies
-        with np.errstate(divide="ignore", invalid="ignore"):
-            worst = float(np.nanmax(strength / abs(den)))
+        den = e_m - energies[hop]
+        with np.errstate(divide="ignore"):
+            worst = float(np.max(strength[hop] / abs(den), initial=0.0))
         if worst >= MIXING_LIMIT:
             raise ValueError(
                 f"intermediate-state mixing {worst:.3f} >= {MIXING_LIMIT}: not perturbative"
             )
-        resolvents.append(np.divide(1.0, den, out=np.zeros_like(den), where=coupled))
+        resolvents.append(1.0 / den)
 
     second = 0.5 * np.sum(v_a * v_b * (resolvents[0] + resolvents[1]))
-    third = 0.5 * sum((v_a * r) @ (v @ (v_b * r)) for r in resolvents)
+    third = 0.5 * sum((v_a * r) @ (v_hop @ (v_b * r)) for r in resolvents)
     return float(abs(second + third))

@@ -243,8 +243,20 @@ def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> Bosoni
     Kerr term (the coupler's only when its Kerr is nonzero), and the result
     is sum_j (-K_j/2) a'_j^dag^2 a'_j^2: exact to all orders in the mixing
     ratios of the substituted quartic, Hermitian, and normal-ordered.
+    Raises ValueError when `mixing` does not fit `spectrum`.
     """
     n = spectrum.n_kpo
+    if np.shape(mixing.h_tilde) != (n, n):
+        raise ValueError(f"h_tilde has shape {np.shape(mixing.h_tilde)}, "
+                         f"expected ({n}, {n}) for {n} KPOs")
+    if mixing.g_tilde is not None:
+        if not spectrum.has_coupler:
+            raise ValueError("mixing has coupler ratios g_tilde but the spectrum has no coupler mode")
+        for name in ("g_tilde", "s"):
+            value = getattr(mixing, name)
+            if value is None or np.shape(value) != (n,):
+                raise ValueError(f"{name} must have shape ({n},) for {n} KPOs, got "
+                                 f"{None if value is None else np.shape(value)}")
     u = np.eye(n + 1 if spectrum.has_coupler else n)
     u[:n, :n] += mixing.h_tilde.T
     if mixing.g_tilde is not None:

@@ -57,8 +57,12 @@ class OscillationConfig:
 
     @property
     def theta_p_aggregate(self) -> float:
-        t = self.theta_p
-        return t[0] + t[1] - t[2] - t[3]
+        return _aggregate_phase(self.theta_p)
+
+
+def _aggregate_phase(tp):
+    """theta_p1 + theta_p2 - theta_p3 - theta_p4; the entries may be arrays."""
+    return tp[0] + tp[1] - tp[2] - tp[3]
 
 
 @dataclass(frozen=True)
@@ -103,21 +107,26 @@ def effective_coefficients(config: OscillationConfig, ints: InteractionSet) -> d
     phase; each residual term carries its own half-integer phase
     combination; coherent drives contribute 2*eps_j*alpha_j*sin(theta_dj).
     """
+    return _coefficients(config, config.theta_p, ints)
+
+
+def _coefficients(config: OscillationConfig, tp, ints: InteractionSet) -> dict:
+    """effective_coefficients at pump phases `tp`, whose four entries may be
+    arrays of one shape: each phase-dependent coefficient then has that shape."""
     a = config.alpha
-    tp = config.theta_p
     td = config.theta_d
     eps = config.epsilon_d
     return {
         "h4": -2.0 * ints.h4 * a[0] * a[1] * a[2] * a[3]
-        * math.cos(config.theta_p_aggregate / 2.0),
+        * np.cos(_aggregate_phase(tp) / 2.0),
         "g1": 2.0 * ints.g1 * a[0] * a[3] * a[1] ** 2
-        * math.cos(tp[0] / 2.0 + tp[3] / 2.0 - tp[1]),
+        * np.cos(tp[0] / 2.0 + tp[3] / 2.0 - tp[1]),
         "g2": 2.0 * ints.g2 * a[0] ** 2 * a[1] * a[2]
-        * math.cos(tp[0] - tp[1] / 2.0 - tp[2] / 2.0),
+        * np.cos(tp[0] - tp[1] / 2.0 - tp[2] / 2.0),
         "g3": 2.0 * ints.g3 * a[0] ** 3 * a[2] ** 2 * a[3]
-        * math.cos(1.5 * tp[0] - tp[2] - tp[3] / 2.0),
+        * np.cos(1.5 * tp[0] - tp[2] - tp[3] / 2.0),
         "g4": 2.0 * ints.g4 * a[1] ** 3 * a[2] * a[3] ** 2
-        * math.cos(1.5 * tp[1] - tp[2] / 2.0 - tp[3]),
+        * np.cos(1.5 * tp[1] - tp[2] / 2.0 - tp[3]),
         "eps": tuple(2.0 * eps[j] * a[j] * math.sin(td[j]) for j in range(4)),
         # KPO 4's drive phase stays explicit in the energy model, so its
         # field coefficient is stored without the sine factor
@@ -133,15 +142,25 @@ def model_from_coefficients(coeffs: dict, beta: float) -> EffectiveEnergyModel:
     enters through the sin(theta_d4)-modulated field, so nu4 stores
     2*beta*eps4*alpha4 without the phase factor.
     """
-    eps = coeffs["eps"]
-    mu = {k: 0.0 for k in TWO_BODY_KEYS}
-    mu["14"] = beta * (coeffs["g1"] + coeffs["g3"])
-    mu["23"] = beta * (coeffs["g2"] + coeffs["g4"])
+    columns = _model_columns(coeffs, beta)
     return EffectiveEnergyModel(
-        eta=beta * coeffs["h4"],
-        mu=mu,
-        nu=(beta * eps[0], beta * eps[1], beta * eps[2], beta * coeffs["nu4_base"]),
+        eta=columns[0],
+        mu=dict(zip(TWO_BODY_KEYS, columns[5:11])),
+        nu=tuple(columns[11:]),
     )
+
+
+def _model_columns(coeffs: dict, beta: float) -> list:
+    """The 15 dimensionless coefficients of model_from_coefficients in
+    SPIN_FEATURES column order (scalars, or arrays where `coeffs` holds them)."""
+    eps = coeffs["eps"]
+    return [
+        beta * coeffs["h4"],
+        0.0, 0.0, 0.0, 0.0,                                # lambda
+        0.0, 0.0, beta * (coeffs["g1"] + coeffs["g3"]),    # mu 12, 13, 14
+        beta * (coeffs["g2"] + coeffs["g4"]), 0.0, 0.0,    # mu 23, 24, 34
+        beta * eps[0], beta * eps[1], beta * eps[2], beta * coeffs["nu4_base"],
+    ]
 
 
 def _features_at(theta_d4: float) -> np.ndarray:
@@ -188,18 +207,20 @@ def parity_curve(
     The grid value replaces theta_p1 (all other pump phases held at 0),
     so theta_p_aggregate sweeps the grid directly. Pure cos(theta_p/2)
     dependence gives a period of 4*pi.
+
+    The whole grid is one array computation: the (points, 15) coefficient
+    table of model_from_coefficients (only its h4, g1, g2 and g3 terms
+    depend on theta_p1), one product with the features at theta_d4, a
+    row-wise shifted softmax as in boltzmann_probabilities, and one sum
+    over the even-parity states.
     """
-    even = np.empty(len(theta_p_grid))
-    for i, tp in enumerate(np.asarray(theta_p_grid, dtype=float)):
-        cfg = OscillationConfig(
-            alpha=config.alpha,
-            epsilon_d=config.epsilon_d,
-            theta_d=config.theta_d,
-            theta_p=np.array([tp, 0.0, 0.0, 0.0]),
-        )
-        coeffs = effective_coefficients(cfg, ints)
-        model = model_from_coefficients(coeffs, beta)
-        even[i], _ = parity_split(boltzmann_probabilities(model, theta_d4=config.theta_d[3]))
+    grid = np.asarray(theta_p_grid, dtype=float)
+    coeffs = _coefficients(config, (grid, 0.0, 0.0, 0.0), ints)
+    columns = np.column_stack(np.broadcast_arrays(*_model_columns(coeffs, beta)))
+    energies = columns @ _features_at(config.theta_d[3]).T
+    weights = np.exp(-(energies - energies.min(axis=1, keepdims=True)))
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    even = probs[:, SPIN_FEATURES[:, 0] == 1.0].sum(axis=1)
     return even, 1.0 - even
 
 

@@ -254,9 +254,10 @@ def test_equilibrium_refinement_matches_brentq(monkeypatch):
 
 
 def _full_window_nearest_root(element, guess, grid_step):
-    """The root search as first written: every point of the +-1.5 rad window."""
-    half_window = 1.5
-    grid = np.arange(guess - half_window, guess + half_window + grid_step, grid_step)
+    """The root search as first written: every point of the +-1.5 rad window,
+    on the guess-centred grid that `_nearest_root` builds."""
+    half = round(1.5 / grid_step)
+    grid = guess + grid_step * np.arange(-half, half + 1)
     vals = snail_current(grid, element)
     sign_flips = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
     if len(sign_flips) == 0:
@@ -269,13 +270,97 @@ def _full_window_nearest_root(element, guess, grid_step):
     return min(roots, key=lambda r: abs(r - guess))
 
 
-def test_narrow_first_root_search_matches_full_window(monkeypatch):
-    design = [Snail(**DESIGN_SNAIL, phi_x=2 * math.pi * turns)
-              for turns in np.linspace(0.40, 0.43, 31)]
-    cases = GRID_CASES + design
-    ours = [_equilibrium_or_error(e) for e in cases]
-    monkeypatch.setattr(elements, "_nearest_root", _full_window_nearest_root)
-    theirs = [_equilibrium_or_error(e) for e in cases]
+def _flux_stepper(element, nearest_root=None):
+    """snail_equilibrium_phase before tangent continuation: the same flux
+    steps, each solved by the root search alone (`_nearest_root` unless
+    another search is given); the equilibrium, or the error message."""
+    nearest_root = nearest_root or elements._nearest_root
+    target = element.phi_x
+    if target == 0.0:
+        return 0.0
+    n_steps = max(8, int(abs(target) / 0.05))
+    phi_bar = 0.0
+    try:
+        for flux in np.linspace(0.0, target, n_steps + 1)[1:]:
+            snapshot = Snail(element.i0, element.gamma, element.n, flux)
+            phi_bar = nearest_root(snapshot, phi_bar, 1e-3)
+    except RuntimeError as exc:
+        return str(exc)
+    residual = abs(snail_current(phi_bar, element))
+    if residual >= 1e-10:
+        return f"equilibrium residual {residual:.3e} exceeds 1e-10"
+    return phi_bar
+
+
+def _assert_continuation_matches_flux_stepper(cases):
+    # error messages word for word; equilibria to 1e-15 rad, because the
+    # last Newton step starts from a different point and may round to the
+    # neighbouring double (4.4e-16 at most, measured)
+    for element in cases:
+        ours, theirs = _equilibrium_or_error(element), _flux_stepper(element)
+        assert isinstance(ours, str) == isinstance(theirs, str), element
+        if isinstance(theirs, str):
+            assert ours == theirs, element
+        else:
+            assert abs(ours - theirs) <= 1e-15, element
+
+
+DESIGN_FLUX_CASES = [Snail(**DESIGN_SNAIL, phi_x=2 * math.pi * turns)
+                     for turns in np.linspace(0.40, 0.43, 31)]
+
+
+def test_continuation_matches_flux_stepper_on_grid_cases():
+    _assert_continuation_matches_flux_stepper(GRID_CASES + DESIGN_FLUX_CASES)
+    assert sum(isinstance(_flux_stepper(e), str) for e in GRID_CASES) >= 10
+
+
+def test_continuation_matches_flux_stepper_on_seeded_sweep():
+    # the design range: gamma 0.05-0.45, n 2-3, flux 0-0.49 turns
+    rng = np.random.default_rng(1717)
+    cases = [Snail(i0=1e-6, gamma=rng.uniform(0.05, 0.45), n=int(rng.integers(2, 4)),
+                   phi_x=2 * math.pi * rng.uniform(0.0, 0.49)) for _ in range(200)]
+    _assert_continuation_matches_flux_stepper(cases)
+
+
+def test_continuation_falls_back_to_the_bracket_search(monkeypatch):
+    # at gamma = 0.9, n = 1 the equilibrium moves up to 0.5 rad per step
+    # near phi_X = pi while the slope falls to 0.1, so the monotonicity test
+    # fails there and those steps are bracketed; the result is still the
+    # stepper's
+    element = Snail(i0=1e-6, gamma=0.9, n=1, phi_x=2 * math.pi * 0.6)
+    calls = []
+    nearest_root = elements._nearest_root
+
+    def counting(snapshot, guess, grid_step):
+        calls.append(snapshot.phi_x)
+        return nearest_root(snapshot, guess, grid_step)
+
+    monkeypatch.setattr(elements, "_nearest_root", counting)
+    ours = snail_equilibrium_phase(element)
+    n_steps = max(8, int(element.phi_x / 0.05))
+    assert 0 < len(calls) < n_steps
+    monkeypatch.undo()
+    assert abs(ours - _flux_stepper(element)) <= 1e-15
+
+
+def test_continued_root_rejects_a_root_it_cannot_prove_nearest():
+    element = Snail(**DESIGN_SNAIL, phi_x=0.0)
+    # Newton reaches the root at phi = 0 from both predictions; it is
+    # accepted from a previous root 0.5 rad away (slope 0.8 > 2 * 0.5 *
+    # 0.55) and refused from one 0.8 rad away (0.8 < 2 * 0.8 * 0.55)
+    assert elements._continued_root(element, 0.5, 0.05) == pytest.approx(0.0, abs=1e-15)
+    assert elements._continued_root(element, 0.8, 0.05) is None
+    # a prediction where the slope is negative (here a potential maximum)
+    # is refused outright
+    element = Snail(i0=1e-6, gamma=0.9, n=1, phi_x=0.0)
+    assert elements.snail_current_slope(math.pi, element) < 0
+    assert elements._continued_root(element, math.pi, math.pi) is None
+
+
+def test_narrow_first_root_search_matches_full_window():
+    cases = GRID_CASES + DESIGN_FLUX_CASES
+    ours = [_flux_stepper(e) for e in cases]
+    theirs = [_flux_stepper(e, _full_window_nearest_root) for e in cases]
     # equilibria bit for bit, error messages word for word
     assert ours == theirs
     assert sum(isinstance(r, str) for r in theirs) >= 1
@@ -291,6 +376,20 @@ def test_narrow_first_root_search_falls_back_to_full_window(offset):
                 == _full_window_nearest_root(element, guess, 1e-3))
 
 
+def test_root_search_window_does_not_depend_on_the_guess_last_bits():
+    # np.arange(guess - 1.5, guess + 1.5 + step, step) holds 3001 or 3002
+    # points depending on the guess's rounding; the centred grid always
+    # holds 3001, so the window ends printed on failure are guess +- 1.5
+    element = Snail(i0=1e-6, gamma=0.05, n=4, phi_x=0.0)
+    guess = -2 * math.pi
+    messages = set()
+    for g in (guess, np.nextafter(guess, 0.0), np.nextafter(guess, -7.0)):
+        with pytest.raises(RuntimeError) as info:
+            elements._nearest_root(element, float(g), 1e-3)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_root_on_a_grid_point_is_returned_exactly():
     element = Snail(**DESIGN_SNAIL, phi_x=0.0)
     # step 2**-10 puts phi = 0, where the current is exactly 0, on the grid
@@ -304,7 +403,7 @@ def test_missing_root_bracket_raises():
     # on the n = 4 branch the current |sin((phi_X - phi)/4)| > 0.05 = gamma
     # across the whole window around phi = -2 pi
     element = Snail(i0=1e-6, gamma=0.05, n=4, phi_x=0.0)
-    with pytest.raises(RuntimeError, match=r"no root bracket found in \[-7\.783, -4\.782\] rad "
+    with pytest.raises(RuntimeError, match=r"no root bracket found in \[-7\.783, -4\.783\] rad "
                        r"around previous solution -6\.283"):
         elements._nearest_root(element, -2 * math.pi, 1e-3)
 

@@ -441,3 +441,49 @@ def test_kerr_dressed_requires_four_modes():
 def test_kerr_dressed_rejects_strong_mixing():
     with pytest.raises(ValueError, match="not perturbative"):
         four_body_kerr_dressed(_ladder(), CouplingGraph(h=_full_h(80.0 * MHZ)))
+
+
+def _kerr_dressed_systems(kind):
+    if kind == "ladder":
+        return [(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)))]
+    rng = np.random.default_rng(77 if kind == "random" else 78)
+    systems = []
+    for _ in range(12):
+        omega, kerr, h = _resonant_random_system(rng)
+        if kind == "random":
+            systems.append((ModeSpectrum(omega=omega, kerr=kerr), CouplingGraph(h=h)))
+            continue
+        spectrum = ModeSpectrum(omega=omega, kerr=kerr,
+                                coupler_omega=omega[0] + rng.uniform(0.5, 1.5) * GHZ,
+                                coupler_kerr=rng.uniform(1.0, 20.0) * MHZ)
+        systems.append((spectrum, CouplingGraph(h=h, g=rng.uniform(10.0, 100.0, 4) * MHZ)))
+    return systems
+
+
+@pytest.mark.parametrize("kind", ["ladder", "random", "coupler"])
+def test_kerr_dressed_truncation_three_matches_four(monkeypatch, kind):
+    # every intermediate state holds at most 2 quanta per mode, so d = 3
+    # already holds every term; the sums run over the same states in the
+    # same order at either truncation
+    systems = _kerr_dressed_systems(kind)
+    ours = [four_body_kerr_dressed(*system) for system in systems]
+    monkeypatch.setattr(oracle, "_LOWDIN_TRUNCATION", 4)
+    theirs = [four_body_kerr_dressed(*system) for system in systems]
+    for a, b in zip(ours, theirs):
+        assert b > 0
+        assert abs(a - b) <= 1e-12 * b
+
+
+@pytest.mark.parametrize("coupler", [False, True])
+def test_kerr_dressed_mixing_error_unchanged_by_truncation(monkeypatch, coupler):
+    spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(80.0 * MHZ))
+    if coupler:
+        spectrum, couplings = _with_coupler(spectrum), CouplingGraph(
+            h=_full_h(1.0 * MHZ), g=np.full(4, 400.0 * MHZ))
+    messages = []
+    for d in (3, 4):
+        monkeypatch.setattr(oracle, "_LOWDIN_TRUNCATION", d)
+        with pytest.raises(ValueError, match="not perturbative") as info:
+            four_body_kerr_dressed(spectrum, couplings)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

@@ -7,6 +7,7 @@ from kpokit.constants import GHZ, KHZ, MHZ
 from kpokit.perturbation import (
     CouplingGraph,
     DegenerateModesError,
+    MixingCoefficients,
     ModeSpectrum,
     cross_kerr,
     dressed_spectrum,
@@ -186,6 +187,27 @@ def test_transform_output_hermitian():
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
     mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
     assert transform_kerr(spectrum, mix).is_hermitian()
+
+
+def _coupled_mixing():
+    spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
+    return sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+
+
+@pytest.mark.parametrize("coupler, change, match", [
+    (False, {}, r"g_tilde but the spectrum has no coupler mode"),
+    (True, {"h_tilde": np.zeros((3, 3))}, r"h_tilde has shape \(3, 3\), expected \(4, 4\)"),
+    (True, {"h_tilde": np.zeros(4)}, r"h_tilde has shape \(4,\), expected \(4, 4\)"),
+    (True, {"g_tilde": np.full(5, 0.01)}, r"g_tilde must have shape \(4,\) .*got \(5,\)"),
+    (True, {"s": np.ones(3)}, r"s must have shape \(4,\) .*got \(3,\)"),
+    (True, {"s": None}, r"s must have shape \(4,\) .*got None"),
+], ids=["no-coupler", "h-3x3", "h-flat", "g-5", "s-3", "s-missing"])
+def test_transform_kerr_rejects_mixing_that_does_not_fit_the_spectrum(coupler, change, match):
+    mix = _coupled_mixing()
+    fields = {"h_tilde": mix.h_tilde, "g_tilde": mix.g_tilde, "s": mix.s, **change}
+    spectrum = _ladder_spectrum(coupler=(12.0, 20.0) if coupler else None)
+    with pytest.raises(ValueError, match=match):
+        transform_kerr(spectrum, MixingCoefficients(**fields))
 
 
 def test_rwa_retains_only_matching_four_body_partition():

@@ -153,6 +153,81 @@ def test_parity_curve_shape():
     assert np.all(np.diff(even[: i_2pi + 1]) < 1e-12)
 
 
+def _per_point_models(config, ints, theta_p_grid, beta):
+    for tp in np.asarray(theta_p_grid, dtype=float):
+        cfg = OscillationConfig(
+            alpha=config.alpha,
+            epsilon_d=config.epsilon_d,
+            theta_d=config.theta_d,
+            theta_p=np.array([tp, 0.0, 0.0, 0.0]),
+        )
+        yield model_from_coefficients(effective_coefficients(cfg, ints), beta)
+
+
+def _per_point_parity_curve(config, ints, theta_p_grid, beta):
+    """parity_curve as first written: one energy model and one Boltzmann
+    distribution per grid point."""
+    even = np.array([
+        parity_split(boltzmann_probabilities(model, theta_d4=config.theta_d[3]))[0]
+        for model in _per_point_models(config, ints, theta_p_grid, beta)
+    ])
+    return even, 1.0 - even
+
+
+def _random_parity_system(rng, scale):
+    # every residual coupling and drive non-zero, theta_d4 off pi/2
+    config = OscillationConfig(
+        alpha=rng.uniform(1.0, 3.0, 4),
+        epsilon_d=rng.uniform(-1.0, 1.0, 4) * 0.05 * scale,
+        theta_d=rng.uniform(0.1, 1.4, 4) * rng.choice((-1.0, 1.0), 4),
+        theta_p=np.zeros(4),
+    )
+    ints = InteractionSet(rng.uniform(0.5, 1.0) * scale * rng.choice((-1.0, 1.0)),
+                          *(rng.uniform(-1.0, 1.0, 4) * 0.02 * scale))
+    return config, ints
+
+
+PARITY_GRIDS = {
+    "0-8pi": np.linspace(0.0, 8 * math.pi, 81),
+    "scattered-with-ends": np.concatenate(
+        [[0.0], np.random.default_rng(9).uniform(0.0, 8 * math.pi, 30), [8 * math.pi]]),
+    "single-point": np.array([2.1]),
+}
+
+
+@pytest.mark.parametrize("grid", PARITY_GRIDS.values(), ids=PARITY_GRIDS.keys())
+def test_parity_curve_matches_per_point_reference(grid):
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        config, ints = _random_parity_system(rng, MHZ)
+        beta = beta_for_even_parity(config, ints)
+        even, odd = parity_curve(config, ints, grid, beta)
+        ref_even, ref_odd = _per_point_parity_curve(config, ints, grid, beta)
+        assert even.shape == odd.shape == grid.shape
+        assert np.abs(even - ref_even).max() <= 1e-15
+        assert np.abs(odd - ref_odd).max() <= 1e-15
+        assert np.abs(even + odd - 1.0).max() <= 1e-15
+
+
+def test_parity_curve_roundoff_follows_the_energy_scale():
+    # with beta unrelated to the couplings, |beta E| reaches ~1e3: the one
+    # (points, 15) x (15, 16) product and the reference's per-point products
+    # round the energies differently in their last bits, which moves each
+    # probability by about 1e-16 times the size of the energies
+    rng = np.random.default_rng(32)
+    grid = PARITY_GRIDS["0-8pi"]
+    for _ in range(40):
+        config, ints = _random_parity_system(rng, 1.0)
+        beta = rng.uniform(0.1, 2.0) * 50.0
+        even, _ = parity_curve(config, ints, grid, beta)
+        ref_even, _ = _per_point_parity_curve(config, ints, grid, beta)
+        # bounds |beta E| of every state at every grid point
+        coefficient_sum = max(
+            abs(m.eta) + sum(map(abs, m.mu.values())) + sum(map(abs, m.nu))
+            for m in _per_point_models(config, ints, grid, beta))
+        assert np.abs(even - ref_even).max() <= 1e-15 * max(1.0, coefficient_sum)
+
+
 def test_beta_calibration_errors():
     ints = InteractionSet(h4=0.1 * MHZ)
     with pytest.raises(ValueError, match=r"\(0.5, 1\)"):
