@@ -9,6 +9,7 @@ approximate from the weak-coupling closed forms).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,9 @@ class Capacitor:
     capacitance: float   # farads
 
     def __post_init__(self):
-        if self.capacitance <= 0:
-            raise ValueError(f"capacitance {self.node_a}-{self.node_b} must be positive")
+        if not 0 < self.capacitance < math.inf:
+            raise ValueError(f"capacitance {self.node_a}-{self.node_b} must be positive and "
+                             f"finite, got {self.capacitance}")
         if self.node_a == self.node_b:
             raise ValueError(f"capacitor shorted on node {self.node_a}")
 
@@ -42,8 +44,9 @@ class Branch:
     def __post_init__(self):
         if len(self.nodes) not in (1, 2):
             raise ValueError("branch connects one node (to ground) or two nodes")
-        if self.l_series < 0:
-            raise ValueError("series inductance must be non-negative")
+        if not 0 <= self.l_series < math.inf:
+            raise ValueError(
+                f"series inductance must be non-negative and finite, got {self.l_series}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Exact-diagonalization verification on a truncated Fock space.
 
 Builds the full lab-frame Hamiltonian (self-Kerr plus beam-splitter
-couplings including their counter-rotating parts) as a sparse CSR matrix,
-placing each element by index lookup on the table of occupation numbers,
-and extracts dressed frequencies and effective four-body couplings
-nonperturbatively, for cross-checking the perturbative module. The same
-Hamiltonian also gives a Kerr-dressed third-order four-body estimate.
+couplings including their counter-rotating parts) by index lookup on the
+table of occupation numbers: dense within DENSE_LIMIT states, sparse CSR
+above it, the only place SciPy is imported. It gives dressed frequencies
+and effective four-body couplings nonperturbatively, for cross-checking
+the perturbative module, and a Kerr-dressed third-order four-body estimate.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# SciPy is imported inside the functions that use it, so that importing
-# kpokit (and every CLI command but `oracle`) does not pay for loading it.
-
 DIM_GUARD = 1_000_000
 DENSE_LIMIT = 2048
 OVERLAP_THRESHOLD = 0.5
@@ -33,7 +30,7 @@ _LOWDIN_TRUNCATION = 3
 class FockHamiltonian:
     n_modes: int
     truncation: int
-    matrix: sp.csr_matrix  # rad/s entries, lexicographic occupation basis
+    matrix: np.ndarray | sp.csr_matrix  # rad/s, lexicographic basis; CSR above DENSE_LIMIT
 
     @property
     def dimension(self) -> int:
@@ -48,10 +45,9 @@ def build_hamiltonian(
 
     Every element is placed by index lookup on the occupation table: the
     diagonal from the single-mode diagonals of a+ a and a+ a+ a a, and each
-    two-mode term at its four (+-1, +-1) occupation offsets.
+    two-mode term at its four (+-1, +-1) occupation offsets. Each term moves
+    its own pair of modes, so no two elements share a position.
     """
-    import scipy.sparse as sp
-
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
     n_kpo = spectrum.n_kpo
@@ -101,26 +97,30 @@ def build_hamiltonian(
                 cols.append(states[ok])
                 rows.append(states[ok] + step_j * strides[j] + step_k * strides[k])
                 data.append(-(c * (elem_j[ok] * elem_k[ok])))
-    h_total = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+    rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
+    if dim <= DENSE_LIMIT:
+        matrix = np.zeros((dim, dim))
+        matrix[rows, cols] = data
+    else:
+        import scipy.sparse as sp
 
-    asym = abs(h_total - h_total.T)
-    scale = max(abs(h_total).max(), 1.0)
-    if asym.nnz and asym.max() > 1e-12 * scale:
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    _check_hermitian(matrix)
+    return FockHamiltonian(n_modes=n_modes, truncation=d, matrix=matrix)
+
+
+def _check_hermitian(matrix: np.ndarray | sp.spmatrix) -> None:
+    """ValueError unless the real matrix is symmetric to 1e-12 of its largest element."""
+    if abs(matrix - matrix.T).max() > 1e-12 * max(abs(matrix).max(), 1.0):
         raise ValueError("assembled Hamiltonian is not Hermitian")
-    return FockHamiltonian(n_modes=n_modes, truncation=d, matrix=h_total)
 
 
 def _low_spectrum(
     matrix: sp.spmatrix | np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Lowest k eigenpairs and the solver that found them: dense below
-    DENSE_LIMIT, sparse (shifted) above. An ndarray is diagonalized as it is."""
-    if matrix.shape[0] <= DENSE_LIMIT:
-        if not isinstance(matrix, np.ndarray):
-            matrix = matrix.toarray()
+    """Lowest k eigenpairs and the solver that found them: eigh for an
+    ndarray, shift-invert eigsh for a sparse matrix."""
+    if isinstance(matrix, np.ndarray):
         vals, vecs = np.linalg.eigh(matrix)
         return vals[:k], vecs[:, :k], "dense"
     from scipy.sparse.linalg import eigsh
@@ -130,40 +130,29 @@ def _low_spectrum(
     return vals[order], vecs[:, order], "eigsh"
 
 
-def _basis_index(occupations: tuple[int, ...], d: int) -> int:
-    idx = 0
-    for n in occupations:
-        idx = idx * d + n
-    return idx
-
-
-def _identify(vecs: np.ndarray, vals: np.ndarray, basis_idx: int) -> tuple[float, float]:
-    """Eigenvalue of the eigenstate with maximum overlap on one basis state."""
-    overlaps = np.abs(vecs[basis_idx, :]) ** 2
-    best = int(np.argmax(overlaps))
-    return float(vals[best]), float(overlaps[best])
+def _pair_index(n_modes: int, d: int) -> np.ndarray:
+    """Basis indices of |1100> and |0011>, any coupler in its ground state."""
+    pad = (0,) * (n_modes - 4)
+    pair = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
+    return np.ravel_multi_index(pair, (d,) * n_modes)
 
 
 def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     """Per-mode dressed frequency: single-excitation eigenvalue minus the
     ground energy, states identified by maximum bare-basis overlap."""
-    n, d = h.n_modes, h.truncation
-    k = min(h.dimension, 4 * n + 8)
-    vals, vecs, _ = _low_spectrum(h.matrix, k)
-    ground_idx = _basis_index((0,) * n, d)
-    e0, ov0 = _identify(vecs, vals, ground_idx)
-    if ov0 < OVERLAP_THRESHOLD:
-        raise ValueError(f"ground-state identification ambiguous (overlap {ov0:.2f})")
-    out = np.empty(n)
-    for m in range(n):
-        occ = tuple(1 if i == m else 0 for i in range(n))
-        e1, ov = _identify(vecs, vals, _basis_index(occ, d))
-        if ov < OVERLAP_THRESHOLD:
-            raise ValueError(
-                f"single-excitation state of mode {m} ambiguous (overlap {ov:.2f})"
-            )
-        out[m] = e1 - e0
-    return out
+    n = h.n_modes
+    vals, vecs, _ = _low_spectrum(h.matrix, min(h.dimension, 4 * n + 8))
+    # basis state 0 is the ground state; column m of the identity excites mode m
+    states = np.append(0, np.ravel_multi_index(np.eye(n, dtype=int), (h.truncation,) * n))
+    overlaps = np.abs(vecs[states]) ** 2
+    best, held = overlaps.argmax(axis=1), overlaps.max(axis=1)
+    weak = np.flatnonzero(held < OVERLAP_THRESHOLD)
+    if weak.size:
+        i = weak[0]
+        what = ("ground-state identification" if i == 0
+                else f"single-excitation state of mode {i - 1}")
+        raise ValueError(f"{what} ambiguous (overlap {held[i]:.2f})")
+    return vals[best[1:]] - vals[best[0]]
 
 
 def _occupations(n_modes: int, d: int) -> np.ndarray:
@@ -176,13 +165,15 @@ def _even_sector(h: FockHamiltonian) -> np.ndarray:
 
     Every term of H changes the total number by 0 or 2, so the even sector
     is closed. That is checked on the assembled matrix, not assumed: a
-    ValueError is raised if any non-zero element links the two sectors.
+    ValueError is raised if either off-diagonal parity block holds a
+    non-zero element.
     """
     parity = _occupations(h.n_modes, h.truncation).sum(axis=0) % 2
-    coo = h.matrix.tocoo()
-    if np.any(coo.data[parity[coo.row] != parity[coo.col]]):
-        raise ValueError("Hamiltonian couples even and odd total excitation numbers")
-    return np.flatnonzero(parity == 0)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
+    for rows, cols in ((even, odd), (odd, even)):
+        if abs(h.matrix[rows][:, cols]).max() != 0.0:
+            raise ValueError("Hamiltonian couples even and odd total excitation numbers")
+    return even
 
 
 def four_body_from_gap(
@@ -199,8 +190,11 @@ def four_body_from_gap(
     |0011> anticross, and the minimum gap equals twice the effective
     coupling. H is assembled once and restricted to the even sector of
     total excitation number, which holds both states; an offset only adds
-    (delta/2)(n1 + n2) to the diagonal of that block. A block within
-    DENSE_LIMIT is made dense once and each offset shifts a copy of it.
+    (delta/2)(n1 + n2) to the diagonal of that block, dense within DENSE_LIMIT.
+    Near the crossing g^2 = c^2 (delta - delta_0)^2 + 4 h^2, so the minimum is
+    refined by successive parabolic interpolation on g^2 (Brent's parabolic
+    step) inside the bracket of the scan points around the lowest gap, until
+    a step falls below 1e-6 of the half-width; the best point is returned.
 
     Returns the scan trace, the refined minimum and |h_eff|, with the size
     of the diagonalized block (`dimension`), its solver (`solver`, "dense"
@@ -211,9 +205,6 @@ def four_body_from_gap(
     when the gaps barely vary over the scan, which is then too narrow to
     resolve the crossing.
     """
-    import scipy.sparse as sp
-    from scipy.optimize import minimize_scalar
-
     if spectrum.n_kpo != 4:
         raise ValueError("gap extraction defined for four KPOs")
     if not 0.0 < scan_halfwidth < np.inf:
@@ -224,28 +215,21 @@ def four_body_from_gap(
     ham = build_hamiltonian(spectrum, couplings, d)
     sector = _even_sector(ham)
     block = ham.matrix[sector][:, sector]
-    if len(sector) <= DENSE_LIMIT:
-        block = block.toarray()
-    diag = np.arange(len(sector))
+    if isinstance(block, np.ndarray):
+        diags = np.diag
+    elif len(sector) <= DENSE_LIMIT:  # the even half of a CSR space
+        block, diags = block.toarray(), np.diag
+    else:
+        from scipy.sparse import diags
     half_pair_number = 0.5 * _occupations(ham.n_modes, d)[:2, sector].sum(axis=0)
-    pad = (0,) * (ham.n_modes - 4)
-    pair = np.searchsorted(
-        sector, [_basis_index((1, 1, 0, 0) + pad, d), _basis_index((0, 0, 1, 1) + pad, d)]
-    )
+    pair = np.searchsorted(sector, _pair_index(ham.n_modes, d))
     k = min(len(sector) - 1, 40)
     pair_weights = []
     solver = ""
 
-    def shifted(delta: float) -> sp.spmatrix | np.ndarray:
-        if not isinstance(block, np.ndarray):
-            return block + sp.diags(delta * half_pair_number)
-        out = block.copy()
-        out[diag, diag] += delta * half_pair_number
-        return out
-
     def gap(delta: float) -> float:
         nonlocal solver
-        vals, vecs, solver = _low_spectrum(shifted(delta), k)
+        vals, vecs, solver = _low_spectrum(block + diags(delta * half_pair_number), k)
         overlaps = np.abs(vecs[pair, :]) ** 2
         chosen = overlaps.argmax(axis=1)
         if overlaps.max(axis=1).min() < OVERLAP_THRESHOLD or chosen[0] == chosen[1]:
@@ -273,14 +257,29 @@ def four_body_from_gap(
     i_min = int(np.argmin(gaps))
     if i_min in (0, len(offsets) - 1):
         raise ValueError("no interior gap minimum in the scan range; widen scan_halfwidth")
-    res = minimize_scalar(gap, bounds=(offsets[i_min - 1], offsets[i_min + 1]),
-                          method="bounded", options={"xatol": scan_halfwidth * 1e-6})
+    # g[1] is the lowest gap of the bracket x[0] < x[1] < x[2], so the vertex
+    # lies between its midpoints; it replaces the middle if lower, else an end
+    x = offsets[i_min - 1:i_min + 2].tolist()
+    g = gaps[i_min - 1:i_min + 2].tolist()
+    for _ in range(100):
+        (a, m, b), (fa, fm, fb) = x, (v * v for v in g)
+        p = (m - a) ** 2 * (fm - fb) - (m - b) ** 2 * (fm - fa)
+        q = (m - a) * (fm - fb) - (m - b) * (fm - fa)
+        u = m - 0.5 * p / q if q else m
+        if not (abs(u - m) >= 1e-6 * scan_halfwidth and a < u < b):
+            break
+        g_u = gap(u)
+        if g_u < g[1]:
+            x, g = ([a, u, m], [g[0], g_u, g[1]]) if u < m else ([m, u, b], [g[1], g_u, g[2]])
+        else:
+            side = 0 if u < m else 2
+            x[side], g[side] = u, g_u
     return {
         "offsets": offsets,
         "gaps": gaps,
-        "offset_min": float(res.x),
-        "gap_min": float(res.fun),
-        "h_eff": float(res.fun) / 2.0,
+        "offset_min": x[1],
+        "gap_min": g[1],
+        "h_eff": g[1] / 2.0,
         "pair_weight": min(pair_weights),
         "dimension": len(sector),
         "solver": solver,
@@ -310,11 +309,10 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     """
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
+    # at most 3**5 states: within DENSE_LIMIT, so the matrix is dense
     ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION)
-    pad = (0,) * (ham.n_modes - 4)
-    a = _basis_index((1, 1, 0, 0) + pad, ham.truncation)
-    b = _basis_index((0, 0, 1, 1) + pad, ham.truncation)
-    v = ham.matrix.toarray()
+    a, b = _pair_index(ham.n_modes, ham.truncation)
+    v = ham.matrix
     energies = v.diagonal().copy()
     np.fill_diagonal(v, 0.0)
     # V is real symmetric and, being two-body, has no element inside the

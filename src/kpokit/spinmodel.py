@@ -278,6 +278,10 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
         raise ValueError("probability table must be (n_points, 16)")
     if len(theta_d4) < 16:
         raise ValueError("need at least 16 phase grid points")
+    if not np.all(np.isfinite(theta_d4)):
+        raise ValueError("phases theta_d4 must be finite")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
     if np.any(probs < 0):
         raise ValueError("negative probabilities in data")
     if np.any(probs < PROB_FLOOR):

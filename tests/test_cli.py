@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,7 @@ assert scipy_modules() == [], scipy_modules()
 assert kpokit.cli.main(["boltzmann"]) == 0
 assert scipy_modules() == [], scipy_modules()
 
+# a gap scan within oracle.DENSE_LIMIT loads no SciPy module either
 import numpy as np
 from kpokit.constants import GHZ, MHZ
 omega = np.array([10.0, 9.7, 9.9, 9.8]) * GHZ
@@ -149,7 +151,7 @@ result = kpokit.four_body_from_gap(
     kpokit.CouplingGraph(h=h), d=3, scan_halfwidth=2 * MHZ, n_scan=11,
 )
 assert result["h_eff"] > 0.0, result["h_eff"]
-assert "scipy.optimize" in sys.modules
+assert scipy_modules() == [], scipy_modules()
 """
 
 
@@ -235,6 +237,48 @@ def test_netlist_missing_key_named(tmp_path, capsys, doc, key):
     assert out == ""
     assert err.startswith(ERROR_PREFIX)
     assert f"missing required key {key!r}" in err
+
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("effective", [False, True], ids=["quantize", "effective"])
+@pytest.mark.parametrize(
+    "where, message",
+    [("capacitor", "capacitance q1-gnd must be positive and finite, got nan"),
+     ("branch", "series inductance must be non-negative and finite, got nan")],
+)
+def test_netlist_nan_values_rejected(tmp_path, capsys, effective, where, message):
+    doc = json.loads((DATA_DIR / "unit.json").read_text())
+    if where == "capacitor":
+        doc["capacitors"][0]["f_farads"] = math.nan
+    else:
+        doc["branches"][0]["l_henries"] = math.nan
+    # json.dumps writes the JSON literal NaN, which load_netlist reads back as nan
+    argv = ["quantize", *(["--effective"] if effective else []),
+            _write_netlist(tmp_path / "nan.json", doc)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: {message}")
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [(3, "nan", "probabilities must be finite"), (0, "inf", "phases theta_d4 must be finite")],
+    ids=["probability-nan", "theta-inf"],
+)
+def test_fit_rejects_non_finite_data(tmp_path, capsys, column, value, message):
+    lines = (DATA_DIR / "probabilities.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[column] = value
+    lines[1] = ",".join(fields)
+    path = tmp_path / "probs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, ["fit", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: {message}")
 
 
 def test_quantize_coupler(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kpokit.constants import GHZ, MHZ
+from kpokit.elements import SingleJunction, Snail, Squid
 from kpokit.netlist import (
     Branch,
     Capacitor,
@@ -78,6 +79,20 @@ def test_duplicate_nodes_rejected():
 def test_nonpositive_capacitance_rejected():
     with pytest.raises(ValueError, match="positive"):
         Capacitor("a", "gnd", 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_element_values_rejected(value):
+    with pytest.raises(ValueError, match="capacitance a-gnd must be positive and finite"):
+        Capacitor("a", "gnd", value)
+    with pytest.raises(ValueError, match="series inductance must be non-negative and finite"):
+        Branch(nodes=("a",), element=None, l_series=value)
+    with pytest.raises(ValueError, match="SQUID inductance must be positive and finite"):
+        Squid(l_j=value)
+    with pytest.raises(ValueError, match="critical current must be positive and finite"):
+        SingleJunction(i0=value)
+    with pytest.raises(ValueError, match="critical current must be positive and finite"):
+        Snail(i0=value, gamma=0.3)
 
 
 def test_unknown_node_reference_rejected():

@@ -33,10 +33,15 @@ def _full_h(value, n=4):
     return h
 
 
+def _dense(matrix):
+    """FockHamiltonian.matrix as an ndarray, whether it was built dense or CSR."""
+    return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+
+
 def test_single_mode_energies():
     spectrum = ModeSpectrum(omega=np.array([10.0 * GHZ]), kerr=np.array([20.0 * MHZ]))
     h = build_hamiltonian(spectrum, CouplingGraph(h=np.zeros((1, 1))), d=4)
-    dense = h.matrix.toarray()
+    dense = _dense(h.matrix)
     assert np.allclose(dense, np.diag(np.diag(dense)))
     # n-th level: n*w - (K/2) n (n-1)
     assert dense[1, 1] == pytest.approx(10.0 * GHZ)
@@ -47,8 +52,25 @@ def test_single_mode_energies():
 def test_hamiltonian_is_hermitian_sparse():
     spectrum = _ladder()
     h = build_hamiltonian(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ)), d=3)
-    asym = (h.matrix - h.matrix.T)
-    assert asym.nnz == 0 or abs(asym).max() < 1e-9
+    asym = _dense(h.matrix) - _dense(h.matrix).T
+    assert np.count_nonzero(asym) == 0 or abs(asym).max() < 1e-9
+
+
+@pytest.mark.parametrize("container", ["dense", "csr"])
+def test_hermitian_check_raises_on_an_injected_fault(container):
+    matrix = _dense(build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3).matrix)
+    to_container = np.asarray if container == "dense" else sp.csr_matrix
+    oracle._check_hermitian(to_container(matrix))
+    matrix[0, 40] += 1.0 * MHZ
+    with pytest.raises(ValueError, match="not Hermitian"):
+        oracle._check_hermitian(to_container(matrix))
+
+
+def test_container_follows_dense_limit(monkeypatch):
+    spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
+    assert isinstance(build_hamiltonian(spectrum, couplings, d=4).matrix, np.ndarray)
+    monkeypatch.setattr(oracle, "DENSE_LIMIT", 255)
+    assert sp.issparse(build_hamiltonian(spectrum, couplings, d=4).matrix)
 
 
 def _kronecker_reference(spectrum, couplings, d):
@@ -91,7 +113,7 @@ def _kronecker_reference(spectrum, couplings, d):
 
 
 def _assert_same_bits(x, y):
-    x, y = x.toarray(), y.toarray()
+    x, y = _dense(x), _dense(y)
     assert x.shape == y.shape
     assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
@@ -176,7 +198,7 @@ def test_two_mode_avoided_crossing():
     ham = build_hamiltonian(
         spectrum, CouplingGraph(h=np.array([[0.0, h_c], [h_c, 0.0]])), d=6
     )
-    vals = np.sort(np.linalg.eigvalsh(ham.matrix.toarray()))
+    vals = np.sort(np.linalg.eigvalsh(_dense(ham.matrix)))
     split = vals[2] - vals[1]
     assert split == pytest.approx(2 * h_c, rel=1e-3)
 
@@ -215,9 +237,9 @@ def test_gap_extraction_zero_couplings_gives_zero():
 
 @pytest.mark.parametrize("n_scan", [12, 41])
 def test_gap_extraction_zero_couplings_refines_to_zero(n_scan):
-    # an uncoupled pair crosses without repelling: the gap is |delta| and the
-    # refinement finds its zero to within its tolerance (1e-6 of the scan
-    # half-width), whether or not 0 is a scan point
+    # an uncoupled pair crosses without repelling: the gap is |delta|, so g^2 =
+    # delta^2 is itself the parabola the refinement fits, and its vertex lands
+    # on 0 up to rounding, whether or not 0 is a scan point
     halfwidth = 2 * MHZ
     result = four_body_from_gap(
         _ladder(), CouplingGraph(h=np.zeros((4, 4))), d=4, scan_halfwidth=halfwidth,
@@ -288,7 +310,7 @@ def test_hamiltonian_keeps_excitation_parity(coupler):
         couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
     ham = build_hamiltonian(spectrum, couplings, d=3)
     parity = _total_parity(ham.n_modes, ham.truncation)
-    dense = ham.matrix.toarray()
+    dense = _dense(ham.matrix)
     assert np.count_nonzero(dense[np.ix_(parity == 0, parity == 1)]) == 0
     assert np.count_nonzero(dense[np.ix_(parity == 1, parity == 0)]) == 0
     # the couplings are there: the even block is not diagonal
@@ -305,7 +327,7 @@ def _full_space_gap(spectrum, couplings, d, offset):
         coupler_kerr=spectrum.coupler_kerr,
     )
     ham = build_hamiltonian(shifted, couplings, d)
-    vals, vecs = np.linalg.eigh(ham.matrix.toarray())
+    vals, vecs = np.linalg.eigh(_dense(ham.matrix))
     pad = (0,) * (ham.n_modes - 4)
     a = np.ravel_multi_index((1, 1, 0, 0) + pad, (d,) * ham.n_modes)
     b = np.ravel_multi_index((0, 0, 1, 1) + pad, (d,) * ham.n_modes)
@@ -344,16 +366,54 @@ def test_gap_sparse_solver_agrees_with_dense(monkeypatch):
     assert sparse["h_eff"] == pytest.approx(dense["h_eff"], rel=1e-6)
 
 
-def test_gap_rejects_hamiltonian_mixing_parity(monkeypatch):
+@pytest.mark.parametrize(
+    "case", ["eps10-d3", "eps300-d4", "with-coupler-d3"],
+)
+def test_parabolic_refinement_matches_bounded_brent(case):
+    # bounded Brent on the full-space gap, over the same bracket and to the
+    # same xatol, is the reference the parabolic refinement must meet
+    from scipy.optimize import minimize_scalar
+
+    eps_ghz, d, halfwidth = {"eps10-d3": (0.01, 3, 2 * MHZ), "eps300-d4": (0.3, 4, 2 * MHZ),
+                             "with-coupler-d3": (0.15, 3, 3 * MHZ)}[case]
+    spectrum = _ladder(eps_ghz)
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    if case == "with-coupler-d3":
+        spectrum = _with_coupler(spectrum)
+        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
+    i = int(np.argmin(result["gaps"]))
+    brent = minimize_scalar(
+        lambda x: _full_space_gap(spectrum, couplings, d, x),
+        bounds=(result["offsets"][i - 1], result["offsets"][i + 1]),
+        method="bounded", options={"xatol": halfwidth * 1e-6},
+    )
+    assert result["h_eff"] == pytest.approx(brent.fun / 2.0, rel=1e-5)
+
+
+def _assert_parity_fault_raises(monkeypatch, element, container):
     spectrum = _ladder(eps_ghz=0.15)
     couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
     ham = build_hamiltonian(spectrum, couplings, d=3)
-    # one element linking |0000> (even) and |1000> (odd)
-    odd = sp.csr_matrix(([1.0 * MHZ], ([0], [27])), shape=ham.matrix.shape)
-    broken = FockHamiltonian(n_modes=4, truncation=3, matrix=(ham.matrix + odd).tocsr())
+    # one element linking |0000> (even) and |1000> (odd), in either block
+    matrix = _dense(ham.matrix)
+    matrix[element] += 1.0 * MHZ
+    if container == "csr":
+        matrix = sp.csr_matrix(matrix)
+    broken = FockHamiltonian(n_modes=4, truncation=3, matrix=matrix)
     monkeypatch.setattr(oracle, "build_hamiltonian", lambda *args: broken)
     with pytest.raises(ValueError, match="even and odd"):
         four_body_from_gap(spectrum, couplings, d=3, scan_halfwidth=3 * MHZ, n_scan=11)
+
+
+def test_gap_rejects_hamiltonian_mixing_parity(monkeypatch):
+    _assert_parity_fault_raises(monkeypatch, (0, 27), "dense")
+
+
+@pytest.mark.parametrize("container", ["dense", "csr"])
+@pytest.mark.parametrize("element", [(0, 27), (27, 0)], ids=["even-odd", "odd-even"])
+def test_gap_rejects_either_parity_block_in_either_container(monkeypatch, element, container):
+    _assert_parity_fault_raises(monkeypatch, element, container)
 
 
 def test_gap_raises_when_pair_not_identified(monkeypatch):

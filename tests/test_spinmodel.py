@@ -302,6 +302,19 @@ def test_fit_input_validation():
         fit_energy_model(theta, bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_fit_rejects_non_finite_input(value):
+    theta, probs = _synthetic_dataset(EffectiveEnergyModel(eta=-0.3))
+    bad_theta = theta.copy()
+    bad_theta[3] = value
+    with pytest.raises(ValueError, match="theta_d4 must be finite"):
+        fit_energy_model(bad_theta, probs)
+    bad_probs = probs.copy()
+    bad_probs[3, 5] = value
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        fit_energy_model(theta, bad_probs)
+
+
 def test_fit_ill_conditioned_grid_rejected():
     # constant theta gives no leverage on nu4 vs the other fields
     theta = np.zeros(20)
