@@ -50,6 +50,8 @@ class SeriesStack:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("series stack needs at least one element")
+        if any(isinstance(e, Snail) for e in self.elements):
+            raise ValueError("a series stack holds SQUIDs and junctions, not a SNAIL")
 
 
 @dataclass(frozen=True)

@@ -354,16 +354,27 @@ def unit_circuit(c_q: float, c_g: float, c_c: float) -> CircuitNetlist:
     )
 
 
-def _field(entry: dict, key: str, what: str):
-    """entry[key], or a ValueError naming the missing key."""
-    try:
-        return entry[key]
-    except KeyError:
-        raise ValueError(f"{what} missing required key {key!r}") from None
+_JSON_TYPES = {"number": (int, float), "string": str, "list": list,
+               "string or list": (str, list)}
+
+
+def _field(entry: dict, key: str, what: str, kind: str = "number", default=None):
+    """entry[key] as a JSON value of the given kind, or default when the key
+    is absent and a default is given; a ValueError names what is wrong."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be a JSON object, got {entry!r}")
+    if key not in entry:
+        if default is None:
+            raise ValueError(f"{what} missing required key {key!r}")
+        return default
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{what} {key!r} must be a {kind}, got {value!r}")
+    return value
 
 
 def _element_from_dict(d: dict) -> JunctionElement:
-    kind = d.get("kind")
+    kind = _field(d, "kind", "netlist element", "string")
     what = f"netlist {kind} element"
     if kind == "squid":
         return Squid(l_j=_field(d, "l_j_ph", what) * PICO)
@@ -371,14 +382,14 @@ def _element_from_dict(d: dict) -> JunctionElement:
         return SingleJunction(i0=_field(d, "i0_na", what) * NANO)
     if kind == "series":
         return SeriesStack(
-            elements=tuple(_element_from_dict(e) for e in _field(d, "elements", what))
+            elements=tuple(_element_from_dict(e) for e in _field(d, "elements", what, "list"))
         )
     if kind == "snail":
         return Snail(
             i0=_field(d, "i0_na", what) * NANO,
             gamma=_field(d, "gamma", what),
-            n=d.get("n", 2),
-            phi_x=d.get("phi_x_turns", 0.0) * 2.0 * np.pi,
+            n=_field(d, "n", what, default=2),
+            phi_x=_field(d, "phi_x_turns", what, default=0.0) * 2.0 * np.pi,
         )
     raise ValueError(f"unknown element kind {kind!r}")
 
@@ -391,24 +402,23 @@ def load_netlist(path: str) -> CircuitNetlist:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"netlist parse error at line {exc.lineno}: {exc.msg}")
-    nodes = tuple(_field(doc, "nodes", "netlist"))
-    ground = _field(doc, "ground", "netlist")
+    nodes = tuple(_field(doc, "nodes", "netlist", "list"))
+    ground = _field(doc, "ground", "netlist", "string")
     caps = tuple(
         Capacitor(
-            node_a=_field(c, "a", "netlist capacitor"),
-            node_b=_field(c, "b", "netlist capacitor"),
+            node_a=_field(c, "a", "netlist capacitor", "string"),
+            node_b=_field(c, "b", "netlist capacitor", "string"),
             capacitance=_field(c, "f_farads", "netlist capacitor") * FEMTO,
         )
-        for c in _field(doc, "capacitors", "netlist")
+        for c in _field(doc, "capacitors", "netlist", "list")
     )
     branches = []
-    for b in doc.get("branches", []):
-        node = _field(b, "node", "netlist branch")
+    for b in _field(doc, "branches", "netlist", "list", default=[]):
+        node = _field(b, "node", "netlist branch", "string or list")
         ends = (node,) if isinstance(node, str) else tuple(node)
         element = _element_from_dict(b["element"]) if b.get("element") else None
-        branches.append(
-            Branch(nodes=ends, element=element, l_series=b.get("l_henries", 0.0) * PICO)
-        )
+        l_series = _field(b, "l_henries", "netlist branch", default=0.0)
+        branches.append(Branch(nodes=ends, element=element, l_series=l_series * PICO))
     return CircuitNetlist(
         nodes=nodes,
         ground=ground,

@@ -2,25 +2,20 @@
 
 Builds the full lab-frame Hamiltonian (self-Kerr plus beam-splitter
 couplings including their counter-rotating parts) by index lookup on the
-table of occupation numbers: dense within DENSE_LIMIT states, sparse CSR
-above it, the only place SciPy is imported. It gives dressed frequencies
-and effective four-body couplings nonperturbatively, for cross-checking
-the perturbative module, and a Kerr-dressed third-order four-body estimate.
+table of occupation numbers, stored as its two dense blocks of even and odd
+total excitation number. It gives dressed frequencies and effective
+four-body couplings nonperturbatively, for cross-checking the perturbative
+module, and a Kerr-dressed third-order four-body estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-DIM_GUARD = 1_000_000
 DENSE_LIMIT = 2048
 OVERLAP_THRESHOLD = 0.5
 _LOWDIN_TRUNCATION = 3
@@ -30,7 +25,8 @@ _LOWDIN_TRUNCATION = 3
 class FockHamiltonian:
     n_modes: int
     truncation: int
-    matrix: np.ndarray | sp.csr_matrix  # rad/s, lexicographic basis; CSR above DENSE_LIMIT
+    even: np.ndarray  # rad/s, the states of even total excitation number, in lexicographic order
+    odd: np.ndarray   # rad/s, the odd states likewise
 
     @property
     def dimension(self) -> int:
@@ -46,14 +42,21 @@ def build_hamiltonian(
     Every element is placed by index lookup on the occupation table: the
     diagonal from the single-mode diagonals of a+ a and a+ a+ a a, and each
     two-mode term at its four (+-1, +-1) occupation offsets. Each term moves
-    its own pair of modes, so no two elements share a position.
+    its own pair of modes, so no two elements share a position. Raises
+    ValueError, before anything is allocated, when the even block would
+    exceed DENSE_LIMIT states.
     """
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
     n_kpo = spectrum.n_kpo
     n_modes = n_kpo + 1 if spectrum.has_coupler else n_kpo
-    if d**n_modes > DIM_GUARD:
-        raise ValueError(f"dimension {d}**{n_modes} exceeds the {DIM_GUARD} guard")
+    # the even block is the larger one, by one state when d is odd
+    dim = d**n_modes
+    if (dim + 1) // 2 > DENSE_LIMIT:
+        raise ValueError(
+            f"the even block of the {d}**{n_modes}-state space holds {(dim + 1) // 2} states, "
+            f"above DENSE_LIMIT = {DENSE_LIMIT}; lower the truncation"
+        )
 
     omega = list(spectrum.omega)
     kerr = list(spectrum.kerr)
@@ -63,7 +66,6 @@ def build_hamiltonian(
 
     # the diagonals are read off the operator products themselves, not
     # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
-    dim = d**n_modes
     adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
     a = adag.T
     num = np.diag(adag @ a)
@@ -98,61 +100,37 @@ def build_hamiltonian(
                 rows.append(states[ok] + step_j * strides[j] + step_k * strides[k])
                 data.append(-(c * (elem_j[ok] * elem_k[ok])))
     rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
-    if dim <= DENSE_LIMIT:
-        matrix = np.zeros((dim, dim))
-        matrix[rows, cols] = data
-    else:
-        import scipy.sparse as sp
-
-        matrix = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-    _check_hermitian(matrix)
-    return FockHamiltonian(n_modes=n_modes, truncation=d, matrix=matrix)
+    even, odd = _parity_blocks(rows, cols, data, n_modes, d)
+    return FockHamiltonian(n_modes=n_modes, truncation=d, even=even, odd=odd)
 
 
-def _check_hermitian(matrix: np.ndarray | sp.spmatrix) -> None:
+def _parity_blocks(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n_modes: int, d: int
+) -> list[np.ndarray]:
+    """The even and odd blocks of the matrix with elements data at (rows, cols).
+
+    Every term of H changes the total excitation number by 0 or 2, so both
+    sectors are closed. That is checked on the elements, not assumed: a
+    ValueError is raised if any links an even state to an odd one, and each
+    block must pass the Hermitian check.
+    """
+    parity, position = _parity_positions(n_modes, d)
+    if np.any(parity[rows] != parity[cols]):
+        raise ValueError("Hamiltonian couples even and odd total excitation numbers")
+    blocks = []
+    for p in (0, 1):
+        keep = parity[cols] == p
+        block = np.zeros((np.count_nonzero(parity == p),) * 2)
+        block[position[rows[keep]], position[cols[keep]]] = data[keep]
+        _check_hermitian(block)
+        blocks.append(block)
+    return blocks
+
+
+def _check_hermitian(matrix: np.ndarray) -> None:
     """ValueError unless the real matrix is symmetric to 1e-12 of its largest element."""
     if abs(matrix - matrix.T).max() > 1e-12 * max(abs(matrix).max(), 1.0):
         raise ValueError("assembled Hamiltonian is not Hermitian")
-
-
-def _low_spectrum(
-    matrix: sp.spmatrix | np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Lowest k eigenpairs and the solver that found them: eigh for an
-    ndarray, shift-invert eigsh for a sparse matrix."""
-    if isinstance(matrix, np.ndarray):
-        vals, vecs = np.linalg.eigh(matrix)
-        return vals[:k], vecs[:, :k], "dense"
-    from scipy.sparse.linalg import eigsh
-
-    vals, vecs = eigsh(matrix, k=k, sigma=0.0, which="LM")
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order], "eigsh"
-
-
-def _pair_index(n_modes: int, d: int) -> np.ndarray:
-    """Basis indices of |1100> and |0011>, any coupler in its ground state."""
-    pad = (0,) * (n_modes - 4)
-    pair = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
-    return np.ravel_multi_index(pair, (d,) * n_modes)
-
-
-def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
-    """Per-mode dressed frequency: single-excitation eigenvalue minus the
-    ground energy, states identified by maximum bare-basis overlap."""
-    n = h.n_modes
-    vals, vecs, _ = _low_spectrum(h.matrix, min(h.dimension, 4 * n + 8))
-    # basis state 0 is the ground state; column m of the identity excites mode m
-    states = np.append(0, np.ravel_multi_index(np.eye(n, dtype=int), (h.truncation,) * n))
-    overlaps = np.abs(vecs[states]) ** 2
-    best, held = overlaps.argmax(axis=1), overlaps.max(axis=1)
-    weak = np.flatnonzero(held < OVERLAP_THRESHOLD)
-    if weak.size:
-        i = weak[0]
-        what = ("ground-state identification" if i == 0
-                else f"single-excitation state of mode {i - 1}")
-        raise ValueError(f"{what} ambiguous (overlap {held[i]:.2f})")
-    return vals[best[1:]] - vals[best[0]]
 
 
 def _occupations(n_modes: int, d: int) -> np.ndarray:
@@ -160,20 +138,41 @@ def _occupations(n_modes: int, d: int) -> np.ndarray:
     return np.indices((d,) * n_modes).reshape(n_modes, -1)
 
 
-def _even_sector(h: FockHamiltonian) -> np.ndarray:
-    """Basis indices with an even total excitation number.
+def _parity_positions(n_modes: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total-excitation parity of each basis state (0 even, 1 odd) and the
+    state's index within the block of its parity."""
+    parity = _occupations(n_modes, d).sum(axis=0) % 2
+    return parity, np.where(parity, np.cumsum(parity), np.cumsum(1 - parity)) - 1
 
-    Every term of H changes the total number by 0 or 2, so the even sector
-    is closed. That is checked on the assembled matrix, not assumed: a
-    ValueError is raised if either off-diagonal parity block holds a
-    non-zero element.
-    """
-    parity = _occupations(h.n_modes, h.truncation).sum(axis=0) % 2
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
-    for rows, cols in ((even, odd), (odd, even)):
-        if abs(h.matrix[rows][:, cols]).max() != 0.0:
-            raise ValueError("Hamiltonian couples even and odd total excitation numbers")
-    return even
+
+def _pair_index(n_modes: int, d: int) -> np.ndarray:
+    """Even-block indices of |1100> and |0011>, any coupler in its ground state."""
+    pad = (0,) * (n_modes - 4)
+    pair = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
+    return _parity_positions(n_modes, d)[1][np.ravel_multi_index(pair, (d,) * n_modes)]
+
+
+def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
+    """Per-mode dressed frequency: single-excitation eigenvalue minus the
+    ground energy, the ground state taken from the even block and the single
+    excitations from the odd one, each identified by maximum bare-basis overlap."""
+    n, d = h.n_modes, h.truncation
+    # basis state 0 opens the even block; column m of the identity excites mode m
+    singles = _parity_positions(n, d)[1][np.ravel_multi_index(np.eye(n, dtype=int), (d,) * n)]
+    energies, held = [], []
+    for block, bare in ((h.even, [0]), (h.odd, singles)):
+        vals, vecs = np.linalg.eigh(block)
+        overlaps = np.abs(vecs[bare]) ** 2
+        energies.append(vals[overlaps.argmax(axis=1)])
+        held.append(overlaps.max(axis=1))
+    held = np.concatenate(held)
+    weak = np.flatnonzero(held < OVERLAP_THRESHOLD)
+    if weak.size:
+        i = weak[0]
+        what = ("ground-state identification" if i == 0
+                else f"single-excitation state of mode {i - 1}")
+        raise ValueError(f"{what} ambiguous (overlap {held[i]:.2f})")
+    return energies[1] - energies[0]
 
 
 def four_body_from_gap(
@@ -188,22 +187,21 @@ def four_body_from_gap(
     A common offset delta is added to modes 1 and 2 (shifting w1 + w2
     through w3 + w4); the dressed levels descending from |1100> and
     |0011> anticross, and the minimum gap equals twice the effective
-    coupling. H is assembled once and restricted to the even sector of
-    total excitation number, which holds both states; an offset only adds
-    (delta/2)(n1 + n2) to the diagonal of that block, dense within DENSE_LIMIT.
+    coupling. H is assembled once and only its even block of total
+    excitation number, which holds both states, is diagonalized; an offset
+    only adds (delta/2)(n1 + n2) to the diagonal of that block.
     Near the crossing g^2 = c^2 (delta - delta_0)^2 + 4 h^2, so the minimum is
     refined by successive parabolic interpolation on g^2 (Brent's parabolic
     step) inside the bracket of the scan points around the lowest gap, until
     a step falls below 1e-6 of the half-width; the best point is returned.
 
     Returns the scan trace, the refined minimum and |h_eff|, with the size
-    of the diagonalized block (`dimension`), its solver (`solver`, "dense"
-    or "eigsh") and `pair_weight`: the smallest weight, over the scan and
-    the refinement, that the two chosen eigenstates hold on {|1100>,
-    |0011>} (at most 2). Raises ValueError when that weight falls below
-    2 * OVERLAP_THRESHOLD, where the pair is no longer identifiable, and
-    when the gaps barely vary over the scan, which is then too narrow to
-    resolve the crossing.
+    of the diagonalized block (`dimension`) and `pair_weight`: the smallest
+    weight, over the scan and the refinement, that the two chosen
+    eigenstates hold on {|1100>, |0011>} (at most 2). Raises ValueError
+    when that weight falls below 2 * OVERLAP_THRESHOLD, where the pair is no
+    longer identifiable, and when the gaps barely vary over the scan, which
+    is then too narrow to resolve the crossing.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("gap extraction defined for four KPOs")
@@ -213,23 +211,13 @@ def four_body_from_gap(
         raise ValueError(f"gap scan needs at least 3 points, got {n_scan}")
 
     ham = build_hamiltonian(spectrum, couplings, d)
-    sector = _even_sector(ham)
-    block = ham.matrix[sector][:, sector]
-    if isinstance(block, np.ndarray):
-        diags = np.diag
-    elif len(sector) <= DENSE_LIMIT:  # the even half of a CSR space
-        block, diags = block.toarray(), np.diag
-    else:
-        from scipy.sparse import diags
-    half_pair_number = 0.5 * _occupations(ham.n_modes, d)[:2, sector].sum(axis=0)
-    pair = np.searchsorted(sector, _pair_index(ham.n_modes, d))
-    k = min(len(sector) - 1, 40)
+    occ = _occupations(ham.n_modes, d)
+    half_pair_number = 0.5 * occ[:2, occ.sum(axis=0) % 2 == 0].sum(axis=0)
+    pair = _pair_index(ham.n_modes, d)
     pair_weights = []
-    solver = ""
 
     def gap(delta: float) -> float:
-        nonlocal solver
-        vals, vecs, solver = _low_spectrum(block + diags(delta * half_pair_number), k)
+        vals, vecs = np.linalg.eigh(ham.even + np.diag(delta * half_pair_number))
         overlaps = np.abs(vecs[pair, :]) ** 2
         chosen = overlaps.argmax(axis=1)
         if overlaps.max(axis=1).min() < OVERLAP_THRESHOLD or chosen[0] == chosen[1]:
@@ -281,8 +269,7 @@ def four_body_from_gap(
         "gap_min": g[1],
         "h_eff": g[1] / 2.0,
         "pair_weight": min(pair_weights),
-        "dimension": len(sector),
-        "solver": solver,
+        "dimension": len(ham.even),
     }
 
 
@@ -309,10 +296,9 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     """
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
-    # at most 3**5 states: within DENSE_LIMIT, so the matrix is dense
     ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION)
     a, b = _pair_index(ham.n_modes, ham.truncation)
-    v = ham.matrix
+    v = ham.even
     energies = v.diagonal().copy()
     np.fill_diagonal(v, 0.0)
     # V is real symmetric and, being two-body, has no element inside the

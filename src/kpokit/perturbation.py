@@ -500,8 +500,9 @@ def cross_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> list[dict]
                 chi = -2.0 * mixing.h_tilde[j, k] ** 2 * (spectrum.kerr[j] + spectrum.kerr[k])
                 out.append({"modes": (j, k), "chi": chi})
     if mixing.g_tilde is not None:
+        coupler_kerr = spectrum.coupler_kerr or 0.0
         for j in range(n):
             if mixing.g_tilde[j] != 0.0:
-                chi = -2.0 * mixing.g_tilde[j] ** 2 * (spectrum.kerr[j] + spectrum.coupler_kerr)
+                chi = -2.0 * mixing.g_tilde[j] ** 2 * (spectrum.kerr[j] + coupler_kerr)
                 out.append({"modes": (j, "coupler"), "chi": chi})
     return out

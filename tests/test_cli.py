@@ -152,10 +152,20 @@ result = kpokit.four_body_from_gap(
 )
 assert result["h_eff"] > 0.0, result["h_eff"]
 assert scipy_modules() == [], scipy_modules()
+
+# nor does a 2,401-state Hamiltonian (d = 7), its dressed frequencies, the
+# Kerr-dressed estimate, or an oracle run refused above DENSE_LIMIT
+spectrum = kpokit.ModeSpectrum(omega=omega, kerr=np.array([5.1, 20.0, 20.0, 5.1]) * MHZ)
+ham = kpokit.build_hamiltonian(spectrum, kpokit.CouplingGraph(h=h), d=7)
+assert ham.dimension == 2401 and len(ham.even) + len(ham.odd) == 2401
+assert kpokit.dressed_frequencies_exact(ham).shape == (4,)
+assert kpokit.four_body_kerr_dressed(spectrum, kpokit.CouplingGraph(h=h)) > 0.0
+assert kpokit.cli.main(["oracle", "--truncation", "9"]) == 2
+assert scipy_modules() == [], scipy_modules()
 """
 
 
-def test_scipy_is_loaded_only_when_the_oracle_runs():
+def test_no_scipy_module_is_loaded():
     # a fresh interpreter: this test process has SciPy loaded already
     proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -237,6 +247,37 @@ def test_netlist_missing_key_named(tmp_path, capsys, doc, key):
     assert out == ""
     assert err.startswith(ERROR_PREFIX)
     assert f"missing required key {key!r}" in err
+
+
+SQUID_BRANCH = _branch_netlist({"kind": "squid", "l_j_ph": 400.0})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(SQUID_BRANCH, capacitors=[{"a": "q", "b": "gnd", "f_farads": "500"}]),
+         "netlist capacitor 'f_farads' must be a number, got '500'"),
+        (dict(SQUID_BRANCH, capacitors=[["q", "gnd", 500.0]]),
+         "netlist capacitor must be a JSON object"),
+        (dict(SQUID_BRANCH, nodes=5), "netlist 'nodes' must be a list, got 5"),
+        (_branch_netlist({"kind": "squid", "l_j_ph": 400.0}, l_henries=None),
+         "netlist branch 'l_henries' must be a number, got None"),
+        (_branch_netlist({"kind": "snail", "i0_na": 3750.0, "gamma": 0.3, "n": "2"}),
+         "netlist snail element 'n' must be a number, got '2'"),
+        (_branch_netlist({"kind": "series", "elements": "ab"}),
+         "netlist series element 'elements' must be a list, got 'ab'"),
+        (_branch_netlist({"kind": "series",
+                          "elements": [{"kind": "snail", "i0_na": 3750.0, "gamma": 0.3}]}),
+         "a series stack holds SQUIDs and junctions, not a SNAIL"),
+    ],
+    ids=["f-farads-string", "capacitor-list", "nodes-number", "l-henries-null",
+         "snail-n-string", "elements-string", "snail-in-series"],
+)
+def test_netlist_wrong_types_rejected(tmp_path, capsys, doc, message):
+    code, out, err = _run(capsys, ["quantize", _write_netlist(tmp_path / "bad.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: {message}")
 
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -491,6 +532,15 @@ def test_fit_rejects_empty_file(tmp_path, capsys):
     code, _, err = _run(capsys, ["fit", str(path)])
     assert code == 2
     assert "no rows" in err
+
+
+def test_oracle_above_dense_limit_rejected(capsys):
+    # 9**4 states: the even block of 3,281 exceeds oracle.DENSE_LIMIT
+    code, out, err = _run(capsys, ["oracle", "--truncation", "9"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: ")
+    assert "above DENSE_LIMIT = 2048" in err
 
 
 def test_oracle_metadata_and_scan(capsys):

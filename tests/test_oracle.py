@@ -33,15 +33,24 @@ def _full_h(value, n=4):
     return h
 
 
-def _dense(matrix):
-    """FockHamiltonian.matrix as an ndarray, whether it was built dense or CSR."""
-    return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+def _total_parity(n_modes, d):
+    occupations = np.indices((d,) * n_modes).reshape(n_modes, -1)
+    return occupations.sum(axis=0) % 2
+
+
+def _full(ham):
+    """The full matrix of a FockHamiltonian, its two parity blocks put back in place."""
+    parity = _total_parity(ham.n_modes, ham.truncation)
+    full = np.zeros((ham.dimension, ham.dimension))
+    for p, block in enumerate((ham.even, ham.odd)):
+        full[np.ix_(parity == p, parity == p)] = block
+    return full
 
 
 def test_single_mode_energies():
     spectrum = ModeSpectrum(omega=np.array([10.0 * GHZ]), kerr=np.array([20.0 * MHZ]))
     h = build_hamiltonian(spectrum, CouplingGraph(h=np.zeros((1, 1))), d=4)
-    dense = _dense(h.matrix)
+    dense = _full(h)
     assert np.allclose(dense, np.diag(np.diag(dense)))
     # n-th level: n*w - (K/2) n (n-1)
     assert dense[1, 1] == pytest.approx(10.0 * GHZ)
@@ -52,30 +61,47 @@ def test_single_mode_energies():
 def test_hamiltonian_is_hermitian_sparse():
     spectrum = _ladder()
     h = build_hamiltonian(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ)), d=3)
-    asym = _dense(h.matrix) - _dense(h.matrix).T
+    asym = _full(h) - _full(h).T
     assert np.count_nonzero(asym) == 0 or abs(asym).max() < 1e-9
 
 
-@pytest.mark.parametrize("container", ["dense", "csr"])
-def test_hermitian_check_raises_on_an_injected_fault(container):
-    matrix = _dense(build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3).matrix)
-    to_container = np.asarray if container == "dense" else sp.csr_matrix
-    oracle._check_hermitian(to_container(matrix))
-    matrix[0, 40] += 1.0 * MHZ
+def _inject(monkeypatch, row, col):
+    """Make build_hamiltonian place one extra 1 MHz element at (row, col)."""
+    split = oracle._parity_blocks
+
+    def faulty(rows, cols, data, n_modes, d):
+        return split(np.append(rows, row), np.append(cols, col),
+                     np.append(data, 1.0 * MHZ), n_modes, d)
+
+    monkeypatch.setattr(oracle, "_parity_blocks", faulty)
+
+
+@pytest.mark.parametrize("element", [(0, 2), (1, 7)], ids=["even", "odd"])
+def test_hermitian_check_raises_on_an_injected_fault(monkeypatch, element):
+    # |0000> and |0002> are even, |0001> and |0021> odd; no term links
+    # either pair, so one element there leaves its block asymmetric
+    spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
+    build_hamiltonian(spectrum, couplings, d=3)
+    _inject(monkeypatch, *element)
     with pytest.raises(ValueError, match="not Hermitian"):
-        oracle._check_hermitian(to_container(matrix))
+        build_hamiltonian(spectrum, couplings, d=3)
 
 
 def test_container_follows_dense_limit(monkeypatch):
+    # both blocks are dense; a block above the limit is refused
     spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
-    assert isinstance(build_hamiltonian(spectrum, couplings, d=4).matrix, np.ndarray)
-    monkeypatch.setattr(oracle, "DENSE_LIMIT", 255)
-    assert sp.issparse(build_hamiltonian(spectrum, couplings, d=4).matrix)
+    ham = build_hamiltonian(spectrum, couplings, d=4)
+    assert isinstance(ham.even, np.ndarray) and isinstance(ham.odd, np.ndarray)
+    assert ham.even.shape == ham.odd.shape == (128, 128)
+    monkeypatch.setattr(oracle, "DENSE_LIMIT", 127)
+    with pytest.raises(ValueError, match="holds 128 states, above DENSE_LIMIT = 127"):
+        build_hamiltonian(spectrum, couplings, d=4)
 
 
 def _kronecker_reference(spectrum, couplings, d):
     """The former assembly, kept as the reference: every term is embedded in
-    the full space by a Kronecker chain and the sparse sums run in order."""
+    the full space by a Kronecker chain and the sparse sums run in order.
+    Returns the full matrix as an ndarray."""
     adag = sp.diags(np.sqrt(np.arange(1, d)), -1, format="csr")
     a = adag.T.tocsr()
     n_kpo = spectrum.n_kpo
@@ -109,11 +135,19 @@ def _kronecker_reference(spectrum, couplings, d):
         for j in range(n_kpo):
             if couplings.g[j] != 0.0:
                 total = total - couplings.s[j] * couplings.g[j] * (diff[j] @ diff[n_kpo])
-    return FockHamiltonian(n_modes=n_modes, truncation=d, matrix=total.tocsr())
+    return total.toarray()
+
+
+def _reference_hamiltonian(spectrum, couplings, d):
+    """The Kronecker reference as a FockHamiltonian, its parity blocks sliced out."""
+    full = _kronecker_reference(spectrum, couplings, d)
+    n_modes = spectrum.n_kpo + 1 if spectrum.has_coupler else spectrum.n_kpo
+    parity = _total_parity(n_modes, d)
+    even, odd = (full[np.ix_(parity == p, parity == p)] for p in (0, 1))
+    return FockHamiltonian(n_modes=n_modes, truncation=d, even=even, odd=odd)
 
 
 def _assert_same_bits(x, y):
-    x, y = _dense(x), _dense(y)
     assert x.shape == y.shape
     assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
@@ -133,8 +167,8 @@ def test_direct_assembly_matches_kronecker_reference_on_ladders(d):
         spectrum = _ladder(eps_ghz, kerr_mhz=rng.uniform(2.0, 25.0, 4))
         for h in (_full_h(5.0 * MHZ), _random_couplings(rng, [(0, 2), (1, 3)])):
             couplings = CouplingGraph(h=h)
-            _assert_same_bits(build_hamiltonian(spectrum, couplings, d).matrix,
-                              _kronecker_reference(spectrum, couplings, d).matrix)
+            _assert_same_bits(_full(build_hamiltonian(spectrum, couplings, d)),
+                              _kronecker_reference(spectrum, couplings, d))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -148,21 +182,21 @@ def test_direct_assembly_matches_kronecker_reference_with_coupler(d, s):
     g = rng.uniform(10.0, 150.0, 4) * MHZ
     g[2] = 0.0
     couplings = CouplingGraph(h=_random_couplings(rng, [(0, 1)]), g=g, s=s)
-    _assert_same_bits(build_hamiltonian(spectrum, couplings, d).matrix,
-                      _kronecker_reference(spectrum, couplings, d).matrix)
+    _assert_same_bits(_full(build_hamiltonian(spectrum, couplings, d)),
+                      _kronecker_reference(spectrum, couplings, d))
     # a coupler without Kerr and without couplings to it
     bare = ModeSpectrum(omega=spectrum.omega, kerr=spectrum.kerr, coupler_omega=9.3 * GHZ)
     for graph in (CouplingGraph(h=couplings.h), CouplingGraph(h=couplings.h, g=np.zeros(4))):
-        _assert_same_bits(build_hamiltonian(bare, graph, d).matrix,
-                          _kronecker_reference(bare, graph, d).matrix)
+        _assert_same_bits(_full(build_hamiltonian(bare, graph, d)),
+                          _kronecker_reference(bare, graph, d))
 
 
 def test_direct_assembly_matches_kronecker_reference_on_one_mode():
     spectrum = ModeSpectrum(omega=np.array([10.0 * GHZ]), kerr=np.array([20.0 * MHZ]))
     for d in (3, 7):
         graph = CouplingGraph(h=np.zeros((1, 1)))
-        _assert_same_bits(build_hamiltonian(spectrum, graph, d).matrix,
-                          _kronecker_reference(spectrum, graph, d).matrix)
+        _assert_same_bits(_full(build_hamiltonian(spectrum, graph, d)),
+                          _kronecker_reference(spectrum, graph, d))
 
 
 @pytest.mark.parametrize("coupler", [False, True], ids=["kpos-d4", "with-coupler-d3"])
@@ -176,18 +210,24 @@ def test_gap_scan_unchanged_by_direct_assembly(monkeypatch, coupler):
         d = 3
     kwargs = dict(d=d, scan_halfwidth=3 * MHZ, n_scan=11)
     direct = four_body_from_gap(spectrum, couplings, **kwargs)
-    monkeypatch.setattr(oracle, "build_hamiltonian", _kronecker_reference)
+    monkeypatch.setattr(oracle, "build_hamiltonian", _reference_hamiltonian)
     reference = four_body_from_gap(spectrum, couplings, **kwargs)
     assert np.all(direct["gaps"] == reference["gaps"])
     assert direct["h_eff"] == reference["h_eff"]
 
 
-def test_truncation_and_dimension_guards():
+def test_truncation_and_dimension_guards(monkeypatch):
     spectrum = _ladder()
     with pytest.raises(ValueError, match="at least 3"):
         build_hamiltonian(spectrum, CouplingGraph(h=np.zeros((4, 4))), d=2)
-    with pytest.raises(ValueError, match="guard"):
-        build_hamiltonian(spectrum, CouplingGraph(h=np.zeros((4, 4))), d=40)
+    # the block sizes are checked before the occupation table is built
+    monkeypatch.setattr(oracle, "_occupations", None)
+    for d, states in ((9, 3281), (40, 1280000)):
+        with pytest.raises(ValueError, match=f"holds {states} states, above DENSE_LIMIT = 2048"):
+            build_hamiltonian(spectrum, CouplingGraph(h=np.zeros((4, 4))), d=d)
+    with pytest.raises(ValueError, match="holds 3888 states, above DENSE_LIMIT"):
+        build_hamiltonian(_with_coupler(spectrum),
+                          CouplingGraph(h=np.zeros((4, 4)), g=np.zeros(4)), d=6)
 
 
 def test_two_mode_avoided_crossing():
@@ -198,7 +238,7 @@ def test_two_mode_avoided_crossing():
     ham = build_hamiltonian(
         spectrum, CouplingGraph(h=np.array([[0.0, h_c], [h_c, 0.0]])), d=6
     )
-    vals = np.sort(np.linalg.eigvalsh(_dense(ham.matrix)))
+    vals = np.sort(np.linalg.eigvalsh(_full(ham)))
     split = vals[2] - vals[1]
     assert split == pytest.approx(2 * h_c, rel=1e-3)
 
@@ -296,11 +336,6 @@ def _with_coupler(spectrum):
                         coupler_omega=9.3 * GHZ, coupler_kerr=1.0 * MHZ)
 
 
-def _total_parity(n_modes, d):
-    occupations = np.indices((d,) * n_modes).reshape(n_modes, -1)
-    return occupations.sum(axis=0) % 2
-
-
 @pytest.mark.parametrize("coupler", [False, True], ids=["kpos", "with-coupler"])
 def test_hamiltonian_keeps_excitation_parity(coupler):
     spectrum = _ladder()
@@ -308,13 +343,14 @@ def test_hamiltonian_keeps_excitation_parity(coupler):
     if coupler:
         spectrum = _with_coupler(spectrum)
         couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
-    ham = build_hamiltonian(spectrum, couplings, d=3)
-    parity = _total_parity(ham.n_modes, ham.truncation)
-    dense = _dense(ham.matrix)
-    assert np.count_nonzero(dense[np.ix_(parity == 0, parity == 1)]) == 0
-    assert np.count_nonzero(dense[np.ix_(parity == 1, parity == 0)]) == 0
+    # the Kronecker reference has no element between the parity sectors
+    full = _kronecker_reference(spectrum, couplings, 3)
+    parity = _total_parity(5 if coupler else 4, 3)
+    assert np.count_nonzero(full[np.ix_(parity == 0, parity == 1)]) == 0
+    assert np.count_nonzero(full[np.ix_(parity == 1, parity == 0)]) == 0
     # the couplings are there: the even block is not diagonal
-    assert np.count_nonzero(dense - np.diag(np.diag(dense))) > 0
+    even = build_hamiltonian(spectrum, couplings, d=3).even
+    assert np.count_nonzero(even - np.diag(np.diag(even))) > 0
 
 
 def _full_space_gap(spectrum, couplings, d, offset):
@@ -327,7 +363,7 @@ def _full_space_gap(spectrum, couplings, d, offset):
         coupler_kerr=spectrum.coupler_kerr,
     )
     ham = build_hamiltonian(shifted, couplings, d)
-    vals, vecs = np.linalg.eigh(_dense(ham.matrix))
+    vals, vecs = np.linalg.eigh(_full(ham))
     pad = (0,) * (ham.n_modes - 4)
     a = np.ravel_multi_index((1, 1, 0, 0) + pad, (d,) * ham.n_modes)
     b = np.ravel_multi_index((0, 0, 1, 1) + pad, (d,) * ham.n_modes)
@@ -349,21 +385,7 @@ def test_gap_trace_matches_full_space_rebuild(coupler):
     assert result["gaps"] == pytest.approx(expected, rel=1e-8)
     n_modes = 5 if coupler else 4
     assert result["dimension"] == (d**n_modes + 1) // 2
-    assert result["solver"] == "dense"
     assert 2 * oracle.OVERLAP_THRESHOLD < result["pair_weight"] <= 2.0 + 1e-12
-
-
-def test_gap_sparse_solver_agrees_with_dense(monkeypatch):
-    spectrum = _ladder(eps_ghz=0.15)
-    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
-    kwargs = dict(d=4, scan_halfwidth=3 * MHZ, n_scan=11)
-    dense = four_body_from_gap(spectrum, couplings, **kwargs)
-    monkeypatch.setattr(oracle, "DENSE_LIMIT", 64)
-    sparse = four_body_from_gap(spectrum, couplings, **kwargs)
-    assert (dense["solver"], sparse["solver"]) == ("dense", "eigsh")
-    assert sparse["dimension"] == dense["dimension"] == 128
-    assert sparse["gaps"] == pytest.approx(dense["gaps"], rel=1e-8)
-    assert sparse["h_eff"] == pytest.approx(dense["h_eff"], rel=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -391,29 +413,21 @@ def test_parabolic_refinement_matches_bounded_brent(case):
     assert result["h_eff"] == pytest.approx(brent.fun / 2.0, rel=1e-5)
 
 
-def _assert_parity_fault_raises(monkeypatch, element, container):
-    spectrum = _ladder(eps_ghz=0.15)
-    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
-    ham = build_hamiltonian(spectrum, couplings, d=3)
-    # one element linking |0000> (even) and |1000> (odd), in either block
-    matrix = _dense(ham.matrix)
-    matrix[element] += 1.0 * MHZ
-    if container == "csr":
-        matrix = sp.csr_matrix(matrix)
-    broken = FockHamiltonian(n_modes=4, truncation=3, matrix=matrix)
-    monkeypatch.setattr(oracle, "build_hamiltonian", lambda *args: broken)
-    with pytest.raises(ValueError, match="even and odd"):
-        four_body_from_gap(spectrum, couplings, d=3, scan_halfwidth=3 * MHZ, n_scan=11)
-
-
 def test_gap_rejects_hamiltonian_mixing_parity(monkeypatch):
-    _assert_parity_fault_raises(monkeypatch, (0, 27), "dense")
+    # one element linking |0000> (even) and |1000> (odd)
+    _inject(monkeypatch, 0, 27)
+    with pytest.raises(ValueError, match="even and odd"):
+        four_body_from_gap(_ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3,
+                           scan_halfwidth=3 * MHZ, n_scan=11)
 
 
-@pytest.mark.parametrize("container", ["dense", "csr"])
 @pytest.mark.parametrize("element", [(0, 27), (27, 0)], ids=["even-odd", "odd-even"])
-def test_gap_rejects_either_parity_block_in_either_container(monkeypatch, element, container):
-    _assert_parity_fault_raises(monkeypatch, element, container)
+def test_build_rejects_either_parity_block(monkeypatch, element):
+    # without the check the element would land in one block and fail the
+    # Hermitian check instead
+    _inject(monkeypatch, *element)
+    with pytest.raises(ValueError, match="even and odd"):
+        build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3)
 
 
 def test_gap_raises_when_pair_not_identified(monkeypatch):

@@ -488,6 +488,18 @@ def test_coupler_cross_kerr_matches_engine():
     assert poly.coefficient((1, 1), (1, 1)) == pytest.approx(chi, rel=1e-12)
 
 
+def test_cross_kerr_reads_a_missing_coupler_kerr_as_zero():
+    def coupler_chi(coupler_kerr):
+        spectrum = ModeSpectrum(omega=np.array([10.0 * GHZ]), kerr=np.array([10.0 * MHZ]),
+                                coupler_omega=12.0 * GHZ, coupler_kerr=coupler_kerr)
+        couplings = CouplingGraph(h=np.zeros((1, 1)), g=np.array([5.0 * MHZ]),
+                                  s=np.array([1.0]))
+        return cross_kerr(spectrum, sw_mixing(spectrum, couplings))[0]["chi"]
+
+    assert coupler_chi(None) == coupler_chi(0.0)
+    assert coupler_chi(None) / MHZ == pytest.approx(-2.0 * 10.0 * (5.0 / 2000.0) ** 2, rel=0.01)
+
+
 def test_order_structure_on_ladder():
     # log-log slopes of the closed forms over the detuning sweep
     eps_grid = np.linspace(30, 300, 20) * MHZ
