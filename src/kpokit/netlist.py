@@ -373,6 +373,14 @@ def _field(entry: dict, key: str, what: str, kind: str = "number", default=None)
     return value
 
 
+def _node_names(names: list, what: str) -> tuple[str, ...]:
+    """The node names as a tuple; a ValueError names the first that is not a string."""
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{what} must hold node names as strings, got {name!r}")
+    return tuple(names)
+
+
 def _element_from_dict(d: dict) -> JunctionElement:
     kind = _field(d, "kind", "netlist element", "string")
     what = f"netlist {kind} element"
@@ -402,7 +410,7 @@ def load_netlist(path: str) -> CircuitNetlist:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"netlist parse error at line {exc.lineno}: {exc.msg}")
-    nodes = tuple(_field(doc, "nodes", "netlist", "list"))
+    nodes = _node_names(_field(doc, "nodes", "netlist", "list"), "netlist 'nodes'")
     ground = _field(doc, "ground", "netlist", "string")
     caps = tuple(
         Capacitor(
@@ -415,7 +423,7 @@ def load_netlist(path: str) -> CircuitNetlist:
     branches = []
     for b in _field(doc, "branches", "netlist", "list", default=[]):
         node = _field(b, "node", "netlist branch", "string or list")
-        ends = (node,) if isinstance(node, str) else tuple(node)
+        ends = _node_names([node] if isinstance(node, str) else node, "netlist branch 'node'")
         element = _element_from_dict(b["element"]) if b.get("element") else None
         l_series = _field(b, "l_henries", "netlist branch", default=0.0)
         branches.append(Branch(nodes=ends, element=element, l_series=l_series * PICO))

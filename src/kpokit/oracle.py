@@ -18,6 +18,7 @@ from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum
 
 DENSE_LIMIT = 2048
 OVERLAP_THRESHOLD = 0.5
+REMAINDER_TOL = 1e-8  # largest Loewdin remainder bound of a gap scan point, relative to its gap
 _LOWDIN_TRUNCATION = 3
 
 
@@ -77,28 +78,27 @@ def build_hamiltonian(
         diagonal -= 0.5 * kerr[m] * kerr_op[occ[m]]
 
     # (a - a+) lowers n by one with element +sqrt(n) and raises it by one
-    # with -sqrt(n + 1); per mode: (occupation step, element, allowed) pairs
+    # with -sqrt(n + 1); per mode, step (-1, +1) and state: the element and
+    # whether the step stays inside the truncation
     root = np.sqrt(np.arange(d + 1.0))
-    steps = [
-        ((-1, root[occ[m]], occ[m] > 0), (1, -root[occ[m] + 1], occ[m] < d - 1))
-        for m in range(n_modes)
-    ]
-    strides = d ** np.arange(n_modes - 1, -1, -1)
+    elements = np.stack([root[occ], -root[occ + 1]], axis=1)
+    allowed = np.stack([occ > 0, occ < d - 1], axis=1)
+    offsets = np.multiply.outer(d ** np.arange(n_modes - 1, -1, -1), [-1, 1])
     terms = [(j, k, couplings.h[j, k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
     if couplings.g is not None and spectrum.has_coupler:
         terms += [(j, n_kpo, couplings.s[j] * couplings.g[j]) for j in range(n_kpo)]
+    j, k, c = np.array([term for term in terms if term[2] != 0.0]).reshape(-1, 3).T
+    j, k = j.astype(int), k.astype(int)
 
+    # every term at its four (step_j, step_k) offsets at once, on the axes
+    # (term, step of mode j, step of mode k, state)
     states = np.arange(dim)
-    rows, cols, data = [states], [states], [diagonal]
-    for j, k, c in terms:
-        if c == 0.0:
-            continue
-        for step_j, elem_j, ok_j in steps[j]:
-            for step_k, elem_k, ok_k in steps[k]:
-                ok = ok_j & ok_k
-                cols.append(states[ok])
-                rows.append(states[ok] + step_j * strides[j] + step_k * strides[k])
-                data.append(-(c * (elem_j[ok] * elem_k[ok])))
+    ok = allowed[j][:, :, None] & allowed[k][:, None, :]
+    shift = offsets[j][:, :, None, None] + offsets[k][:, None, :, None]
+    value = -(c[:, None, None, None] * (elements[j][:, :, None] * elements[k][:, None, :]))
+    rows = [states, (states + shift)[ok]]
+    cols = [states, np.broadcast_to(states, ok.shape)[ok]]
+    data = [diagonal, value[ok]]
     rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
     even, odd = _parity_blocks(rows, cols, data, n_modes, d)
     return FockHamiltonian(n_modes=n_modes, truncation=d, even=even, odd=odd)
@@ -188,20 +188,34 @@ def four_body_from_gap(
     through w3 + w4); the dressed levels descending from |1100> and
     |0011> anticross, and the minimum gap equals twice the effective
     coupling. H is assembled once and only its even block of total
-    excitation number, which holds both states, is diagonalized; an offset
-    only adds (delta/2)(n1 + n2) to the diagonal of that block.
+    excitation number, which holds both states, is diagonalized, once; an
+    offset only adds delta * D to that block, D = diag((n1 + n2) / 2).
+    In the eigenbasis V of the block, Dt = V^T D V, and each offset is
+    solved in the model space P of the eigenstates with more than half
+    their weight on two total quanta, the rest Q, by second-order Loewdin
+    partitioning about the pair's energy E (Winkler 2003, App. B):
+
+        H_P(delta) = Lambda_P + delta Dt_PP
+                     + delta^2 Dt_PQ diag(1 / (E - Lambda_Q)) Dt_QP.
+
+    Its remainder at an eigenvalue theta of the pair is at most
+    |delta Dt_PQ|^2 (|theta - E| + |delta| |Dt_QQ|) / min|E - Lambda_Q|^2.
     Near the crossing g^2 = c^2 (delta - delta_0)^2 + 4 h^2, so the minimum is
     refined by successive parabolic interpolation on g^2 (Brent's parabolic
     step) inside the bracket of the scan points around the lowest gap, until
     a step falls below 1e-6 of the half-width; the best point is returned.
 
     Returns the scan trace, the refined minimum and |h_eff|, with the size
-    of the diagonalized block (`dimension`) and `pair_weight`: the smallest
-    weight, over the scan and the refinement, that the two chosen
+    of the diagonalized block (`dimension`), the size of P
+    (`manifold_dimension`), the largest remainder bound over the scan and
+    the refinement (`remainder_bound`, rad/s) and `pair_weight`: the
+    smallest weight, over the same points, that the two chosen
     eigenstates hold on {|1100>, |0011>} (at most 2). Raises ValueError
     when that weight falls below 2 * OVERLAP_THRESHOLD, where the pair is no
-    longer identifiable, and when the gaps barely vary over the scan, which
-    is then too narrow to resolve the crossing.
+    longer identifiable; when the remainder bound exceeds REMAINDER_TOL of
+    a point's gap; when P is not as large as the two-quantum manifold; and
+    when the gaps barely vary over the scan, which is then too narrow to
+    resolve the crossing.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("gap extraction defined for four KPOs")
@@ -212,29 +226,69 @@ def four_body_from_gap(
 
     ham = build_hamiltonian(spectrum, couplings, d)
     occ = _occupations(ham.n_modes, d)
-    half_pair_number = 0.5 * occ[:2, occ.sum(axis=0) % 2 == 0].sum(axis=0)
-    pair = _pair_index(ham.n_modes, d)
-    pair_weights = []
+    occ = occ[:, occ.sum(axis=0) % 2 == 0]
+    half_pair_number = 0.5 * occ[:2].sum(axis=0)
+    levels, vecs = np.linalg.eigh(ham.even)
+    # P: the eigenstates mostly on two total quanta, as |1100> and |0011> are
+    two_quanta = occ.sum(axis=0) == 2
+    in_p = (vecs[two_quanta] ** 2).sum(axis=0) > 0.5
+    if np.count_nonzero(in_p) != np.count_nonzero(two_quanta):
+        raise ValueError(
+            f"{np.count_nonzero(in_p)} eigenstates lie mostly in the "
+            f"{np.count_nonzero(two_quanta)}-state two-quantum manifold; "
+            "it is not separated from the rest of the spectrum"
+        )
+    model, rest = np.flatnonzero(in_p), np.flatnonzero(~in_p)
+    rotated = vecs.T @ (half_pair_number[:, None] * vecs)
+    d_pp, d_pq = rotated[np.ix_(model, model)], rotated[np.ix_(model, rest)]
+    amplitudes = vecs[np.ix_(_pair_index(ham.n_modes, d), model)]
+    # the resolvent is taken at the pair's own energy, not the manifold's
+    # mean, so |theta - E| and with it the remainder stay small
+    energy = float(np.sum(amplitudes**2 * levels[model]) / np.sum(amplitudes**2))
+    gaps_to_q = energy - levels[rest]
+    second = (d_pq / gaps_to_q) @ d_pq.T
+    reach = np.linalg.norm(d_pq, 2) ** 2 / np.min(abs(gaps_to_q)) ** 2
+    pair_weights, bounds = [], []
 
-    def gap(delta: float) -> float:
-        vals, vecs = np.linalg.eigh(ham.even + np.diag(delta * half_pair_number))
-        overlaps = np.abs(vecs[pair, :]) ** 2
-        chosen = overlaps.argmax(axis=1)
-        if overlaps.max(axis=1).min() < OVERLAP_THRESHOLD or chosen[0] == chosen[1]:
-            # near the crossing the two bare states hybridize 50/50; take
-            # the two eigenstates with the largest combined overlap
-            chosen = np.argsort(overlaps.sum(axis=0))[-2:]
-        weight = float(overlaps[:, chosen].sum())
-        if weight < 2 * OVERLAP_THRESHOLD:
+    def gap(deltas: np.ndarray) -> np.ndarray:
+        """Pair gaps at the given offsets; the energies are relative to E."""
+        scale = deltas[:, None, None]
+        theta, y = np.linalg.eigh(
+            np.diag(levels[model] - energy) + scale * d_pp + scale**2 * second
+        )
+        overlaps = (amplitudes @ y) ** 2
+        chosen = overlaps.argmax(axis=2)
+        # near the crossing the two bare states hybridize 50/50; take
+        # the two eigenstates with the largest combined overlap
+        unclear = (overlaps.max(axis=2).min(axis=1) < OVERLAP_THRESHOLD) | (
+            chosen[:, 0] == chosen[:, 1])
+        chosen[unclear] = np.argsort(overlaps[unclear].sum(axis=1), axis=1)[:, -2:]
+        weight = np.take_along_axis(overlaps, chosen[:, None, :], axis=2).sum(axis=(1, 2))
+        lost = np.flatnonzero(weight < 2 * OVERLAP_THRESHOLD)
+        if lost.size:
+            i = lost[0]
             raise ValueError(
-                f"|1100>, |0011> pair not identified at offset {delta:.6g} rad/s: "
-                f"the chosen eigenstates hold weight {weight:.3f} on it"
+                f"|1100>, |0011> pair not identified at offset {deltas[i]:.6g} rad/s: "
+                f"the chosen eigenstates hold weight {weight[i]:.3f} on it"
             )
-        pair_weights.append(weight)
-        return float(abs(vals[chosen[0]] - vals[chosen[1]]))
+        pair = np.take_along_axis(theta, chosen, axis=1)
+        gaps = abs(pair[:, 0] - pair[:, 1])
+        # |Dt_QQ| <= |Dt| = max(half_pair_number), Dt being D rotated
+        bound = deltas**2 * reach * (
+            abs(pair).max(axis=1) + abs(deltas) * half_pair_number.max())
+        loose = np.flatnonzero(bound > REMAINDER_TOL * gaps)
+        if loose.size:
+            i = loose[0]
+            raise ValueError(
+                f"Loewdin remainder bound {bound[i]:.3g} rad/s at offset {deltas[i]:.6g} rad/s "
+                f"exceeds {REMAINDER_TOL:g} of the gap {gaps[i]:.6g} rad/s"
+            )
+        pair_weights.append(weight.min())
+        bounds.append(bound.max())
+        return gaps
 
     offsets = np.linspace(-scan_halfwidth, scan_halfwidth, n_scan)
-    gaps = np.array([gap(x) for x in offsets])
+    gaps = gap(offsets)
     # each offset moves |1100> against |0011> by delta, so only a scan too
     # narrow to resolve the crossing comes out flat
     if np.ptp(gaps) < 1e-12 * max(abs(spectrum.omega).max(), 1.0):
@@ -256,7 +310,7 @@ def four_body_from_gap(
         u = m - 0.5 * p / q if q else m
         if not (abs(u - m) >= 1e-6 * scan_halfwidth and a < u < b):
             break
-        g_u = gap(u)
+        g_u = float(gap(np.array([u]))[0])
         if g_u < g[1]:
             x, g = ([a, u, m], [g[0], g_u, g[1]]) if u < m else ([m, u, b], [g[1], g_u, g[2]])
         else:
@@ -268,7 +322,9 @@ def four_body_from_gap(
         "offset_min": x[1],
         "gap_min": g[1],
         "h_eff": g[1] / 2.0,
-        "pair_weight": min(pair_weights),
+        "pair_weight": float(min(pair_weights)),
+        "remainder_bound": float(max(bounds)),
+        "manifold_dimension": len(model),
         "dimension": len(ham.even),
     }
 

@@ -269,9 +269,14 @@ SQUID_BRANCH = _branch_netlist({"kind": "squid", "l_j_ph": 400.0})
         (_branch_netlist({"kind": "series",
                           "elements": [{"kind": "snail", "i0_na": 3750.0, "gamma": 0.3}]}),
          "a series stack holds SQUIDs and junctions, not a SNAIL"),
+        (dict(SQUID_BRANCH, nodes=[["q"]]),
+         "netlist 'nodes' must hold node names as strings, got ['q']"),
+        (_branch_netlist({"kind": "squid", "l_j_ph": 400.0}, node=[["q"]]),
+         "netlist branch 'node' must hold node names as strings, got ['q']"),
     ],
     ids=["f-farads-string", "capacitor-list", "nodes-number", "l-henries-null",
-         "snail-n-string", "elements-string", "snail-in-series"],
+         "snail-n-string", "elements-string", "snail-in-series", "node-name-list",
+         "branch-node-name-list"],
 )
 def test_netlist_wrong_types_rejected(tmp_path, capsys, doc, message):
     code, out, err = _run(capsys, ["quantize", _write_netlist(tmp_path / "bad.json", doc)])

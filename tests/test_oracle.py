@@ -439,6 +439,138 @@ def test_gap_raises_when_pair_not_identified(monkeypatch):
                            d=3, scan_halfwidth=3 * MHZ, n_scan=11)
 
 
+def _reference_gap_scan(spectrum, couplings, d, scan_halfwidth, n_scan=41):
+    """The former scan, kept as the reference: one dense eigensolve of the
+    shifted even block per scan and refinement point. Returns the gaps at
+    the scan offsets, the refined minimum and |h_eff|, and the spectral
+    norm of the unshifted block."""
+    ham = build_hamiltonian(spectrum, couplings, d)
+    occ = oracle._occupations(ham.n_modes, d)
+    half_pair_number = 0.5 * occ[:2, occ.sum(axis=0) % 2 == 0].sum(axis=0)
+    pair = oracle._pair_index(ham.n_modes, d)
+
+    def gap(delta):
+        vals, vecs = np.linalg.eigh(ham.even + np.diag(delta * half_pair_number))
+        overlaps = np.abs(vecs[pair, :]) ** 2
+        chosen = overlaps.argmax(axis=1)
+        if overlaps.max(axis=1).min() < oracle.OVERLAP_THRESHOLD or chosen[0] == chosen[1]:
+            chosen = np.argsort(overlaps.sum(axis=0))[-2:]
+        return float(abs(vals[chosen[0]] - vals[chosen[1]]))
+
+    offsets = np.linspace(-scan_halfwidth, scan_halfwidth, n_scan)
+    gaps = np.array([gap(x) for x in offsets])
+    i_min = int(np.argmin(gaps))
+    x = offsets[i_min - 1:i_min + 2].tolist()
+    g = gaps[i_min - 1:i_min + 2].tolist()
+    for _ in range(100):
+        (a, m, b), (fa, fm, fb) = x, (v * v for v in g)
+        p = (m - a) ** 2 * (fm - fb) - (m - b) ** 2 * (fm - fa)
+        q = (m - a) * (fm - fb) - (m - b) * (fm - fa)
+        u = m - 0.5 * p / q if q else m
+        if not (abs(u - m) >= 1e-6 * scan_halfwidth and a < u < b):
+            break
+        g_u = gap(u)
+        if g_u < g[1]:
+            x, g = ([a, u, m], [g[0], g_u, g[1]]) if u < m else ([m, u, b], [g[1], g_u, g[2]])
+        else:
+            side = 0 if u < m else 2
+            x[side], g[side] = u, g_u
+    return {"gaps": gaps, "offset_min": x[1], "h_eff": g[1] / 2.0,
+            "norm": np.linalg.norm(ham.even, 2)}
+
+
+def _seeded_ladders(n):
+    # resonant ladders as in the gap-scan benchmark: eps 100-300 MHz, six
+    # couplings of 4-6 MHz, the ladder's Kerr coefficients
+    rng = np.random.default_rng(2024)
+    systems = []
+    for _ in range(n):
+        w1, eps = rng.uniform(9.5, 10.5) * GHZ, rng.uniform(100.0, 300.0) * MHZ
+        omega = np.array([w1, w1 - 3 * eps, w1 - eps, w1 - 2 * eps])
+        h = np.triu(rng.uniform(4.0, 6.0, (4, 4)) * MHZ, 1)
+        spectrum = ModeSpectrum(omega=omega, kerr=_ladder().kerr)
+        systems.append((spectrum, CouplingGraph(h=h + h.T), 4))
+    return systems
+
+
+def _coupler_system():
+    spectrum = _with_coupler(_ladder(eps_ghz=0.15))
+    return spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)), 3
+
+
+def _low_frequency_system():
+    # a 2 GHz ladder coupled at 20 MHz, modes 1 and 2 moved so that the
+    # crossing sits at zero offset: the counter-rotating admixture of the
+    # zero- and four-quantum states is large enough that dropping the
+    # second-order Loewdin term would move the gaps by several tolerances
+    spectrum = ModeSpectrum(omega=np.array([2.0, 1.4, 1.8, 1.6]) * GHZ, kerr=_ladder().kerr)
+    couplings = CouplingGraph(h=_full_h(20.0 * MHZ))
+    crossing = _reference_gap_scan(spectrum, couplings, 4, 10 * MHZ)["offset_min"]
+    omega = spectrum.omega + np.array([crossing, crossing, 0.0, 0.0]) / 2.0
+    return ModeSpectrum(omega=omega, kerr=spectrum.kerr), couplings, 4
+
+
+@pytest.mark.parametrize("case", ["ladders", "with-coupler-d3", "low-frequency"])
+def test_one_eigensolve_scan_matches_per_point_dense_scan(case):
+    # a gap may move by eigh's own round-off on the full block, 4 eps |H|
+    if case == "ladders":
+        systems = _seeded_ladders(20)
+    else:
+        systems = [_coupler_system() if case == "with-coupler-d3" else _low_frequency_system()]
+    for spectrum, couplings, d in systems:
+        result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+        reference = _reference_gap_scan(spectrum, couplings, d, 3 * MHZ)
+        gaps, h_eff = reference["gaps"], reference["h_eff"]
+        tolerance = np.maximum(1e-8 * gaps, 4 * np.finfo(float).eps * reference["norm"])
+        assert np.all(abs(result["gaps"] - gaps) <= tolerance)
+        assert abs(result["h_eff"] - h_eff) <= 1e-6 * h_eff
+
+
+@pytest.mark.parametrize("case", ["kpos-d4", "with-coupler-d3"])
+def test_gap_scan_diagonalizes_the_even_block_once(monkeypatch, case):
+    if case == "kpos-d4":
+        spectrum, couplings, d = _ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)), 4
+    else:
+        spectrum, couplings, d = _coupler_system()
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        shapes.append(np.shape(matrix)[-2:])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    block = (result["dimension"],) * 2
+    assert shapes.count(block) == 1
+    # every other solve is in the two-quantum manifold: C(n + 1, 2) states
+    manifold = {"kpos-d4": 10, "with-coupler-d3": 15}[case]
+    assert result["manifold_dimension"] == manifold
+    assert set(shapes) - {block} == {(manifold, manifold)}
+    # centred on the pair's energy the bound stays near 1e-6 rad/s; about
+    # the mean of the manifold it would reach 1e-4 rad/s with the coupler
+    assert 0.0 < result["remainder_bound"] < 1e-5
+
+
+def test_gap_raises_when_remainder_bound_exceeds_tolerance(monkeypatch):
+    # the Loewdin remainder of this scan is ~1e-6 rad/s against gaps of
+    # 1e3-1e7 rad/s; demanding 1e-14 of each gap makes the scan fail loudly
+    monkeypatch.setattr(oracle, "REMAINDER_TOL", 1e-14)
+    with pytest.raises(ValueError, match="remainder bound .* exceeds 1e-14 of the gap"):
+        four_body_from_gap(_ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)),
+                           d=3, scan_halfwidth=3 * MHZ, n_scan=11)
+
+
+def test_gap_raises_when_two_quantum_manifold_not_separated():
+    # 100 MHz couplings between modes at 210-300 MHz mix two quanta with
+    # zero and four, so fewer than 10 eigenstates stay mostly in the manifold
+    spectrum = ModeSpectrum(omega=np.array([0.3, 0.21, 0.27, 0.24]) * GHZ,
+                            kerr=np.full(4, 5.0 * MHZ))
+    with pytest.raises(ValueError, match="9 eigenstates lie mostly in the 10-state two-quantum"):
+        four_body_from_gap(spectrum, CouplingGraph(h=_full_h(100.0 * MHZ)), d=4,
+                           scan_halfwidth=3 * MHZ)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
