@@ -10,11 +10,12 @@ module, and a Kerr-dressed third-order four-body estimate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum
+from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum, check_coupling_shapes
 
 DENSE_LIMIT = 2048
 OVERLAP_THRESHOLD = 0.5
@@ -40,15 +41,16 @@ def build_hamiltonian(
     """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} h_jk (a_j - a_j+)(a_k - a_k+)
     - sum_j s_j g_j (a_j - a_j+)(a_g - a_g+), counter-rotating parts kept.
 
-    Every element is placed by index lookup on the occupation table: the
-    diagonal from the single-mode diagonals of a+ a and a+ a+ a a, and each
-    two-mode term at its four (+-1, +-1) occupation offsets. Each term moves
-    its own pair of modes, so no two elements share a position. Raises
-    ValueError, before anything is allocated, when the even block would
-    exceed DENSE_LIMIT states.
+    The index structure comes from the basis of its shape (`_fock_basis`),
+    made once: the diagonal is summed from the single-mode diagonals of a+ a
+    and a+ a+ a a, and each two-mode term is one scaled scatter of its
+    element products into the two blocks. Raises ValueError when h, g or
+    the coupler mode do not match the spectrum, and, before any basis is
+    made, when the even block would exceed DENSE_LIMIT states.
     """
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
+    check_coupling_shapes(spectrum, couplings)
     n_kpo = spectrum.n_kpo
     n_modes = n_kpo + 1 if spectrum.has_coupler else n_kpo
     # the even block is the larger one, by one state when d is odd
@@ -59,72 +61,24 @@ def build_hamiltonian(
             f"above DENSE_LIMIT = {DENSE_LIMIT}; lower the truncation"
         )
 
-    omega = list(spectrum.omega)
-    kerr = list(spectrum.kerr)
-    if spectrum.has_coupler:
-        omega.append(spectrum.coupler_omega)
-        kerr.append(spectrum.coupler_kerr or 0.0)
-
-    # the diagonals are read off the operator products themselves, not
-    # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
-    adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
-    a = adag.T
-    num = np.diag(adag @ a)
-    kerr_op = np.diag(adag @ adag @ a @ a)
-    occ = _occupations(n_modes, d)
+    omega = [*spectrum.omega, spectrum.coupler_omega][:n_modes]
+    kerr = [*spectrum.kerr, spectrum.coupler_kerr or 0.0][:n_modes]
+    basis = _fock_basis(n_modes, d)
     diagonal = np.zeros(dim)
     for m in range(n_modes):
-        diagonal += omega[m] * num[occ[m]]
-        diagonal -= 0.5 * kerr[m] * kerr_op[occ[m]]
-
-    # (a - a+) lowers n by one with element +sqrt(n) and raises it by one
-    # with -sqrt(n + 1); per mode, step (-1, +1) and state: the element and
-    # whether the step stays inside the truncation
-    root = np.sqrt(np.arange(d + 1.0))
-    elements = np.stack([root[occ], -root[occ + 1]], axis=1)
-    allowed = np.stack([occ > 0, occ < d - 1], axis=1)
-    offsets = np.multiply.outer(d ** np.arange(n_modes - 1, -1, -1), [-1, 1])
-    terms = [(j, k, couplings.h[j, k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
-    if couplings.g is not None and spectrum.has_coupler:
-        terms += [(j, n_kpo, couplings.s[j] * couplings.g[j]) for j in range(n_kpo)]
-    j, k, c = np.array([term for term in terms if term[2] != 0.0]).reshape(-1, 3).T
-    j, k = j.astype(int), k.astype(int)
-
-    # every term at its four (step_j, step_k) offsets at once, on the axes
-    # (term, step of mode j, step of mode k, state)
-    states = np.arange(dim)
-    ok = allowed[j][:, :, None] & allowed[k][:, None, :]
-    shift = offsets[j][:, :, None, None] + offsets[k][:, None, :, None]
-    value = -(c[:, None, None, None] * (elements[j][:, :, None] * elements[k][:, None, :]))
-    rows = [states, (states + shift)[ok]]
-    cols = [states, np.broadcast_to(states, ok.shape)[ok]]
-    data = [diagonal, value[ok]]
-    rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
-    even, odd = _parity_blocks(rows, cols, data, n_modes, d)
-    return FockHamiltonian(n_modes=n_modes, truncation=d, even=even, odd=odd)
-
-
-def _parity_blocks(
-    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n_modes: int, d: int
-) -> list[np.ndarray]:
-    """The even and odd blocks of the matrix with elements data at (rows, cols).
-
-    Every term of H changes the total excitation number by 0 or 2, so both
-    sectors are closed. That is checked on the elements, not assumed: a
-    ValueError is raised if any links an even state to an odd one, and each
-    block must pass the Hermitian check.
-    """
-    parity, position = _parity_positions(n_modes, d)
-    if np.any(parity[rows] != parity[cols]):
-        raise ValueError("Hamiltonian couples even and odd total excitation numbers")
-    blocks = []
-    for p in (0, 1):
-        keep = parity[cols] == p
-        block = np.zeros((np.count_nonzero(parity == p),) * 2)
-        block[position[rows[keep]], position[cols[keep]]] = data[keep]
+        diagonal += omega[m] * basis.number[m]
+        diagonal -= 0.5 * kerr[m] * basis.kerr[m]
+    terms = [((j, k), couplings.h[j, k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
+    if couplings.g is not None:
+        terms += [((j, n_kpo), couplings.s[j] * couplings.g[j]) for j in range(n_kpo)]
+    blocks = [np.diag(diagonal[states]) for states in basis.block_states]
+    for modes, c in terms:
+        if c != 0.0:
+            for block, (flat, product) in zip(blocks, basis.steps[modes]):
+                block.ravel()[flat] = -(c * product)  # a view: np.diag returns a contiguous array
+    for block in blocks:
         _check_hermitian(block)
-        blocks.append(block)
-    return blocks
+    return FockHamiltonian(n_modes=n_modes, truncation=d, even=blocks[0], odd=blocks[1])
 
 
 def _check_hermitian(matrix: np.ndarray) -> None:
@@ -133,23 +87,77 @@ def _check_hermitian(matrix: np.ndarray) -> None:
         raise ValueError("assembled Hamiltonian is not Hermitian")
 
 
-def _occupations(n_modes: int, d: int) -> np.ndarray:
-    """Occupation number of each mode (rows) in each basis state (columns)."""
-    return np.indices((d,) * n_modes).reshape(n_modes, -1)
+@dataclass(frozen=True)
+class _FockBasis:
+    """Index structure of the d**n_modes Fock space in lexicographic order;
+    it depends on no frequency or coupling. Every array is read-only."""
+
+    occupations: np.ndarray  # (n_modes, d**n_modes)
+    block_states: tuple      # the states of even, then of odd total excitation number
+    position: np.ndarray     # each state's index within the block of its parity
+    pair: np.ndarray         # even-block indices of |1100>, |0011>; empty below 4 modes
+    number: np.ndarray       # (n_modes, d**n_modes), the diagonal of a+ a per mode
+    kerr: np.ndarray         # likewise of a+ a+ a a
+    steps: dict              # (j, k) -> per block: flat positions and element products
 
 
-def _parity_positions(n_modes: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Total-excitation parity of each basis state (0 even, 1 odd) and the
-    state's index within the block of its parity."""
-    parity = _occupations(n_modes, d).sum(axis=0) % 2
-    return parity, np.where(parity, np.cumsum(parity), np.cumsum(1 - parity)) - 1
-
-
-def _pair_index(n_modes: int, d: int) -> np.ndarray:
-    """Even-block indices of |1100> and |0011>, any coupler in its ground state."""
+@functools.lru_cache(maxsize=8)
+def _fock_basis(n_modes: int, d: int) -> _FockBasis:
+    """The basis of the d**n_modes space, made once per shape. Each term of H
+    keeps the parity of the total excitation number and moves its own pair
+    of modes; ValueError if an element links the parities or two share a position."""
+    occ = np.indices((d,) * n_modes).reshape(n_modes, -1)
+    parity = occ.sum(axis=0) % 2
+    position = np.where(parity, np.cumsum(parity), np.cumsum(1 - parity)) - 1
+    block_states = tuple(np.flatnonzero(parity == p) for p in (0, 1))
+    elements = _pair_elements(occ, d)
+    rows, cols = (np.concatenate([np.arange(d**n_modes)] + [e[i] for e in elements.values()])
+                  for i in (0, 1))
+    if np.any(parity[rows] != parity[cols]):
+        raise ValueError("Hamiltonian couples even and odd total excitation numbers")
+    if not np.all(np.diff(np.sort(rows * d**n_modes + cols))):
+        raise ValueError("two Hamiltonian elements share a position")
+    steps = {}
+    for modes, (r, c, product) in elements.items():
+        keep = [parity[c] == p for p in (0, 1)]
+        steps[modes] = tuple((len(block_states[p]) * position[r[keep[p]]] + position[c[keep[p]]],
+                             product[keep[p]]) for p in (0, 1))
     pad = (0,) * (n_modes - 4)
-    pair = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
-    return _parity_positions(n_modes, d)[1][np.ravel_multi_index(pair, (d,) * n_modes)]
+    bare = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
+    pair = position[np.ravel_multi_index(bare, (d,) * n_modes) if n_modes >= 4 else []]
+    # the diagonals are read off the operator products themselves, not
+    # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
+    adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
+    a = adag.T
+    basis = _FockBasis(occ, block_states, position, pair, np.diag(adag @ a)[occ],
+                       np.diag(adag @ adag @ a @ a)[occ], steps)
+    for array in (occ, position, pair, basis.number, basis.kerr, *block_states,
+                  *(x for blocks in steps.values() for block in blocks for x in block)):
+        array.flags.writeable = False
+    return basis
+
+
+def _pair_elements(occ: np.ndarray, d: int) -> dict:
+    """Rows, columns and elements of (a_j - a_j+)(a_k - a_k+) in the full
+    space, for every mode pair j < k, over its four (+-1, +-1) steps."""
+    n_modes, dim = occ.shape
+    # (a - a+) lowers n by one with element +sqrt(n) and raises it by one
+    # with -sqrt(n + 1); per mode, step (-1, +1) and state: the element and
+    # whether the step stays inside the truncation
+    root = np.sqrt(np.arange(d + 1.0))
+    elements = np.stack([root[occ], -root[occ + 1]], axis=1)
+    allowed = np.stack([occ > 0, occ < d - 1], axis=1)
+    offsets = np.multiply.outer(d ** np.arange(n_modes - 1, -1, -1), [-1, 1])
+    states = np.arange(dim)
+    out = {}
+    for j in range(n_modes):
+        for k in range(j + 1, n_modes):
+            # on the axes (step of mode j, step of mode k, state)
+            ok = allowed[j][:, None] & allowed[k][None, :]
+            shift = offsets[j][:, None, None] + offsets[k][None, :, None]
+            product = elements[j][:, None] * elements[k][None, :]
+            out[j, k] = ((states + shift)[ok], np.broadcast_to(states, ok.shape)[ok], product[ok])
+    return out
 
 
 def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
@@ -158,7 +166,7 @@ def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     excitations from the odd one, each identified by maximum bare-basis overlap."""
     n, d = h.n_modes, h.truncation
     # basis state 0 opens the even block; column m of the identity excites mode m
-    singles = _parity_positions(n, d)[1][np.ravel_multi_index(np.eye(n, dtype=int), (d,) * n)]
+    singles = _fock_basis(n, d).position[np.ravel_multi_index(np.eye(n, dtype=int), (d,) * n)]
     energies, held = [], []
     for block, bare in ((h.even, [0]), (h.odd, singles)):
         vals, vecs = np.linalg.eigh(block)
@@ -208,7 +216,8 @@ def four_body_from_gap(
     Returns the scan trace, the refined minimum and |h_eff|, with the size
     of the diagonalized block (`dimension`), the size of P
     (`manifold_dimension`), the largest remainder bound over the scan and
-    the refinement (`remainder_bound`, rad/s) and `pair_weight`: the
+    the refinement (`remainder_bound`, rad/s), the eigensolve's round-off
+    dimension * eps * max|Lambda| (`roundoff`, rad/s) and `pair_weight`: the
     smallest weight, over the same points, that the two chosen
     eigenstates hold on {|1100>, |0011>} (at most 2). Raises ValueError
     when that weight falls below 2 * OVERLAP_THRESHOLD, where the pair is no
@@ -225,10 +234,11 @@ def four_body_from_gap(
         raise ValueError(f"gap scan needs at least 3 points, got {n_scan}")
 
     ham = build_hamiltonian(spectrum, couplings, d)
-    occ = _occupations(ham.n_modes, d)
-    occ = occ[:, occ.sum(axis=0) % 2 == 0]
+    basis = _fock_basis(ham.n_modes, d)
+    occ = basis.occupations[:, basis.block_states[0]]
     half_pair_number = 0.5 * occ[:2].sum(axis=0)
     levels, vecs = np.linalg.eigh(ham.even)
+    roundoff = len(levels) * np.finfo(float).eps * abs(levels).max()
     # P: the eigenstates mostly on two total quanta, as |1100> and |0011> are
     two_quanta = occ.sum(axis=0) == 2
     in_p = (vecs[two_quanta] ** 2).sum(axis=0) > 0.5
@@ -239,9 +249,10 @@ def four_body_from_gap(
             "it is not separated from the rest of the spectrum"
         )
     model, rest = np.flatnonzero(in_p), np.flatnonzero(~in_p)
-    rotated = vecs.T @ (half_pair_number[:, None] * vecs)
-    d_pp, d_pq = rotated[np.ix_(model, model)], rotated[np.ix_(model, rest)]
-    amplitudes = vecs[np.ix_(_pair_index(ham.n_modes, d), model)]
+    # only the P rows of Dt are needed
+    rotated = vecs[:, model].T @ (half_pair_number[:, None] * vecs)
+    d_pp, d_pq = rotated[:, model], rotated[:, rest]
+    amplitudes = vecs[np.ix_(basis.pair, model)]
     # the resolvent is taken at the pair's own energy, not the manifold's
     # mean, so |theta - E| and with it the remainder stay small
     energy = float(np.sum(amplitudes**2 * levels[model]) / np.sum(amplitudes**2))
@@ -281,7 +292,8 @@ def four_body_from_gap(
             i = loose[0]
             raise ValueError(
                 f"Loewdin remainder bound {bound[i]:.3g} rad/s at offset {deltas[i]:.6g} rad/s "
-                f"exceeds {REMAINDER_TOL:g} of the gap {gaps[i]:.6g} rad/s"
+                f"exceeds {REMAINDER_TOL:g} of the gap {gaps[i]:.6g} rad/s "
+                f"(eigh round-off {roundoff:.3g} rad/s)"
             )
         pair_weights.append(weight.min())
         bounds.append(bound.max())
@@ -324,6 +336,7 @@ def four_body_from_gap(
         "h_eff": g[1] / 2.0,
         "pair_weight": float(min(pair_weights)),
         "remainder_bound": float(max(bounds)),
+        "roundoff": float(roundoff),
         "manifold_dimension": len(model),
         "dimension": len(ham.even),
     }
@@ -353,7 +366,7 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
     ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION)
-    a, b = _pair_index(ham.n_modes, ham.truncation)
+    a, b = _fock_basis(ham.n_modes, ham.truncation).pair
     v = ham.even
     energies = v.diagonal().copy()
     np.fill_diagonal(v, 0.0)

@@ -192,22 +192,29 @@ def mixing_from_frequencies(h: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return h_tilde
 
 
+def check_coupling_shapes(spectrum: ModeSpectrum, couplings: CouplingGraph) -> None:
+    """ValueError unless h and g fit the spectrum's KPOs and g has a coupler mode to couple to."""
+    n = spectrum.n_kpo
+    if couplings.h.shape != (n, n):
+        raise ValueError(f"h has shape {couplings.h.shape}, expected ({n}, {n}) for {n} KPOs")
+    if couplings.g is not None:
+        if couplings.g.shape != (n,):
+            raise ValueError(f"g has shape {couplings.g.shape}, expected ({n},) for {n} KPOs")
+        if not spectrum.has_coupler:
+            raise ValueError("coupler couplings given but spectrum has no coupler mode")
+
+
 def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoefficients:
     """First-order mixing ratios for every nonzero coupling.
 
     Raises DegenerateModesError when a coupled pair is exactly degenerate.
     Warns when any ratio exceeds the perturbative-validity threshold.
     """
+    check_coupling_shapes(spectrum, couplings)
     n = spectrum.n_kpo
-    if couplings.h.shape != (n, n):
-        raise ValueError(f"h has shape {couplings.h.shape}, expected ({n}, {n}) for {n} KPOs")
-    if couplings.g is not None and couplings.g.shape != (n,):
-        raise ValueError(f"g has shape {couplings.g.shape}, expected ({n},) for {n} KPOs")
     h_tilde = mixing_from_frequencies(couplings.h, spectrum.omega)
     g_tilde = None
     if couplings.g is not None:
-        if not spectrum.has_coupler:
-            raise ValueError("coupler couplings given but spectrum has no coupler mode")
         g_tilde = np.zeros(n)
         for j in range(n):
             if couplings.g[j] == 0.0:

@@ -1,5 +1,7 @@
 """Truncated-Fock-space diagonalization checks."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -65,24 +67,43 @@ def test_hamiltonian_is_hermitian_sparse():
     assert np.count_nonzero(asym) == 0 or abs(asym).max() < 1e-9
 
 
-def _inject(monkeypatch, row, col):
-    """Make build_hamiltonian place one extra 1 MHz element at (row, col)."""
-    split = oracle._parity_blocks
+@pytest.fixture
+def fresh_basis():
+    """No basis made before the test is used in it, and none made in it outlives it."""
+    make = oracle._fock_basis
+    make.cache_clear()
+    yield make
+    make.cache_clear()
 
-    def faulty(rows, cols, data, n_modes, d):
-        return split(np.append(rows, row), np.append(cols, col),
-                     np.append(data, 1.0 * MHZ), n_modes, d)
 
-    monkeypatch.setattr(oracle, "_parity_blocks", faulty)
+@pytest.fixture
+def inject(monkeypatch, fresh_basis):
+    """inject(row, col) makes every basis made after it carry one extra
+    element of product 1 at (row, col), as part of the coupling of modes
+    0 and 1, and drops the bases made before it."""
+
+    def place(row, col):
+        elements = oracle._pair_elements
+
+        def faulty(occ, d):
+            out = elements(occ, d)
+            rows, cols, products = out[0, 1]
+            out[0, 1] = (np.append(rows, row), np.append(cols, col), np.append(products, 1.0))
+            return out
+
+        monkeypatch.setattr(oracle, "_pair_elements", faulty)
+        fresh_basis.cache_clear()
+
+    return place
 
 
 @pytest.mark.parametrize("element", [(0, 2), (1, 7)], ids=["even", "odd"])
-def test_hermitian_check_raises_on_an_injected_fault(monkeypatch, element):
+def test_hermitian_check_raises_on_an_injected_fault(inject, element):
     # |0000> and |0002> are even, |0001> and |0021> odd; no term links
     # either pair, so one element there leaves its block asymmetric
     spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
     build_hamiltonian(spectrum, couplings, d=3)
-    _inject(monkeypatch, *element)
+    inject(*element)
     with pytest.raises(ValueError, match="not Hermitian"):
         build_hamiltonian(spectrum, couplings, d=3)
 
@@ -216,12 +237,13 @@ def test_gap_scan_unchanged_by_direct_assembly(monkeypatch, coupler):
     assert direct["h_eff"] == reference["h_eff"]
 
 
-def test_truncation_and_dimension_guards(monkeypatch):
+def test_truncation_and_dimension_guards(monkeypatch, fresh_basis):
     spectrum = _ladder()
+    # the truncation and the block sizes are checked before any basis, and
+    # with it the occupation table, is made
+    monkeypatch.setattr(oracle, "_fock_basis", None)
     with pytest.raises(ValueError, match="at least 3"):
         build_hamiltonian(spectrum, CouplingGraph(h=np.zeros((4, 4))), d=2)
-    # the block sizes are checked before the occupation table is built
-    monkeypatch.setattr(oracle, "_occupations", None)
     for d, states in ((9, 3281), (40, 1280000)):
         with pytest.raises(ValueError, match=f"holds {states} states, above DENSE_LIMIT = 2048"):
             build_hamiltonian(spectrum, CouplingGraph(h=np.zeros((4, 4))), d=d)
@@ -413,21 +435,91 @@ def test_parabolic_refinement_matches_bounded_brent(case):
     assert result["h_eff"] == pytest.approx(brent.fun / 2.0, rel=1e-5)
 
 
-def test_gap_rejects_hamiltonian_mixing_parity(monkeypatch):
+def test_gap_rejects_hamiltonian_mixing_parity(inject):
     # one element linking |0000> (even) and |1000> (odd)
-    _inject(monkeypatch, 0, 27)
+    inject(0, 27)
     with pytest.raises(ValueError, match="even and odd"):
         four_body_from_gap(_ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3,
                            scan_halfwidth=3 * MHZ, n_scan=11)
 
 
 @pytest.mark.parametrize("element", [(0, 27), (27, 0)], ids=["even-odd", "odd-even"])
-def test_build_rejects_either_parity_block(monkeypatch, element):
+def test_build_rejects_either_parity_block(inject, element):
     # without the check the element would land in one block and fail the
     # Hermitian check instead
-    _inject(monkeypatch, *element)
+    inject(*element)
     with pytest.raises(ValueError, match="even and odd"):
         build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3)
+
+
+def test_build_rejects_two_elements_at_one_position(inject):
+    # (0, 36) = (|0000>, |1100>) already holds the coupling of modes 0 and
+    # 1; a second element of the same value there would be lost unseen
+    inject(0, 36)
+    with pytest.raises(ValueError, match="share a position"):
+        build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3)
+
+
+def test_basis_arrays_are_read_only(fresh_basis):
+    basis = fresh_basis(5, 3)
+    assert len(basis.steps) == 10
+    arrays = [basis.occupations, basis.position, basis.pair, basis.number, basis.kerr,
+              *basis.block_states,
+              *(x for blocks in basis.steps.values() for block in blocks for x in block)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_builds_on_a_cached_basis_match_cold_builds(fresh_basis):
+    # couplings A, then B, then A again on one basis, against each built
+    # on a freshly made basis
+    rng = np.random.default_rng(5)
+    spectrum = _with_coupler(_ladder())
+    graphs = [CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)),
+              CouplingGraph(h=_random_couplings(rng, [(0, 2)]), g=rng.uniform(10.0, 90.0, 4) * MHZ)]
+    cold = []
+    for couplings in graphs:
+        fresh_basis.cache_clear()
+        cold.append(build_hamiltonian(spectrum, couplings, d=3))
+    fresh_basis.cache_clear()
+    warm = [build_hamiltonian(spectrum, couplings, d=3) for couplings in graphs + graphs[:1]]
+    assert fresh_basis.cache_info().misses == 1
+    for ham, reference in zip(warm, cold + cold[:1]):
+        _assert_same_bits(ham.even, reference.even)
+        _assert_same_bits(ham.odd, reference.odd)
+
+
+def test_scan_and_estimate_make_one_basis_per_shape(fresh_basis):
+    # as one gap-scan benchmark task: the d = 4 scan and the d = 3 estimate
+    spectrum, couplings = _ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ))
+    four_body_from_gap(spectrum, couplings, d=4, scan_halfwidth=3 * MHZ)
+    four_body_kerr_dressed(spectrum, couplings)
+    info = fresh_basis.cache_info()
+    assert info.misses == info.currsize == 2
+
+
+@pytest.mark.parametrize(
+    "coupler, couplings, message",
+    [
+        (False, CouplingGraph(h=_full_h(5.0 * MHZ, n=3)),
+         r"h has shape \(3, 3\), expected \(4, 4\) for 4 KPOs"),
+        (False, CouplingGraph(h=_full_h(5.0 * MHZ, n=5)),
+         r"h has shape \(5, 5\), expected \(4, 4\) for 4 KPOs"),
+        (True, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(3, 20.0 * MHZ), s=np.ones(3)),
+         r"g has shape \(3,\), expected \(4,\) for 4 KPOs"),
+        (False, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)),
+         "coupler couplings given but spectrum has no coupler mode"),
+    ],
+    ids=["h-3x3", "h-5x5", "g-length-3", "g-without-coupler"],
+)
+def test_build_rejects_couplings_that_do_not_fit_the_spectrum(coupler, couplings, message):
+    # each is refused as sw_mixing refuses it, by the estimate too
+    spectrum = _with_coupler(_ladder()) if coupler else _ladder()
+    with pytest.raises(ValueError, match=message):
+        build_hamiltonian(spectrum, couplings, d=3)
+    with pytest.raises(ValueError, match=message):
+        four_body_kerr_dressed(spectrum, couplings)
 
 
 def test_gap_raises_when_pair_not_identified(monkeypatch):
@@ -445,9 +537,9 @@ def _reference_gap_scan(spectrum, couplings, d, scan_halfwidth, n_scan=41):
     the scan offsets, the refined minimum and |h_eff|, and the spectral
     norm of the unshifted block."""
     ham = build_hamiltonian(spectrum, couplings, d)
-    occ = oracle._occupations(ham.n_modes, d)
-    half_pair_number = 0.5 * occ[:2, occ.sum(axis=0) % 2 == 0].sum(axis=0)
-    pair = oracle._pair_index(ham.n_modes, d)
+    basis = oracle._fock_basis(ham.n_modes, d)
+    half_pair_number = 0.5 * basis.occupations[:2, basis.block_states[0]].sum(axis=0)
+    pair = basis.pair
 
     def gap(delta):
         vals, vecs = np.linalg.eigh(ham.even + np.diag(delta * half_pair_number))
@@ -559,6 +651,18 @@ def test_gap_raises_when_remainder_bound_exceeds_tolerance(monkeypatch):
     with pytest.raises(ValueError, match="remainder bound .* exceeds 1e-14 of the gap"):
         four_body_from_gap(_ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)),
                            d=3, scan_halfwidth=3 * MHZ, n_scan=11)
+
+
+def test_gap_scan_records_its_roundoff_and_names_it_when_refused(monkeypatch):
+    spectrum, couplings = _ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ))
+    kwargs = dict(d=3, scan_halfwidth=3 * MHZ, n_scan=11)
+    roundoff = four_body_from_gap(spectrum, couplings, **kwargs)["roundoff"]
+    levels = np.linalg.eigvalsh(build_hamiltonian(spectrum, couplings, d=3).even)
+    assert roundoff == pytest.approx(len(levels) * np.finfo(float).eps * abs(levels).max(),
+                                     rel=1e-12)
+    monkeypatch.setattr(oracle, "REMAINDER_TOL", 1e-14)
+    with pytest.raises(ValueError, match=re.escape(f"(eigh round-off {roundoff:.3g} rad/s)")):
+        four_body_from_gap(spectrum, couplings, **kwargs)
 
 
 def test_gap_raises_when_two_quantum_manifold_not_separated():
