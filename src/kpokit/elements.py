@@ -68,8 +68,10 @@ class Snail:
             raise ValueError(f"critical current must be positive and finite, got {self.i0}")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must satisfy 0 < gamma < 1")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError("n must be a positive integer")
+        if not 1 <= self.n < math.inf or int(self.n) != self.n:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if not -math.inf < self.phi_x < math.inf:
+            raise ValueError(f"external flux phase must be finite, got {self.phi_x}")
 
 
 JunctionElement = Squid | SingleJunction | SeriesStack | Snail
@@ -99,8 +101,10 @@ class ModeParams:
     kerr: float   # rad/s, signed
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("resonance frequency must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"resonance frequency must be positive and finite, got {self.omega}")
+        if not -math.inf < self.kerr < math.inf:
+            raise ValueError(f"Kerr coefficient must be finite, got {self.kerr}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,15 @@ class LinearFit:
 # SQUID / junction resonators
 # --------------------------------------------------------------------------
 
+def _check_resonator(c: float, l_geom: float) -> None:
+    """Refuse a capacitance that is not positive and finite, and a geometric
+    inductance that is negative or not finite (as `Branch.l_series` does)."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"capacitance must be positive and finite, got {c}")
+    if not 0 <= l_geom < math.inf:
+        raise ValueError(f"geometric inductance must be non-negative and finite, got {l_geom}")
+
+
 def kpo_mode_params(c_eff: float, l_geom: float, element: JunctionElement) -> ModeParams:
     """Frequency and Kerr of a junction resonator.
 
@@ -133,8 +146,7 @@ def kpo_mode_params(c_eff: float, l_geom: float, element: JunctionElement) -> Mo
     i.e. each junction's inductance enters cubed in the numerator.
     SNAILs are handled by `snail_mode_params` instead.
     """
-    if c_eff <= 0:
-        raise ValueError("effective capacitance must be positive")
+    _check_resonator(c_eff, l_geom)
     if isinstance(element, Snail):
         raise TypeError("use snail_mode_params for SNAIL elements")
     l_js = junction_inductances(element)
@@ -190,9 +202,10 @@ def snail_equilibrium_phase(element: Snail) -> float:
     The flux is swept from 0 to phi_X in steps of about 0.05 rad (at least
     8). Each step is predicted along the tangent
     dphi/dphi_X = -(dI/dphi_X)/(dI/dphi) at the previous root and corrected
-    by Newton steps (`_continued_root`). When the correction cannot be shown
-    to have found the root nearest the previous one, that root is bracketed
-    on a 1e-3 rad grid instead (`_nearest_root`).
+    by Newton steps (`_continued_root`), all on plain floats. When the
+    correction cannot be shown to have found the root nearest the previous
+    one, that root is bracketed on a 1e-3 rad grid instead (`_nearest_root`),
+    on a `Snail` built for that flux step alone.
     """
     target = element.phi_x
     if target == 0.0:
@@ -202,45 +215,51 @@ def snail_equilibrium_phase(element: Snail) -> float:
     gamma, n = element.gamma, element.n
     phi_bar = 0.0
     for previous_flux, flux in zip(fluxes, fluxes[1:]):
-        snapshot = Snail(element.i0, gamma, n, flux)
         # pull = -dI/dphi_X and slope = dI/dphi at the previous root
         pull = math.cos((previous_flux - phi_bar) / n) / n
         slope = gamma * math.cos(phi_bar) + pull
         root = None
         if slope > 0.0:
             predicted = phi_bar + pull / slope * (flux - previous_flux)
-            root = _continued_root(snapshot, phi_bar, predicted)
-        phi_bar = _nearest_root(snapshot, phi_bar, 1e-3) if root is None else root
+            root = _continued_root(gamma, n, flux, phi_bar, predicted)
+        if root is None:
+            root = _nearest_root(Snail(element.i0, gamma, n, flux), phi_bar, 1e-3)
+        phi_bar = root
     residual = abs(snail_current(phi_bar, element))
     if residual >= 1e-10:
         raise RuntimeError(f"equilibrium residual {residual:.3e} exceeds 1e-10")
     return float(phi_bar)
 
 
-def _continued_root(element: Snail, previous: float, predicted: float) -> float | None:
+def _continued_root(
+    gamma: float, n: int, phi_x: float, previous: float, predicted: float
+) -> float | None:
     """Newton's root from `predicted` if it is provably the root nearest `previous`.
 
-    Scalar Newton steps on snail_current stop once a step is at most 1e-13
-    rad, as in `_refine_root`. The root x is accepted when the slope there
-    exceeds 2|x - previous|(gamma + 1/n^2): |d^2I/dphi^2| <= gamma + 1/n^2,
-    so the current then rises monotonically across the whole interval
-    within |x - previous| of `previous`, and x is the only root in it.
-    None is returned when the slope is not positive, Newton takes more than
-    20 steps, or the test fails.
+    The SNAIL is given by its ratio `gamma`, junction count `n` and flux
+    `phi_x`. Scalar Newton steps on the current
+    gamma*sin(x) - sin((phi_x - x)/n), with `math`'s sin and cos, stop once
+    a step is at most 1e-13 rad, as in `_refine_root`. The root x is
+    accepted when the slope there exceeds 2|x - previous|(gamma + 1/n^2):
+    |d^2I/dphi^2| <= gamma + 1/n^2, so the current then rises monotonically
+    across the whole interval within |x - previous| of `previous`, and x is
+    the only root in it. None is returned when the slope is not positive,
+    Newton takes more than 20 steps, or the test fails.
     """
     x = predicted
     for _ in range(20):
-        slope = snail_current_slope(x, element)
+        arg = (phi_x - x) / n
+        slope = gamma * math.cos(x) + math.cos(arg) / n
         if not slope > 0.0:
             return None
-        step = float(snail_current(x, element)) / slope
+        step = (gamma * math.sin(x) - math.sin(arg)) / slope
         x -= step
         if abs(step) <= 1e-13:
             break
     else:
         return None
-    bound = 2.0 * abs(x - previous) * (element.gamma + 1.0 / element.n**2)
-    return x if snail_current_slope(x, element) > bound else None
+    bound = 2.0 * abs(x - previous) * (gamma + 1.0 / n**2)
+    return x if gamma * math.cos(x) + math.cos((phi_x - x) / n) / n > bound else None
 
 
 def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
@@ -318,8 +337,7 @@ def snail_expansion(element: Snail, phi_bar: float, l_geom: float = 0.0) -> Snai
 
 def snail_mode_params(c: float, l_geom: float, element: Snail) -> ModeParams:
     """Frequency and (signed) Kerr of a SNAIL resonator at its operating flux."""
-    if c <= 0:
-        raise ValueError("capacitance must be positive")
+    _check_resonator(c, l_geom)
     phi_bar = snail_equilibrium_phase(element)
     exp = snail_expansion(element, phi_bar, l_geom)
     p = exp.participation

@@ -455,6 +455,17 @@ def test_snail_sweep_output(capsys):
     assert any("fit: slope" in l for l in out.splitlines() if l.startswith("#"))
 
 
+@pytest.mark.parametrize("l_ph, shown", [("-150", "-1.5e-10"), ("-5000", "-5e-09")],
+                         ids=["small", "past-the-junction"])
+def test_snail_rejects_a_negative_inductance(capsys, l_ph, shown):
+    # before, -150 pH printed a table and -5000 pH ended in a math domain error
+    code, out, err = _run(capsys, ["snail", "--l-ph", l_ph])
+    assert code == 2
+    assert out == ""
+    assert err == (f"{ERROR_PREFIX}: geometric inductance must be non-negative and finite, "
+                   f"got {shown}\n")
+
+
 def test_pump_plan_no_violations(capsys):
     code, out, _ = _run(capsys, ["pump-plan", "--rows", "4"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Junction-resonator frequencies, Kerr nonlinearities, and SNAIL expansion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,12 +315,96 @@ def test_continuation_matches_flux_stepper_on_grid_cases():
     assert sum(isinstance(_flux_stepper(e), str) for e in GRID_CASES) >= 10
 
 
-def test_continuation_matches_flux_stepper_on_seeded_sweep():
+def _seeded_sweep_cases():
     # the design range: gamma 0.05-0.45, n 2-3, flux 0-0.49 turns
     rng = np.random.default_rng(1717)
-    cases = [Snail(i0=1e-6, gamma=rng.uniform(0.05, 0.45), n=int(rng.integers(2, 4)),
-                   phi_x=2 * math.pi * rng.uniform(0.0, 0.49)) for _ in range(200)]
-    _assert_continuation_matches_flux_stepper(cases)
+    return [Snail(i0=1e-6, gamma=rng.uniform(0.05, 0.45), n=int(rng.integers(2, 4)),
+                  phi_x=2 * math.pi * rng.uniform(0.0, 0.49)) for _ in range(200)]
+
+
+def test_continuation_matches_flux_stepper_on_seeded_sweep():
+    _assert_continuation_matches_flux_stepper(_seeded_sweep_cases())
+
+
+def _reference_continued_root(element, previous, predicted):
+    """`_continued_root` as first written: on a `Snail`, through the public
+    snail_current (NumPy's sin) and snail_current_slope."""
+    x = predicted
+    for _ in range(20):
+        slope = elements.snail_current_slope(x, element)
+        if not slope > 0.0:
+            return None
+        step = float(snail_current(x, element)) / slope
+        x -= step
+        if abs(step) <= 1e-13:
+            break
+    else:
+        return None
+    bound = 2.0 * abs(x - previous) * (element.gamma + 1.0 / element.n**2)
+    return x if elements.snail_current_slope(x, element) > bound else None
+
+
+def _reference_continuation(element):
+    """snail_equilibrium_phase as first written, with a `Snail` built for
+    every flux step; the equilibrium, or the error message."""
+    target = element.phi_x
+    if target == 0.0:
+        return 0.0
+    n_steps = max(8, int(abs(target) / 0.05))
+    fluxes = np.linspace(0.0, target, n_steps + 1).tolist()
+    gamma, n = element.gamma, element.n
+    phi_bar = 0.0
+    try:
+        for previous_flux, flux in zip(fluxes, fluxes[1:]):
+            snapshot = Snail(element.i0, gamma, n, flux)
+            pull = math.cos((previous_flux - phi_bar) / n) / n
+            slope = gamma * math.cos(phi_bar) + pull
+            root = None
+            if slope > 0.0:
+                predicted = phi_bar + pull / slope * (flux - previous_flux)
+                root = _reference_continued_root(snapshot, phi_bar, predicted)
+            phi_bar = elements._nearest_root(snapshot, phi_bar, 1e-3) if root is None else root
+    except RuntimeError as exc:
+        return str(exc)
+    residual = abs(snail_current(phi_bar, element))
+    if residual >= 1e-10:
+        return f"equilibrium residual {residual:.3e} exceeds 1e-10"
+    return float(phi_bar)
+
+
+def test_scalar_continuation_matches_the_snail_per_step_loop_bit_for_bit():
+    # math.sin and NumPy's sin must agree to the bit on this platform for
+    # this to hold; CI prints the NumPy runtime so a failure can be placed
+    cases = GRID_CASES + DESIGN_FLUX_CASES + _seeded_sweep_cases()
+    ours = [_equilibrium_or_error(e) for e in cases]
+    theirs = [_reference_continuation(e) for e in cases]
+    # equilibria bit for bit, error messages word for word
+    assert ours == theirs
+    assert sum(isinstance(r, str) for r in theirs) >= 10
+
+
+def test_snail_is_built_only_for_the_bracket_search(monkeypatch):
+    built, searched = [], []
+    nearest_root = elements._nearest_root
+
+    class CountingSnail(Snail):
+        def __post_init__(self):
+            built.append(self.phi_x)
+            super().__post_init__()
+
+    def counting(snapshot, guess, grid_step):
+        searched.append(snapshot.phi_x)
+        return nearest_root(snapshot, guess, grid_step)
+
+    monkeypatch.setattr(elements, "Snail", CountingSnail)
+    monkeypatch.setattr(elements, "_nearest_root", counting)
+    for element in DESIGN_FLUX_CASES:
+        snail_equilibrium_phase(element)
+    assert built == searched == []
+    # the fallback case of test_continuation_falls_back_to_the_bracket_search
+    snail_equilibrium_phase(Snail(i0=1e-6, gamma=0.9, n=1, phi_x=2 * math.pi * 0.6))
+    assert len(built) == len(searched) > 0
+    assert built == searched
 
 
 def test_continuation_falls_back_to_the_bracket_search(monkeypatch):
@@ -344,17 +429,17 @@ def test_continuation_falls_back_to_the_bracket_search(monkeypatch):
 
 
 def test_continued_root_rejects_a_root_it_cannot_prove_nearest():
-    element = Snail(**DESIGN_SNAIL, phi_x=0.0)
+    gamma, n = DESIGN_SNAIL["gamma"], DESIGN_SNAIL["n"]
     # Newton reaches the root at phi = 0 from both predictions; it is
     # accepted from a previous root 0.5 rad away (slope 0.8 > 2 * 0.5 *
     # 0.55) and refused from one 0.8 rad away (0.8 < 2 * 0.8 * 0.55)
-    assert elements._continued_root(element, 0.5, 0.05) == pytest.approx(0.0, abs=1e-15)
-    assert elements._continued_root(element, 0.8, 0.05) is None
+    assert elements._continued_root(gamma, n, 0.0, 0.5, 0.05) == pytest.approx(0.0, abs=1e-15)
+    assert elements._continued_root(gamma, n, 0.0, 0.8, 0.05) is None
     # a prediction where the slope is negative (here a potential maximum)
     # is refused outright
     element = Snail(i0=1e-6, gamma=0.9, n=1, phi_x=0.0)
     assert elements.snail_current_slope(math.pi, element) < 0
-    assert elements._continued_root(element, math.pi, math.pi) is None
+    assert elements._continued_root(0.9, 1, 0.0, math.pi, math.pi) is None
 
 
 def test_narrow_first_root_search_matches_full_window():
@@ -451,3 +536,52 @@ def test_snail_invariants_enforced():
         Snail(i0=-1e-6, gamma=0.3)
     with pytest.raises(ValueError):
         Snail(i0=1e-6, gamma=0.3, n=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("phi_x", math.nan, "external flux phase must be finite"),
+    ("phi_x", math.inf, "external flux phase must be finite"),
+    ("phi_x", -math.inf, "external flux phase must be finite"),
+    ("n", math.nan, "n must be a positive integer"),
+    ("n", math.inf, "n must be a positive integer"),
+])
+def test_snail_refuses_non_finite_flux_and_junction_count(field, value, message):
+    # before, a nan flux failed converting the step count, and an infinite
+    # flux or n raised OverflowError
+    with pytest.raises(ValueError, match=message):
+        Snail(i0=1e-6, gamma=0.3, **{field: value})
+
+
+@pytest.mark.parametrize("omega, kerr, message", [
+    (math.nan, 1.0, "resonance frequency"),
+    (math.inf, 1.0, "resonance frequency"),
+    (0.0, 1.0, "resonance frequency"),
+    (1e10, math.nan, "Kerr coefficient"),
+    (1e10, -math.inf, "Kerr coefficient"),
+])
+def test_mode_params_refuse_non_finite_values(omega, kerr, message):
+    from kpokit.elements import ModeParams
+
+    with pytest.raises(ValueError, match=message):
+        ModeParams(omega=omega, kerr=kerr)
+
+
+SNAIL_AT_047 = Snail(**DESIGN_SNAIL, phi_x=2 * math.pi * 0.47)
+
+
+@pytest.mark.parametrize("mode_params, element", [
+    (kpo_mode_params, SingleJunction(1e-6)),
+    (snail_mode_params, SNAIL_AT_047),
+], ids=["kpo", "snail"])
+@pytest.mark.parametrize("c, l_geom, message", [
+    (math.nan, 100e-12, "capacitance must be positive and finite, got nan"),
+    (math.inf, 100e-12, "capacitance must be positive and finite, got inf"),
+    (-1e-15, 100e-12, "capacitance must be positive and finite"),
+    (200e-15, math.nan, "geometric inductance must be non-negative and finite, got nan"),
+    (200e-15, math.inf, "geometric inductance must be non-negative and finite, got inf"),
+    (200e-15, -150e-12, "geometric inductance must be non-negative and finite, got -1.5e-10"),
+])
+def test_mode_params_refuse_bad_capacitance_and_inductance(mode_params, element, c, l_geom,
+                                                           message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mode_params(c, l_geom, element)
