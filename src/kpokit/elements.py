@@ -14,6 +14,8 @@ import numpy as np
 
 from .constants import E_CHARGE, HBAR, PHI0_REDUCED
 
+_MAX_FLUX = 5000.0  # rad, |phi_x| of snail_equilibrium_phase: 10**5 steps of 0.05 rad
+
 
 # --------------------------------------------------------------------------
 # element variants
@@ -205,11 +207,18 @@ def snail_equilibrium_phase(element: Snail) -> float:
     by Newton steps (`_continued_root`), all on plain floats. When the
     correction cannot be shown to have found the root nearest the previous
     one, that root is bracketed on a 1e-3 rad grid instead (`_nearest_root`),
-    on a `Snail` built for that flux step alone.
+    on a `Snail` built for that flux step alone. A flux beyond +-_MAX_FLUX
+    (10**5 steps) is refused with ValueError before the grid is made.
     """
     target = element.phi_x
     if target == 0.0:
         return 0.0
+    if abs(target) > _MAX_FLUX:
+        raise ValueError(
+            f"external flux phase {target:.6g} rad is beyond +-{_MAX_FLUX:g} rad (about "
+            f"{_MAX_FLUX / (2 * math.pi):.0f} flux quanta), the 10**5 continuation steps "
+            "of 0.05 rad that the equilibrium search takes at most"
+        )
     n_steps = max(8, int(abs(target) / 0.05))
     fluxes = np.linspace(0.0, target, n_steps + 1).tolist()
     gamma, n = element.gamma, element.n

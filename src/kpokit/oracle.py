@@ -1,11 +1,12 @@
 """Exact-diagonalization verification on a truncated Fock space.
 
-Builds the full lab-frame Hamiltonian (self-Kerr plus beam-splitter
-couplings including their counter-rotating parts) by index lookup on the
-table of occupation numbers, stored as its two dense blocks of even and odd
-total excitation number. It gives dressed frequencies and effective
-four-body couplings nonperturbatively, for cross-checking the perturbative
-module, and a Kerr-dressed third-order four-body estimate.
+Builds the full lab-frame Hamiltonian (self-Kerr plus beam-splitter couplings
+including their counter-rotating parts) by index lookup on the table of
+occupation numbers, stored as its two dense blocks of even and odd total
+excitation number. It gives dressed frequencies and effective four-body
+couplings nonperturbatively, for cross-checking the perturbative module, and
+a Kerr-dressed third-order four-body estimate; the gap scan's model-space
+solve and that estimate take their terms from one routine, `_lowdin_terms`.
 """
 
 from __future__ import annotations
@@ -183,13 +184,8 @@ def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     return energies[1] - energies[0]
 
 
-def four_body_from_gap(
-    spectrum: ModeSpectrum,
-    couplings: CouplingGraph,
-    d: int,
-    scan_halfwidth: float,
-    n_scan: int = 41,
-) -> dict:
+def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
+                       scan_halfwidth: float, n_scan: int = 41) -> dict:
     """Effective four-body coupling from the |1100>-|0011> avoided crossing.
 
     A common offset delta is added to modes 1 and 2 (shifting w1 + w2
@@ -201,11 +197,8 @@ def four_body_from_gap(
     In the eigenbasis V of the block, Dt = V^T D V, and each offset is
     solved in the model space P of the eigenstates with more than half
     their weight on two total quanta, the rest Q, by second-order Loewdin
-    partitioning about the pair's energy E (Winkler 2003, App. B):
-
-        H_P(delta) = Lambda_P + delta Dt_PP
-                     + delta^2 Dt_PQ diag(1 / (E - Lambda_Q)) Dt_QP.
-
+    partitioning (`_lowdin_terms`) about the pair's energy E:
+    H_P(delta) = Lambda_P + delta Dt_PP + delta^2 Dt_PQ (E - Lambda_Q)^-1 Dt_QP.
     Its remainder at an eigenvalue theta of the pair is at most
     |delta Dt_PQ|^2 (|theta - E| + |delta| |Dt_QQ|) / min|E - Lambda_Q|^2.
     Near the crossing g^2 = c^2 (delta - delta_0)^2 + 4 h^2, so the minimum is
@@ -249,16 +242,16 @@ def four_body_from_gap(
             "it is not separated from the rest of the spectrum"
         )
     model, rest = np.flatnonzero(in_p), np.flatnonzero(~in_p)
-    # only the P rows of Dt are needed
+    # only the P rows of Dt are needed: an order-2 term never reads Dt_QQ
     rotated = vecs[:, model].T @ (half_pair_number[:, None] * vecs)
     d_pp, d_pq = rotated[:, model], rotated[:, rest]
     amplitudes = vecs[np.ix_(basis.pair, model)]
     # the resolvent is taken at the pair's own energy, not the manifold's
     # mean, so |theta - E| and with it the remainder stay small
     energy = float(np.sum(amplitudes**2 * levels[model]) / np.sum(amplitudes**2))
-    gaps_to_q = energy - levels[rest]
-    second = (d_pq / gaps_to_q) @ d_pq.T
-    reach = np.linalg.norm(d_pq, 2) ** 2 / np.min(abs(gaps_to_q)) ** 2
+    to_rest = energy - levels[rest]
+    (second,) = _lowdin_terms(d_pq, None, 1.0 / to_rest, 2)
+    reach = np.linalg.norm(d_pq, 2) ** 2 / np.min(abs(to_rest)) ** 2
     pair_weights, bounds = [], []
 
     def gap(deltas: np.ndarray) -> np.ndarray:
@@ -345,23 +338,23 @@ def four_body_from_gap(
 def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> float:
     """Four-body coupling |H_eff[1100, 0011]| from third-order Loewdin partitioning.
 
-    H0 is the diagonal of the Fock Hamiltonian, w n - (K/2) n (n-1), so the
-    Kerr energies of doubly occupied intermediate states stay in the
-    denominators; V is every two-body coupling, counter-rotating parts
-    included. The model space is {|1100>, |0011>} (coupler in its ground
-    state) and the expansion follows Winkler (2003), App. B. To leading
-    order in K/Delta this reproduces |h4_general|; the next order is what
-    closes the gap to the exact avoided crossing. It is the four-body
-    coupling when w1 + w2 = w3 + w4; away from that resonance the
-    off-diagonal element picks up a basis-dependent part proportional to
-    the detuning of the two model states.
+    H0 is the diagonal of the Fock Hamiltonian, w n - (K/2) n (n-1), so the Kerr
+    energies of doubly occupied intermediate states stay in the denominators; V
+    is every two-body coupling, counter-rotating parts included. The model space
+    is {|1100>, |0011>} (coupler in its ground state); the terms are
+    `_lowdin_terms` at the two model energies. To leading order in K/Delta this
+    reproduces |h4_general|; the next order closes the gap to the exact avoided
+    crossing. It is the four-body coupling when w1 + w2 = w3 + w4; away from
+    that resonance the off-diagonal element picks up a basis-dependent part
+    proportional to the detuning of the two model states.
 
-    Every intermediate state is one hop of V from |1100> or |0011>, and V
-    moves one quantum in each of two modes, so it holds at most 2 quanta
-    per mode; the third-order sum uses V only between such states. A
-    truncation of 3 (occupations 0, 1, 2) therefore holds every term
-    exactly and is what is built. Raises ValueError when an intermediate
-    state mixes with the model space by MIXING_LIMIT or more.
+    V is two-body: it has no element inside the model space (V_PP = 0) and
+    moves one quantum in each of two modes. So every intermediate state is
+    one hop of V from |1100> or |0011> and holds at most 2 quanta per mode,
+    and the third-order term uses V only between such states. A truncation
+    of 3 (occupations 0, 1, 2) therefore holds every term exactly and is
+    what is built. Raises ValueError, before any term is formed, when an
+    intermediate state mixes with the model space by MIXING_LIMIT or more.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
@@ -370,26 +363,32 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     v = ham.even
     energies = v.diagonal().copy()
     np.fill_diagonal(v, 0.0)
-    # V is real symmetric and, being two-body, has no element inside the
-    # model space, so the first-order and the model-space third-order
-    # terms of the expansion vanish; every other term runs over the states
-    # one hop from |1100> or |0011>, in basis order
     strength = np.maximum(abs(v[a]), abs(v[b]))
-    strength[[a, b]] = 0.0
     hop = np.flatnonzero(strength)
-    v_a, v_b, v_hop = v[a, hop], v[b, hop], v[np.ix_(hop, hop)]
+    den = energies[[a, b], None] - energies[hop]
+    with np.errstate(divide="ignore"):
+        worst = float(np.max(strength[hop] / abs(den), initial=0.0))
+    if worst >= MIXING_LIMIT:
+        raise ValueError(
+            f"intermediate-state mixing {worst:.3f} >= {MIXING_LIMIT}: not perturbative"
+        )
+    terms = _lowdin_terms(v[np.ix_([a, b], hop)], v[np.ix_(hop, hop)], 1.0 / den, 3)
+    return float(abs(sum(terms)[0, 1]))
 
-    resolvents = []
-    for e_m in (energies[a], energies[b]):
-        den = e_m - energies[hop]
-        with np.errstate(divide="ignore"):
-            worst = float(np.max(strength[hop] / abs(den), initial=0.0))
-        if worst >= MIXING_LIMIT:
-            raise ValueError(
-                f"intermediate-state mixing {worst:.3f} >= {MIXING_LIMIT}: not perturbative"
-            )
-        resolvents.append(1.0 / den)
 
-    second = 0.5 * np.sum(v_a * v_b * (resolvents[0] + resolvents[1]))
-    third = 0.5 * sum((v_a * r) @ (v_hop @ (v_b * r)) for r in resolvents)
-    return float(abs(second + third))
+def _lowdin_terms(v_pq: np.ndarray, v_qq: np.ndarray | None, resolvent: np.ndarray,
+                  order: int) -> list:
+    """Symmetrized Loewdin terms of orders 2 to `order` (at most 3) on a model space P.
+
+    From X = V_PQ * R, elementwise, with R[m, l] = 1 / (E_m - e_l) (a row per
+    model state, or one for all), each term is (X V_PQ^T + its transpose) / 2,
+    and X <- (X V_QQ) * R between orders; order 2 never reads V_QQ. With one
+    E this is Loewdin partitioning at E; with per-row unperturbed model
+    energies E_m it equals Winkler (2003), App. B, only when V_PP = 0.
+    """
+    x = v_pq * resolvent
+    terms = [x @ v_pq.T]
+    for _ in range(3, order + 1):
+        x = (x @ v_qq) * resolvent
+        terms.append(x @ v_pq.T)
+    return [0.5 * (term + term.T) for term in terms]

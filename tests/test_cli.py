@@ -466,6 +466,17 @@ def test_snail_rejects_a_negative_inductance(capsys, l_ph, shown):
                    f"got {shown}\n")
 
 
+@pytest.mark.parametrize("argv", [["--flux-stop", "1e8"], ["--flux-start=-1e8"]],
+                         ids=["stop", "start"])
+def test_snail_refuses_a_flux_beyond_the_step_bound(capsys, argv):
+    # 1e8 turns would ask for a flux grid of about 1.3e10 points
+    code, out, err = _run(capsys, ["snail", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: external flux phase ")
+    assert "rad is beyond +-5000 rad (about 796 flux quanta)" in err
+
+
 def test_pump_plan_no_violations(capsys):
     code, out, _ = _run(capsys, ["pump-plan", "--rows", "4"])
     assert code == 0

@@ -129,6 +129,18 @@ def test_equilibrium_phase_zero_flux():
     assert snail_equilibrium_phase(Snail(**DESIGN_SNAIL, phi_x=0.0)) == 0.0
 
 
+@pytest.mark.parametrize("flux", [5000.1, -5000.1, 2 * math.pi * 1e8, -1e300])
+def test_equilibrium_phase_refuses_a_flux_beyond_the_step_bound(monkeypatch, flux):
+    # the grid would hold |phi_x| / 0.05 points (1.3e10 at 1e8 turns); the
+    # refusal comes before it is made
+    def no_grid(*args, **kwargs):
+        raise AssertionError("flux grid made for a refused flux")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(ValueError, match=r"beyond \+-5000 rad \(about 796 flux quanta\)"):
+        snail_equilibrium_phase(Snail(**DESIGN_SNAIL, phi_x=flux))
+
+
 def test_equilibrium_phase_antisymmetry():
     flux = 2 * math.pi * 0.31
     plus = snail_equilibrium_phase(Snail(**DESIGN_SNAIL, phi_x=flux))

@@ -1,6 +1,7 @@
 """Truncated-Fock-space diagonalization checks."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -751,6 +752,49 @@ def test_kerr_dressed_requires_four_modes():
 def test_kerr_dressed_rejects_strong_mixing():
     with pytest.raises(ValueError, match="not perturbative"):
         four_body_kerr_dressed(_ladder(), CouplingGraph(h=_full_h(80.0 * MHZ)))
+
+
+def test_kerr_dressed_degenerate_intermediate_state_fails_loudly():
+    # w1 = w3 puts |0110> on |1100> (and |1001> on |0011>): the mixing check
+    # refuses it before any term is formed, so no 1/0 or 0 * inf warning
+    # comes first
+    spectrum = ModeSpectrum(omega=np.array([10.0, 9.7, 10.0, 9.7]) * GHZ, kerr=_ladder().kerr)
+    message = "intermediate-state mixing inf >= 0.5: not perturbative"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            four_body_kerr_dressed(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ)))
+
+
+def _lowdin_eigenvalue_errors(energies, v, scale):
+    """Largest eigenvalue error of the order-2 and order-3 model matrices on
+    states 0 and 1 against exact diagonalization of diag(energies) + scale * v."""
+    exact = np.linalg.eigvalsh(np.diag(energies) + scale * v)
+    exact = exact[abs(exact) < 0.5]
+    assert len(exact) == 2
+    resolvent = 1.0 / (energies[:2, None] - energies[2:])
+    terms = oracle._lowdin_terms(scale * v[:2, 2:], scale * v[2:, 2:], resolvent, 3)
+    # the eigenvalues see a dropped symmetrization only at O(scale**4)
+    for term in terms:
+        assert np.array_equal(term, term.T)
+    models = [np.diag(energies[:2]) + sum(terms[:k]) for k in (1, 2)]
+    return np.array([abs(np.linalg.eigvalsh(m) - exact).max() for m in models])
+
+
+def test_lowdin_terms_converge_at_their_order():
+    # two model states 0.01 apart, twelve others 1 to 3 away on either side,
+    # and a real symmetric V with no element inside the model space: halving
+    # V cuts the order-2 error by 2**3 and the order-3 error by 2**4
+    rng = np.random.default_rng(0)
+    energies = np.concatenate(
+        [[0.0, 0.01], rng.uniform(1.0, 3.0, 12) * rng.choice([-1.0, 1.0], 12)])
+    v = rng.normal(size=(14, 14))
+    v = v + v.T
+    v[:2, :2] = 0.0
+    ratio = _lowdin_eigenvalue_errors(energies, v, 0.01) / _lowdin_eigenvalue_errors(
+        energies, v, 0.005)
+    assert 7.5 < ratio[0] < 8.5
+    assert 15.0 < ratio[1] < 17.0
 
 
 def _kerr_dressed_systems(kind):
