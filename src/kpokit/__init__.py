@@ -1,94 +1,123 @@
-"""Design and verification toolkit for Kerr-parametric-oscillator circuits."""
+"""Design and verification toolkit for Kerr-parametric-oscillator circuits.
+
+``import kpokit`` loads none of the package's modules. The first use of a
+public name imports its module and binds every name that module exports
+here, so ``vars(kpokit)`` then holds the whole module's exports.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .elements import (
-    LinearFit,
-    ModeParams,
-    SeriesStack,
-    SingleJunction,
-    Snail,
-    SnailExpansion,
-    Squid,
-    kpo_mode_params,
-    snail_equilibrium_phase,
-    snail_expansion,
-    snail_flux_sweep,
-    snail_kerr_frequency_fit,
-    snail_mode_params,
-    squid_inductance_for_frequency,
-)
-from .netlist import (
-    Branch,
-    Capacitor,
-    CapacitanceMatrix,
-    CircuitNetlist,
-    InverseCapacitance,
-    ReducedModes,
-    build_capacitance_matrix,
-    coupling_constants,
-    extract_bare,
-    ground_capacitances,
-    invert_capacitance,
-    load_netlist,
-    mode_reduce,
-    unit_circuit,
-)
-from .operators import BosonicPolynomial
-from .oracle import (
-    FockHamiltonian,
-    build_hamiltonian,
-    dressed_frequencies_exact,
-    four_body_from_gap,
-    four_body_kerr_dressed,
-)
-from .perturbation import (
-    CouplingGraph,
-    DegenerateModesError,
-    DressedSpectrum,
-    FourBodyReport,
-    MixingCoefficients,
-    ModeSpectrum,
-    cross_kerr,
-    dressed_spectrum,
-    g4_closed_form,
-    g4_symmetric,
-    h4_detuning,
-    h4_double_tilde,
-    h4_general,
-    h4_snail,
-    h4_symmetric,
-    h4_tilde,
-    invert_dressed,
-    ladder_deltas,
-    mixing_from_frequencies,
-    rwa_filter,
-    sw_mixing,
-    transform_kerr,
-)
-from .pumpplan import (
-    LhzPlan,
-    PumpAssignment,
-    ResonanceCondition,
-    check_mixing,
-    detect_residual,
-    lhz_frequencies,
-    lhz_plan,
-)
-from .spinmodel import (
-    SPIN_FEATURES,
-    SPIN_STATES,
-    EffectiveEnergyModel,
-    FitResult,
-    InteractionSet,
-    OscillationConfig,
-    beta_for_even_parity,
-    boltzmann_probabilities,
-    effective_coefficients,
-    estimate_h4,
-    fit_energy_model,
-    model_from_coefficients,
-    parity_curve,
-    parity_split,
-    state_energy,
-)
+# public names by home module
+_EXPORTS = {
+    "elements": (
+        "LinearFit",
+        "ModeParams",
+        "SeriesStack",
+        "SingleJunction",
+        "Snail",
+        "SnailExpansion",
+        "Squid",
+        "kpo_mode_params",
+        "snail_equilibrium_phase",
+        "snail_expansion",
+        "snail_flux_sweep",
+        "snail_kerr_frequency_fit",
+        "snail_mode_params",
+        "squid_inductance_for_frequency",
+    ),
+    "netlist": (
+        "Branch",
+        "Capacitor",
+        "CapacitanceMatrix",
+        "CircuitNetlist",
+        "InverseCapacitance",
+        "ReducedModes",
+        "build_capacitance_matrix",
+        "coupling_constants",
+        "extract_bare",
+        "ground_capacitances",
+        "invert_capacitance",
+        "load_netlist",
+        "mode_reduce",
+        "unit_circuit",
+    ),
+    "operators": ("BosonicPolynomial",),
+    "oracle": (
+        "FockHamiltonian",
+        "build_hamiltonian",
+        "dressed_frequencies_exact",
+        "four_body_from_gap",
+        "four_body_kerr_dressed",
+    ),
+    "perturbation": (
+        "CouplingGraph",
+        "DegenerateModesError",
+        "DressedSpectrum",
+        "FourBodyReport",
+        "MixingCoefficients",
+        "ModeSpectrum",
+        "cross_kerr",
+        "dressed_spectrum",
+        "g4_closed_form",
+        "g4_symmetric",
+        "h4_detuning",
+        "h4_double_tilde",
+        "h4_general",
+        "h4_snail",
+        "h4_symmetric",
+        "h4_tilde",
+        "invert_dressed",
+        "ladder_deltas",
+        "mixing_from_frequencies",
+        "rwa_filter",
+        "sw_mixing",
+        "transform_kerr",
+    ),
+    "pumpplan": (
+        "LhzPlan",
+        "PumpAssignment",
+        "ResonanceCondition",
+        "check_mixing",
+        "detect_residual",
+        "lhz_frequencies",
+        "lhz_plan",
+    ),
+    "spinmodel": (
+        "SPIN_FEATURES",
+        "SPIN_STATES",
+        "EffectiveEnergyModel",
+        "FitResult",
+        "InteractionSet",
+        "OscillationConfig",
+        "beta_for_even_parity",
+        "boltzmann_probabilities",
+        "effective_coefficients",
+        "estimate_h4",
+        "fit_energy_model",
+        "model_from_coefficients",
+        "parity_curve",
+        "parity_split",
+        "state_energy",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    # a public name, or a submodule reached as an attribute (kpokit.oracle)
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS and module != "constants":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    for export in _EXPORTS.get(module, ()):
+        globals()[export] = getattr(loaded, export)
+    return loaded if name == module else globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

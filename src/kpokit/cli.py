@@ -12,51 +12,16 @@ import argparse
 import csv
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
 from .constants import GHZ, MHZ, PHI0_REDUCED
-from .elements import (
-    SingleJunction,
-    Snail,
-    kpo_mode_params,
-    snail_flux_sweep,
-    snail_kerr_frequency_fit,
-    snail_mode_params,
-    squid_inductance_for_frequency,
-)
-from .netlist import (
-    build_capacitance_matrix,
-    coupling_constants,
-    extract_bare,
-    ground_capacitances,
-    invert_capacitance,
-    load_netlist,
-    mode_reduce,
-)
-from .oracle import four_body_from_gap
-from .perturbation import (
-    CouplingGraph,
-    ModeSpectrum,
-    g4_symmetric,
-    h4_detuning,
-    h4_snail,
-    h4_tilde,
-    mixing_from_frequencies,
-    h4_general,
-)
-from .pumpplan import lhz_plan
-from .spinmodel import (
-    EffectiveEnergyModel,
-    InteractionSet,
-    OscillationConfig,
-    beta_for_even_parity,
-    boltzmann_probabilities,
-    fit_energy_model,
-    parity_curve,
-)
+
+# Each subcommand imports the library modules it uses, so a `kpokit` process
+# loads only those (`parity` loads spinmodel alone).
 
 ERROR_PREFIX = "KPOKIT-ERROR"
 
@@ -95,6 +60,14 @@ def _meta(command: str, args) -> list[str]:
 # --------------------------------------------------------------------------
 
 def cmd_quantize(args, out) -> int:
+    from .elements import Snail, kpo_mode_params, snail_mode_params
+    from .netlist import (
+        build_capacitance_matrix,
+        ground_capacitances,
+        invert_capacitance,
+        load_netlist,
+    )
+
     net = load_netlist(args.netlist)
     use_effective = args.effective
     g = None
@@ -124,6 +97,16 @@ def cmd_quantize(args, out) -> int:
 
 
 def cmd_couplings(args, out) -> int:
+    from .netlist import (
+        build_capacitance_matrix,
+        coupling_constants,
+        extract_bare,
+        invert_capacitance,
+        load_netlist,
+        mode_reduce,
+    )
+    from .perturbation import ModeSpectrum
+
     net = load_netlist(args.netlist)
     kpo_nodes = tuple(args.kpo_nodes.split(","))
     coupler_pair = tuple(args.coupler_nodes.split(","))
@@ -162,6 +145,8 @@ def cmd_couplings(args, out) -> int:
 def _snail_design_kerr() -> float:
     """SNAIL KPO Kerr [rad/s] at the 10 GHz design frequency, from the
     linear Kerr-vs-frequency fit over the operating flux window."""
+    from .elements import Snail, snail_flux_sweep, snail_kerr_frequency_fit
+
     element = Snail(i0=1250e-9, gamma=0.3, n=2)
     # negative-Kerr branch of the flux sweep; the linear fit is the
     # one-to-one Kerr-frequency correspondence used for the design point
@@ -178,6 +163,8 @@ def sweep_parameter_sets() -> dict:
     capacitors are chosen for that); the SNAIL-circuit neighbors scale
     with the KPO capacitance ratio sqrt(C_qj C_qk).
     """
+    from .elements import SingleJunction, kpo_mode_params
+
     k_g_kpo = kpo_mode_params(
         500e-15, 100e-12, SingleJunction(i0=_i0_for(500e-15, 100e-12))
     ).kerr
@@ -203,10 +190,14 @@ def sweep_parameter_sets() -> dict:
 
 def _i0_for(c: float, l_geom: float) -> float:
     """Critical current putting a junction resonator at 10 GHz."""
+    from .elements import squid_inductance_for_frequency
+
     return PHI0_REDUCED / squid_inductance_for_frequency(10.0 * GHZ, c, l_geom)
 
 
 def cmd_sweep(args, out) -> int:
+    from .perturbation import g4_symmetric, h4_detuning, h4_snail, h4_tilde
+
     if args.start_mhz <= 0 or args.stop_mhz <= args.start_mhz:
         raise ValueError("sweep range must satisfy 0 < start < stop")
     if args.points < 2:
@@ -240,6 +231,8 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_snail(args, out) -> int:
+    from .elements import Snail, snail_flux_sweep, snail_kerr_frequency_fit
+
     element = Snail(i0=args.i0_na * 1e-9, gamma=args.gamma, n=args.n)
     flux = 2.0 * np.pi * np.linspace(args.flux_start, args.flux_stop, args.points)
     sweep = snail_flux_sweep(args.c_ff * 1e-15, args.l_ph * 1e-12, element, flux)
@@ -257,6 +250,8 @@ def cmd_snail(args, out) -> int:
 
 
 def cmd_pump_plan(args, out) -> int:
+    from .pumpplan import lhz_plan
+
     plan = lhz_plan(args.rows, base=args.base_ghz * GHZ, spacing=args.spacing_mhz * MHZ)
     meta = _meta("pump-plan", args)
     for i in sorted(plan.frequencies):
@@ -276,6 +271,8 @@ def cmd_pump_plan(args, out) -> int:
 
 
 def cmd_parity(args, out) -> int:
+    from .spinmodel import InteractionSet, OscillationConfig, beta_for_even_parity, parity_curve
+
     if args.points < 2:
         raise ValueError("parity needs at least 2 points")
     alpha = np.array(_four_floats(args.alpha, "--alpha"))
@@ -300,6 +297,8 @@ def _state_label(s: tuple[int, ...]) -> str:
 
 
 def cmd_boltzmann(args, out) -> int:
+    from .spinmodel import EffectiveEnergyModel, boltzmann_probabilities
+
     model = EffectiveEnergyModel(
         eta=args.eta,
         nu=tuple(_four_floats(args.nu, "--nu")),
@@ -311,6 +310,8 @@ def cmd_boltzmann(args, out) -> int:
 
 
 def cmd_fit(args, out) -> int:
+    from .spinmodel import fit_energy_model
+
     thetas, table = [], []
     with open(args.data) as fh:
         for line in fh:
@@ -341,6 +342,9 @@ def cmd_fit(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
+    from .oracle import four_body_from_gap
+    from .perturbation import CouplingGraph, ModeSpectrum, h4_general, mixing_from_frequencies
+
     eps = args.eps_mhz * MHZ
     omega1 = 10.0 * GHZ
     omega = np.array([omega1, omega1 - 3 * eps, omega1 - eps, omega1 - 2 * eps])
@@ -367,8 +371,21 @@ def cmd_oracle(args, out) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors end in KPOKIT-ERROR, exit 2, like any bad input."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # before Python 3.13, argparse reads "-1e8" as an option, not a value;
+        # no kpokit option looks like a number, so every such token is a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kpokit", description="KPO circuit design and verification toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -437,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")

@@ -119,7 +119,8 @@ def test_missing_file_reported(capsys):
     assert ERROR_PREFIX in err
 
 
-def test_console_entry_point():
+def test_module_entry_point():
+    # `python -m kpokit.cli`; the installed `kpokit` script runs in CI
     proc = subprocess.run(
         [sys.executable, "-m", "kpokit.cli", "boltzmann"],
         capture_output=True, text=True,
@@ -128,15 +129,93 @@ def test_console_entry_point():
     assert "state,probability" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracel"], "argument command: invalid choice: 'oracel'"),
+        ([], "the following arguments are required: command"),
+        (["sweep", "--points"], "argument --points: expected one argument"),
+        (["sweep", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
+        (["fit"], "the following arguments are required: data"),
+        (["boltzmann", "--beta", "1"], "unrecognized arguments: --beta 1"),
+    ],
+    ids=["unknown-subcommand", "no-subcommand", "missing-value", "not-an-int",
+         "missing-positional", "unknown-option"],
+)
+def test_usage_errors_keep_the_error_contract(capsys, argv, message):
+    # argparse's own errors end as any bad input does: main returns 2
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]], ids=["top", "subcommand"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kpokit")
+
+
+def test_negative_value_in_exponent_form(capsys):
+    # before Python 3.13, argparse read -2.9e-1 as an unknown option
+    code, exponent, _ = _run(capsys, ["boltzmann", "--eta", "-2.9e-1"])
+    assert code == 0
+    assert exponent == _run(capsys, ["boltzmann", "--eta", "-0.29"])[1]
+
+
 SCIPY_GUARD = """
+import io
 import sys
+from contextlib import redirect_stdout
+
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return loaded("scipy")
 
+# the bare package loads none of its modules, nor NumPy
 import kpokit
+assert loaded("kpokit") == ["kpokit"], loaded("kpokit")
+assert "numpy" not in sys.modules
 import kpokit.cli
+assert loaded("kpokit") == ["kpokit", "kpokit.cli", "kpokit.constants"], loaded("kpokit")
+
+# each subcommand loads only the library modules it uses; kpokit's modules
+# are dropped before each, as if it ran in a fresh `kpokit` process
+DATA = sys.argv[1]
+PERTURBATION = ["operators", "perturbation", "pumpplan"]
+LOADS = [
+    (["quantize", f"{DATA}/unit.json"], ["elements", "netlist", *PERTURBATION]),
+    (["couplings", f"{DATA}/unit.json", "--kpo-nodes", "q1,q2,q3,q4", "--coupler-nodes",
+      "c5,c6", "--freq-ghz", "10,10,10,10"], ["elements", "netlist", *PERTURBATION]),
+    (["sweep", "--points", "3"], ["elements", *PERTURBATION]),
+    (["snail"], ["elements"]),
+    (["pump-plan"], ["pumpplan"]),
+    (["parity", "--points", "3"], ["spinmodel"]),
+    (["boltzmann"], ["spinmodel"]),
+    (["fit", f"{DATA}/probabilities.csv"], ["spinmodel"]),
+    (["oracle", "--truncation", "3"], ["oracle", *PERTURBATION]),
+]
+for argv, modules in LOADS:
+    for name in loaded("kpokit"):
+        del sys.modules[name]
+    import kpokit.cli
+    with redirect_stdout(io.StringIO()):
+        assert kpokit.cli.main(argv) == 0, argv
+    expected = ["kpokit", "kpokit.cli", "kpokit.constants"] + [f"kpokit.{m}" for m in modules]
+    assert loaded("kpokit") == sorted(expected), (argv, loaded("kpokit"))
 assert scipy_modules() == [], scipy_modules()
+
+# a bare `import kpokit` reaches a module as an attribute
+for name in loaded("kpokit"):
+    del sys.modules[name]
+import kpokit
+assert kpokit.oracle is sys.modules["kpokit.oracle"]
+import kpokit.cli
 assert kpokit.cli.main(["boltzmann"]) == 0
 assert scipy_modules() == [], scipy_modules()
 
@@ -166,8 +245,11 @@ assert scipy_modules() == [], scipy_modules()
 
 
 def test_no_scipy_module_is_loaded():
-    # a fresh interpreter: this test process has SciPy loaded already
-    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD], capture_output=True, text=True)
+    # a fresh interpreter: this test process has SciPy and every kpokit module
+    # loaded already
+    data = Path(__file__).parent / "data"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(data)], capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -466,8 +548,9 @@ def test_snail_rejects_a_negative_inductance(capsys, l_ph, shown):
                    f"got {shown}\n")
 
 
-@pytest.mark.parametrize("argv", [["--flux-stop", "1e8"], ["--flux-start=-1e8"]],
-                         ids=["stop", "start"])
+@pytest.mark.parametrize(
+    "argv", [["--flux-stop", "1e8"], ["--flux-start=-1e8"], ["--flux-start", "-1e8"]],
+    ids=["stop", "start", "start-as-separate-value"])
 def test_snail_refuses_a_flux_beyond_the_step_bound(capsys, argv):
     # 1e8 turns would ask for a flux grid of about 1.3e10 points
     code, out, err = _run(capsys, ["snail", *argv])
