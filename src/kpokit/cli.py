@@ -376,9 +376,11 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # before Python 3.13, argparse reads "-1e8" as an option, not a value;
-        # no kpokit option looks like a number, so every such token is a value
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse's negative-number rule misses "-1e8" (before Python 3.13),
+        # "-inf" and "-nan", and reads them as options; no kpokit option looks
+        # like a number, so every token that float() reads as negative is a value
+        self._negative_number_matcher = re.compile(
+            r"-(?:\.?\d|(?:inf|infinity|nan)$)", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)

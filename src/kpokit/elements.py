@@ -7,6 +7,7 @@ conversion to/from GHz and MHz happens only at I/O boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -209,7 +210,19 @@ def snail_equilibrium_phase(element: Snail) -> float:
     one, that root is bracketed on a 1e-3 rad grid instead (`_nearest_root`),
     on a `Snail` built for that flux step alone. A flux beyond +-_MAX_FLUX
     (10**5 steps) is refused with ValueError before the grid is made.
+
+    The search runs once per `Snail` (`_equilibrium_phase`, a bounded
+    cache): a circuit asks for a SNAIL's equilibrium and then for its mode
+    parameters, which need the same equilibrium again.
     """
+    return _equilibrium_phase(element)
+
+
+@functools.lru_cache(maxsize=64)
+def _equilibrium_phase(element: Snail) -> float:
+    """snail_equilibrium_phase's search, cached on the frozen `Snail`. The
+    public function stays a plain function, so that a tracer that wraps
+    plain functions still sees it."""
     target = element.phi_x
     if target == 0.0:
         return 0.0

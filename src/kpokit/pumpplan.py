@@ -8,6 +8,7 @@ condition by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -141,12 +142,15 @@ def _exact_rescale(omega: tuple[float, ...]) -> list | None:
     return [int(f * denom) for f in fracs]
 
 
+@functools.lru_cache(maxsize=8)
 def _relation_candidates(n: int, max_order: int) -> np.ndarray:
     """Every primitive, sign-normalised integer vector of n entries with
-    0 < sum |n_j| <= max_order, one per row.
+    0 < sum |n_j| <= max_order, one per row, read-only.
 
     The L1 ball is built mode by mode: each partial vector carries the
     order it has left, and the next entry takes every value within it.
+    It depends on (n, max_order) alone, so it is made once per shape and
+    shared by every call: building it is most of a `detect_residual` call.
     """
     rows = np.zeros((1, 0), dtype=np.int8)
     left = np.array([max_order])
@@ -159,7 +163,9 @@ def _relation_candidates(n: int, max_order: int) -> np.ndarray:
         left = left - np.abs(entry)
     rows = rows[left < max_order]  # drop the zero vector
     first = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-    return rows[(first > 0) & (np.gcd.reduce(np.abs(rows), axis=1) == 1)]
+    rows = rows[(first > 0) & (np.gcd.reduce(np.abs(rows), axis=1) == 1)]
+    rows.flags.writeable = False
+    return rows
 
 
 def detect_residual(pump: PumpAssignment, max_order: int = 8) -> list[ResonanceCondition]:
@@ -170,7 +176,9 @@ def detect_residual(pump: PumpAssignment, max_order: int = 8) -> list[ResonanceC
     representative has its first nonzero coefficient positive). The ball
     holds sum_k 2^k C(n, k) C(max_order, k) vectors, k being the number of
     nonzero entries: 3,649 for four pumps at order 8, where the
-    (2 max_order + 1)^n box holds 83,521. All candidates are checked at
+    (2 max_order + 1)^n box holds 83,521. The ball is made once per
+    (n, max_order) and kept read-only (`_relation_candidates`), since it
+    does not depend on the frequencies. All candidates are checked at
     once, summing n_j w_j one pump at a time from the first, so each
     residual is the float sum taken in that order; a relation is kept when
     that residual is below RESONANCE_TOL, whatever the frequencies. When

@@ -253,6 +253,8 @@ def beta_for_even_parity(
 # --------------------------------------------------------------------------
 
 _REF_STATE = (-1, -1, -1, -1)
+_REF_COL = SPIN_STATES.index(_REF_STATE)
+_OTHER_COLS = [col for col in range(16) if col != _REF_COL]
 
 
 @dataclass(frozen=True)
@@ -263,13 +265,34 @@ class FitResult:
     condition_number: float
 
 
+def _fit_system(theta_d4: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares system of fit_energy_model, 15 rows per phase point.
+
+    Built for all points at once: the (points, 16, 15) feature table with
+    its nu4 column scaled by each point's math.sin(theta), its differences
+    to the reference state, and the logs of one array of probability ratios
+    (math.log, element by element, whose bits do not depend on NumPy's
+    build). Row i*15 + k holds point i and the k-th state other than the
+    reference, each element the float that _features_at(theta_i) gives.
+    """
+    sin_t = np.array([math.sin(t) for t in theta_d4.tolist()])
+    features = np.repeat(SPIN_FEATURES[np.newaxis], len(sin_t), axis=0)
+    features[:, :, -1] *= sin_t[:, np.newaxis]
+    design = -(features[:, _OTHER_COLS] - features[:, _REF_COL, np.newaxis])
+    ratios = probs[:, _OTHER_COLS] / probs[:, _REF_COL, np.newaxis]
+    rhs = np.array([math.log(r) for r in ratios.ravel().tolist()])
+    return design.reshape(-1, SPIN_FEATURES.shape[1]), rhs
+
+
 def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResult:
     """Recover all 15 energy coefficients from probability-vs-phase data.
 
     `probabilities` is (n_points, 16), columns ordered as SPIN_STATES.
     The log-ratio ln(p_s/p_ref) = -(beta*E_s - beta*E_ref) is linear in
-    the coefficients, so the fit is a single least-squares solve; the
-    reference state's own curve is then fitted to A*exp(B sin(theta)+C).
+    the coefficients, so the fit is a single least-squares solve, whose
+    system is formed for all phase points in one array expression
+    (`_fit_system`); the reference state's own curve is then fitted to
+    A*exp(B sin(theta)+C).
     Only the product A*exp(C) is identifiable, so C is reported as 0.
     """
     theta_d4 = np.asarray(theta_d4, dtype=float)
@@ -291,15 +314,7 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
         )
         probs = np.maximum(probs, PROB_FLOOR)
 
-    ref_col = SPIN_STATES.index(_REF_STATE)
-    others = [col for col in range(16) if col != ref_col]
-    blocks, rhs = [], []
-    for i, theta in enumerate(theta_d4):
-        features = _features_at(theta)
-        blocks.append(-(features[others] - features[ref_col]))
-        rhs += [math.log(probs[i, col] / probs[i, ref_col]) for col in others]
-    design = np.concatenate(blocks)
-    rhs = np.array(rhs)
+    design, rhs = _fit_system(theta_d4, probs)
     cond = np.linalg.cond(design)
     if cond > 1e8:
         raise ValueError(f"ill-conditioned design matrix (condition number {cond:.2e})")
@@ -314,7 +329,7 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
     )
     # reference curve: ln p_ref = ln A + C + B sin(theta)
     sin_t = np.sin(theta_d4)
-    b, intercept = np.polyfit(sin_t, np.log(probs[:, ref_col]), 1)
+    b, intercept = np.polyfit(sin_t, np.log(probs[:, _REF_COL]), 1)
     reference = {"A": math.exp(intercept), "B": float(b), "C": 0.0}
     return FitResult(
         model=model, reference=reference, residual_norm=residual, condition_number=cond

@@ -166,6 +166,24 @@ def test_negative_value_in_exponent_form(capsys):
     assert exponent == _run(capsys, ["boltzmann", "--eta", "-0.29"])[1]
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["boltzmann", "--eta", "-inf"], "-inf"),
+        (["boltzmann", "--eta", "-Infinity"], "-inf"),
+        (["parity", "--h4-mhz", "-nan"], "nan"),
+        (["parity", "--h4-mhz", "-NaN"], "nan"),
+    ],
+    ids=["eta-inf", "eta-infinity", "h4-nan", "h4-nan-mixed-case"],
+)
+def test_negative_non_finite_value_as_its_own_token(capsys, argv, shown):
+    # argparse reads "-inf" and "-nan" as unknown options unless told otherwise
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"{ERROR_PREFIX}: {argv[1]} must be finite, got {shown}\n"
+
+
 SCIPY_GUARD = """
 import io
 import sys

@@ -1,5 +1,6 @@
 """Junction-resonator frequencies, Kerr nonlinearities, and SNAIL expansion."""
 
+import inspect
 import math
 import re
 
@@ -123,6 +124,23 @@ def test_invalid_inputs_rejected():
 # --------------------------------------------------------------------------
 
 DESIGN_SNAIL = dict(i0=1250e-9, gamma=0.3, n=2)
+
+
+def test_equilibrium_is_searched_once_per_snail():
+    cases = [Snail(**DESIGN_SNAIL, phi_x=2 * math.pi * t) for t in (0.41, 0.43, -0.3)]
+    cases.append(Snail(i0=1e-6, gamma=0.9, n=1, phi_x=2 * math.pi * 0.6))
+    cached = [snail_equilibrium_phase(e) for e in cases]
+    hits = elements._equilibrium_phase.cache_info().hits
+    assert [snail_equilibrium_phase(e) for e in cases] == cached
+    assert elements._equilibrium_phase.cache_info().hits == hits + len(cases)
+    elements._equilibrium_phase.cache_clear()
+    fresh = [snail_equilibrium_phase(e) for e in cases]
+    assert [x.hex() for x in fresh] == [x.hex() for x in cached]
+    # the mode parameters reuse the equilibrium the circuit already asked for
+    snail_mode_params(500e-15, 100e-12, cases[0])
+    assert elements._equilibrium_phase.cache_info().hits == 1
+    # the public name stays a plain function, which a tracer can wrap
+    assert inspect.isfunction(snail_equilibrium_phase)
 
 
 def test_equilibrium_phase_zero_flux():
@@ -251,6 +269,7 @@ def test_equilibrium_refinement_matches_brentq(monkeypatch):
         return _brentq_refine(element, lo, hi)
 
     monkeypatch.setattr(elements, "_refine_root", reference)
+    elements._equilibrium_phase.cache_clear()  # search again, with the reference refinement
     theirs = [_equilibrium_or_error(e) for e in cases]
     several = 0
     for element, a, b in zip(cases, ours, theirs):
@@ -410,6 +429,7 @@ def test_snail_is_built_only_for_the_bracket_search(monkeypatch):
 
     monkeypatch.setattr(elements, "Snail", CountingSnail)
     monkeypatch.setattr(elements, "_nearest_root", counting)
+    elements._equilibrium_phase.cache_clear()  # a cached equilibrium builds nothing
     for element in DESIGN_FLUX_CASES:
         snail_equilibrium_phase(element)
     assert built == searched == []
@@ -433,6 +453,7 @@ def test_continuation_falls_back_to_the_bracket_search(monkeypatch):
         return nearest_root(snapshot, guess, grid_step)
 
     monkeypatch.setattr(elements, "_nearest_root", counting)
+    elements._equilibrium_phase.cache_clear()  # a cached equilibrium searches nothing
     ours = snail_equilibrium_phase(element)
     n_steps = max(8, int(element.phi_x / 0.05))
     assert 0 < len(calls) < n_steps

@@ -13,6 +13,7 @@ from kpokit.pumpplan import (
     RESONANCE_TOL,
     PumpAssignment,
     _exact_rescale,
+    _relation_candidates,
     check_mixing,
     classify_relation,
     detect_residual,
@@ -126,6 +127,33 @@ def test_residual_max_order_must_be_a_positive_integer():
         with pytest.raises(ValueError, match="max_order"):
             detect_residual(pump, max_order=bad)
     assert detect_residual(pump, max_order=np.int64(4)) == detect_residual(pump, max_order=4)
+
+
+@pytest.mark.parametrize("max_order", range(1, 9))
+def test_relation_ball_is_the_filtered_box(max_order):
+    box = np.array(list(itertools.product(range(-max_order, max_order + 1), repeat=4)))
+    order = np.abs(box).sum(axis=1)
+    first = box[np.arange(len(box)), np.argmax(box != 0, axis=1)]
+    keep = (order > 0) & (order <= max_order) & (first > 0)
+    keep &= np.gcd.reduce(np.abs(box), axis=1) == 1
+    ball = _relation_candidates(4, max_order)
+    assert ball.dtype == np.int8
+    np.testing.assert_array_equal(ball, box[keep])
+    if max_order == 8:
+        # the L1 ball holds 3,649 vectors (the zero vector among them), of
+        # which 1,640 are primitive with a positive first entry
+        assert np.count_nonzero(order <= max_order) == 3649
+        assert len(ball) == 1640
+
+
+def test_relation_ball_is_made_once_and_read_only():
+    ball = _relation_candidates(4, 8)
+    assert _relation_candidates(4, 8) is ball
+    with pytest.raises(ValueError, match="read-only"):
+        ball[0, 0] = 0
+    # detect_residual filters a copy, never the shared table
+    detect_residual(PumpAssignment(omega_p=SET_A), max_order=8)
+    assert _relation_candidates(4, 8) is ball and not ball.flags.writeable
 
 
 def box_walk(omega: tuple[float, ...], max_order: int) -> list[tuple]:

@@ -1,14 +1,17 @@
 """Spin-state Boltzmann model: forward probabilities and coefficient fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kpokit import spinmodel
 from kpokit.constants import KHZ, MHZ
 from kpokit.spinmodel import (
+    PROB_FLOOR,
     SPIN_STATES,
     EffectiveEnergyModel,
     InteractionSet,
@@ -329,6 +332,58 @@ def test_fit_floors_tiny_probabilities():
     with pytest.warns(UserWarning, match="floored"):
         fit = fit_energy_model(theta, probs)
     assert fit.model.eta < 0
+
+
+def _per_point_fit(theta_d4, probs):
+    """fit_energy_model's system as first written, one phase point at a time:
+    the design matrix, the right-hand side, and the coefficients, residual
+    and condition number of the solve."""
+    probs = np.maximum(probs, PROB_FLOOR)
+    ref_col = SPIN_STATES.index((-1, -1, -1, -1))
+    others = [col for col in range(16) if col != ref_col]
+    blocks, rhs = [], []
+    for i, theta in enumerate(theta_d4):
+        features = spinmodel._features_at(theta)
+        blocks.append(-(features[others] - features[ref_col]))
+        rhs += [math.log(probs[i, col] / probs[i, ref_col]) for col in others]
+    design = np.concatenate(blocks)
+    rhs = np.array(rhs)
+    coeffs = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    residual = float(np.linalg.norm(design @ coeffs - rhs))
+    return design, rhs, coeffs, residual, np.linalg.cond(design)
+
+
+def _seeded_fit_tables():
+    """Synthetic datasets of random models, random probability tables on
+    random phase grids, and one table that is floored (PROB_FLOOR)."""
+    tables = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        tables.append(_synthetic_dataset(_random_model(rng, scale=0.5), n_points=16 + 7 * seed))
+        theta = np.sort(rng.uniform(-math.pi, 3 * math.pi, 16 + 5 * seed))
+        probs = rng.random((len(theta), 16))
+        tables.append((theta, probs / probs.sum(axis=1, keepdims=True)))
+    tables.append(_synthetic_dataset(EffectiveEnergyModel(eta=-20.0)))
+    return tables
+
+
+def test_fit_system_matches_the_per_point_loop_bit_for_bit():
+    floored = 0
+    for theta, probs in _seeded_fit_tables():
+        design, rhs, coeffs, residual, cond = _per_point_fit(theta, probs)
+        ours = spinmodel._fit_system(theta, np.maximum(probs, PROB_FLOOR))
+        # same shapes and bits, signed zeros included
+        for got, want in zip(ours, (design, rhs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_energy_model(theta, probs)
+        floored += len(caught)
+        m = fit.model
+        assert [m.eta, *m.lam.values(), *m.mu.values(), *m.nu] == coeffs.tolist()
+        assert fit.residual_norm == residual
+        assert fit.condition_number == cond
+    assert floored == 1
 
 
 # --------------------------------------------------------------------------
