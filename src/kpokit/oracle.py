@@ -210,14 +210,14 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     of the diagonalized block (`dimension`), the size of P
     (`manifold_dimension`), the largest remainder bound over the scan and
     the refinement (`remainder_bound`, rad/s), the eigensolve's round-off
-    dimension * eps * max|Lambda| (`roundoff`, rad/s) and `pair_weight`: the
-    smallest weight, over the same points, that the two chosen
-    eigenstates hold on {|1100>, |0011>} (at most 2). Raises ValueError
-    when that weight falls below 2 * OVERLAP_THRESHOLD, where the pair is no
-    longer identifiable; when the remainder bound exceeds REMAINDER_TOL of
-    a point's gap; when P is not as large as the two-quantum manifold; and
-    when the gaps barely vary over the scan, which is then too narrow to
-    resolve the crossing.
+    dimension * eps * max|Lambda| (`roundoff`, rad/s), and the smallest
+    weight, over the same points, that the two chosen eigenstates hold on
+    {|1100>, |0011>} (`pair_weight`, at most 2) and on either state alone
+    (`state_weight`, at most 1). Raises ValueError when that state weight
+    falls below OVERLAP_THRESHOLD, where a third level takes part in the
+    crossing; when the remainder bound exceeds REMAINDER_TOL of a point's
+    gap; when P is not as large as the two-quantum manifold; and when the
+    gaps barely vary over the scan, which is then too narrow to resolve it.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("gap extraction defined for four KPOs")
@@ -252,7 +252,7 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     to_rest = energy - levels[rest]
     (second,) = _lowdin_terms(d_pq, None, 1.0 / to_rest, 2)
     reach = np.linalg.norm(d_pq, 2) ** 2 / np.min(abs(to_rest)) ** 2
-    pair_weights, bounds = [], []
+    pair_weights, state_weights, bounds = [], [], []
 
     def gap(deltas: np.ndarray) -> np.ndarray:
         """Pair gaps at the given offsets; the energies are relative to E."""
@@ -267,14 +267,17 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         unclear = (overlaps.max(axis=2).min(axis=1) < OVERLAP_THRESHOLD) | (
             chosen[:, 0] == chosen[:, 1])
         chosen[unclear] = np.argsort(overlaps[unclear].sum(axis=1), axis=1)[:, -2:]
-        weight = np.take_along_axis(overlaps, chosen[:, None, :], axis=2).sum(axis=(1, 2))
-        lost = np.flatnonzero(weight < 2 * OVERLAP_THRESHOLD)
+        # per bare state: a third level can take half of one while the sum looks whole
+        held = np.take_along_axis(overlaps, chosen[:, None, :], axis=2).sum(axis=2)
+        lost = np.argwhere(held < OVERLAP_THRESHOLD)
         if lost.size:
-            i = lost[0]
+            i, k = lost[0]
             raise ValueError(
                 f"|1100>, |0011> pair not identified at offset {deltas[i]:.6g} rad/s: "
-                f"the chosen eigenstates hold weight {weight[i]:.3f} on it"
+                f"{('|1100>', '|0011>')[k]} keeps weight {held[i, k]:.3f} in the chosen "
+                "eigenstates, so the crossing is not two-level"
             )
+        weight = held.sum(axis=1)
         pair = np.take_along_axis(theta, chosen, axis=1)
         gaps = abs(pair[:, 0] - pair[:, 1])
         # |Dt_QQ| <= |Dt| = max(half_pair_number), Dt being D rotated
@@ -289,6 +292,7 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
                 f"(eigh round-off {roundoff:.3g} rad/s)"
             )
         pair_weights.append(weight.min())
+        state_weights.append(held.min())
         bounds.append(bound.max())
         return gaps
 
@@ -328,6 +332,7 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         "gap_min": g[1],
         "h_eff": g[1] / 2.0,
         "pair_weight": float(min(pair_weights)),
+        "state_weight": float(min(state_weights)),
         "remainder_bound": float(max(bounds)),
         "roundoff": float(roundoff),
         "manifold_dimension": len(model),

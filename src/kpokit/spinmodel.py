@@ -1,11 +1,12 @@
 """Coherent-state Ising model of a four-KPO plaquette.
 
-Each KPO encodes a spin s_j = +-1 in its bifurcated coherent state. The
-four-body, residual, and coherent-drive interactions map to an effective
-classical energy over the 16 spin states; state probabilities follow a
-Boltzmann distribution, and the inverse map (fitting energy coefficients
-from measured probabilities) is a linear problem in log-probability
-ratios.
+Each KPO encodes a spin s_j = +-1 in its coherent state alpha_j s_j
+exp(i theta_pj/2) (Puri et al., Nat. Commun. 8, 15785 (2017)). One rule maps
+each coupling v of `MONOMIALS`, prod_j a_j+^c_j a_j^a_j plus its adjoint, to
+the energy sign * 2v * prod_j alpha_j^(c_j+a_j) * cos(sum_j (c_j-a_j) theta_pj/2)
+on the product of the spins with odd c_j + a_j; coherent drives add fields
+2 eps_j alpha_j sin(theta_dj). State probabilities are Boltzmann, and fitting
+the energy to measured ones is a linear problem in log-probability ratios.
 """
 
 from __future__ import annotations
@@ -27,14 +28,24 @@ TWO_BODY_KEYS = ("12", "13", "14", "23", "24", "34")
 # the 15 spin products of the energy, one row per state of SPIN_STATES;
 # columns: eta (s1s2s3s4), lambda (THREE_BODY_KEYS), mu (TWO_BODY_KEYS),
 # nu1..nu4 (s_j; the nu4 term is further multiplied by sin(theta_d4))
+_SPIN_PRODUCTS = ("1234",) + THREE_BODY_KEYS + TWO_BODY_KEYS + ("1", "2", "3", "4")
 SPIN_FEATURES = np.array(
-    [
-        [math.prod(s[int(m) - 1] for m in term)
-         for term in ("1234",) + THREE_BODY_KEYS + TWO_BODY_KEYS + ("1", "2", "3", "4")]
-        for s in SPIN_STATES
-    ],
+    [[math.prod(s[int(m) - 1] for m in term) for term in _SPIN_PRODUCTS] for s in SPIN_STATES],
     dtype=float,
 )
+
+# each coupling of InteractionSet: its monomial as (creation, annihilation)
+# exponents of KPOs 1-4 (BosonicPolynomial's keys) and the sign of its term
+MONOMIALS = {
+    "h4": (((1, 1, 0, 0), (0, 0, 1, 1)), -1.0),  # a1+ a2+ a3 a4
+    "g1": (((1, 0, 0, 1), (0, 2, 0, 0)), 1.0),   # a1+ a4+ a2^2
+    "g2": (((0, 1, 1, 0), (2, 0, 0, 0)), 1.0),   # a2+ a3+ a1^2
+    "g3": (((3, 0, 0, 0), (0, 0, 2, 1)), 1.0),   # a1+^3 a3^2 a4
+    "g4": (((0, 3, 0, 0), (0, 0, 1, 2)), 1.0),   # a2+^3 a3 a4^2
+}
+# the SPIN_FEATURES column of each coupling: its modes of odd c_j + a_j
+_COLUMNS = {name: _SPIN_PRODUCTS.index("".join(str(j + 1) for j in range(4) if (c[j] + a[j]) % 2))
+            for name, ((c, a), _) in MONOMIALS.items()}
 
 
 @dataclass(frozen=True)
@@ -52,22 +63,15 @@ class OscillationConfig:
             object.__setattr__(self, name, arr)
             if arr.shape != (4,):
                 raise ValueError(f"{name} must have four entries")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} entries must be finite")
         if np.any(self.alpha < 0):
             raise ValueError("oscillation amplitudes must be non-negative")
-
-    @property
-    def theta_p_aggregate(self) -> float:
-        return _aggregate_phase(self.theta_p)
-
-
-def _aggregate_phase(tp):
-    """theta_p1 + theta_p2 - theta_p3 - theta_p4; the entries may be arrays."""
-    return tp[0] + tp[1] - tp[2] - tp[3]
 
 
 @dataclass(frozen=True)
 class InteractionSet:
-    """Rotating-frame interaction strengths [rad/s]."""
+    """Rotating-frame interaction strengths [rad/s], one per MONOMIALS entry."""
 
     h4: float = 0.0
     g1: float = 0.0  # a1+ a4+ a2^2 type
@@ -90,6 +94,8 @@ class EffectiveEnergyModel:
     def __post_init__(self):
         object.__setattr__(self, "lam", {k: self.lam.get(k, 0.0) for k in THREE_BODY_KEYS})
         object.__setattr__(self, "mu", {k: self.mu.get(k, 0.0) for k in TWO_BODY_KEYS})
+        if not all(map(math.isfinite, _vector(self))):
+            raise ValueError("energy coefficients must be finite")
 
 
 def parity(s: tuple[int, ...]) -> int:
@@ -103,92 +109,112 @@ def parity(s: tuple[int, ...]) -> int:
 def effective_coefficients(config: OscillationConfig, ints: InteractionSet) -> dict:
     """Spin-energy coefficients [rad/s] from amplitudes, phases, and couplings.
 
-    The four-body term carries cos(theta_p/2) with the aggregate pump
-    phase; each residual term carries its own half-integer phase
-    combination; coherent drives contribute 2*eps_j*alpha_j*sin(theta_dj).
+    Each coupling gives its MONOMIALS term by the module's one rule (the
+    four-body term carries cos(theta_p/2) with the aggregate pump phase);
+    coherent drives contribute 2*eps_j*alpha_j*sin(theta_dj).
     """
     return _coefficients(config, config.theta_p, ints)
 
 
+def _term(name: str, value: float, alpha, tp):
+    """The module's rule for coupling `name` of strength `value` [rad/s] at
+    pump phases `tp`, whose entries may be arrays."""
+    (creation, annihilation), sign = MONOMIALS[name]
+    coefficient, phase = sign * 2.0 * value, 0.0
+    for j, (c, a) in enumerate(zip(creation, annihilation)):
+        if c + a:
+            coefficient = coefficient * alpha[j] ** (c + a)
+            phase = phase + 0.5 * (c - a) * tp[j]
+    return coefficient * np.cos(phase)
+
+
 def _coefficients(config: OscillationConfig, tp, ints: InteractionSet) -> dict:
     """effective_coefficients at pump phases `tp`, whose four entries may be
-    arrays of one shape: each phase-dependent coefficient then has that shape."""
-    a = config.alpha
-    td = config.theta_d
-    eps = config.epsilon_d
-    return {
-        "h4": -2.0 * ints.h4 * a[0] * a[1] * a[2] * a[3]
-        * np.cos(_aggregate_phase(tp) / 2.0),
-        "g1": 2.0 * ints.g1 * a[0] * a[3] * a[1] ** 2
-        * np.cos(tp[0] / 2.0 + tp[3] / 2.0 - tp[1]),
-        "g2": 2.0 * ints.g2 * a[0] ** 2 * a[1] * a[2]
-        * np.cos(tp[0] - tp[1] / 2.0 - tp[2] / 2.0),
-        "g3": 2.0 * ints.g3 * a[0] ** 3 * a[2] ** 2 * a[3]
-        * np.cos(1.5 * tp[0] - tp[2] - tp[3] / 2.0),
-        "g4": 2.0 * ints.g4 * a[1] ** 3 * a[2] * a[3] ** 2
-        * np.cos(1.5 * tp[1] - tp[2] / 2.0 - tp[3]),
-        "eps": tuple(2.0 * eps[j] * a[j] * math.sin(td[j]) for j in range(4)),
+    arrays of one shape: each phase-dependent coefficient then has that shape.
+    A coupling of strength 0 gives 0.0, an overflow inf or nan."""
+    a, td, eps = config.alpha, config.theta_d, config.epsilon_d
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = {name: _term(name, v, a, tp) if (v := getattr(ints, name)) else 0.0
+                  for name in MONOMIALS}
+        coeffs["eps"] = tuple(2.0 * eps[j] * a[j] * math.sin(td[j]) for j in range(4))
         # KPO 4's drive phase stays explicit in the energy model, so its
         # field coefficient is stored without the sine factor
-        "nu4_base": 2.0 * eps[3] * a[3],
-    }
+        coeffs["nu4_base"] = 2.0 * eps[3] * a[3]
+    return coeffs
 
 
 def model_from_coefficients(coeffs: dict, beta: float) -> EffectiveEnergyModel:
     """Dimensionless energy model from rad/s coefficients at inverse
     temperature beta [s/rad].
 
-    Residual terms g1/g3 bias s1*s4 and g2/g4 bias s2*s3; KPO 4's drive
-    enters through the sin(theta_d4)-modulated field, so nu4 stores
-    2*beta*eps4*alpha4 without the phase factor.
+    Each coupling biases the spins of odd degree in its monomial: h4 sets
+    eta, g1/g3 mu14 and g2/g4 mu23. KPO 4's drive enters through the
+    sin(theta_d4)-modulated field, so nu4 stores 2*beta*eps4*alpha4.
     """
-    columns = _model_columns(coeffs, beta)
-    return EffectiveEnergyModel(
-        eta=columns[0],
-        mu=dict(zip(TWO_BODY_KEYS, columns[5:11])),
-        nu=tuple(columns[11:]),
-    )
+    return _model(_model_columns(coeffs, beta))
 
 
 def _model_columns(coeffs: dict, beta: float) -> list:
     """The 15 dimensionless coefficients of model_from_coefficients in
     SPIN_FEATURES column order (scalars, or arrays where `coeffs` holds them)."""
-    eps = coeffs["eps"]
-    return [
-        beta * coeffs["h4"],
-        0.0, 0.0, 0.0, 0.0,                                # lambda
-        0.0, 0.0, beta * (coeffs["g1"] + coeffs["g3"]),    # mu 12, 13, 14
-        beta * (coeffs["g2"] + coeffs["g4"]), 0.0, 0.0,    # mu 23, 24, 34
-        beta * eps[0], beta * eps[1], beta * eps[2], beta * coeffs["nu4_base"],
-    ]
+    sums = dict(zip(range(11, 15), (*coeffs["eps"][:3], coeffs["nu4_base"])))
+    for name, column in _COLUMNS.items():
+        sums[column] = sums[column] + coeffs[name] if column in sums else coeffs[name]
+    with np.errstate(over="ignore", invalid="ignore"):  # the model and _softmax refuse inf
+        return [beta * sums[k] if k in sums else 0.0 for k in range(len(_SPIN_PRODUCTS))]
 
 
-def _features_at(theta_d4: float) -> np.ndarray:
-    """SPIN_FEATURES with the nu4 column multiplied by sin(theta_d4)."""
-    features = SPIN_FEATURES.copy()
-    features[:, -1] *= math.sin(theta_d4)
+def _model(vector) -> EffectiveEnergyModel:
+    """The energy model of 15 coefficients in SPIN_FEATURES column order."""
+    return EffectiveEnergyModel(
+        eta=vector[0],
+        lam=dict(zip(THREE_BODY_KEYS, vector[1:5])),
+        mu=dict(zip(TWO_BODY_KEYS, vector[5:11])),
+        nu=tuple(vector[11:]),
+    )
+
+
+def _vector(model: EffectiveEnergyModel) -> list:
+    """The 15 coefficients of `model` in SPIN_FEATURES column order."""
+    return [model.eta, *model.lam.values(), *model.mu.values(), *model.nu]
+
+
+def _features(theta_d4) -> np.ndarray:
+    """SPIN_FEATURES at each phase of `theta_d4`, (points, 16, 15), the nu4
+    column scaled by math.sin, whose bits do not depend on NumPy's build."""
+    sin_t = np.array([math.sin(t) for t in np.asarray(theta_d4, dtype=float).tolist()])
+    features = np.repeat(SPIN_FEATURES[np.newaxis], len(sin_t), axis=0)
+    features[:, :, -1] *= sin_t[:, np.newaxis]
     return features
 
 
-def _energies(model: EffectiveEnergyModel, theta_d4: float) -> np.ndarray:
-    """Dimensionless beta*E of every state, in SPIN_STATES order."""
-    coeffs = np.array([model.eta, *model.lam.values(), *model.mu.values(), *model.nu])
-    return _features_at(theta_d4) @ coeffs
+def _energies(columns, theta_d4: float) -> np.ndarray:
+    """Dimensionless beta*E of every state, in SPIN_STATES order along the
+    last axis, of 15 coefficients in SPIN_FEATURES column order or of rows of them."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _softmax refuses the overflow
+        return np.asarray(columns, dtype=float) @ _features([theta_d4])[0].T
+
+
+def _softmax(energies: np.ndarray) -> np.ndarray:
+    """exp(-E)/Z along the last axis, each row shifted by its minimum so no
+    weight overflows. Raises ValueError unless every energy is finite."""
+    if not np.isfinite(energies).all():
+        raise ValueError("state energies are not finite: the energy coefficients overflow")
+    with np.errstate(over="ignore"):  # a spread past the float range weighs exactly 0
+        weights = np.exp(-(energies - energies.min(axis=-1, keepdims=True)))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def state_energy(model: EffectiveEnergyModel, s: tuple[int, ...], theta_d4: float = math.pi / 2.0) -> float:
     """Dimensionless beta*E of one spin state."""
-    return float(_energies(model, theta_d4)[SPIN_STATES.index(tuple(s))])
+    return float(_energies(_vector(model), theta_d4)[SPIN_STATES.index(tuple(s))])
 
 
 def boltzmann_probabilities(
     model: EffectiveEnergyModel, theta_d4: float = math.pi / 2.0
 ) -> dict[tuple[int, ...], float]:
     """p_s = exp(-beta*E_s)/Z over the 16 states; overflow-safe."""
-    energies = _energies(model, theta_d4)
-    weights = np.exp(-(energies - energies.min()))
-    probs = weights / weights.sum()
-    return dict(zip(SPIN_STATES, probs))
+    return dict(zip(SPIN_STATES, _softmax(_energies(_vector(model), theta_d4))))
 
 
 def parity_split(probs: dict[tuple[int, ...], float]) -> tuple[float, float]:
@@ -205,21 +231,17 @@ def parity_curve(
     """Even/odd parity totals versus the aggregate pump phase.
 
     The grid value replaces theta_p1 (all other pump phases held at 0),
-    so theta_p_aggregate sweeps the grid directly. Pure cos(theta_p/2)
-    dependence gives a period of 4*pi.
+    so the aggregate phase theta_p1 + theta_p2 - theta_p3 - theta_p4 sweeps
+    the grid. Pure cos(theta_p/2) dependence gives a period of 4*pi.
 
     The whole grid is one array computation: the (points, 15) coefficient
-    table of model_from_coefficients (only its h4, g1, g2 and g3 terms
-    depend on theta_p1), one product with the features at theta_d4, a
-    row-wise shifted softmax as in boltzmann_probabilities, and one sum
-    over the even-parity states.
+    table of model_from_coefficients, boltzmann_probabilities' energies and
+    softmax row by row, and one sum over the even-parity states.
     """
     grid = np.asarray(theta_p_grid, dtype=float)
     coeffs = _coefficients(config, (grid, 0.0, 0.0, 0.0), ints)
     columns = np.column_stack(np.broadcast_arrays(*_model_columns(coeffs, beta)))
-    energies = columns @ _features_at(config.theta_d[3]).T
-    weights = np.exp(-(energies - energies.min(axis=1, keepdims=True)))
-    probs = weights / weights.sum(axis=1, keepdims=True)
+    probs = _softmax(_energies(columns, config.theta_d[3]))
     even = probs[:, SPIN_FEATURES[:, 0] == 1.0].sum(axis=1)
     return even, 1.0 - even
 
@@ -235,17 +257,15 @@ def beta_for_even_parity(
     """
     if not 0.5 < target_even < 1.0:
         raise ValueError("target even-parity fraction must lie in (0.5, 1)")
-    cfg0 = OscillationConfig(
-        alpha=config.alpha,
-        epsilon_d=np.zeros(4),
-        theta_d=config.theta_d,
-        theta_p=np.zeros(4),
-    )
-    h4_breve = effective_coefficients(cfg0, ints)["h4"]
+    h4_breve = _coefficients(config, np.zeros(4), ints)["h4"]
     if h4_breve == 0.0:
         raise ValueError("four-body coefficient vanishes; beta is unconstrained")
     eta = 0.5 * math.log((1.0 - target_even) / target_even)
-    return eta / h4_breve
+    with np.errstate(over="ignore"):
+        beta = eta / h4_breve
+    if not (np.isfinite(beta) and beta != 0.0):
+        raise ValueError(f"beta = {eta:g} / {h4_breve:g} rad/s is not finite and nonzero")
+    return beta
 
 
 # --------------------------------------------------------------------------
@@ -268,16 +288,13 @@ class FitResult:
 def _fit_system(theta_d4: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least-squares system of fit_energy_model, 15 rows per phase point.
 
-    Built for all points at once: the (points, 16, 15) feature table with
-    its nu4 column scaled by each point's math.sin(theta), its differences
-    to the reference state, and the logs of one array of probability ratios
-    (math.log, element by element, whose bits do not depend on NumPy's
-    build). Row i*15 + k holds point i and the k-th state other than the
-    reference, each element the float that _features_at(theta_i) gives.
+    Built for all points at once: the feature table of every point
+    (`_features`), its differences to the reference state, and the logs of
+    one array of probability ratios (math.log, element by element, whose
+    bits do not depend on NumPy's build). Row i*15 + k holds point i and the
+    k-th state other than the reference.
     """
-    sin_t = np.array([math.sin(t) for t in theta_d4.tolist()])
-    features = np.repeat(SPIN_FEATURES[np.newaxis], len(sin_t), axis=0)
-    features[:, :, -1] *= sin_t[:, np.newaxis]
+    features = _features(theta_d4)
     design = -(features[:, _OTHER_COLS] - features[:, _REF_COL, np.newaxis])
     ratios = probs[:, _OTHER_COLS] / probs[:, _REF_COL, np.newaxis]
     rhs = np.array([math.log(r) for r in ratios.ravel().tolist()])
@@ -291,8 +308,8 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
     The log-ratio ln(p_s/p_ref) = -(beta*E_s - beta*E_ref) is linear in
     the coefficients, so the fit is a single least-squares solve, whose
     system is formed for all phase points in one array expression
-    (`_fit_system`); the reference state's own curve is then fitted to
-    A*exp(B sin(theta)+C).
+    (`_fit_system`) and whose singular values give the condition number;
+    the reference state's own curve is then fitted to A*exp(B sin(theta)+C).
     Only the product A*exp(C) is identifiable, so C is reported as 0.
     """
     theta_d4 = np.asarray(theta_d4, dtype=float)
@@ -315,25 +332,19 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
         probs = np.maximum(probs, PROB_FLOOR)
 
     design, rhs = _fit_system(theta_d4, probs)
-    cond = np.linalg.cond(design)
-    if cond > 1e8:
+    coeffs, _, _, singular = np.linalg.lstsq(design, rhs, rcond=None)
+    s_max, s_min = float(singular[0]), float(singular[-1])
+    cond = s_max / s_min if s_min else math.inf
+    if s_max > 1e8 * s_min:
         raise ValueError(f"ill-conditioned design matrix (condition number {cond:.2e})")
-    coeffs, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
     residual = float(np.linalg.norm(design @ coeffs - rhs))
 
-    model = EffectiveEnergyModel(
-        eta=coeffs[0],
-        lam=dict(zip(THREE_BODY_KEYS, coeffs[1:5])),
-        mu=dict(zip(TWO_BODY_KEYS, coeffs[5:11])),
-        nu=tuple(coeffs[11:]),
-    )
     # reference curve: ln p_ref = ln A + C + B sin(theta)
     sin_t = np.sin(theta_d4)
     b, intercept = np.polyfit(sin_t, np.log(probs[:, _REF_COL]), 1)
     reference = {"A": math.exp(intercept), "B": float(b), "C": 0.0}
-    return FitResult(
-        model=model, reference=reference, residual_norm=residual, condition_number=cond
-    )
+    return FitResult(model=_model(coeffs), reference=reference, residual_norm=residual,
+                     condition_number=cond)
 
 
 def estimate_h4(
@@ -345,13 +356,17 @@ def estimate_h4(
 ) -> float:
     """|h4| from the fitted eta/nu4 ratio (inverse temperature cancels).
 
-    nu4 = 2*beta*eps4*alpha4 and eta = -2*beta*h4*alpha1..alpha4*cos(tp/2),
-    so |h4| = |eta/nu4| * 2*eps4*alpha4 / (2*prod(alpha)*|cos(tp/2)|).
+    nu4 = 2*beta*eps4*alpha4 and eta is beta times the rule's four-body
+    term, so |h4| = |eta/nu4| * 2*eps4*alpha4 / |that term at h4 = 1|.
     """
     if nu4 == 0.0:
         raise ValueError("nu4 must be nonzero to form the ratio")
     alpha = np.asarray(alpha, dtype=float)
-    denom = 2.0 * float(np.prod(alpha)) * abs(math.cos(theta_p / 2.0))
-    if denom == 0.0:
-        raise ValueError("four-body coefficient vanishes at this pump phase")
-    return abs(eta / nu4) * 2.0 * epsilon4 * alpha[3] / denom
+    if alpha.shape != (4,):
+        raise ValueError("alpha must have four entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = _term("h4", 1.0, alpha, (theta_p, 0.0, 0.0, 0.0))
+    if not (np.isfinite(unit) and unit != 0.0):
+        raise ValueError(f"four-body coefficient vanishes or overflows at this pump phase "
+                         f"({unit:g} * h4)")
+    return abs(eta / nu4) * 2.0 * epsilon4 * alpha[3] / abs(unit)

@@ -307,6 +307,25 @@ def test_malformed_number_lists_rejected(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["parity", "--alpha", "1e200,1e200,1,1"], "not finite and nonzero"),
+        (["parity", "--h4-mhz", "1e-320"], "not finite and nonzero"),
+        (["boltzmann", "--eta", "1e308", "--nu", "1e308,-1e308,0,0"],
+         "state energies are not finite"),
+    ],
+    ids=["alpha-overflows-h4", "h4-underflows-beta", "energies-overflow"],
+)
+def test_overflow_fails_loudly(capsys, argv, message):
+    # each printed nan probabilities with exit 0 before
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: ")
+    assert message in err
+
+
 @pytest.mark.parametrize("points", ["0", "1"])
 def test_parity_needs_two_points(capsys, points):
     code, out, err = _run(capsys, ["parity", "--points", points])
@@ -705,3 +724,13 @@ def test_oracle_rejects_a_scan_too_narrow_to_see_the_crossing(capsys):
     assert out == ""
     assert err.startswith(f"{ERROR_PREFIX}: ")
     assert "widen scan_halfwidth" in err
+
+
+def test_oracle_refuses_a_crossing_that_is_not_two_level(capsys):
+    # at 20 MHz the +-10 MHz scan finds one of two anticrossings of |1100>;
+    # it once printed |h_eff|_MHz: 0.344246177 with exit 0
+    code, out, err = _run(capsys, ["oracle", "--eps-mhz", "20", "--scan-mhz", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: |1100>, |0011> pair not identified")
+    assert "not two-level" in err

@@ -33,7 +33,8 @@ GOLDEN = {
     "quantize-effective": ["quantize", "--effective", "data/unit.json"],
     "couplings": COUPLINGS,
     "fit": ["fit", "data/probabilities.csv"],
-    "oracle-eps10-d3": ["oracle", "--eps-mhz", "10", "--truncation", "3"],
+    # a two-level crossing: |0011> keeps 0.91 of its weight in the chosen pair
+    "oracle-eps50-d3": ["oracle", "--eps-mhz", "50", "--truncation", "3"],
 }
 
 

@@ -412,14 +412,14 @@ def test_gap_trace_matches_full_space_rebuild(coupler):
 
 
 @pytest.mark.parametrize(
-    "case", ["eps10-d3", "eps300-d4", "with-coupler-d3"],
+    "case", ["eps50-d3", "eps300-d4", "with-coupler-d3"],
 )
 def test_parabolic_refinement_matches_bounded_brent(case):
     # bounded Brent on the full-space gap, over the same bracket and to the
     # same xatol, is the reference the parabolic refinement must meet
     from scipy.optimize import minimize_scalar
 
-    eps_ghz, d, halfwidth = {"eps10-d3": (0.01, 3, 2 * MHZ), "eps300-d4": (0.3, 4, 2 * MHZ),
+    eps_ghz, d, halfwidth = {"eps50-d3": (0.05, 3, 2 * MHZ), "eps300-d4": (0.3, 4, 2 * MHZ),
                              "with-coupler-d3": (0.15, 3, 3 * MHZ)}[case]
     spectrum = _ladder(eps_ghz)
     couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
@@ -521,6 +521,28 @@ def test_build_rejects_couplings_that_do_not_fit_the_spectrum(coupler, couplings
         build_hamiltonian(spectrum, couplings, d=3)
     with pytest.raises(ValueError, match=message):
         four_body_kerr_dressed(spectrum, couplings)
+
+
+# the smallest weight |0011> keeps in the chosen pair on the `oracle` ladder
+# at d=4; at 20 MHz, |0020> is degenerate with the pair (K3 = eps) and takes
+# half of it, so |1100> anticrosses twice and neither crossing is two-level
+STATE_WEIGHTS = {20: None, 30: 0.701, 50: 0.914, 100: 0.982, 200: 0.996}
+
+
+@pytest.mark.parametrize("eps_mhz", STATE_WEIGHTS)
+def test_gap_scan_refuses_a_crossing_that_is_not_two_level(eps_mhz):
+    # the summed weight of both states stays above 2 * OVERLAP_THRESHOLD at
+    # 20 MHz (about 1.25), so only a per-state check refuses that scan
+    spectrum, couplings = _ladder(eps_ghz=eps_mhz / 1000), CouplingGraph(h=_full_h(5.0 * MHZ))
+    halfwidth = (10 if eps_mhz <= 30 else 2) * MHZ
+    if STATE_WEIGHTS[eps_mhz] is None:
+        with pytest.raises(ValueError, match=r"\|0011> keeps weight 0\.4\d\d .* not two-level"):
+            four_body_from_gap(spectrum, couplings, d=4, scan_halfwidth=halfwidth)
+        return
+    result = four_body_from_gap(spectrum, couplings, d=4, scan_halfwidth=halfwidth)
+    assert result["state_weight"] == pytest.approx(STATE_WEIGHTS[eps_mhz], abs=1e-3)
+    assert result["state_weight"] >= oracle.OVERLAP_THRESHOLD
+    assert 2 * result["state_weight"] <= result["pair_weight"] <= 2.0 + 1e-12
 
 
 def test_gap_raises_when_pair_not_identified(monkeypatch):

@@ -12,6 +12,7 @@ from kpokit import spinmodel
 from kpokit.constants import KHZ, MHZ
 from kpokit.spinmodel import (
     PROB_FLOOR,
+    SPIN_FEATURES,
     SPIN_STATES,
     EffectiveEnergyModel,
     InteractionSet,
@@ -66,6 +67,27 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["alpha", "epsilon_d", "theta_d", "theta_p"])
+def test_config_rejects_non_finite_entries(name, value):
+    entries = dict(alpha=np.ones(4), epsilon_d=np.zeros(4), theta_d=np.zeros(4),
+                   theta_p=np.zeros(4))
+    entries[name] = np.array([0.5, value, 0.5, 0.5])
+    with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+        OscillationConfig(**entries)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [dict(eta=math.inf), dict(lam={"123": math.nan}), dict(mu={"14": -math.inf}),
+     dict(nu=(0.0, 0.0, 0.0, math.nan))],
+    ids=["eta", "lambda", "mu", "nu"],
+)
+def test_energy_model_rejects_non_finite_coefficients(fields):
+    with pytest.raises(ValueError, match="energy coefficients must be finite"):
+        EffectiveEnergyModel(**fields)
+
+
 def test_probabilities_sum_to_one():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -80,6 +102,20 @@ def test_probabilities_normalized_under_extreme_coefficients(eta, nu1):
     model = EffectiveEnergyModel(eta=eta, nu=(nu1, 0.0, 0.0, 0.0))
     probs = boltzmann_probabilities(model)
     assert abs(sum(probs.values()) - 1.0) < 1e-12
+
+
+def test_overflowing_energies_raise():
+    # finite coefficients whose energies overflow: no nan probabilities
+    with pytest.raises(ValueError, match="state energies are not finite"):
+        boltzmann_probabilities(EffectiveEnergyModel(eta=1e308, nu=(1e308, -1e308, 0.0, 0.0)))
+
+
+def test_energy_spread_past_the_float_range_keeps_the_ground_states():
+    # every energy is finite, but their spread is not: the excited states weigh 0
+    probs = boltzmann_probabilities(EffectiveEnergyModel(eta=8e307, nu=(8e307, 0.0, 0.0, 0.0)))
+    ground = [s for s in SPIN_STATES if s[0] == -1 and parity(s) == -1]
+    assert [probs[s] for s in ground] == [0.25] * 4
+    assert sum(probs.values()) == 1.0
 
 
 def test_null_model_is_uniform():
@@ -239,6 +275,25 @@ def test_beta_calibration_errors():
         beta_for_even_parity(_config(), InteractionSet(h4=0.0), target_even=0.641)
 
 
+@pytest.mark.parametrize(
+    "alpha, h4",
+    [((1e200, 1e200, 1.0, 1.0), 0.1 * MHZ), (tuple(ALPHA), 1e-320 * MHZ)],
+    ids=["coefficient-overflows", "beta-overflows"],
+)
+def test_beta_calibration_refuses_an_overflow(alpha, h4):
+    config = OscillationConfig(alpha=np.array(alpha), epsilon_d=np.zeros(4),
+                               theta_d=np.full(4, math.pi / 2), theta_p=np.zeros(4))
+    with pytest.raises(ValueError, match="not finite and nonzero"):
+        beta_for_even_parity(config, InteractionSet(h4=h4))
+
+
+def test_parity_curve_refuses_an_overflow():
+    with pytest.raises(ValueError, match="state energies are not finite"):
+        parity_curve(_config(), InteractionSet(h4=0.1 * MHZ), PARITY_GRIDS["0-8pi"], 1e305)
+    with pytest.raises(ValueError, match="energy coefficients must be finite"):
+        model_from_coefficients(effective_coefficients(_config(), InteractionSet(h4=MHZ)), 1e305)
+
+
 def test_parity_split_complementarity():
     rng = np.random.default_rng(3)
     even, odd = parity_split(boltzmann_probabilities(_random_model(rng)))
@@ -337,20 +392,21 @@ def test_fit_floors_tiny_probabilities():
 def _per_point_fit(theta_d4, probs):
     """fit_energy_model's system as first written, one phase point at a time:
     the design matrix, the right-hand side, and the coefficients, residual
-    and condition number of the solve."""
+    and condition number (from the solve's own singular values) of the solve."""
     probs = np.maximum(probs, PROB_FLOOR)
     ref_col = SPIN_STATES.index((-1, -1, -1, -1))
     others = [col for col in range(16) if col != ref_col]
     blocks, rhs = [], []
     for i, theta in enumerate(theta_d4):
-        features = spinmodel._features_at(theta)
+        features = SPIN_FEATURES.copy()
+        features[:, -1] *= math.sin(theta)
         blocks.append(-(features[others] - features[ref_col]))
         rhs += [math.log(probs[i, col] / probs[i, ref_col]) for col in others]
     design = np.concatenate(blocks)
     rhs = np.array(rhs)
-    coeffs = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    coeffs, _, _, singular = np.linalg.lstsq(design, rhs, rcond=None)
     residual = float(np.linalg.norm(design @ coeffs - rhs))
-    return design, rhs, coeffs, residual, np.linalg.cond(design)
+    return design, rhs, coeffs, residual, singular[0] / singular[-1]
 
 
 def _seeded_fit_tables():
@@ -411,7 +467,96 @@ def test_estimate_h4_errors():
         estimate_h4(1.0, 0.0, 1.0, ALPHA)
     with pytest.raises(ValueError, match="vanishes"):
         estimate_h4(1.0, 1.0, 1.0, np.array([1.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="overflows"):
+        estimate_h4(1.0, 1.0, 1.0, np.array([1e200, 1e200, 1.0, 1.0]))
+    for alpha in (ALPHA[:3], np.append(ALPHA, 2.0)):
+        with pytest.raises(ValueError, match="four entries"):
+            estimate_h4(1.0, 1.0, 1.0, alpha)
 
 
 def test_estimate_h4_zero_eta_gives_zero():
     assert estimate_h4(0.0, 1.0, 1.0, ALPHA) == 0.0
+
+
+@pytest.mark.parametrize("theta_p", [0.0, 0.7, -2.9, math.pi - 0.01, 9.0])
+def test_estimate_h4_matches_the_closed_form(theta_p):
+    # |h4| = |eta/nu4| * 2*eps4*alpha4 / (2*prod(alpha)*|cos(theta_p/2)|), as
+    # first written; the rule's unit four-body term replaces the denominator
+    eta, nu4, eps4 = -0.31, 0.74, 20 * KHZ
+    closed = abs(eta / nu4) * 2.0 * eps4 * ALPHA[3] / (
+        2.0 * float(np.prod(ALPHA)) * abs(math.cos(theta_p / 2.0)))
+    assert estimate_h4(eta, nu4, eps4, ALPHA, theta_p=theta_p) == pytest.approx(closed, rel=1e-15)
+    # and it inverts the forward map at that aggregate pump phase
+    h4 = 0.1 * MHZ
+    cfg = OscillationConfig(alpha=ALPHA, epsilon_d=np.array([0.0, 0.0, 0.0, eps4]),
+                            theta_d=np.full(4, math.pi / 2), theta_p=np.array([theta_p, 0, 0, 0]))
+    model = model_from_coefficients(effective_coefficients(cfg, InteractionSet(h4=h4)), 2.0 / MHZ)
+    assert estimate_h4(model.eta, model.nu[3], eps4, ALPHA, theta_p=theta_p) == pytest.approx(
+        h4, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the coherent-state rule against the expressions it replaced
+# --------------------------------------------------------------------------
+
+def _hand_written_terms(alpha, tp, ints):
+    """The five coupling terms as first written, one expression each."""
+    a = alpha
+    return {
+        "h4": -2.0 * ints.h4 * a[0] * a[1] * a[2] * a[3]
+        * np.cos((tp[0] + tp[1] - tp[2] - tp[3]) / 2.0),
+        "g1": 2.0 * ints.g1 * a[0] * a[3] * a[1] ** 2
+        * np.cos(tp[0] / 2.0 + tp[3] / 2.0 - tp[1]),
+        "g2": 2.0 * ints.g2 * a[0] ** 2 * a[1] * a[2]
+        * np.cos(tp[0] - tp[1] / 2.0 - tp[2] / 2.0),
+        "g3": 2.0 * ints.g3 * a[0] ** 3 * a[2] ** 2 * a[3]
+        * np.cos(1.5 * tp[0] - tp[2] - tp[3] / 2.0),
+        "g4": 2.0 * ints.g4 * a[1] ** 3 * a[2] * a[3] ** 2
+        * np.cos(1.5 * tp[1] - tp[2] / 2.0 - tp[3]),
+    }
+
+
+def _assert_rule_matches_hand_written(got, want, alpha, ints):
+    """h4, g2, g3 and g4 bit for bit; g1 to 2e-15 of its amplitude, as its
+    phase is now summed in mode order (theta_p1/2 - theta_p2 + theta_p4/2)."""
+    for name in ("h4", "g2", "g3", "g4"):
+        assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+    amplitude = abs(2.0 * ints.g1 * alpha[0] * alpha[1] ** 2 * alpha[3])
+    assert np.max(np.abs(got["g1"] - want["g1"])) <= 2e-15 * amplitude
+
+
+def _random_couplings(rng):
+    return InteractionSet(*(rng.uniform(0.1, 1.0, 5) * rng.choice((-1.0, 1.0), 5) * MHZ))
+
+
+def test_rule_reproduces_the_hand_written_terms_at_scalar_phases():
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        alpha = rng.uniform(0.5, 3.0, 4)
+        config = OscillationConfig(alpha=alpha, epsilon_d=np.zeros(4), theta_d=np.zeros(4),
+                                   theta_p=rng.uniform(-math.pi, math.pi, 4))
+        ints = _random_couplings(rng)
+        got = effective_coefficients(config, ints)
+        want = _hand_written_terms(alpha, config.theta_p, ints)
+        _assert_rule_matches_hand_written(got, want, alpha, ints)
+
+
+def test_rule_reproduces_the_hand_written_terms_and_placement_on_a_parity_grid():
+    rng = np.random.default_rng(42)
+    grid = PARITY_GRIDS["0-8pi"]
+    for _ in range(40):
+        config, _ = _random_parity_system(rng, MHZ)
+        ints = _random_couplings(rng)
+        beta = rng.uniform(0.1, 2.0) / MHZ
+        got = spinmodel._coefficients(config, (grid, 0.0, 0.0, 0.0), ints)
+        want = _hand_written_terms(config.alpha, (grid, 0.0, 0.0, 0.0), ints)
+        _assert_rule_matches_hand_written(got, want, config.alpha, ints)
+        # the placement as first written: h4 on eta, g1 + g3 on mu14, g2 + g4
+        # on mu23, the drives on nu; every other column exactly 0
+        columns = spinmodel._model_columns(got, beta)
+        assert columns[0].tobytes() == (beta * want["h4"]).tobytes()
+        assert columns[7].tobytes() == (beta * (got["g1"] + want["g3"])).tobytes()
+        assert columns[8].tobytes() == (beta * (want["g2"] + want["g4"])).tobytes()
+        assert columns[11:] == [beta * got["eps"][0], beta * got["eps"][1],
+                                beta * got["eps"][2], beta * got["nu4_base"]]
+        assert [columns[k] for k in (1, 2, 3, 4, 5, 6, 9, 10)] == [0.0] * 8
