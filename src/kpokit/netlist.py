@@ -289,22 +289,25 @@ def coupling_constants(
     """
     if spectrum.n_kpo != 4:
         raise ValueError("unit circuit has four KPOs")
-    w = spectrum.omega
-    cq = modes.c_q_eff
+    # plain floats: math.sqrt and IEEE arithmetic give NumPy's scalar bits
+    w = spectrum.omega.tolist()
+    cq = np.asarray(modes.c_q_eff, dtype=float).tolist()
+    g12, g13 = float(modes.g12), float(modes.g13)
     h_exact = np.zeros((4, 4))
     for j in range(4):
         for k in range(4):
             if j == k:
                 continue
-            kernel = modes.g12 if {j, k} in ({0, 1}, {2, 3}) else modes.g13
-            h_exact[j, k] = 0.5 * kernel * np.sqrt(cq[j] * cq[k] * w[j] * w[k])
+            kernel = g12 if {j, k} in ({0, 1}, {2, 3}) else g13
+            h_exact[j, k] = 0.5 * kernel * math.sqrt(cq[j] * cq[k] * w[j] * w[k])
     out = {}
     if spectrum.has_coupler:
-        wg = spectrum.coupler_omega
+        wg = float(spectrum.coupler_omega)
+        c_g_eff = float(modes.c_g_eff)
         g_exact = np.array(
             [
-                (modes.g_minus / np.sqrt(2.0))
-                * np.sqrt(cq[j] * modes.c_g_eff * w[j] * wg)
+                (float(modes.g_minus) / math.sqrt(2.0))
+                * math.sqrt(cq[j] * c_g_eff * w[j] * wg)
                 for j in range(4)
             ]
         )
@@ -313,18 +316,19 @@ def coupling_constants(
         out["exact"] = CouplingGraph(h=h_exact)
 
     if modes.bare:
-        c_c = modes.bare["c_c"]
-        c_q = np.asarray(modes.bare["c_q"], dtype=float)
+        c_c = float(modes.bare["c_c"])
+        c_q = np.asarray(modes.bare["c_q"], dtype=float).tolist()
         h_approx = np.zeros((4, 4))
         for j in range(4):
             for k in range(4):
                 if j != k:
-                    h_approx[j, k] = c_c / (8.0 * np.sqrt(c_q[j] * c_q[k])) * np.sqrt(w[j] * w[k])
+                    h_approx[j, k] = (c_c / (8.0 * math.sqrt(c_q[j] * c_q[k]))
+                                      * math.sqrt(w[j] * w[k]))
         if spectrum.has_coupler:
-            c_g = modes.bare["c_g"]
+            c_g = float(modes.bare["c_g"])
             g_approx = np.array(
                 [
-                    c_c / (4.0 * np.sqrt(c_q[j] * c_g)) * np.sqrt(w[j] * spectrum.coupler_omega)
+                    c_c / (4.0 * math.sqrt(c_q[j] * c_g)) * math.sqrt(w[j] * wg)
                     for j in range(4)
                 ]
             )

@@ -13,6 +13,7 @@ because every b_j holds annihilators only.
 
 from __future__ import annotations
 
+import functools
 from numbers import Number
 
 import numpy as np
@@ -40,7 +41,8 @@ class BosonicPolynomial:
         sum_j weight[j] conj(P[j, pq]) P[j, rs]. For real weights that matrix
         is Hermitian; it is symmetrised, so a monomial and its adjoint get
         exactly conjugate coefficients. Keys run over the pairs in
-        ``np.triu_indices`` order, creation pair outermost.
+        ``np.triu_indices`` order, creation pair outermost; the coefficients
+        are Python floats (complex for complex input).
         """
         u = np.asarray(u)
         n_modes = u.shape[1]
@@ -49,9 +51,7 @@ class BosonicPolynomial:
         pair[:, p != q] *= 2
         c = (pair.conj().T * np.asarray(weight)) @ pair
         c = 0.5 * (c + c.conj().T)
-        keys = [tuple(np.bincount([i, j], minlength=n_modes).tolist()) for i, j in zip(p, q)]
-        return cls(n_modes, {(kc, ka): c[x, y] for x, kc in enumerate(keys)
-                             for y, ka in enumerate(keys)})
+        return cls(n_modes, dict(zip(_quartic_keys(n_modes), c.ravel().tolist())))
 
     def __mul__(self, other):
         if not isinstance(other, Number):
@@ -78,3 +78,12 @@ class BosonicPolynomial:
     def __repr__(self) -> str:  # pragma: no cover
         parts = [f"{v:.6g} * {c}|{a}" for (c, a), v in sorted(self.terms.items())]
         return f"BosonicPolynomial({self.n_modes} modes: " + "; ".join(parts) + ")"
+
+
+@functools.lru_cache(maxsize=8)
+def _quartic_keys(n_modes: int) -> tuple[Monomial, ...]:
+    """The monomial of each element of the quartic's coefficient matrix, in
+    ``ravel`` order; made once per mode count."""
+    pairs = [tuple(np.bincount([p, q], minlength=n_modes).tolist())
+             for p, q in zip(*np.triu_indices(n_modes))]
+    return tuple((kc, ka) for kc in pairs for ka in pairs)

@@ -3,9 +3,10 @@
 Builds the full lab-frame Hamiltonian (self-Kerr plus beam-splitter couplings
 including their counter-rotating parts) by index lookup on the table of
 occupation numbers, stored as its two dense blocks of even and odd total
-excitation number. It gives dressed frequencies and effective four-body
-couplings nonperturbatively, for cross-checking the perturbative module, and
-a Kerr-dressed third-order four-body estimate; the gap scan's model-space
+excitation number, or as the even block alone where only that is read. It
+gives dressed frequencies and effective four-body couplings
+nonperturbatively, for cross-checking the perturbative module, and a
+Kerr-dressed third-order four-body estimate; the gap scan's model-space
 solve and that estimate take their terms from one routine, `_lowdin_terms`.
 """
 
@@ -29,7 +30,7 @@ class FockHamiltonian:
     n_modes: int
     truncation: int
     even: np.ndarray  # rad/s, the states of even total excitation number, in lexicographic order
-    odd: np.ndarray   # rad/s, the odd states likewise
+    odd: np.ndarray | None  # rad/s, the odd states likewise; None when not built
 
     @property
     def dimension(self) -> int:
@@ -37,7 +38,7 @@ class FockHamiltonian:
 
 
 def build_hamiltonian(
-    spectrum: ModeSpectrum, couplings: CouplingGraph, d: int
+    spectrum: ModeSpectrum, couplings: CouplingGraph, d: int, *, odd: bool = True
 ) -> FockHamiltonian:
     """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} h_jk (a_j - a_j+)(a_k - a_k+)
     - sum_j s_j g_j (a_j - a_j+)(a_g - a_g+), counter-rotating parts kept.
@@ -45,9 +46,12 @@ def build_hamiltonian(
     The index structure comes from the basis of its shape (`_fock_basis`),
     made once: the diagonal is summed from the single-mode diagonals of a+ a
     and a+ a+ a a, and each two-mode term is one scaled scatter of its
-    element products into the two blocks. Raises ValueError when h, g or
-    the coupler mode do not match the spectrum, and, before any basis is
-    made, when the even block would exceed DENSE_LIMIT states.
+    element products into the blocks. With odd=False only the even block,
+    which holds the ground state and every two-quantum state, is built and
+    checked, and `odd` is None. Raises ValueError when h, g or the coupler
+    mode do not match the spectrum, when a built block is not symmetric,
+    and, before any basis is made, when the even block would exceed
+    DENSE_LIMIT states.
     """
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
@@ -72,14 +76,15 @@ def build_hamiltonian(
     terms = [((j, k), couplings.h[j, k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
     if couplings.g is not None:
         terms += [((j, n_kpo), couplings.s[j] * couplings.g[j]) for j in range(n_kpo)]
-    blocks = [np.diag(diagonal[states]) for states in basis.block_states]
+    blocks = [np.diag(diagonal[states]) for states in basis.block_states[:2 if odd else 1]]
     for modes, c in terms:
         if c != 0.0:
             for block, (flat, product) in zip(blocks, basis.steps[modes]):
                 block.ravel()[flat] = -(c * product)  # a view: np.diag returns a contiguous array
     for block in blocks:
         _check_hermitian(block)
-    return FockHamiltonian(n_modes=n_modes, truncation=d, even=blocks[0], odd=blocks[1])
+    return FockHamiltonian(n_modes=n_modes, truncation=d, even=blocks[0],
+                           odd=blocks[1] if odd else None)
 
 
 def _check_hermitian(matrix: np.ndarray) -> None:
@@ -165,6 +170,8 @@ def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     """Per-mode dressed frequency: single-excitation eigenvalue minus the
     ground energy, the ground state taken from the even block and the single
     excitations from the odd one, each identified by maximum bare-basis overlap."""
+    if h.odd is None:
+        raise ValueError("dressed frequencies need the odd block; build it with odd=True")
     n, d = h.n_modes, h.truncation
     # basis state 0 opens the even block; column m of the identity excites mode m
     singles = _fock_basis(n, d).position[np.ravel_multi_index(np.eye(n, dtype=int), (d,) * n)]
@@ -191,8 +198,8 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     A common offset delta is added to modes 1 and 2 (shifting w1 + w2
     through w3 + w4); the dressed levels descending from |1100> and
     |0011> anticross, and the minimum gap equals twice the effective
-    coupling. H is assembled once and only its even block of total
-    excitation number, which holds both states, is diagonalized, once; an
+    coupling. Only the even block of H in total excitation number, which
+    holds both states, is assembled, once, and diagonalized, once; an
     offset only adds delta * D to that block, D = diag((n1 + n2) / 2).
     In the eigenbasis V of the block, Dt = V^T D V, and each offset is
     solved in the model space P of the eigenstates with more than half
@@ -226,7 +233,7 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     if n_scan < 3:
         raise ValueError(f"gap scan needs at least 3 points, got {n_scan}")
 
-    ham = build_hamiltonian(spectrum, couplings, d)
+    ham = build_hamiltonian(spectrum, couplings, d, odd=False)
     basis = _fock_basis(ham.n_modes, d)
     occ = basis.occupations[:, basis.block_states[0]]
     half_pair_number = 0.5 * occ[:2].sum(axis=0)
@@ -358,12 +365,13 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     one hop of V from |1100> or |0011> and holds at most 2 quanta per mode,
     and the third-order term uses V only between such states. A truncation
     of 3 (occupations 0, 1, 2) therefore holds every term exactly and is
-    what is built. Raises ValueError, before any term is formed, when an
-    intermediate state mixes with the model space by MIXING_LIMIT or more.
+    what is built, its even block alone. Raises ValueError, before any term
+    is formed, when an intermediate state mixes with the model space by
+    MIXING_LIMIT or more.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
-    ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION)
+    ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION, odd=False)
     a, b = _fock_basis(ham.n_modes, ham.truncation).pair
     v = ham.even
     energies = v.diagonal().copy()

@@ -94,7 +94,7 @@ class CouplingGraph:
             raise ValueError("h must be square")
         if not np.all(np.isfinite(h)):
             raise ValueError("h must be finite")
-        if not np.allclose(h, h.T):
+        if not np.all(abs(h - h.T) <= 1e-8 + 1e-5 * abs(h.T)):  # np.allclose(h, h.T)
             raise ValueError("h must be symmetric")
         if self.g is not None:
             g = np.asarray(self.g, dtype=float)
@@ -302,24 +302,24 @@ def rwa_filter(
     kept when its rotation sum_j (c_j - a_j) omega_pj / 2 is below
     RESONANCE_TOL. The coupler (if any) is not pumped: monomials with
     unpaired coupler operators rotate at omega_g and are dropped outright.
-    There must be one pump frequency per non-coupler mode.
+    There must be one pump frequency per non-coupler mode; they are
+    assigned to those modes in order, skipping the coupler.
     """
     if coupler_mode is not None and coupler_mode not in range(poly.n_modes):
         raise ValueError(f"coupler_mode {coupler_mode} is not a mode of a "
                          f"{poly.n_modes}-mode polynomial")
-    omega_p = np.asarray(pump.omega_p, dtype=float)
-    n_pumped = poly.n_modes - (coupler_mode is not None)
-    if len(omega_p) != n_pumped:
-        raise ValueError(f"{len(omega_p)} pump frequencies for {n_pumped} KPO modes")
+    omega_p = np.asarray(pump.omega_p, dtype=float).tolist()
+    kpo_modes = [mode for mode in range(poly.n_modes) if mode != coupler_mode]
+    if len(omega_p) != len(kpo_modes):
+        raise ValueError(f"{len(omega_p)} pump frequencies for {len(kpo_modes)} KPO modes")
+    pumped = list(zip(kpo_modes, omega_p))
     entries = []
     for (c, a), v in poly.pruned().terms.items():
         if coupler_mode is not None and c[coupler_mode] != a[coupler_mode]:
             continue
         rotation = 0.0
-        for mode in range(poly.n_modes):
-            if mode == coupler_mode:
-                continue
-            rotation += (c[mode] - a[mode]) * omega_p[mode] / 2.0
+        for mode, w in pumped:
+            rotation += (c[mode] - a[mode]) * w / 2.0
         if abs(rotation) < RESONANCE_TOL:
             entries.append(
                 ReportEntry(

@@ -302,12 +302,13 @@ def _best_pairing(idx: list[int], w: list) -> tuple[str, float]:
     integer input gives exact residuals.
     """
     best = None
-    for a, b, c, d in PAIRINGS:
+    for pairing in PAIRINGS:
+        a, b, c, d = pairing
         residual = abs(w[a] + w[b] - w[c] - w[d])
-        label = f"w{idx[a]}+w{idx[b]}=w{idx[c]}+w{idx[d]}"
-        if best is None or residual < best[1]:
-            best = (label, residual)
-    return best
+        if best is None or residual < best_residual:
+            best, best_residual = pairing, residual
+    a, b, c, d = best  # only the kept pairing's label is formatted
+    return f"w{idx[a]}+w{idx[b]}=w{idx[c]}+w{idx[d]}", best_residual
 
 
 def _spurious_report(sites: dict, freqs: dict, rows: int) -> list:

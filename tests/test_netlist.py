@@ -286,6 +286,55 @@ def test_permutation_invariance():
     assert np.allclose(a["exact"].g, b["exact"].g)
 
 
+def _numpy_scalar_couplings(modes, spectrum):
+    """coupling_constants' loops as first written, np.sqrt on NumPy scalars:
+    the exact and approximate (h, g), g None without a coupler."""
+    w, cq = spectrum.omega, modes.c_q_eff
+    c_c, c_q = modes.bare["c_c"], np.asarray(modes.bare["c_q"], dtype=float)
+    h_exact, h_approx = np.zeros((4, 4)), np.zeros((4, 4))
+    for j in range(4):
+        for k in range(4):
+            if j != k:
+                kernel = modes.g12 if {j, k} in ({0, 1}, {2, 3}) else modes.g13
+                h_exact[j, k] = 0.5 * kernel * np.sqrt(cq[j] * cq[k] * w[j] * w[k])
+                h_approx[j, k] = c_c / (8.0 * np.sqrt(c_q[j] * c_q[k])) * np.sqrt(w[j] * w[k])
+    if not spectrum.has_coupler:
+        return {"exact": (h_exact, None), "approx": (h_approx, None)}
+    wg, c_g = spectrum.coupler_omega, modes.bare["c_g"]
+    g_exact = np.array([(modes.g_minus / np.sqrt(2.0)) * np.sqrt(cq[j] * modes.c_g_eff * w[j] * wg)
+                        for j in range(4)])
+    g_approx = np.array([c_c / (4.0 * np.sqrt(c_q[j] * c_g)) * np.sqrt(w[j] * wg)
+                         for j in range(4)])
+    return {"exact": (h_exact, g_exact), "approx": (h_approx, g_approx)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coupling_constants_bit_identical_to_the_numpy_scalar_loops(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        c_q = rng.uniform(150e-15, 600e-15, 4)
+        c_c, c_g = rng.uniform(0.5e-15, 4e-15), rng.uniform(100e-15, 600e-15)
+        caps = [Capacitor(n, "gnd", c) for n, c in zip(KPO_NODES, c_q)]
+        caps += [Capacitor("c5", "c6", c_g), Capacitor("q1", "c5", c_c),
+                 Capacitor("q2", "c5", c_c), Capacitor("q3", "c6", c_c),
+                 Capacitor("q4", "c6", c_c)]
+        net = CircuitNetlist(nodes=KPO_NODES + COUPLER_NODES, ground="gnd",
+                             capacitors=tuple(caps))
+        modes = mode_reduce(invert_capacitance(build_capacitance_matrix(net), net),
+                            KPO_NODES, COUPLER_NODES,
+                            bare=extract_bare(net, KPO_NODES, COUPLER_NODES))
+        freqs = tuple(rng.uniform(8.0, 12.0, 4))
+        for coupler_ghz in (rng.uniform(9.0, 13.0), None):
+            spectrum = _spectrum(freqs_ghz=freqs, coupler_ghz=coupler_ghz)
+            graphs = coupling_constants(modes, spectrum)
+            for name, (h, g) in _numpy_scalar_couplings(modes, spectrum).items():
+                assert np.array_equal(graphs[name].h.view(np.int64), h.view(np.int64))
+                if g is None:
+                    assert graphs[name].g is None
+                else:
+                    assert np.array_equal(graphs[name].g.view(np.int64), g.view(np.int64))
+
+
 # --------------------------------------------------------------------------
 # bare extraction and file I/O
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ brute-force matrix tests keep the reference itself checked.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,8 +17,16 @@ from hypothesis import strategies as st
 
 from kpokit.constants import GHZ, MHZ
 from kpokit.operators import PRUNE_TOL, BosonicPolynomial
-from kpokit.perturbation import CouplingGraph, ModeSpectrum, rwa_filter, sw_mixing, transform_kerr
-from kpokit.pumpplan import PumpAssignment
+from kpokit.perturbation import (
+    CouplingGraph,
+    ModeSpectrum,
+    ReportEntry,
+    classify_monomial,
+    rwa_filter,
+    sw_mixing,
+    transform_kerr,
+)
+from kpokit.pumpplan import RESONANCE_TOL, PumpAssignment
 
 # -- the reference: normal-ordered products on term dicts ------------------
 
@@ -372,3 +381,84 @@ def test_transform_kerr_and_rwa_order_bit_identical_to_reference():
     ref_report = rwa_filter(BosonicPolynomial(5, ref), pump, coupler_mode=4)
     assert len(report.entries) > 1
     assert _report_keys(report) == _report_keys(ref_report)
+
+
+# -- the quartic and rwa_filter against their loops on NumPy scalars -----------
+
+def _numpy_scalar_quartic_terms(u, weight):
+    """BosonicPolynomial.quartic's terms as first written: the pair keys made
+    by np.bincount on every call, the values NumPy scalars."""
+    u = np.asarray(u)
+    n_modes = u.shape[1]
+    p, q = np.triu_indices(n_modes)
+    pair = u[:, p] * u[:, q]
+    pair[:, p != q] *= 2
+    c = (pair.conj().T * np.asarray(weight)) @ pair
+    c = 0.5 * (c + c.conj().T)
+    keys = [tuple(np.bincount([i, j], minlength=n_modes).tolist()) for i, j in zip(p, q)]
+    return {(kc, ka): c[x, y] for x, kc in enumerate(keys) for y, ka in enumerate(keys)}
+
+
+def _numpy_scalar_rwa_entries(poly, pump, coupler_mode=None):
+    """rwa_filter's loop as first written, on NumPy floats. It indexes the
+    pumps by mode number, so a coupler must be the last mode."""
+    omega_p = np.asarray(pump.omega_p, dtype=float)
+    entries = []
+    for (c, a), v in poly.pruned().terms.items():
+        if coupler_mode is not None and c[coupler_mode] != a[coupler_mode]:
+            continue
+        rotation = 0.0
+        for mode in range(poly.n_modes):
+            if mode == coupler_mode:
+                continue
+            rotation += (c[mode] - a[mode]) * omega_p[mode] / 2.0
+        if abs(rotation) < RESONANCE_TOL:
+            entries.append(ReportEntry(c, a, v, classify_monomial(c, a, coupler_mode),
+                                       abs(rotation)))
+    entries.sort(key=lambda e: -abs(e.coefficient))
+    return entries
+
+
+def _bits(value):
+    """The IEEE bits of a real or complex scalar."""
+    z = complex(value)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quartic_bit_identical_to_the_numpy_scalar_comprehension(seed):
+    rng = np.random.default_rng(seed)
+    for n_modes in (1, 2, 4, 5):
+        for complex_u in (False, True):
+            n_rows = rng.integers(1, n_modes + 1)
+            u = np.eye(n_modes)[:n_rows] + 0.1 * rng.normal(size=(n_rows, n_modes))
+            if complex_u:
+                u = u + 0.1j * rng.normal(size=(n_rows, n_modes))
+            weight = rng.uniform(-15.0, 15.0, n_rows) * MHZ
+            terms = BosonicPolynomial.quartic(u, weight).terms
+            reference = _numpy_scalar_quartic_terms(u, weight)
+            assert list(terms) == list(reference)
+            assert {type(v) for v in terms.values()} == {complex if complex_u else float}
+            assert [_bits(v) for v in terms.values()] == [_bits(v) for v in reference.values()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rwa_filter_bit_identical_to_the_numpy_float_loop(seed):
+    rng = np.random.default_rng(seed)
+    rotations = []
+    for spectrum, couplings, pump, coupler_mode in _seeded_cases(seed):
+        poly = transform_kerr(spectrum, sw_mixing(spectrum, couplings))
+        numpy_poly = BosonicPolynomial(poly.n_modes,
+                                       {k: np.float64(v) for k, v in poly.terms.items()})
+        # pumps moved within the tolerance leave the kept terms a nonzero rotation
+        jitter = rng.uniform(-0.25, 0.25, 4) * RESONANCE_TOL
+        for pumps in (pump, PumpAssignment(omega_p=tuple(np.add(pump.omega_p, jitter)))):
+            entries = rwa_filter(poly, pumps, coupler_mode=coupler_mode).entries
+            reference = _numpy_scalar_rwa_entries(numpy_poly, pumps, coupler_mode)
+            assert len(entries) > 1
+            assert ([(e.creation, e.annihilation, e.classification) for e in entries]
+                    == [(e.creation, e.annihilation, e.classification) for e in reference])
+            assert ([(_bits(e.coefficient), _bits(e.rotation_residual)) for e in entries]
+                    == [(_bits(e.coefficient), _bits(e.rotation_residual)) for e in reference])
+            rotations += [e.rotation_residual for e in entries]
+    assert any(rotations)

@@ -109,6 +109,47 @@ def test_hermitian_check_raises_on_an_injected_fault(inject, element):
         build_hamiltonian(spectrum, couplings, d=3)
 
 
+def test_an_even_only_build_still_checks_its_block(inject):
+    spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
+    build_hamiltonian(spectrum, couplings, d=3, odd=False)
+    inject(0, 2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_hamiltonian(spectrum, couplings, d=3, odd=False)
+    # the estimate builds the even block alone, and so meets the check too
+    with pytest.raises(ValueError, match="not Hermitian"):
+        four_body_kerr_dressed(spectrum, couplings)
+
+
+def test_an_even_only_build_makes_no_odd_block(inject):
+    # an asymmetric odd block (|0001>, |0021>, as above) reaches only a
+    # build that makes that block
+    spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
+    inject(1, 7)
+    assert build_hamiltonian(spectrum, couplings, d=3, odd=False).odd is None
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_hamiltonian(spectrum, couplings, d=3)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("coupler", [False, True], ids=["kpos", "coupler"])
+def test_an_even_only_build_is_the_even_block_of_a_full_build(d, coupler):
+    rng = np.random.default_rng(d)
+    spectrum = _ladder(kerr_mhz=rng.uniform(2.0, 25.0, 4))
+    couplings = CouplingGraph(h=_random_couplings(rng, [(1, 3)]))
+    if coupler:
+        spectrum = _with_coupler(spectrum)
+        couplings = CouplingGraph(h=couplings.h, g=rng.uniform(10.0, 90.0, 4) * MHZ)
+    full = build_hamiltonian(spectrum, couplings, d)
+    even_only = build_hamiltonian(spectrum, couplings, d, odd=False)
+    _assert_same_bits(even_only.even, full.even)
+    # the odd block is not built, not left as zeros
+    assert even_only.odd is None and full.odd is not None
+    assert (even_only.n_modes, even_only.truncation, even_only.dimension) == (
+        full.n_modes, full.truncation, full.dimension)
+    with pytest.raises(ValueError, match="need the odd block"):
+        dressed_frequencies_exact(even_only)
+
+
 def test_container_follows_dense_limit(monkeypatch):
     # both blocks are dense; a block above the limit is refused
     spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
@@ -160,7 +201,7 @@ def _kronecker_reference(spectrum, couplings, d):
     return total.toarray()
 
 
-def _reference_hamiltonian(spectrum, couplings, d):
+def _reference_hamiltonian(spectrum, couplings, d, *, odd=True):
     """The Kronecker reference as a FockHamiltonian, its parity blocks sliced out."""
     full = _kronecker_reference(spectrum, couplings, d)
     n_modes = spectrum.n_kpo + 1 if spectrum.has_coupler else spectrum.n_kpo

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from kpokit.constants import GHZ, KHZ, MHZ
+from kpokit.operators import BosonicPolynomial
 from kpokit.perturbation import (
     CouplingGraph,
     DegenerateModesError,
     MixingCoefficients,
     ModeSpectrum,
+    ReportEntry,
     cross_kerr,
     dressed_spectrum,
     g4_closed_form,
@@ -274,6 +276,31 @@ def test_rwa_filter_rejects_a_pump_or_coupler_index_that_does_not_fit(n_pumps, c
     pump = PumpAssignment(omega_p=tuple(omega_p[:n_pumps]))
     with pytest.raises(ValueError, match=match):
         rwa_filter(poly, pump, coupler_mode=coupler_mode)
+
+
+@pytest.mark.parametrize("coupler_mode", [0, 2, 4])
+def test_rwa_filter_assigns_the_pumps_to_the_kpo_modes_in_order(coupler_mode):
+    # the coupler moved from mode 4 to coupler_mode, the KPOs keeping their
+    # order around it: the same report, its monomials relabelled
+    spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
+    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    poly = transform_kerr(spectrum, mix)
+    pump = PumpAssignment(omega_p=tuple(2 * w for w in spectrum.omega))
+
+    def move(exponents):
+        kpos = list(exponents[:4])
+        return tuple(kpos[:coupler_mode] + [exponents[4]] + kpos[coupler_mode:])
+
+    moved = BosonicPolynomial(5, {(move(c), move(a)): v for (c, a), v in poly.terms.items()})
+    report = rwa_filter(poly, pump, coupler_mode=4)
+    relabelled = rwa_filter(moved, pump, coupler_mode=coupler_mode)
+    assert len(report.entries) > 2
+    assert relabelled.entries == [
+        ReportEntry(move(e.creation), move(e.annihilation), e.coefficient, e.classification,
+                    e.rotation_residual)
+        for e in report.entries
+    ]
+    assert relabelled.by_class("four-body")
 
 
 def test_report_serialization():
