@@ -81,7 +81,9 @@ class CapacitanceMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        if not np.allclose(m, m.T):
+        if not np.all(np.isfinite(m)):
+            raise ValueError("capacitance matrix must be finite")
+        if not np.all(abs(m - m.T) <= 1e-8 + 1e-5 * abs(m.T)):  # np.allclose(m, m.T)
             raise ValueError("capacitance matrix must be symmetric")
 
 

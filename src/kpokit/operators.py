@@ -42,7 +42,9 @@ class BosonicPolynomial:
         is Hermitian; it is symmetrised, so a monomial and its adjoint get
         exactly conjugate coefficients. Keys run over the pairs in
         ``np.triu_indices`` order, creation pair outermost; the coefficients
-        are Python floats (complex for complex input).
+        are Python floats (complex for complex input). A coefficient of size
+        PRUNE_TOL or less is left out; a non-finite one is kept, so the
+        polynomial's reader meets it.
         """
         u = np.asarray(u)
         n_modes = u.shape[1]
@@ -51,7 +53,8 @@ class BosonicPolynomial:
         pair[:, p != q] *= 2
         c = (pair.conj().T * np.asarray(weight)) @ pair
         c = 0.5 * (c + c.conj().T)
-        return cls(n_modes, dict(zip(_quartic_keys(n_modes), c.ravel().tolist())))
+        return cls(n_modes, {k: v for k, v in zip(_quartic_keys(n_modes), c.ravel().tolist())
+                             if not abs(v) <= PRUNE_TOL})
 
     def __mul__(self, other):
         if not isinstance(other, Number):

@@ -6,8 +6,10 @@ occupation numbers, stored as its two dense blocks of even and odd total
 excitation number, or as the even block alone where only that is read. It
 gives dressed frequencies and effective four-body couplings
 nonperturbatively, for cross-checking the perturbative module, and a
-Kerr-dressed third-order four-body estimate; the gap scan's model-space
-solve and that estimate take their terms from one routine, `_lowdin_terms`.
+Kerr-dressed third-order four-body estimate, which builds H on its one-hop
+space alone: |1100>, |0011> and the states one coupling away from them. The
+gap scan's model-space solve and that estimate take their terms from one
+routine, `_lowdin_terms`.
 """
 
 from __future__ import annotations
@@ -66,25 +68,37 @@ def build_hamiltonian(
             f"above DENSE_LIMIT = {DENSE_LIMIT}; lower the truncation"
         )
 
+    blocks = _assemble(spectrum, couplings, _fock_basis(n_modes, d), (0, 1) if odd else (0,))
+    return FockHamiltonian(n_modes=n_modes, truncation=d, even=blocks[0],
+                           odd=blocks[1] if odd else None)
+
+
+def _assemble(spectrum: ModeSpectrum, couplings: CouplingGraph, basis: _FockBasis,
+              spaces: tuple) -> list:
+    """H on each of `spaces` of `basis`: 0 and 1 are the even and odd blocks,
+    2 the hop space. The diagonal is summed from the single-mode diagonals
+    of a+ a and a+ a+ a a, and each nonzero two-mode coupling is one scaled
+    scatter of its element products; ValueError unless each matrix is symmetric."""
+    n_kpo, n_modes = spectrum.n_kpo, len(basis.number)
     omega = [*spectrum.omega, spectrum.coupler_omega][:n_modes]
     kerr = [*spectrum.kerr, spectrum.coupler_kerr or 0.0][:n_modes]
-    basis = _fock_basis(n_modes, d)
-    diagonal = np.zeros(dim)
-    for m in range(n_modes):
-        diagonal += omega[m] * basis.number[m]
-        diagonal -= 0.5 * kerr[m] * basis.kerr[m]
     terms = [((j, k), couplings.h[j, k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
     if couplings.g is not None:
         terms += [((j, n_kpo), couplings.s[j] * couplings.g[j]) for j in range(n_kpo)]
-    blocks = [np.diag(diagonal[states]) for states in basis.block_states[:2 if odd else 1]]
-    for modes, c in terms:
-        if c != 0.0:
-            for block, (flat, product) in zip(blocks, basis.steps[modes]):
-                block.ravel()[flat] = -(c * product)  # a view: np.diag returns a contiguous array
-    for block in blocks:
-        _check_hermitian(block)
-    return FockHamiltonian(n_modes=n_modes, truncation=d, even=blocks[0],
-                           odd=blocks[1] if odd else None)
+    diagonal = np.zeros(len(basis.position))
+    for m in range(n_modes):
+        diagonal += omega[m] * basis.number[m]
+        diagonal -= 0.5 * kerr[m] * basis.kerr[m]
+    matrices = []
+    for space in spaces:
+        matrix = np.diag(diagonal[(*basis.block_states, basis.hop)[space]])
+        for modes, c in terms:
+            if c != 0.0:
+                flat, product = basis.steps[modes][space]
+                matrix.ravel()[flat] = -(c * product)  # a view: np.diag returns a contiguous array
+        _check_hermitian(matrix)
+        matrices.append(matrix)
+    return matrices
 
 
 def _check_hermitian(matrix: np.ndarray) -> None:
@@ -104,7 +118,8 @@ class _FockBasis:
     pair: np.ndarray         # even-block indices of |1100>, |0011>; empty below 4 modes
     number: np.ndarray       # (n_modes, d**n_modes), the diagonal of a+ a per mode
     kerr: np.ndarray         # likewise of a+ a+ a a
-    steps: dict              # (j, k) -> per block: flat positions and element products
+    steps: dict              # (j, k) -> per block, then the hop space: flat positions, products
+    hop: np.ndarray          # ascending: |1100>, |0011> and each state one element from either
 
 
 @functools.lru_cache(maxsize=8)
@@ -123,21 +138,30 @@ def _fock_basis(n_modes: int, d: int) -> _FockBasis:
         raise ValueError("Hamiltonian couples even and odd total excitation numbers")
     if not np.all(np.diff(np.sort(rows * d**n_modes + cols))):
         raise ValueError("two Hamiltonian elements share a position")
-    steps = {}
-    for modes, (r, c, product) in elements.items():
-        keep = [parity[c] == p for p in (0, 1)]
-        steps[modes] = tuple((len(block_states[p]) * position[r[keep[p]]] + position[c[keep[p]]],
-                             product[keep[p]]) for p in (0, 1))
     pad = (0,) * (n_modes - 4)
     bare = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
-    pair = position[np.ravel_multi_index(bare, (d,) * n_modes) if n_modes >= 4 else []]
+    bare = np.ravel_multi_index(bare, (d,) * n_modes) if n_modes >= 4 else []
+    pair = position[bare]
+    # the hop space: the two bare states and every state an element links to either
+    near = np.zeros(d**n_modes, dtype=bool)
+    near[bare] = True
+    in_hop = near.copy()
+    for r, c, _ in elements.values():
+        in_hop[r[near[c]]] = in_hop[c[near[r]]] = True
+    steps = {modes: () for modes in elements}
+    for member in (parity == 0, parity == 1, in_hop):
+        index = np.cumsum(member) - 1  # a member's index within its space
+        for modes, (r, c, product) in elements.items():
+            keep = member[r] & member[c]
+            flat = np.count_nonzero(member) * index[r[keep]] + index[c[keep]]
+            steps[modes] += ((flat, product[keep]),)
     # the diagonals are read off the operator products themselves, not
     # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
     adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
     a = adag.T
     basis = _FockBasis(occ, block_states, position, pair, np.diag(adag @ a)[occ],
-                       np.diag(adag @ adag @ a @ a)[occ], steps)
-    for array in (occ, position, pair, basis.number, basis.kerr, *block_states,
+                       np.diag(adag @ adag @ a @ a)[occ], steps, np.flatnonzero(in_hop))
+    for array in (occ, position, pair, basis.number, basis.kerr, basis.hop, *block_states,
                   *(x for blocks in steps.values() for block in blocks for x in block)):
         array.flags.writeable = False
     return basis
@@ -364,16 +388,20 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     moves one quantum in each of two modes. So every intermediate state is
     one hop of V from |1100> or |0011> and holds at most 2 quanta per mode,
     and the third-order term uses V only between such states. A truncation
-    of 3 (occupations 0, 1, 2) therefore holds every term exactly and is
-    what is built, its even block alone. Raises ValueError, before any term
-    is formed, when an intermediate state mixes with the model space by
+    of 3 (occupations 0, 1, 2) therefore holds every term exactly. What is
+    built is H on the hop space of that truncation: the two model states and
+    the states one element of V from either (34 with a coupler), not the
+    122-state even block. Raises ValueError when h or g do not fit the
+    spectrum, when that matrix is not symmetric, and, before any term is
+    formed, when an intermediate state mixes with the model space by
     MIXING_LIMIT or more.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
-    ham = build_hamiltonian(spectrum, couplings, _LOWDIN_TRUNCATION, odd=False)
-    a, b = _fock_basis(ham.n_modes, ham.truncation).pair
-    v = ham.even
+    check_coupling_shapes(spectrum, couplings)
+    basis = _fock_basis(5 if spectrum.has_coupler else 4, _LOWDIN_TRUNCATION)
+    (v,) = _assemble(spectrum, couplings, basis, (2,))
+    a, b = np.searchsorted(basis.hop, basis.block_states[0][basis.pair])
     energies = v.diagonal().copy()
     np.fill_diagonal(v, 0.0)
     strength = np.maximum(abs(v[a]), abs(v[b]))

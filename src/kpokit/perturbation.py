@@ -27,12 +27,13 @@ on an exact rounding tie.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import BosonicPolynomial
+from .operators import PRUNE_TOL, BosonicPolynomial
 from .pumpplan import RESONANCE_TOL, PumpAssignment, classify_relation
 
 MIXING_WARN = 0.2   # perturbative-validity warning threshold on |htilde|, |gtilde|
@@ -250,7 +251,8 @@ def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> Bosoni
     Kerr term (the coupler's only when its Kerr is nonzero), and the result
     is sum_j (-K_j/2) a'_j^dag^2 a'_j^2: exact to all orders in the mixing
     ratios of the substituted quartic, Hermitian, and normal-ordered.
-    Raises ValueError when `mixing` does not fit `spectrum`.
+    Raises ValueError when `mixing` does not fit `spectrum` or holds a
+    non-finite ratio or sign.
     """
     n = spectrum.n_kpo
     if np.shape(mixing.h_tilde) != (n, n):
@@ -264,6 +266,12 @@ def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> Bosoni
             if value is None or np.shape(value) != (n,):
                 raise ValueError(f"{name} must have shape ({n},) for {n} KPOs, got "
                                  f"{None if value is None else np.shape(value)}")
+    # refused here, where it can be named: a non-finite ratio makes
+    # non-finite coefficients, and a prune by size drops a NaN as if it were 0
+    for name in ("h_tilde", "g_tilde", "s"):
+        value = getattr(mixing, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
     u = np.eye(n + 1 if spectrum.has_coupler else n)
     u[:n, :n] += mixing.h_tilde.T
     if mixing.g_tilde is not None:
@@ -271,7 +279,7 @@ def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> Bosoni
     kerr = list(spectrum.kerr)
     if spectrum.has_coupler and spectrum.coupler_kerr:
         kerr.append(spectrum.coupler_kerr)
-    return BosonicPolynomial.quartic(u[:len(kerr)], -np.asarray(kerr) / 2.0).pruned()
+    return BosonicPolynomial.quartic(u[:len(kerr)], -np.asarray(kerr) / 2.0)
 
 
 def classify_monomial(creation, annihilation, coupler_mode: int | None = None) -> str:
@@ -303,7 +311,8 @@ def rwa_filter(
     RESONANCE_TOL. The coupler (if any) is not pumped: monomials with
     unpaired coupler operators rotate at omega_g and are dropped outright.
     There must be one pump frequency per non-coupler mode; they are
-    assigned to those modes in order, skipping the coupler.
+    assigned to those modes in order, skipping the coupler. Coefficients of
+    size PRUNE_TOL or less are skipped; a non-finite one raises ValueError.
     """
     if coupler_mode is not None and coupler_mode not in range(poly.n_modes):
         raise ValueError(f"coupler_mode {coupler_mode} is not a mode of a "
@@ -314,12 +323,20 @@ def rwa_filter(
         raise ValueError(f"{len(omega_p)} pump frequencies for {len(kpo_modes)} KPO modes")
     pumped = list(zip(kpo_modes, omega_p))
     entries = []
-    for (c, a), v in poly.pruned().terms.items():
+    for (c, a), v in poly.terms.items():
+        size = abs(v)
+        if not PRUNE_TOL < size < math.inf:
+            if size <= PRUNE_TOL:
+                continue
+            raise ValueError(f"coefficient {v} of monomial {c}|{a} is not finite")
         if coupler_mode is not None and c[coupler_mode] != a[coupler_mode]:
             continue
+        # a mode the monomial leaves unchanged adds 0 * w / 2 = 0
         rotation = 0.0
         for mode, w in pumped:
-            rotation += (c[mode] - a[mode]) * w / 2.0
+            step = c[mode] - a[mode]
+            if step:
+                rotation += step * w / 2.0
         if abs(rotation) < RESONANCE_TOL:
             entries.append(
                 ReportEntry(

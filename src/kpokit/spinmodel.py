@@ -240,7 +240,9 @@ def parity_curve(
     """
     grid = np.asarray(theta_p_grid, dtype=float)
     coeffs = _coefficients(config, (grid, 0.0, 0.0, 0.0), ints)
-    columns = np.column_stack(np.broadcast_arrays(*_model_columns(coeffs, beta)))
+    columns = np.empty((grid.size, len(_SPIN_PRODUCTS)))
+    for k, column in enumerate(_model_columns(coeffs, beta)):
+        columns[:, k] = column
     probs = _softmax(_energies(columns, config.theta_d[3]))
     even = probs[:, SPIN_FEATURES[:, 0] == 1.0].sum(axis=1)
     return even, 1.0 - even

@@ -10,6 +10,7 @@ from kpokit.constants import GHZ, MHZ
 from kpokit.elements import SingleJunction, Snail, Squid
 from kpokit.netlist import (
     Branch,
+    CapacitanceMatrix,
     Capacitor,
     CircuitNetlist,
     build_capacitance_matrix,
@@ -93,6 +94,34 @@ def test_non_finite_element_values_rejected(value):
         SingleJunction(i0=value)
     with pytest.raises(ValueError, match="critical current must be positive and finite"):
         Snail(i0=value, gamma=0.3)
+
+
+def test_capacitance_matrix_symmetry_test_is_np_allclose():
+    # the elementwise form in CapacitanceMatrix accepts exactly what
+    # np.allclose(m, m.T) accepts, at and around its tolerance
+    rng = np.random.default_rng(4)
+    for scale in (1e-15, 1e-12, 1.0, 1e3):
+        m = rng.uniform(0.1, 1.0, (6, 6)) * scale
+        m = m + m.T
+        for offset in (0.0, 0.9e-5, 1.1e-5, 1e-3):
+            for absolute in (0.0, 0.5e-8, 2e-8):
+                skewed = m.copy()
+                skewed[0, 1] += offset * m[0, 1] + absolute
+                skewed[1, 0] -= 0.5 * (offset * m[0, 1] + absolute)
+                accepted = np.allclose(skewed, skewed.T)
+                if accepted:
+                    CapacitanceMatrix(skewed, tuple("abcdef"))
+                else:
+                    with pytest.raises(ValueError, match="must be symmetric"):
+                        CapacitanceMatrix(skewed, tuple("abcdef"))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_capacitance_matrix_rejects_non_finite_entries(value):
+    m = np.eye(2) * 1e-15
+    m[1, 1] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        CapacitanceMatrix(m, ("a", "b"))
 
 
 def test_unknown_node_reference_rejected():

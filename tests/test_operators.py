@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpokit.constants import GHZ, MHZ
-from kpokit.operators import PRUNE_TOL, BosonicPolynomial
+from kpokit.operators import PRUNE_TOL, BosonicPolynomial, _quartic_keys
 from kpokit.perturbation import (
     CouplingGraph,
     ModeSpectrum,
@@ -268,7 +268,10 @@ def test_quartic_matches_dense_fock_matrices(data, n_modes, n_rows, complex_u):
         b2 = b @ b
         expected += w[j] * b2.conj().T @ b2
     poly = BosonicPolynomial.quartic(u, w)
-    assert poly.n_modes == n_modes and len(poly.terms) == (n_modes * (n_modes + 1) // 2) ** 2
+    # a drawn zero leaves some coefficients 0, and those are left out; the
+    # matrix comparison holds each one left out to 0
+    assert poly.n_modes == n_modes and set(poly.terms) <= set(_quartic_keys(n_modes))
+    assert all(abs(v) > PRUNE_TOL for v in poly.terms.values())
     assert np.allclose(_to_matrix(poly.terms, n_modes, dim), expected, rtol=0.0, atol=1e-12)
     assert all(v == np.conj(poly.terms[(a, c)]) for (c, a), v in poly.terms.items())
 
@@ -427,16 +430,20 @@ def _bits(value):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_quartic_bit_identical_to_the_numpy_scalar_comprehension(seed):
+    # the comprehension followed by the prune transform_kerr once made; with
+    # no noise many coefficients are exactly 0, and the prune drops them
     rng = np.random.default_rng(seed)
     for n_modes in (1, 2, 4, 5):
-        for complex_u in (False, True):
+        for complex_u, noise in ((False, 0.1), (True, 0.1), (False, 0.0)):
             n_rows = rng.integers(1, n_modes + 1)
-            u = np.eye(n_modes)[:n_rows] + 0.1 * rng.normal(size=(n_rows, n_modes))
+            u = np.eye(n_modes)[:n_rows] + noise * rng.normal(size=(n_rows, n_modes))
             if complex_u:
                 u = u + 0.1j * rng.normal(size=(n_rows, n_modes))
             weight = rng.uniform(-15.0, 15.0, n_rows) * MHZ
             terms = BosonicPolynomial.quartic(u, weight).terms
-            reference = _numpy_scalar_quartic_terms(u, weight)
+            reference = _nonzero(_numpy_scalar_quartic_terms(u, weight))
+            if not noise and n_modes > 1:
+                assert len(reference) < len(_quartic_keys(n_modes))
             assert list(terms) == list(reference)
             assert {type(v) for v in terms.values()} == {complex if complex_u else float}
             assert [_bits(v) for v in terms.values()] == [_bits(v) for v in reference.values()]
@@ -462,3 +469,65 @@ def test_rwa_filter_bit_identical_to_the_numpy_float_loop(seed):
                     == [(_bits(e.coefficient), _bits(e.rotation_residual)) for e in reference])
             rotations += [e.rotation_residual for e in entries]
     assert any(rotations)
+
+
+def _pruned_copy_rwa_entries(poly, pump, coupler_mode=None):
+    """rwa_filter as it was before it pruned in its own loop: it iterates a
+    pruned copy of the polynomial and adds every pumped mode to the rotation."""
+    omega_p = np.asarray(pump.omega_p, dtype=float).tolist()
+    kpo_modes = [mode for mode in range(poly.n_modes) if mode != coupler_mode]
+    pumped = list(zip(kpo_modes, omega_p))
+    entries = []
+    for (c, a), v in poly.pruned().terms.items():
+        if coupler_mode is not None and c[coupler_mode] != a[coupler_mode]:
+            continue
+        rotation = 0.0
+        for mode, w in pumped:
+            rotation += (c[mode] - a[mode]) * w / 2.0
+        if abs(rotation) < RESONANCE_TOL:
+            entries.append(ReportEntry(c, a, v, classify_monomial(c, a, coupler_mode),
+                                       abs(rotation)))
+    entries.sort(key=lambda e: -abs(e.coefficient))
+    return entries
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rwa_filter_bit_identical_to_the_pruned_copy_loop(seed):
+    # transform_kerr's output holds no coefficient to prune, so terms at and
+    # below PRUNE_TOL are added, among them stationary ones
+    rng = np.random.default_rng(100 + seed)
+    for spectrum, couplings, pump, coupler_mode in _seeded_cases(seed):
+        poly = transform_kerr(spectrum, sw_mixing(spectrum, couplings))
+        zero = (0,) * poly.n_modes
+        one = tuple(int(m == 0) for m in range(poly.n_modes))
+        small = {(one, one): PRUNE_TOL, (zero, zero): 0.0, (one, zero): 0.5 * PRUNE_TOL,
+                 (zero, one): -0.0}
+        poly = BosonicPolynomial(poly.n_modes, {**poly.terms, **small})
+        jitter = rng.uniform(-0.25, 0.25, 4) * RESONANCE_TOL
+        for pumps in (pump, PumpAssignment(omega_p=tuple(np.add(pump.omega_p, jitter)))):
+            entries = rwa_filter(poly, pumps, coupler_mode=coupler_mode).entries
+            reference = _pruned_copy_rwa_entries(poly, pumps, coupler_mode)
+            assert len(entries) > 1
+            assert not {(e.creation, e.annihilation) for e in entries} & set(small)
+            assert ([(e.creation, e.annihilation, e.classification) for e in entries]
+                    == [(e.creation, e.annihilation, e.classification) for e in reference])
+            assert ([(_bits(e.coefficient), _bits(e.rotation_residual)) for e in entries]
+                    == [(_bits(e.coefficient), _bits(e.rotation_residual)) for e in reference])
+
+
+def test_quartic_keeps_a_non_finite_coefficient():
+    # a prune by abs(v) > PRUNE_TOL would drop a NaN as if it were 0
+    for weight in (math.nan, math.inf):
+        with np.errstate(invalid="ignore"):  # inf * 0
+            terms = BosonicPolynomial.quartic(np.eye(2), [weight, 1.0]).terms
+        assert not all(math.isfinite(abs(v)) for v in terms.values())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0)],
+                         ids=["nan", "inf", "-inf", "complex-nan"])
+def test_rwa_filter_raises_on_a_non_finite_coefficient(value):
+    four_body = ((1, 1, 0, 0), (0, 0, 1, 1))
+    poly = BosonicPolynomial(4, {four_body: value, four_body[::-1]: value})
+    pump = PumpAssignment(omega_p=tuple(2.0 * GHZ * np.array([10.0, 9.7, 9.9, 9.8])))
+    with pytest.raises(ValueError, match="not finite"):
+        rwa_filter(poly, pump)

@@ -1,6 +1,9 @@
 """Truncated-Fock-space diagonalization checks."""
 
+import itertools
+import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -17,6 +20,7 @@ from kpokit.oracle import (
     four_body_kerr_dressed,
 )
 from kpokit.perturbation import (
+    MIXING_LIMIT,
     CouplingGraph,
     ModeSpectrum,
     h4_general,
@@ -115,7 +119,8 @@ def test_an_even_only_build_still_checks_its_block(inject):
     inject(0, 2)
     with pytest.raises(ValueError, match="not Hermitian"):
         build_hamiltonian(spectrum, couplings, d=3, odd=False)
-    # the estimate builds the even block alone, and so meets the check too
+    # |0000> and |0002> are one element from |0011>, so the estimate's hop
+    # space holds the faulty element and meets the check too
     with pytest.raises(ValueError, match="not Hermitian"):
         four_body_kerr_dressed(spectrum, couplings)
 
@@ -506,7 +511,7 @@ def test_basis_arrays_are_read_only(fresh_basis):
     basis = fresh_basis(5, 3)
     assert len(basis.steps) == 10
     arrays = [basis.occupations, basis.position, basis.pair, basis.number, basis.kerr,
-              *basis.block_states,
+              basis.hop, *basis.block_states,
               *(x for blocks in basis.steps.values() for block in blocks for x in block)]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -904,3 +909,115 @@ def test_kerr_dressed_mixing_error_unchanged_by_truncation(monkeypatch, coupler)
             four_body_kerr_dressed(spectrum, couplings)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+# -- the estimate's hop space --------------------------------------------------
+
+def _brute_force_hop_space(n_modes, d):
+    """|1100>, |0011> and every state one (+-1, +-1) step of a mode pair away
+    from either, as full-space indices, by enumeration."""
+    pad = (0,) * (n_modes - 4)
+    bare = [(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad]
+    states = set(bare)
+    for state in bare:
+        for j, k in itertools.combinations(range(n_modes), 2):
+            for step_j, step_k in itertools.product((-1, 1), repeat=2):
+                moved = list(state)
+                moved[j] += step_j
+                moved[k] += step_k
+                if 0 <= moved[j] < d and 0 <= moved[k] < d:
+                    states.add(tuple(moved))
+    return sorted(np.ravel_multi_index(state, (d,) * n_modes) for state in states)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("n_modes", [4, 5], ids=["kpos", "coupler"])
+def test_hop_space_is_the_pair_and_every_state_one_step_away(fresh_basis, d, n_modes):
+    basis = fresh_basis(n_modes, d)
+    assert basis.hop.tolist() == _brute_force_hop_space(n_modes, d)
+    # every hop state has even total excitation number, so the hop space
+    # sits inside the even block
+    assert np.all(basis.occupations[:, basis.hop].sum(axis=0) % 2 == 0)
+    if (n_modes, d) == (5, 3):
+        assert (len(basis.hop), len(basis.block_states[0])) == (34, 122)
+
+
+@pytest.mark.parametrize("n_modes", [4, 5], ids=["kpos", "coupler"])
+def test_hop_space_matrix_is_the_even_block_restricted_to_it(n_modes):
+    rng = np.random.default_rng(n_modes)
+    spectrum = _ladder(kerr_mhz=rng.uniform(2.0, 25.0, 4))
+    couplings = CouplingGraph(h=_random_couplings(rng, [(0, 2)]))
+    if n_modes == 5:
+        spectrum = _with_coupler(spectrum)
+        couplings = CouplingGraph(h=couplings.h, g=rng.uniform(10.0, 90.0, 4) * MHZ)
+    basis = oracle._fock_basis(n_modes, 3)
+    (hop,) = oracle._assemble(spectrum, couplings, basis, (2,))
+    within = basis.position[basis.hop]
+    even = build_hamiltonian(spectrum, couplings, 3, odd=False).even
+    _assert_same_bits(hop, even[np.ix_(within, within)])
+
+
+def _even_block_kerr_dressed(spectrum, couplings):
+    """four_body_kerr_dressed as it was before the hop space: from the whole
+    d = 3 even block, of which it read the rows of |1100> and |0011> and V
+    among the states one hop from them."""
+    ham = build_hamiltonian(spectrum, couplings, 3, odd=False)
+    a, b = oracle._fock_basis(ham.n_modes, ham.truncation).pair
+    v = ham.even
+    energies = v.diagonal().copy()
+    np.fill_diagonal(v, 0.0)
+    strength = np.maximum(abs(v[a]), abs(v[b]))
+    hop = np.flatnonzero(strength)
+    den = energies[[a, b], None] - energies[hop]
+    with np.errstate(divide="ignore"):
+        worst = float(np.max(strength[hop] / abs(den), initial=0.0))
+    if worst >= MIXING_LIMIT:
+        raise ValueError(
+            f"intermediate-state mixing {worst:.3f} >= {MIXING_LIMIT}: not perturbative"
+        )
+    terms = oracle._lowdin_terms(v[np.ix_([a, b], hop)], v[np.ix_(hop, hop)], 1.0 / den, 3)
+    return float(abs(sum(terms)[0, 1]))
+
+
+def _design_systems(n):
+    """(spectrum, couplings) of the first n inputs of the design benchmark
+    (seed 0): the unit circuit's four KPOs with the coupler as a fifth mode."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmark"))
+    try:
+        import inputs
+        import tasks
+    finally:
+        sys.path.pop(0)
+    outputs = [tasks.design_task(inputs.design_input(0, i)) for i in range(n)]
+    return [(out["spectrum"], out["couplings"]) for out in outputs]
+
+
+def _coupler_cases():
+    """The coupler variants of the suite's ladder: a coupled coupler mode,
+    one KPO not coupled to it, and a linear coupler."""
+    spectrum, h = _with_coupler(_ladder()), _full_h(5.0 * MHZ)
+    linear = ModeSpectrum(omega=spectrum.omega, kerr=spectrum.kerr,
+                          coupler_omega=spectrum.coupler_omega, coupler_kerr=0.0)
+    return [(spectrum, CouplingGraph(h=h, g=np.full(4, 20.0 * MHZ))),
+            (spectrum, CouplingGraph(h=h, g=np.array([0.0, 20.0, 30.0, 40.0]) * MHZ)),
+            (linear, CouplingGraph(h=h, g=np.full(4, 20.0 * MHZ)))]
+
+
+@pytest.mark.parametrize("kind", ["ladder", "random", "coupler", "coupler-ladder", "design"])
+def test_kerr_dressed_bit_identical_to_the_even_block_estimate(kind):
+    if kind == "coupler-ladder":
+        systems = _coupler_cases()
+    elif kind == "design":
+        systems = _design_systems(30)
+    else:
+        systems = _kerr_dressed_systems(kind)
+    for spectrum, couplings in systems:
+        ours = four_body_kerr_dressed(spectrum, couplings)
+        assert ours > 0
+        assert ours.hex() == _even_block_kerr_dressed(spectrum, couplings).hex()
+
+
+def test_kerr_dressed_builds_no_fock_hamiltonian(monkeypatch):
+    monkeypatch.setattr(oracle, "build_hamiltonian", None)
+    for spectrum, couplings in _coupler_cases():
+        assert four_body_kerr_dressed(spectrum, couplings) > 0

@@ -212,6 +212,18 @@ def test_transform_kerr_rejects_mixing_that_does_not_fit_the_spectrum(coupler, c
         transform_kerr(spectrum, MixingCoefficients(**fields))
 
 
+@pytest.mark.parametrize("name", ["h_tilde", "g_tilde", "s"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_transform_kerr_rejects_non_finite_mixing(name, value):
+    # a NaN ratio makes NaN coefficients, which a prune by size would drop
+    # as if they were 0, leaving a few terms and no error
+    mix = _coupled_mixing()
+    fields = {"h_tilde": mix.h_tilde.copy(), "g_tilde": mix.g_tilde.copy(), "s": mix.s.copy()}
+    fields[name].flat[1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        transform_kerr(_ladder_spectrum(coupler=(12.0, 20.0)), MixingCoefficients(**fields))
+
+
 def test_rwa_retains_only_matching_four_body_partition():
     spectrum = _ladder_spectrum()
     mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ)))

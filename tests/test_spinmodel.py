@@ -248,6 +248,34 @@ def test_parity_curve_matches_per_point_reference(grid):
         assert np.abs(even + odd - 1.0).max() <= 1e-15
 
 
+def _column_stack_parity_curve(config, ints, theta_p_grid, beta):
+    """parity_curve as it was before it filled its table in place: the 15
+    columns broadcast to the grid and stacked."""
+    grid = np.asarray(theta_p_grid, dtype=float)
+    coeffs = spinmodel._coefficients(config, (grid, 0.0, 0.0, 0.0), ints)
+    columns = np.column_stack(np.broadcast_arrays(*spinmodel._model_columns(coeffs, beta)))
+    probs = spinmodel._softmax(spinmodel._energies(columns, config.theta_d[3]))
+    even = probs[:, SPIN_FEATURES[:, 0] == 1.0].sum(axis=1)
+    return even, 1.0 - even
+
+
+@pytest.mark.parametrize("grid", [np.float64(2.1), np.array([2.1]), PARITY_GRIDS["0-8pi"]],
+                         ids=["0-d", "one-point", "81-points"])
+def test_parity_curve_bit_identical_to_the_stacked_table(grid):
+    # with every coupling, and with h4 alone, which leaves most columns 0
+    rng = np.random.default_rng(33)
+    for i in range(20):
+        config, ints = _random_parity_system(rng, MHZ)
+        if i % 2:
+            ints = InteractionSet(h4=ints.h4)
+        beta = beta_for_even_parity(config, ints)
+        got = parity_curve(config, ints, grid, beta)
+        want = _column_stack_parity_curve(config, ints, grid, beta)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape == (np.size(grid),)
+            assert x.tobytes() == y.tobytes()
+
+
 def test_parity_curve_roundoff_follows_the_energy_scale():
     # with beta unrelated to the couplings, |beta E| reaches ~1e3: the one
     # (points, 15) x (15, 16) product and the reference's per-point products
