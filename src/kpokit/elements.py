@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import E_CHARGE, HBAR, PHI0_REDUCED
 
-_MAX_FLUX = 5000.0  # rad, |phi_x| of snail_equilibrium_phase: 10**5 steps of 0.05 rad
+_MAX_FLUX = 5000.0  # rad, largest |phi_x| of any SNAIL: 10**5 continuation steps of 0.05 rad
 
 
 # --------------------------------------------------------------------------
@@ -202,14 +202,12 @@ def snail_current_slope(phi: float, element: Snail) -> float:
 def snail_equilibrium_phase(element: Snail) -> float:
     """Equilibrium phase, on the branch continuously connected to 0 at phi_X = 0.
 
-    The flux is swept from 0 to phi_X in steps of about 0.05 rad (at least
-    8). Each step is predicted along the tangent
-    dphi/dphi_X = -(dI/dphi_X)/(dI/dphi) at the previous root and corrected
-    by Newton steps (`_continued_root`), all on plain floats. When the
-    correction cannot be shown to have found the root nearest the previous
-    one, that root is bracketed on a 1e-3 rad grid instead (`_nearest_root`),
-    on a `Snail` built for that flux step alone. A flux beyond +-_MAX_FLUX
-    (10**5 steps) is refused with ValueError before the grid is made.
+    A single-well SNAIL (n * gamma < 1) has exactly one root of the current
+    in phi_X -+ n asin(gamma), and it is the branch (`_equilibrium_phase`);
+    that root is refined there directly (`_refine_root`). Any other SNAIL is
+    followed along the flux from 0 (`_continued_phase`). A flux beyond
+    +-_MAX_FLUX (10**5 continuation steps) is refused with ValueError for
+    every SNAIL, before any search.
 
     The search runs once per `Snail` (`_equilibrium_phase`, a bounded
     cache): a circuit asks for a SNAIL's equilibrium and then for its mode
@@ -222,7 +220,20 @@ def snail_equilibrium_phase(element: Snail) -> float:
 def _equilibrium_phase(element: Snail) -> float:
     """snail_equilibrium_phase's search, cached on the frozen `Snail`. The
     public function stays a plain function, so that a tracer that wraps
-    plain functions still sees it."""
+    plain functions still sees it.
+
+    Why the bracket of a single-well SNAIL holds the branch and nothing
+    else: let u = (phi_X - phi)/n on the branch. It is continuous and starts
+    at u = 0, and at a root sin u = gamma sin phi, so |sin u| <= gamma < 1;
+    the branch therefore never leaves |u| <= asin(gamma). Across that
+    bracket the current changes sign: I(lo) = gamma (sin lo - 1) <= 0 <=
+    gamma (sin hi + 1) = I(hi). At a root in it, cos u =
+    sqrt(1 - gamma^2 sin^2 phi), and the slope gamma cos phi + cos(u)/n is
+    smallest at cos phi = -1, where it is 1/n - gamma; so when
+    n * gamma < 1 (always for n = 1) every root in the bracket rises, the
+    bracket holds exactly one root, and it is the branch. When the rounded
+    ends do not straddle a sign change, the flux is followed instead.
+    """
     target = element.phi_x
     if target == 0.0:
         return 0.0
@@ -232,6 +243,34 @@ def _equilibrium_phase(element: Snail) -> float:
             f"{_MAX_FLUX / (2 * math.pi):.0f} flux quanta), the 10**5 continuation steps "
             "of 0.05 rad that the equilibrium search takes at most"
         )
+    gamma, n = element.gamma, element.n
+    phi_bar = None
+    if n * gamma < 1.0:
+        reach = n * math.asin(gamma)
+        lo, hi = target - reach, target + reach
+        if (gamma * math.sin(lo) - math.sin((target - lo) / n) <= 0.0
+                <= gamma * math.sin(hi) - math.sin((target - hi) / n)):
+            phi_bar = _refine_root(element, lo, hi)
+    if phi_bar is None:
+        phi_bar = _continued_phase(element)
+    residual = abs(snail_current(phi_bar, element))
+    if residual >= 1e-10:
+        raise RuntimeError(f"equilibrium residual {residual:.3e} exceeds 1e-10")
+    return float(phi_bar)
+
+
+def _continued_phase(element: Snail) -> float:
+    """The branch followed along the flux from phi_X = 0 to a nonzero phi_X.
+
+    The flux is swept in steps of about 0.05 rad (at least 8). Each step is
+    predicted along the tangent dphi/dphi_X = -(dI/dphi_X)/(dI/dphi) at the
+    previous root and corrected by Newton steps (`_continued_root`), all on
+    plain floats. When the correction cannot be shown to have found the
+    root nearest the previous one, that root is bracketed on a 1e-3 rad
+    grid instead (`_nearest_root`), on a `Snail` built for that flux step
+    alone.
+    """
+    target = element.phi_x
     n_steps = max(8, int(abs(target) / 0.05))
     fluxes = np.linspace(0.0, target, n_steps + 1).tolist()
     gamma, n = element.gamma, element.n
@@ -247,10 +286,7 @@ def _equilibrium_phase(element: Snail) -> float:
         if root is None:
             root = _nearest_root(Snail(element.i0, gamma, n, flux), phi_bar, 1e-3)
         phi_bar = root
-    residual = abs(snail_current(phi_bar, element))
-    if residual >= 1e-10:
-        raise RuntimeError(f"equilibrium residual {residual:.3e} exceeds 1e-10")
-    return float(phi_bar)
+    return phi_bar
 
 
 def _continued_root(
@@ -261,11 +297,11 @@ def _continued_root(
     The SNAIL is given by its ratio `gamma`, junction count `n` and flux
     `phi_x`. Scalar Newton steps on the current
     gamma*sin(x) - sin((phi_x - x)/n), with `math`'s sin and cos, stop once
-    a step is at most 1e-13 rad, as in `_refine_root`. The root x is
-    accepted when the slope there exceeds 2|x - previous|(gamma + 1/n^2):
-    |d^2I/dphi^2| <= gamma + 1/n^2, so the current then rises monotonically
-    across the whole interval within |x - previous| of `previous`, and x is
-    the only root in it. None is returned when the slope is not positive,
+    a step is at most max(1e-13 rad, one ulp of x), as in `_refine_root`.
+    The root x is accepted when the slope there exceeds
+    2|x - previous|(gamma + 1/n^2): |d^2I/dphi^2| <= gamma + 1/n^2, so the
+    current then rises monotonically across the whole interval within
+    |x - previous| of `previous`, and x is the only root in it. None is returned when the slope is not positive,
     Newton takes more than 20 steps, or the test fails.
     """
     x = predicted
@@ -276,7 +312,7 @@ def _continued_root(
             return None
         step = (gamma * math.sin(x) - math.sin(arg)) / slope
         x -= step
-        if abs(step) <= 1e-13:
+        if abs(step) <= max(1e-13, math.ulp(x)):
             break
     else:
         return None
@@ -308,19 +344,22 @@ def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
 def _refine_root(element: Snail, lo: float, hi: float) -> float:
     """Root of snail_current in [lo, hi], across which it changes sign.
 
-    Newton steps on scalars from the midpoint. Each evaluation moves
-    one end of the bracket onto the current point, and a step that would
-    leave the bracket becomes a bisection. It stops once a step is at most
-    1e-13 rad.
+    Newton steps on plain floats (`math`'s sin and cos) from the midpoint.
+    Each evaluation moves one end of the bracket onto the current point,
+    and a step that would leave the bracket becomes a bisection. It stops
+    once a step is at most max(1e-13 rad, one ulp of x): beyond 512 rad an
+    ulp exceeds 1e-13 rad, so no nonzero step there is that small.
     """
-    f_lo = snail_current(lo, element)
+    gamma, n, phi_x = element.gamma, element.n, element.phi_x
+    f_lo = gamma * math.sin(lo) - math.sin((phi_x - lo) / n)
     if f_lo == 0.0:
         return lo
-    if snail_current(hi, element) == 0.0:
+    if gamma * math.sin(hi) - math.sin((phi_x - hi) / n) == 0.0:
         return hi
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        f = snail_current(x, element)
+        arg = (phi_x - x) / n
+        f = gamma * math.sin(x) - math.sin(arg)
         if f == 0.0:
             return x
         if (f < 0.0) == (f_lo < 0.0):
@@ -328,10 +367,10 @@ def _refine_root(element: Snail, lo: float, hi: float) -> float:
         else:
             hi = x
         x_next = 0.5 * (lo + hi)
-        slope = snail_current_slope(x, element)
+        slope = gamma * math.cos(x) + math.cos(arg) / n
         if slope != 0.0 and lo <= x - f / slope <= hi:
             x_next = x - f / slope
-        if abs(x_next - x) <= 1e-13:
+        if abs(x_next - x) <= max(1e-13, math.ulp(x)):
             return x_next
         x = x_next
     return x

@@ -235,7 +235,9 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     Near the crossing g^2 = c^2 (delta - delta_0)^2 + 4 h^2, so the minimum is
     refined by successive parabolic interpolation on g^2 (Brent's parabolic
     step) inside the bracket of the scan points around the lowest gap, until
-    a step falls below 1e-6 of the half-width; the best point is returned.
+    the gap error the next step would remove, about c^2 du^2 / (2 g) with c^2
+    the parabola's curvature, is at most REMAINDER_TOL of the gap; so the
+    accuracy does not depend on the scan's width. The best point is returned.
 
     Returns the scan trace, the refined minimum and |h_eff|, with the size
     of the diagonalized block (`dimension`), the size of P
@@ -348,7 +350,10 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         p = (m - a) ** 2 * (fm - fb) - (m - b) ** 2 * (fm - fa)
         q = (m - a) * (fm - fb) - (m - b) * (fm - fa)
         u = m - 0.5 * p / q if q else m
-        if not (abs(u - m) >= 1e-6 * scan_halfwidth and a < u < b):
+        # the parabola's curvature is c^2 = -q / ((b - m)(m - a)(b - a)); the gap
+        # at m exceeds the one at u by about c^2 (u - m)^2 / (2 g)
+        left = -q * (u - m) ** 2 / ((b - m) * (m - a) * (b - a))
+        if not (left > 2.0 * REMAINDER_TOL * g[1] ** 2 and a < u < b):
             break
         g_u = float(gap(np.array([u]))[0])
         if g_u < g[1]:

@@ -29,6 +29,8 @@ GOLDEN = {
     "boltzmann-eta-nu": ["boltzmann", "--eta", "-0.29", "--nu", "0,0,0,0.4"],
     "pump-plan": ["pump-plan"],
     "snail": ["snail"],
+    # n * gamma = 1.2: a multi-well SNAIL, whose equilibrium follows the flux
+    "snail-gamma0.6-n2": ["snail", "--gamma", "0.6", "--n", "2"],
     "quantize": ["quantize", "data/unit.json"],
     "quantize-effective": ["quantize", "--effective", "data/unit.json"],
     "couplings": COUPLINGS,

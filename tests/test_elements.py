@@ -403,11 +403,25 @@ def _reference_continuation(element):
     return float(phi_bar)
 
 
+def _continuation_or_error(element):
+    """The flux continuation alone (`_continued_phase`), with the residual
+    check that snail_equilibrium_phase applies to it; the equilibrium, or
+    the error message."""
+    try:
+        phi_bar = elements._continued_phase(element)
+    except RuntimeError as exc:
+        return str(exc)
+    residual = abs(snail_current(phi_bar, element))
+    if residual >= 1e-10:
+        return f"equilibrium residual {residual:.3e} exceeds 1e-10"
+    return float(phi_bar)
+
+
 def test_scalar_continuation_matches_the_snail_per_step_loop_bit_for_bit():
     # math.sin and NumPy's sin must agree to the bit on this platform for
     # this to hold; CI prints the NumPy runtime so a failure can be placed
     cases = GRID_CASES + DESIGN_FLUX_CASES + _seeded_sweep_cases()
-    ours = [_equilibrium_or_error(e) for e in cases]
+    ours = [_continuation_or_error(e) for e in cases]
     theirs = [_reference_continuation(e) for e in cases]
     # equilibria bit for bit, error messages word for word
     assert ours == theirs
@@ -429,12 +443,11 @@ def test_snail_is_built_only_for_the_bracket_search(monkeypatch):
 
     monkeypatch.setattr(elements, "Snail", CountingSnail)
     monkeypatch.setattr(elements, "_nearest_root", counting)
-    elements._equilibrium_phase.cache_clear()  # a cached equilibrium builds nothing
     for element in DESIGN_FLUX_CASES:
-        snail_equilibrium_phase(element)
+        elements._continued_phase(element)
     assert built == searched == []
     # the fallback case of test_continuation_falls_back_to_the_bracket_search
-    snail_equilibrium_phase(Snail(i0=1e-6, gamma=0.9, n=1, phi_x=2 * math.pi * 0.6))
+    elements._continued_phase(Snail(i0=1e-6, gamma=0.9, n=1, phi_x=2 * math.pi * 0.6))
     assert len(built) == len(searched) > 0
     assert built == searched
 
@@ -453,12 +466,65 @@ def test_continuation_falls_back_to_the_bracket_search(monkeypatch):
         return nearest_root(snapshot, guess, grid_step)
 
     monkeypatch.setattr(elements, "_nearest_root", counting)
-    elements._equilibrium_phase.cache_clear()  # a cached equilibrium searches nothing
-    ours = snail_equilibrium_phase(element)
+    ours = elements._continued_phase(element)
     n_steps = max(8, int(element.phi_x / 0.05))
     assert 0 < len(calls) < n_steps
     monkeypatch.undo()
     assert abs(ours - _flux_stepper(element)) <= 1e-15
+
+
+def _ulps_apart(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def test_single_well_bracket_matches_the_continuation():
+    # a single-well SNAIL's root is refined in its one bracket, not followed
+    # along the flux; wherever the continuation ends on a minimum the two
+    # agree to 2 ulp (1 ulp at most, measured). Any other SNAIL is followed
+    # along the flux: equilibria bit for bit, error messages word for word
+    single_well = multi_well = 0
+    for element in GRID_CASES + _seeded_sweep_cases():
+        ours, theirs = _equilibrium_or_error(element), _continuation_or_error(element)
+        if element.n * element.gamma >= 1:
+            assert ours == theirs, element
+            multi_well += 1
+        elif isinstance(theirs, float) and elements.snail_current_slope(theirs, element) > 0:
+            assert _ulps_apart(ours, theirs) <= 2, element
+            single_well += 1
+    assert single_well >= 240 and multi_well >= 80
+
+
+def test_single_junction_near_unit_gamma_stays_on_the_minimum():
+    # n = 1 is single-well for every gamma < 1, but the continuation's
+    # 0.05 rad steps lose the branch near gamma = 1: here they ended on a
+    # potential maximum at 141 of these fluxes and found no root bracket at 19
+    phases = []
+    for turns in np.linspace(0.0, 3.0, 301):
+        element = Snail(i0=1e-6, gamma=0.99, n=1, phi_x=2 * math.pi * turns)
+        phases.append(snail_equilibrium_phase(element))
+        assert snail_expansion(element, phases[-1]).c2 > 0, element
+    # the branch rises with the flux: dphi/dphi_X = (cos(u)/n) / c2 > 0
+    assert np.all(np.diff(phases) > 0)
+
+
+@pytest.mark.parametrize("flux", [1100.0, 2000.0])
+def test_newton_stops_at_an_ulp_beyond_512_rad(monkeypatch, flux):
+    # beyond 512 rad an ulp of the phase exceeds 1e-13 rad, so a Newton step
+    # computed below 1e-13 rad may never come: stopping on that alone, the
+    # continuation bracketed 173 (1100 rad) and 2366 (2000 rad) of its steps
+    # on the grid
+    element = Snail(**DESIGN_SNAIL, phi_x=flux)
+    searched = []
+    nearest_root = elements._nearest_root
+
+    def counting(snapshot, guess, grid_step):
+        searched.append(snapshot.phi_x)
+        return nearest_root(snapshot, guess, grid_step)
+
+    monkeypatch.setattr(elements, "_nearest_root", counting)
+    theirs = elements._continued_phase(element)
+    assert searched == []
+    assert _ulps_apart(snail_equilibrium_phase(element), theirs) <= 2
 
 
 def test_continued_root_rejects_a_root_it_cannot_prove_nearest():

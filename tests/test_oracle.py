@@ -482,6 +482,27 @@ def test_parabolic_refinement_matches_bounded_brent(case):
     assert result["h_eff"] == pytest.approx(brent.fun / 2.0, rel=1e-5)
 
 
+def test_refined_gap_does_not_depend_on_the_scan_width(monkeypatch):
+    # the ladder of `kpokit oracle` (eps 100 MHz, d 4): a refinement that
+    # stopped at a step below 1e-6 of the half-width was 1e-7 high at +-20 MHz
+    # and 5e-6 high at +-50 MHz; the guard promises REMAINDER_TOL of the gap
+    spectrum, couplings = _ladder(eps_ghz=0.1), CouplingGraph(h=_full_h(5.0 * MHZ))
+    solves = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix):
+        solves.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    narrow = four_body_from_gap(spectrum, couplings, d=4, scan_halfwidth=2 * MHZ)
+    # the block eigensolve, the 41 scan points at once, one refinement point
+    assert len(solves) == 3
+    for halfwidth in (20 * MHZ, 50 * MHZ):
+        wide = four_body_from_gap(spectrum, couplings, d=4, scan_halfwidth=halfwidth)
+        assert wide["h_eff"] == pytest.approx(narrow["h_eff"], rel=oracle.REMAINDER_TOL)
+
+
 def test_gap_rejects_hamiltonian_mixing_parity(inject):
     # one element linking |0000> (even) and |1000> (odd)
     inject(0, 27)
