@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import E_CHARGE, HBAR, PHI0_REDUCED
 
-_MAX_FLUX = 5000.0  # rad, largest |phi_x| of any SNAIL: 10**5 continuation steps of 0.05 rad
+_MAX_FLUX = 5000.0  # rad, largest |phi_x| the flux continuation follows: 10**5 steps of 0.05 rad
 
 
 # --------------------------------------------------------------------------
@@ -169,8 +169,11 @@ def squid_inductance_for_frequency(
     Inverts omega = 1/sqrt(C (L + L_Jsr + L_Jsq)); raises if the target lies
     above the cutoff set by the fixed inductances.
     """
-    if omega_target <= 0 or c_eff <= 0:
-        raise ValueError("frequency and capacitance must be positive")
+    _check_resonator(c_eff, l_geom)
+    if not 0 < omega_target < math.inf:
+        raise ValueError(f"target frequency must be positive and finite, got {omega_target}")
+    if not 0 <= l_jsr < math.inf:
+        raise ValueError(f"series junction inductance must be non-negative and finite, got {l_jsr}")
     l_jsq = 1.0 / (omega_target**2 * c_eff) - l_geom - l_jsr
     if l_jsq <= 0:
         cutoff = 1.0 / math.sqrt(c_eff * (l_geom + l_jsr))
@@ -205,9 +208,9 @@ def snail_equilibrium_phase(element: Snail) -> float:
     A single-well SNAIL (n * gamma < 1) has exactly one root of the current
     in phi_X -+ n asin(gamma), and it is the branch (`_equilibrium_phase`);
     that root is refined there directly (`_refine_root`). Any other SNAIL is
-    followed along the flux from 0 (`_continued_phase`). A flux beyond
-    +-_MAX_FLUX (10**5 continuation steps) is refused with ValueError for
-    every SNAIL, before any search.
+    followed along the flux from 0 (`_continued_phase`), which refuses a
+    flux beyond +-_MAX_FLUX (10**5 steps) with ValueError before it steps.
+    A root not resolved to a residual of 1e-10 raises RuntimeError.
 
     The search runs once per `Snail` (`_equilibrium_phase`, a bounded
     cache): a circuit asks for a SNAIL's equilibrium and then for its mode
@@ -237,20 +240,14 @@ def _equilibrium_phase(element: Snail) -> float:
     target = element.phi_x
     if target == 0.0:
         return 0.0
-    if abs(target) > _MAX_FLUX:
-        raise ValueError(
-            f"external flux phase {target:.6g} rad is beyond +-{_MAX_FLUX:g} rad (about "
-            f"{_MAX_FLUX / (2 * math.pi):.0f} flux quanta), the 10**5 continuation steps "
-            "of 0.05 rad that the equilibrium search takes at most"
-        )
     gamma, n = element.gamma, element.n
     phi_bar = None
     if n * gamma < 1.0:
         reach = n * math.asin(gamma)
-        lo, hi = target - reach, target + reach
-        if (gamma * math.sin(lo) - math.sin((target - lo) / n) <= 0.0
-                <= gamma * math.sin(hi) - math.sin((target - hi) / n)):
-            phi_bar = _refine_root(element, lo, hi)
+        try:
+            phi_bar = _refine_root(gamma, n, target, target - reach, target + reach)
+        except ValueError:
+            pass
     if phi_bar is None:
         phi_bar = _continued_phase(element)
     residual = abs(snail_current(phi_bar, element))
@@ -262,62 +259,52 @@ def _equilibrium_phase(element: Snail) -> float:
 def _continued_phase(element: Snail) -> float:
     """The branch followed along the flux from phi_X = 0 to a nonzero phi_X.
 
-    The flux is swept in steps of about 0.05 rad (at least 8). Each step is
-    predicted along the tangent dphi/dphi_X = -(dI/dphi_X)/(dI/dphi) at the
-    previous root and corrected by Newton steps (`_continued_root`), all on
-    plain floats. When the correction cannot be shown to have found the
-    root nearest the previous one, that root is bracketed on a 1e-3 rad
-    grid instead (`_nearest_root`), on a `Snail` built for that flux step
-    alone.
+    The flux is swept in steps of about 0.05 rad (at least 8), up to
+    +-_MAX_FLUX. Each step takes the root of the current I nearest the
+    previous root p, on plain floats. With s = dI/dphi at p and the new
+    flux, and M = gamma + 1/n^2 >= |d^2I/dphi^2|, the slope exceeds
+    s - M|phi - p| > 0 wherever |phi - p| < s/M: there I rises and holds at
+    most one root. The bracket [q - rho, q + rho], centred on the prediction
+    q along the tangent at p and the previous flux, with rho = s/M - |q - p|,
+    lies in that interval. So when rho > 0 and I changes sign across it, its
+    one root is the only root within s/M of p, and no root is nearer p; it
+    is refined there (`_refine_root`). Otherwise the nearest root is
+    bracketed on a 1e-3 rad grid (`_nearest_root`), on a `Snail` built for
+    that flux step alone.
     """
     target = element.phi_x
+    if abs(target) > _MAX_FLUX:
+        raise ValueError(
+            f"external flux phase {target:.6g} rad is beyond +-{_MAX_FLUX:g} rad (about "
+            f"{_MAX_FLUX / (2 * math.pi):.0f} flux quanta), the 10**5 steps of 0.05 rad "
+            "that the flux continuation takes at most"
+        )
     n_steps = max(8, int(abs(target) / 0.05))
     fluxes = np.linspace(0.0, target, n_steps + 1).tolist()
     gamma, n = element.gamma, element.n
+    curvature = gamma + 1.0 / n**2
     phi_bar = 0.0
     for previous_flux, flux in zip(fluxes, fluxes[1:]):
-        # pull = -dI/dphi_X and slope = dI/dphi at the previous root
+        # pull = -dI/dphi_X; slope and new_slope = dI/dphi at the previous
+        # root, at the previous and at the new flux; small = the small
+        # junction's part of both
+        small = gamma * math.cos(phi_bar)
         pull = math.cos((previous_flux - phi_bar) / n) / n
-        slope = gamma * math.cos(phi_bar) + pull
+        slope = small + pull
         root = None
         if slope > 0.0:
             predicted = phi_bar + pull / slope * (flux - previous_flux)
-            root = _continued_root(gamma, n, flux, phi_bar, predicted)
+            new_slope = small + math.cos((flux - phi_bar) / n) / n
+            reach = new_slope / curvature - abs(predicted - phi_bar)
+            if reach > 0.0:
+                try:
+                    root = _refine_root(gamma, n, flux, predicted - reach, predicted + reach)
+                except ValueError:
+                    pass
         if root is None:
             root = _nearest_root(Snail(element.i0, gamma, n, flux), phi_bar, 1e-3)
         phi_bar = root
     return phi_bar
-
-
-def _continued_root(
-    gamma: float, n: int, phi_x: float, previous: float, predicted: float
-) -> float | None:
-    """Newton's root from `predicted` if it is provably the root nearest `previous`.
-
-    The SNAIL is given by its ratio `gamma`, junction count `n` and flux
-    `phi_x`. Scalar Newton steps on the current
-    gamma*sin(x) - sin((phi_x - x)/n), with `math`'s sin and cos, stop once
-    a step is at most max(1e-13 rad, one ulp of x), as in `_refine_root`.
-    The root x is accepted when the slope there exceeds
-    2|x - previous|(gamma + 1/n^2): |d^2I/dphi^2| <= gamma + 1/n^2, so the
-    current then rises monotonically across the whole interval within
-    |x - previous| of `previous`, and x is the only root in it. None is returned when the slope is not positive,
-    Newton takes more than 20 steps, or the test fails.
-    """
-    x = predicted
-    for _ in range(20):
-        arg = (phi_x - x) / n
-        slope = gamma * math.cos(x) + math.cos(arg) / n
-        if not slope > 0.0:
-            return None
-        step = (gamma * math.sin(x) - math.sin(arg)) / slope
-        x -= step
-        if abs(step) <= max(1e-13, math.ulp(x)):
-            break
-    else:
-        return None
-    bound = 2.0 * abs(x - previous) * (gamma + 1.0 / n**2)
-    return x if gamma * math.cos(x) + math.cos((phi_x - x) / n) / n > bound else None
 
 
 def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
@@ -325,8 +312,8 @@ def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
 
     The grid is centred on the guess and holds the same number of points
     for any guess, so its ends (and the error message that prints them)
-    do not depend on the guess's last bits. It is searched whole: tangent
-    continuation resolves almost every flux step, so this search is rare.
+    do not depend on the guess's last bits. It is searched whole: the
+    continuation's brackets resolve most flux steps, so this search is rare.
     """
     half = round(1.5 / grid_step)
     grid = guess + grid_step * np.arange(-half, half + 1)
@@ -337,25 +324,29 @@ def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
             f"no root bracket found in [{grid[0]:.3f}, {grid[-1]:.3f}] rad "
             f"around previous solution {guess:.3f}"
         )
-    roots = [_refine_root(element, float(grid[i]), float(grid[i + 1])) for i in sign_flips]
+    roots = [_refine_root(element.gamma, element.n, element.phi_x, float(grid[i]),
+                          float(grid[i + 1])) for i in sign_flips]
     return min(roots, key=lambda r: abs(r - guess))
 
 
-def _refine_root(element: Snail, lo: float, hi: float) -> float:
-    """Root of snail_current in [lo, hi], across which it changes sign.
+def _refine_root(gamma: float, n: int, phi_x: float, lo: float, hi: float) -> float:
+    """Root of the current of SNAIL (gamma, n, phi_x) in [lo, hi].
 
     Newton steps on plain floats (`math`'s sin and cos) from the midpoint.
     Each evaluation moves one end of the bracket onto the current point,
     and a step that would leave the bracket becomes a bisection. It stops
     once a step is at most max(1e-13 rad, one ulp of x): beyond 512 rad an
-    ulp exceeds 1e-13 rad, so no nonzero step there is that small.
+    ulp exceeds 1e-13 rad, so no nonzero step there is that small. It
+    raises ValueError when the current does not change sign across [lo, hi].
     """
-    gamma, n, phi_x = element.gamma, element.n, element.phi_x
     f_lo = gamma * math.sin(lo) - math.sin((phi_x - lo) / n)
     if f_lo == 0.0:
         return lo
-    if gamma * math.sin(hi) - math.sin((phi_x - hi) / n) == 0.0:
+    f_hi = gamma * math.sin(hi) - math.sin((phi_x - hi) / n)
+    if f_hi == 0.0:
         return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError("the current does not change sign across the bracket")
     x = 0.5 * (lo + hi)
     for _ in range(100):
         arg = (phi_x - x) / n

@@ -293,50 +293,30 @@ def coupling_constants(
         raise ValueError("unit circuit has four KPOs")
     # plain floats: math.sqrt and IEEE arithmetic give NumPy's scalar bits
     w = spectrum.omega.tolist()
-    cq = np.asarray(modes.c_q_eff, dtype=float).tolist()
-    g12, g13 = float(modes.g12), float(modes.g13)
-    h_exact = np.zeros((4, 4))
-    for j in range(4):
-        for k in range(4):
-            if j == k:
-                continue
-            kernel = g12 if {j, k} in ({0, 1}, {2, 3}) else g13
-            h_exact[j, k] = 0.5 * kernel * math.sqrt(cq[j] * cq[k] * w[j] * w[k])
-    out = {}
-    if spectrum.has_coupler:
-        wg = float(spectrum.coupler_omega)
-        c_g_eff = float(modes.c_g_eff)
-        g_exact = np.array(
-            [
-                (float(modes.g_minus) / math.sqrt(2.0))
-                * math.sqrt(cq[j] * c_g_eff * w[j] * wg)
-                for j in range(4)
-            ]
-        )
-        out["exact"] = CouplingGraph(h=h_exact, g=g_exact)
-    else:
-        out["exact"] = CouplingGraph(h=h_exact)
+    wg = float(spectrum.coupler_omega) if spectrum.has_coupler else None
 
+    def graph(h_jk, g_j) -> CouplingGraph:
+        h = np.array([0.0 if j == k else h_jk(j, k)
+                      for j in range(4) for k in range(4)]).reshape(4, 4)
+        g = np.array([g_j(j) for j in range(4)]) if spectrum.has_coupler else None
+        return CouplingGraph(h=h, g=g)
+
+    cq = np.asarray(modes.c_q_eff, dtype=float).tolist()
+    g12, g13, c_g_eff = float(modes.g12), float(modes.g13), float(modes.c_g_eff)
+    g_minus = float(modes.g_minus) / math.sqrt(2.0)
+    out = {"exact": graph(
+        lambda j, k: 0.5 * (g12 if {j, k} in ({0, 1}, {2, 3}) else g13)
+        * math.sqrt(cq[j] * cq[k] * w[j] * w[k]),
+        lambda j: g_minus * math.sqrt(cq[j] * c_g_eff * w[j] * wg),
+    )}
     if modes.bare:
         c_c = float(modes.bare["c_c"])
         c_q = np.asarray(modes.bare["c_q"], dtype=float).tolist()
-        h_approx = np.zeros((4, 4))
-        for j in range(4):
-            for k in range(4):
-                if j != k:
-                    h_approx[j, k] = (c_c / (8.0 * math.sqrt(c_q[j] * c_q[k]))
-                                      * math.sqrt(w[j] * w[k]))
-        if spectrum.has_coupler:
-            c_g = float(modes.bare["c_g"])
-            g_approx = np.array(
-                [
-                    c_c / (4.0 * math.sqrt(c_q[j] * c_g)) * math.sqrt(w[j] * wg)
-                    for j in range(4)
-                ]
-            )
-            out["approx"] = CouplingGraph(h=h_approx, g=g_approx)
-        else:
-            out["approx"] = CouplingGraph(h=h_approx)
+        out["approx"] = graph(
+            lambda j, k: c_c / (8.0 * math.sqrt(c_q[j] * c_q[k])) * math.sqrt(w[j] * w[k]),
+            lambda j: c_c / (4.0 * math.sqrt(c_q[j] * float(modes.bare["c_g"])))
+            * math.sqrt(w[j] * wg),
+        )
     return out
 
 

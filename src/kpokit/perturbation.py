@@ -365,8 +365,8 @@ def g4_closed_form(kerr_g: float, g_tilde: np.ndarray) -> float:
 
 def g4_symmetric(g_g: float, epsilon: float, kerr_g: float) -> float:
     """g4 on the symmetric detuning ladder (Delta_j = +-2eps, +-eps)."""
-    if epsilon <= 0:
-        raise ValueError("unit detuning must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"unit detuning must be positive and finite, got {epsilon}")
     return g_g**4 / (2.0 * epsilon**4) * kerr_g
 
 
@@ -410,8 +410,8 @@ def h4_symmetric(h12: float, h13: float, kerr: np.ndarray, deltas: dict) -> floa
 
 def ladder_deltas(epsilon: float) -> dict:
     """Frequency differences on the ladder w2 = w1-3e, w3 = w1-e, w4 = w1-2e."""
-    if epsilon <= 0:
-        raise ValueError("unit detuning must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"unit detuning must be positive and finite, got {epsilon}")
     return {"d12": 3 * epsilon, "d13": epsilon, "d14": 2 * epsilon, "d34": epsilon}
 
 
@@ -428,8 +428,8 @@ def h4_snail(h_qn: float, h_nn: float, h_qq: float, kerr: np.ndarray, epsilon: f
     h4 = h_QN^2 [-h_NN (K1 + 3 K4) + h_QQ (K2 + 3 K3)] / (3 eps^3);
     KPOs 1 and 4 are the SNAILs, 2 and 3 the SQUIDs.
     """
-    if epsilon <= 0:
-        raise ValueError("unit detuning must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"unit detuning must be positive and finite, got {epsilon}")
     h = np.full((4, 4), h_qn)
     np.fill_diagonal(h, 0.0)
     h[0, 3] = h[3, 0] = h_nn

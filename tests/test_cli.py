@@ -589,12 +589,22 @@ def test_snail_rejects_a_negative_inductance(capsys, l_ph, shown):
     "argv", [["--flux-stop", "1e8"], ["--flux-start=-1e8"], ["--flux-start", "-1e8"]],
     ids=["stop", "start", "start-as-separate-value"])
 def test_snail_refuses_a_flux_beyond_the_step_bound(capsys, argv):
-    # 1e8 turns would ask for a flux grid of about 1.3e10 points
-    code, out, err = _run(capsys, ["snail", *argv])
+    # 1e8 turns would ask for a flux grid of about 1.3e10 points; n * gamma
+    # = 1.2, so the flux is followed in steps
+    code, out, err = _run(capsys, ["snail", "--gamma", "0.6", *argv])
     assert code == 2
     assert out == ""
     assert err.startswith(f"{ERROR_PREFIX}: external flux phase ")
     assert "rad is beyond +-5000 rad (about 796 flux quanta)" in err
+
+
+def test_single_well_snail_at_an_unresolved_flux_fails_loudly(capsys):
+    # the default SNAIL is single-well and takes no flux steps, but an ulp
+    # of 2.5e7 turns is too coarse for its residual check
+    code, out, err = _run(capsys, ["snail", "--flux-stop", "1e8"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: equilibrium residual ")
 
 
 def test_pump_plan_no_violations(capsys):

@@ -420,6 +420,21 @@ def test_h4_snail_matches_its_ladder_closed_form():
         h4_snail(h_qn, h_nn, h_qq, kerr, 0.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -50 * MHZ])
+@pytest.mark.parametrize("form", [
+    lambda eps: g4_symmetric(5 * MHZ, eps, 20 * MHZ),
+    ladder_deltas,
+    lambda eps: h4_detuning(5 * MHZ, eps, np.array([5.1, 20.0, 20.0, 5.1]) * MHZ),
+    lambda eps: h4_tilde(5 * MHZ, 20 * MHZ, eps),
+    lambda eps: h4_snail(5 * MHZ, 7.9 * MHZ, 3.2 * MHZ, np.array([-7.3, 20.0, 18.0, -6.1]) * MHZ,
+                         eps),
+], ids=["g4_symmetric", "ladder_deltas", "h4_detuning", "h4_tilde", "h4_snail"])
+def test_ladder_forms_refuse_a_detuning_that_is_not_positive_and_finite(form, eps):
+    # before, a NaN detuning passed the `epsilon <= 0` check and came out as NaN
+    with pytest.raises(ValueError, match="unit detuning must be positive and finite"):
+        form(eps)
+
+
 def test_closed_forms_match_engine_on_structured_systems():
     # each specialised formula against the engine coefficient of
     # a1+ a2+ a3 a4 on a system satisfying its assumptions
