@@ -174,7 +174,16 @@ def squid_inductance_for_frequency(
         raise ValueError(f"target frequency must be positive and finite, got {omega_target}")
     if not 0 <= l_jsr < math.inf:
         raise ValueError(f"series junction inductance must be non-negative and finite, got {l_jsr}")
-    l_jsq = 1.0 / (omega_target**2 * c_eff) - l_geom - l_jsr
+    try:
+        l_total = 1.0 / (omega_target**2 * c_eff)
+    except OverflowError:  # the square of a finite target above about 1.3e154 rad/s
+        l_total = 0.0
+    if l_total == 0.0:
+        raise ValueError(
+            f"target frequency unreachable: {omega_target:.6g} rad/s on {c_eff:.6g} F "
+            "needs a total inductance below the floating-point range"
+        )
+    l_jsq = l_total - l_geom - l_jsr
     if l_jsq <= 0:
         cutoff = 1.0 / math.sqrt(c_eff * (l_geom + l_jsr))
         raise ValueError(

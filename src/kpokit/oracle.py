@@ -8,8 +8,11 @@ gives dressed frequencies and effective four-body couplings
 nonperturbatively, for cross-checking the perturbative module, and a
 Kerr-dressed third-order four-body estimate, which builds H on its one-hop
 space alone: |1100>, |0011> and the states one coupling away from them. The
-gap scan's model-space solve and that estimate take their terms from one
-routine, `_lowdin_terms`.
+gap scan diagonalizes the even states of at most six total quanta, and the
+whole even block only where a quadratic residual bound does not prove that
+the states left out move each level it reads by at most that solve's
+round-off. The gap scan's model-space solve and the estimate take their
+terms from one routine, `_lowdin_terms`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ DENSE_LIMIT = 2048
 OVERLAP_THRESHOLD = 0.5
 REMAINDER_TOL = 1e-8  # largest Loewdin remainder bound of a gap scan point, relative to its gap
 _LOWDIN_TRUNCATION = 3
+_QUANTA_CAP = 6  # most total quanta of a state the gap scan diagonalizes first
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,7 @@ class _FockBasis:
     block_states: tuple      # the states of even, then of odd total excitation number
     position: np.ndarray     # each state's index within the block of its parity
     pair: np.ndarray         # even-block indices of |1100>, |0011>; empty below 4 modes
+    capped: tuple            # even-block indices of at most _QUANTA_CAP total quanta, then the rest
     number: np.ndarray       # (n_modes, d**n_modes), the diagonal of a+ a per mode
     kerr: np.ndarray         # likewise of a+ a+ a a
     steps: dict              # (j, k) -> per block, then the hop space: flat positions, products
@@ -142,6 +147,8 @@ def _fock_basis(n_modes: int, d: int) -> _FockBasis:
     bare = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
     bare = np.ravel_multi_index(bare, (d,) * n_modes) if n_modes >= 4 else []
     pair = position[bare]
+    low = occ.sum(axis=0)[block_states[0]] <= _QUANTA_CAP
+    capped = (np.flatnonzero(low), np.flatnonzero(~low))
     # the hop space: the two bare states and every state an element links to either
     near = np.zeros(d**n_modes, dtype=bool)
     near[bare] = True
@@ -159,9 +166,9 @@ def _fock_basis(n_modes: int, d: int) -> _FockBasis:
     # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
     adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
     a = adag.T
-    basis = _FockBasis(occ, block_states, position, pair, np.diag(adag @ a)[occ],
+    basis = _FockBasis(occ, block_states, position, pair, capped, np.diag(adag @ a)[occ],
                        np.diag(adag @ adag @ a @ a)[occ], steps, np.flatnonzero(in_hop))
-    for array in (occ, position, pair, basis.number, basis.kerr, basis.hop, *block_states,
+    for array in (occ, position, pair, basis.number, basis.kerr, basis.hop, *block_states, *capped,
                   *(x for blocks in steps.values() for block in blocks for x in block)):
         array.flags.writeable = False
     return basis
@@ -223,9 +230,17 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     through w3 + w4); the dressed levels descending from |1100> and
     |0011> anticross, and the minimum gap equals twice the effective
     coupling. Only the even block of H in total excitation number, which
-    holds both states, is assembled, once, and diagonalized, once; an
-    offset only adds delta * D to that block, D = diag((n1 + n2) / 2).
-    In the eigenbasis V of the block, Dt = V^T D V, and each offset is
+    holds both states, is assembled, once; an offset only adds delta * D
+    to that block, D = diag((n1 + n2) / 2). It is diagonalized once on its
+    states of at most _QUANTA_CAP = 6 total quanta (86 of 128 for four KPOs
+    at d = 4): a two-body term changes the total by 0 or 2, so the states
+    above six quanta reach the two-quantum ones only at sixth order in
+    h / 2w. `_truncation_bound` then bounds, from R = H_DK V_P, by the
+    quadratic residual bound (Mathias 1998), how far the dropped states
+    move each model level at any offset of the scan. The capped solve is
+    kept when that bound is at most its own round-off; otherwise the whole
+    even block is diagonalized instead, as one solve.
+    In the eigenbasis V of the solved block, Dt = V^T D V, and each offset is
     solved in the model space P of the eigenstates with more than half
     their weight on two total quanta, the rest Q, by second-order Loewdin
     partitioning (`_lowdin_terms`) about the pair's energy E:
@@ -243,7 +258,9 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     of the diagonalized block (`dimension`), the size of P
     (`manifold_dimension`), the largest remainder bound over the scan and
     the refinement (`remainder_bound`, rad/s), the eigensolve's round-off
-    dimension * eps * max|Lambda| (`roundoff`, rad/s), and the smallest
+    dimension * eps * max|Lambda| (`roundoff`, rad/s), the bound on how far
+    the states left out of it move a model level (`truncation_bound`,
+    rad/s; 0 when the whole even block was diagonalized), and the smallest
     weight, over the same points, that the two chosen eigenstates hold on
     {|1100>, |0011>} (`pair_weight`, at most 2) and on either state alone
     (`state_weight`, at most 1). Raises ValueError when that state weight
@@ -261,30 +278,47 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
 
     ham = build_hamiltonian(spectrum, couplings, d, odd=False)
     basis = _fock_basis(ham.n_modes, d)
-    occ = basis.occupations[:, basis.block_states[0]]
-    half_pair_number = 0.5 * occ[:2].sum(axis=0)
-    levels, vecs = np.linalg.eigh(ham.even)
-    roundoff = len(levels) * np.finfo(float).eps * abs(levels).max()
-    # P: the eigenstates mostly on two total quanta, as |1100> and |0011> are
-    two_quanta = occ.sum(axis=0) == 2
-    in_p = (vecs[two_quanta] ** 2).sum(axis=0) > 0.5
-    if np.count_nonzero(in_p) != np.count_nonzero(two_quanta):
+    block_occ = basis.occupations[:, basis.block_states[0]]
+    # the states of at most _QUANTA_CAP quanta first; the whole block only
+    # where the rest are not proven to move each model level by at most the
+    # round-off of that solve
+    for kept, dropped in (basis.capped, (np.arange(len(ham.even)), None)):
+        occ = block_occ[:, kept]
+        half_pair_number = 0.5 * occ[:2].sum(axis=0)
+        levels, vecs = np.linalg.eigh(ham.even[np.ix_(kept, kept)])
+        roundoff = len(levels) * np.finfo(float).eps * abs(levels).max()
+        # P: the eigenstates mostly on two total quanta, as |1100> and |0011> are
+        two_quanta = occ.sum(axis=0) == 2
+        in_p = (vecs[two_quanta] ** 2).sum(axis=0) > 0.5
+        separated = np.count_nonzero(in_p) == np.count_nonzero(two_quanta)
+        model, rest = np.flatnonzero(in_p), np.flatnonzero(~in_p)
+        # only the P rows of Dt are needed: an order-2 term never reads Dt_QQ
+        rotated = vecs[:, model].T @ (half_pair_number[:, None] * vecs)
+        d_pp, d_pq = rotated[:, model], rotated[:, rest]
+        norm_pq = np.linalg.norm(d_pq, 2)
+        if dropped is None:
+            truncation_bound = 0.0
+            break
+        if separated:
+            # (n1 + n2) / 2 is at most d - 1 on the block
+            truncation_bound = _truncation_bound(
+                ham.even, kept, dropped, levels, vecs, in_p,
+                scan_halfwidth * norm_pq, scan_halfwidth * (d - 1))
+            if truncation_bound <= roundoff:
+                break
+    if not separated:
         raise ValueError(
             f"{np.count_nonzero(in_p)} eigenstates lie mostly in the "
             f"{np.count_nonzero(two_quanta)}-state two-quantum manifold; "
             "it is not separated from the rest of the spectrum"
         )
-    model, rest = np.flatnonzero(in_p), np.flatnonzero(~in_p)
-    # only the P rows of Dt are needed: an order-2 term never reads Dt_QQ
-    rotated = vecs[:, model].T @ (half_pair_number[:, None] * vecs)
-    d_pp, d_pq = rotated[:, model], rotated[:, rest]
-    amplitudes = vecs[np.ix_(basis.pair, model)]
+    amplitudes = vecs[np.ix_(np.searchsorted(kept, basis.pair), model)]
     # the resolvent is taken at the pair's own energy, not the manifold's
     # mean, so |theta - E| and with it the remainder stay small
     energy = float(np.sum(amplitudes**2 * levels[model]) / np.sum(amplitudes**2))
     to_rest = energy - levels[rest]
     (second,) = _lowdin_terms(d_pq, None, 1.0 / to_rest, 2)
-    reach = np.linalg.norm(d_pq, 2) ** 2 / np.min(abs(to_rest)) ** 2
+    reach = norm_pq**2 / np.min(abs(to_rest)) ** 2
     pair_weights, state_weights, bounds = [], [], []
 
     def gap(deltas: np.ndarray) -> np.ndarray:
@@ -371,9 +405,67 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         "state_weight": float(min(state_weights)),
         "remainder_bound": float(max(bounds)),
         "roundoff": float(roundoff),
+        "truncation_bound": float(truncation_bound),
         "manifold_dimension": len(model),
-        "dimension": len(ham.even),
+        "dimension": len(levels),
     }
+
+
+def _truncation_bound(even: np.ndarray, kept: np.ndarray, dropped: np.ndarray,
+                      levels: np.ndarray, vecs: np.ndarray, in_p: np.ndarray,
+                      rotation: float, shift: float) -> float:
+    """Bound (rad/s) on how far the `dropped` states of the even block move
+    any model level of the solve (levels, vecs) of its `kept` states, at
+    every scan offset |delta| <= delta_max; inf where a separation it needs
+    is not proven. `rotation` is delta_max |Dt_QP|, `shift` delta_max max D.
+
+    Lemma (quadratic residual bound; Mathias, SIAM J. Matrix Anal. Appl.
+    19, 541 (1998)): let A = [[A1, E^T], [E, A2]] be real symmetric and every
+    eigenvalue of A1 lie at least eta > 0 from the spectrum of A2. Then each
+    eigenvalue of A1 (+) A2 that belongs to A1 is within |E|^2 / eta of the
+    eigenvalue of A of the same rank.
+
+    At an offset, take the basis of the kept block's eigenvectors V(delta),
+    model P then rest Q, followed by the dropped states. V(delta)
+    diagonalizes the kept block and delta D is diagonal, so A1 = Theta (the
+    model levels), A2 = [[Lambda_Q, S^T], [S, H_DD + delta D_D]] and
+    E = (0, R) with R = H_DK V_P(delta), S = H_DK V_Q(delta).
+    - eta: Theta lies within `shift` of [lo, hi], the range of the model
+      levels at delta = 0, and Lambda_Q within `shift` of the other levels
+      (Weyl). spec(A2) lies within |S| <= |H_DK| of Lambda_Q and
+      spec(H_DD + delta D_D) (Weyl), which lies within `shift` of the
+      Gershgorin discs of H_DD. So eta >= eta_2 = dist([lo, hi], the other
+      levels and the discs) - 2 shift - |H_DK|.
+    - |R|: V_P(delta) = V_P C + V_Q Z with |C| <= 1, and |Z| is the sine of
+      the largest angle between the model spaces at delta and at 0. In the
+      kept block at delta, V_P has the residual delta V_Q Dt_QP and a
+      Rayleigh quotient with spectrum within `shift` of [lo, hi], so
+      |Z| <= rotation / eta_1 (Davis-Kahan sin-theta theorem), with
+      eta_1 = dist([lo, hi], the other levels) - 2 shift. So
+      |R| <= |H_DK V_P| + |H_DK| rotation / eta_1.
+    |H_DK| is bounded by sqrt(|H_DK|_1 |H_DK|_inf), and the bound is
+    (|H_DK V_P| + |H_DK| rotation / eta_1)^2 / eta_2.
+    """
+    rows = even[dropped]
+    h_dk, h_dd = rows[:, kept], rows[:, dropped]
+    model = levels[in_p]
+    lo, hi = model.min(), model.max()
+
+    def distance(low: np.ndarray, high: np.ndarray) -> float:
+        """Smallest distance of the intervals [low, high] from [lo, hi]; 0 if one meets it."""
+        return float(np.maximum(np.maximum(lo - high, low - hi), 0.0).min())
+
+    centre = h_dd.diagonal()
+    radius = abs(h_dd).sum(axis=1) - abs(centre)
+    to_rest = distance(levels[~in_p], levels[~in_p])
+    to_dropped = distance(centre - radius, centre + radius)
+    norm_dk = np.sqrt(abs(h_dk).sum(axis=0).max() * abs(h_dk).sum(axis=1).max())
+    eta_1 = to_rest - 2.0 * shift
+    eta_2 = min(to_rest, to_dropped) - 2.0 * shift - norm_dk
+    if not min(eta_1, eta_2) > 0.0:
+        return np.inf
+    residual = np.linalg.norm(h_dk @ vecs[:, in_p], 2) + norm_dk * rotation / eta_1
+    return float(residual**2 / eta_2)
 
 
 def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> float:

@@ -91,6 +91,17 @@ def test_unreachable_frequency_rejected():
         squid_inductance_for_frequency(30 * GHZ, 500e-15, 100e-12)
 
 
+@pytest.mark.parametrize("args", [(1e200, 500e-15, 100e-12), (1e160, 500e-15, 0.0),
+                                  (1e150, 1e10, 0.0)],
+                         ids=["square-overflows", "square-overflows-no-l-geom",
+                              "product-overflows-no-l-geom"])
+def test_frequency_whose_inductance_leaves_the_float_range_rejected(args):
+    # the first two raised OverflowError from the square of the target, the
+    # third ZeroDivisionError from the cutoff of a zero fixed inductance
+    with pytest.raises(ValueError, match="unreachable: .* below the floating-point range"):
+        squid_inductance_for_frequency(*args)
+
+
 @pytest.mark.parametrize("args, message", [
     ((math.nan, 500e-15, 100e-12), "target frequency must be positive and finite"),
     ((math.inf, 500e-15, 100e-12), "target frequency must be positive and finite"),
@@ -295,19 +306,40 @@ GRID_CASES = [
 ]
 
 
+# multi-well SNAILs (n * gamma = 1.05 and 1.7) whose flux continuation
+# searches a grid window that holds three or two sign changes, and then
+# reaches its target
+SEVERAL_ROOT_CASES = [
+    Snail(i0=1e-6, gamma=gamma, n=n, phi_x=2 * math.pi * turns)
+    for gamma, n, turns in [(0.35, 3, -0.5), (0.35, 3, 0.5), (0.35, 3, 0.7), (0.35, 3, 1.25),
+                            (0.85, 2, -0.6), (0.85, 2, 0.6)]
+]
+
+
+def _window_sign_changes(element, guess, grid_step):
+    """Sign changes of the current on the grid window `_nearest_root` searches."""
+    half = round(1.5 / grid_step)
+    vals = snail_current(guess + grid_step * np.arange(-half, half + 1), element)
+    return int(np.count_nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:])))
+
+
 def test_equilibrium_refinement_matches_brentq(monkeypatch):
-    cases = GRID_CASES
+    cases = GRID_CASES + SEVERAL_ROOT_CASES
     ours = [_equilibrium_or_error(e) for e in cases]
-    brackets = []
+    windows = []
+    nearest_root = elements._nearest_root
 
     def reference(gamma, n, phi_x, lo, hi):
-        brackets.append(phi_x)
         return _brentq_refine(Snail(1e-6, gamma, n, phi_x), lo, hi)
 
+    def search(element, guess, grid_step):
+        windows.append(_window_sign_changes(element, guess, grid_step))
+        return nearest_root(element, guess, grid_step)
+
     monkeypatch.setattr(elements, "_refine_root", reference)
+    monkeypatch.setattr(elements, "_nearest_root", search)
     elements._equilibrium_phase.cache_clear()  # search again, with the reference refinement
     theirs = [_equilibrium_or_error(e) for e in cases]
-    several = 0
     for element, a, b in zip(cases, ours, theirs):
         if isinstance(b, str):
             assert a == b, element
@@ -315,9 +347,10 @@ def test_equilibrium_refinement_matches_brentq(monkeypatch):
         assert abs(a - b) <= 1e-13, element
         # converged to roundoff, not merely to within the step tolerance
         assert abs(snail_current(a, element)) <= 2e-15, element
-        several += brackets.count(element.phi_x) > 1
-    # some windows hold several sign changes, so the nearest root is chosen
-    assert several >= 4
+    # some windows hold several sign changes, so the nearest root is chosen;
+    # the grid cases alone give two such windows, the added cases six
+    assert sum(count > 1 for count in windows) >= 4
+    assert all(isinstance(r, float) for r in theirs[len(GRID_CASES):])
     assert sum(isinstance(b, float) for b in theirs) >= 100
 
 

@@ -45,6 +45,12 @@ def _total_parity(n_modes, d):
     return occupations.sum(axis=0) % 2
 
 
+def _capped(n_modes, d):
+    """Which states of the even block hold at most six quanta."""
+    total = np.indices((d,) * n_modes).reshape(n_modes, -1).sum(axis=0)
+    return total[total % 2 == 0] <= 6
+
+
 def _full(ham):
     """The full matrix of a FockHamiltonian, its two parity blocks put back in place."""
     parity = _total_parity(ham.n_modes, ham.truncation)
@@ -452,8 +458,10 @@ def test_gap_trace_matches_full_space_rebuild(coupler):
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ, n_scan=11)
     expected = [_full_space_gap(spectrum, couplings, d, x) for x in result["offsets"]]
     assert result["gaps"] == pytest.approx(expected, rel=1e-8)
+    # the block actually diagonalized: the even states of at most six quanta
     n_modes = 5 if coupler else 4
-    assert result["dimension"] == (d**n_modes + 1) // 2
+    assert result["dimension"] == np.count_nonzero(_capped(n_modes, d)) == (86 if d == 4 else 106)
+    assert result["truncation_bound"] <= result["roundoff"]
     assert 2 * oracle.OVERLAP_THRESHOLD < result["pair_weight"] <= 2.0 + 1e-12
 
 
@@ -532,7 +540,7 @@ def test_basis_arrays_are_read_only(fresh_basis):
     basis = fresh_basis(5, 3)
     assert len(basis.steps) == 10
     arrays = [basis.occupations, basis.position, basis.pair, basis.number, basis.kerr,
-              basis.hop, *basis.block_states,
+              basis.hop, *basis.block_states, *basis.capped,
               *(x for blocks in basis.steps.values() for block in blocks for x in block)]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -675,9 +683,9 @@ def _seeded_ladders(n):
     return systems
 
 
-def _coupler_system():
+def _coupler_system(d=3):
     spectrum = _with_coupler(_ladder(eps_ghz=0.15))
-    return spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)), 3
+    return spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)), d
 
 
 def _low_frequency_system():
@@ -692,13 +700,18 @@ def _low_frequency_system():
     return ModeSpectrum(omega=omega, kerr=spectrum.kerr), couplings, 4
 
 
-@pytest.mark.parametrize("case", ["ladders", "with-coupler-d3", "low-frequency"])
+@pytest.mark.parametrize("case", ["ladders", "with-coupler-d3", "with-coupler-d4",
+                                  "low-frequency"])
 def test_one_eigensolve_scan_matches_per_point_dense_scan(case):
-    # a gap may move by eigh's own round-off on the full block, 4 eps |H|
+    # a gap may move by eigh's own round-off on the full block, 4 eps |H|;
+    # the reference solves the whole even block (512 states with the coupler
+    # at d = 4), the scan its 216 states of at most six quanta
     if case == "ladders":
         systems = _seeded_ladders(20)
+    elif case == "low-frequency":
+        systems = [_low_frequency_system()]
     else:
-        systems = [_coupler_system() if case == "with-coupler-d3" else _low_frequency_system()]
+        systems = [_coupler_system(d=int(case[-1]))]
     for spectrum, couplings, d in systems:
         result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
         reference = _reference_gap_scan(spectrum, couplings, d, 3 * MHZ)
@@ -706,6 +719,53 @@ def test_one_eigensolve_scan_matches_per_point_dense_scan(case):
         tolerance = np.maximum(1e-8 * gaps, 4 * np.finfo(float).eps * reference["norm"])
         assert np.all(abs(result["gaps"] - gaps) <= tolerance)
         assert abs(result["h_eff"] - h_eff) <= 1e-6 * h_eff
+
+
+def _oracle_ladders():
+    # the `kpokit oracle` ladder over eps 50-500 MHz and d 4-6, at its
+    # default half-width of 2 MHz
+    return [(_ladder(eps_ghz=eps_mhz / 1000), CouplingGraph(h=_full_h(5.0 * MHZ)), d)
+            for eps_mhz in (50, 100, 200, 300, 500) for d in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("case", ["seeded-ladders", "oracle-ladders", "with-coupler-d4-d5"])
+def test_gap_scan_keeps_the_capped_block_on_the_suites_systems(case):
+    # the bound reads 1.5e-6 to 5e-6 rad/s on the ladders against a round-off
+    # of 7e-3 to 1e-2 rad/s, and 1e-3 to 2e-3 rad/s with the coupler against 2e-2
+    systems, halfwidth = {"seeded-ladders": (_seeded_ladders(20), 3 * MHZ),
+                          "oracle-ladders": (_oracle_ladders(), 2 * MHZ),
+                          "with-coupler-d4-d5": ([_coupler_system(4), _coupler_system(5)],
+                                                 3 * MHZ)}[case]
+    for spectrum, couplings, d in systems:
+        result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
+        n_modes = 5 if spectrum.has_coupler else 4
+        assert result["dimension"] == np.count_nonzero(_capped(n_modes, d))
+        assert 0.0 < result["truncation_bound"] <= result["roundoff"]
+
+
+def test_gap_scan_solves_the_whole_block_when_the_bound_exceeds_roundoff(monkeypatch):
+    # the 2 GHz ladder coupled at 20 MHz: its bound, about 1e2 rad/s, exceeds
+    # the capped solve's round-off, about 1.4e-3 rad/s; the capped gaps would
+    # sit 0.013-2.2 rad/s from the whole block's
+    spectrum, couplings, d = _low_frequency_system()
+    shapes, bounds = [], []
+    eigh, bound = np.linalg.eigh, oracle._truncation_bound
+
+    def counted(matrix):
+        shapes.append(np.shape(matrix)[-2:])
+        return eigh(matrix)
+
+    def recorded(*args):
+        bounds.append(bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(oracle, "_truncation_bound", recorded)
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    assert [shape for shape in shapes if shape != (10, 10)] == [(86, 86), (128, 128)]
+    assert len(bounds) == 1 and bounds[0] > 1.0
+    assert result["dimension"] == 128
+    assert result["truncation_bound"] == 0.0
 
 
 @pytest.mark.parametrize("case", ["kpos-d4", "with-coupler-d3"])
@@ -723,7 +783,9 @@ def test_gap_scan_diagonalizes_the_even_block_once(monkeypatch, case):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    # the even states of at most six quanta, of 128 and 122
     block = (result["dimension"],) * 2
+    assert block[0] == {"kpos-d4": 86, "with-coupler-d3": 106}[case]
     assert shapes.count(block) == 1
     # every other solve is in the two-quantum manifold: C(n + 1, 2) states
     manifold = {"kpos-d4": 10, "with-coupler-d3": 15}[case]
@@ -747,7 +809,10 @@ def test_gap_scan_records_its_roundoff_and_names_it_when_refused(monkeypatch):
     spectrum, couplings = _ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ))
     kwargs = dict(d=3, scan_halfwidth=3 * MHZ, n_scan=11)
     roundoff = four_body_from_gap(spectrum, couplings, **kwargs)["roundoff"]
-    levels = np.linalg.eigvalsh(build_hamiltonian(spectrum, couplings, d=3).even)
+    # of the block actually diagonalized: the even states of at most six quanta
+    kept = _capped(4, 3)
+    even = build_hamiltonian(spectrum, couplings, d=3).even
+    levels = np.linalg.eigvalsh(even[np.ix_(kept, kept)])
     assert roundoff == pytest.approx(len(levels) * np.finfo(float).eps * abs(levels).max(),
                                      rel=1e-12)
     monkeypatch.setattr(oracle, "REMAINDER_TOL", 1e-14)
