@@ -18,7 +18,9 @@ terms from one routine, `_lowdin_terms`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,9 +57,9 @@ def build_hamiltonian(
     element products into the blocks. With odd=False only the even block,
     which holds the ground state and every two-quantum state, is built and
     checked, and `odd` is None. Raises ValueError when h, g or the coupler
-    mode do not match the spectrum, when a built block is not symmetric,
-    and, before any basis is made, when the even block would exceed
-    DENSE_LIMIT states.
+    mode do not match the spectrum, when an element would leave the
+    floating-point range, when a built block is not symmetric, and, before
+    any basis is made, when the even block would exceed DENSE_LIMIT states.
     """
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
@@ -82,20 +84,34 @@ def _assemble(spectrum: ModeSpectrum, couplings: CouplingGraph, basis: _FockBasi
     """H on each of `spaces` of `basis`: 0 and 1 are the even and odd blocks,
     2 the hop space. The diagonal is summed from the single-mode diagonals
     of a+ a and a+ a+ a a, and each nonzero two-mode coupling is one scaled
-    scatter of its element products; ValueError unless each matrix is symmetric."""
+    scatter of its element products; ValueError where an element would
+    leave the floating-point range, and unless each matrix is symmetric."""
     n_kpo, n_modes = spectrum.n_kpo, len(basis.number)
     omega = [*spectrum.omega, spectrum.coupler_omega][:n_modes]
     kerr = [*spectrum.kerr, spectrum.coupler_kerr or 0.0][:n_modes]
-    terms = [((j, k), couplings.h[j, k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
+    h = couplings.h.tolist()
+    terms = [((j, k), h[j][k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
     if couplings.g is not None:
-        terms += [((j, n_kpo), couplings.s[j] * couplings.g[j]) for j in range(n_kpo)]
+        terms += [((j, n_kpo), s * g)
+                  for j, (s, g) in enumerate(zip(couplings.s.tolist(), couplings.g.tolist()))]
+    for modes, c in terms:
+        # where |c| times the largest |product| is finite, so is each element of the term
+        if not math.isfinite(abs(c) * basis.largest_product):
+            raise ValueError(f"the coupling of modes {modes} overflows the floating-point "
+                             f"range: {c:.3g} rad/s times elements up to "
+                             f"{basis.largest_product:.3g}")
     diagonal = np.zeros(len(basis.position))
-    for m in range(n_modes):
-        diagonal += omega[m] * basis.number[m]
-        diagonal -= 0.5 * kerr[m] * basis.kerr[m]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, per space
+        for m in range(n_modes):
+            diagonal += omega[m] * basis.number[m]
+            diagonal -= 0.5 * kerr[m] * basis.kerr[m]
     matrices = []
     for space in spaces:
-        matrix = np.diag(diagonal[(*basis.block_states, basis.hop)[space]])
+        values = diagonal[(*basis.block_states, basis.hop)[space]]
+        if not np.isfinite(values).all():
+            raise ValueError("the diagonal of the Hamiltonian overflows the floating-point "
+                             "range: the mode frequencies or Kerr coefficients are too large")
+        matrix = np.diag(values)
         for modes, c in terms:
             if c != 0.0:
                 flat, product = basis.steps[modes][space]
@@ -106,9 +122,24 @@ def _assemble(spectrum: ModeSpectrum, couplings: CouplingGraph, basis: _FockBasi
 
 
 def _check_hermitian(matrix: np.ndarray) -> None:
-    """ValueError unless the real matrix is symmetric to 1e-12 of its largest element."""
+    """ValueError unless the real matrix is symmetric to 1e-12 of its largest
+    element. An assembled block is exactly symmetric by construction, so the
+    tolerant test runs only when the exact one fails."""
+    if np.array_equal(matrix, matrix.T):
+        return
     if abs(matrix - matrix.T).max() > 1e-12 * max(abs(matrix).max(), 1.0):
         raise ValueError("assembled Hamiltonian is not Hermitian")
+
+
+class _ScanBlock(NamedTuple):
+    """States of the even block that the gap scan diagonalizes, and what it
+    reads of them; each array is read-only."""
+
+    kept: np.ndarray              # the even-block indices diagonalized, ascending
+    dropped: np.ndarray | None    # the rest; None for the whole block
+    half_pair_number: np.ndarray  # (n1 + n2) / 2 on each kept state
+    two_quanta: np.ndarray        # which kept states hold two total quanta
+    pair: np.ndarray              # the rows of |1100>, |0011> among the kept states
 
 
 @dataclass(frozen=True)
@@ -120,10 +151,11 @@ class _FockBasis:
     block_states: tuple      # the states of even, then of odd total excitation number
     position: np.ndarray     # each state's index within the block of its parity
     pair: np.ndarray         # even-block indices of |1100>, |0011>; empty below 4 modes
-    capped: tuple            # even-block indices of at most _QUANTA_CAP total quanta, then the rest
+    scan: tuple              # _ScanBlock of at most _QUANTA_CAP total quanta, then of all
     number: np.ndarray       # (n_modes, d**n_modes), the diagonal of a+ a per mode
     kerr: np.ndarray         # likewise of a+ a+ a a
     steps: dict              # (j, k) -> per block, then the hop space: flat positions, products
+    largest_product: float   # the largest |element product| of any mode pair; 0 for one mode
     hop: np.ndarray          # ascending: |1100>, |0011> and each state one element from either
 
 
@@ -147,8 +179,13 @@ def _fock_basis(n_modes: int, d: int) -> _FockBasis:
     bare = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
     bare = np.ravel_multi_index(bare, (d,) * n_modes) if n_modes >= 4 else []
     pair = position[bare]
-    low = occ.sum(axis=0)[block_states[0]] <= _QUANTA_CAP
-    capped = (np.flatnonzero(low), np.flatnonzero(~low))
+    block_occ = occ[:, block_states[0]]
+    low = block_occ.sum(axis=0) <= _QUANTA_CAP
+    scan = tuple(
+        _ScanBlock(kept, dropped, 0.5 * block_occ[:2, kept].sum(axis=0),
+                   block_occ[:, kept].sum(axis=0) == 2, np.searchsorted(kept, pair))
+        for kept, dropped in ((np.flatnonzero(low), np.flatnonzero(~low)),
+                              (np.arange(len(low)), None)))
     # the hop space: the two bare states and every state an element links to either
     near = np.zeros(d**n_modes, dtype=bool)
     near[bare] = True
@@ -162,13 +199,15 @@ def _fock_basis(n_modes: int, d: int) -> _FockBasis:
             keep = member[r] & member[c]
             flat = np.count_nonzero(member) * index[r[keep]] + index[c[keep]]
             steps[modes] += ((flat, product[keep]),)
+    largest = max((float(abs(product).max()) for _, _, product in elements.values()), default=0.0)
     # the diagonals are read off the operator products themselves, not
     # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
     adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
     a = adag.T
-    basis = _FockBasis(occ, block_states, position, pair, capped, np.diag(adag @ a)[occ],
-                       np.diag(adag @ adag @ a @ a)[occ], steps, np.flatnonzero(in_hop))
-    for array in (occ, position, pair, basis.number, basis.kerr, basis.hop, *block_states, *capped,
+    basis = _FockBasis(occ, block_states, position, pair, scan, np.diag(adag @ a)[occ],
+                       np.diag(adag @ adag @ a @ a)[occ], steps, largest, np.flatnonzero(in_hop))
+    for array in (occ, position, pair, basis.number, basis.kerr, basis.hop, *block_states,
+                  *(x for block in scan for x in block if x is not None),
                   *(x for blocks in steps.values() for block in blocks for x in block)):
         array.flags.writeable = False
     return basis
@@ -247,6 +286,12 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     H_P(delta) = Lambda_P + delta Dt_PP + delta^2 Dt_PQ (E - Lambda_Q)^-1 Dt_QP.
     Its remainder at an eigenvalue theta of the pair is at most
     |delta Dt_PQ|^2 (|theta - E| + |delta| |Dt_QQ|) / min|E - Lambda_Q|^2.
+    The two spectral norms the scan reads, |Dt_PQ| and the bound's
+    |H_DK V_P|, are each the square root of the largest eigenvalue of its
+    Gram matrix on the side of P (`_two_norm`; at most 10 x 10, 15 x 15 with
+    a coupler), not an SVD. The basis shape fixes which states are solved,
+    their (n1 + n2) / 2, which hold two quanta and the rows of the pair
+    (`_FockBasis.scan`), so none of that is recomputed per call.
     Near the crossing g^2 = c^2 (delta - delta_0)^2 + 4 h^2, so the minimum is
     refined by successive parabolic interpolation on g^2 (Brent's parabolic
     step) inside the bracket of the scan points around the lowest gap, until
@@ -277,88 +322,86 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         raise ValueError(f"gap scan needs at least 3 points, got {n_scan}")
 
     ham = build_hamiltonian(spectrum, couplings, d, odd=False)
-    basis = _fock_basis(ham.n_modes, d)
-    block_occ = basis.occupations[:, basis.block_states[0]]
     # the states of at most _QUANTA_CAP quanta first; the whole block only
     # where the rest are not proven to move each model level by at most the
     # round-off of that solve
-    for kept, dropped in (basis.capped, (np.arange(len(ham.even)), None)):
-        occ = block_occ[:, kept]
-        half_pair_number = 0.5 * occ[:2].sum(axis=0)
-        levels, vecs = np.linalg.eigh(ham.even[np.ix_(kept, kept)])
+    for block in _fock_basis(ham.n_modes, d).scan:
+        # a row gather and then a column gather of those rows cost less than one np.ix_
+        levels, vecs = np.linalg.eigh(ham.even.take(block.kept, 0).take(block.kept, 1))
         roundoff = len(levels) * np.finfo(float).eps * abs(levels).max()
         # P: the eigenstates mostly on two total quanta, as |1100> and |0011> are
-        two_quanta = occ.sum(axis=0) == 2
-        in_p = (vecs[two_quanta] ** 2).sum(axis=0) > 0.5
-        separated = np.count_nonzero(in_p) == np.count_nonzero(two_quanta)
+        in_p = (vecs[block.two_quanta] ** 2).sum(axis=0) > 0.5
+        separated = np.count_nonzero(in_p) == np.count_nonzero(block.two_quanta)
+        if not separated:
+            continue
         model, rest = np.flatnonzero(in_p), np.flatnonzero(~in_p)
         # only the P rows of Dt are needed: an order-2 term never reads Dt_QQ
-        rotated = vecs[:, model].T @ (half_pair_number[:, None] * vecs)
+        v_p = vecs[:, model]
+        rotated = v_p.T @ (block.half_pair_number[:, None] * vecs)
         d_pp, d_pq = rotated[:, model], rotated[:, rest]
-        norm_pq = np.linalg.norm(d_pq, 2)
-        if dropped is None:
+        norm_pq = _two_norm(d_pq)
+        if block.dropped is None:
             truncation_bound = 0.0
             break
-        if separated:
-            # (n1 + n2) / 2 is at most d - 1 on the block
-            truncation_bound = _truncation_bound(
-                ham.even, kept, dropped, levels, vecs, in_p,
-                scan_halfwidth * norm_pq, scan_halfwidth * (d - 1))
-            if truncation_bound <= roundoff:
-                break
+        # (n1 + n2) / 2 is at most d - 1 on the block
+        truncation_bound = _truncation_bound(
+            ham.even, block.kept, block.dropped, levels[model], levels[rest], v_p,
+            scan_halfwidth * norm_pq, scan_halfwidth * (d - 1))
+        if truncation_bound <= roundoff:
+            break
     if not separated:
         raise ValueError(
             f"{np.count_nonzero(in_p)} eigenstates lie mostly in the "
-            f"{np.count_nonzero(two_quanta)}-state two-quantum manifold; "
+            f"{np.count_nonzero(block.two_quanta)}-state two-quantum manifold; "
             "it is not separated from the rest of the spectrum"
         )
-    amplitudes = vecs[np.ix_(np.searchsorted(kept, basis.pair), model)]
+    amplitudes = vecs[np.ix_(block.pair, model)]
     # the resolvent is taken at the pair's own energy, not the manifold's
     # mean, so |theta - E| and with it the remainder stay small
     energy = float(np.sum(amplitudes**2 * levels[model]) / np.sum(amplitudes**2))
     to_rest = energy - levels[rest]
     (second,) = _lowdin_terms(d_pq, None, 1.0 / to_rest, 2)
     reach = norm_pq**2 / np.min(abs(to_rest)) ** 2
+    base = np.diag(levels[model] - energy)
+    largest_d = block.half_pair_number.max()
     pair_weights, state_weights, bounds = [], [], []
 
     def gap(deltas: np.ndarray) -> np.ndarray:
         """Pair gaps at the given offsets; the energies are relative to E."""
         scale = deltas[:, None, None]
-        theta, y = np.linalg.eigh(
-            np.diag(levels[model] - energy) + scale * d_pp + scale**2 * second
-        )
+        theta, y = np.linalg.eigh(base + scale * d_pp + scale**2 * second)
         overlaps = (amplitudes @ y) ** 2
         chosen = overlaps.argmax(axis=2)
         # near the crossing the two bare states hybridize 50/50; take
         # the two eigenstates with the largest combined overlap
         unclear = (overlaps.max(axis=2).min(axis=1) < OVERLAP_THRESHOLD) | (
             chosen[:, 0] == chosen[:, 1])
-        chosen[unclear] = np.argsort(overlaps[unclear].sum(axis=1), axis=1)[:, -2:]
-        # per bare state: a third level can take half of one while the sum looks whole
-        held = np.take_along_axis(overlaps, chosen[:, None, :], axis=2).sum(axis=2)
-        lost = np.argwhere(held < OVERLAP_THRESHOLD)
-        if lost.size:
-            i, k = lost[0]
+        if unclear.any():
+            chosen[unclear] = np.argsort(overlaps[unclear].sum(axis=1), axis=1)[:, -2:]
+        points = np.arange(len(deltas))[:, None]
+        # per bare state: a third level can take half of one while the sum looks whole;
+        # held[i, k] is the weight of bare state k on the two chosen eigenstates of point i
+        held = overlaps[points, :, chosen].sum(axis=1)
+        if held.min() < OVERLAP_THRESHOLD:
+            i, k = np.argwhere(held < OVERLAP_THRESHOLD)[0]
             raise ValueError(
                 f"|1100>, |0011> pair not identified at offset {deltas[i]:.6g} rad/s: "
                 f"{('|1100>', '|0011>')[k]} keeps weight {held[i, k]:.3f} in the chosen "
                 "eigenstates, so the crossing is not two-level"
             )
-        weight = held.sum(axis=1)
-        pair = np.take_along_axis(theta, chosen, axis=1)
+        pair = theta[points, chosen]
         gaps = abs(pair[:, 0] - pair[:, 1])
         # |Dt_QQ| <= |Dt| = max(half_pair_number), Dt being D rotated
-        bound = deltas**2 * reach * (
-            abs(pair).max(axis=1) + abs(deltas) * half_pair_number.max())
-        loose = np.flatnonzero(bound > REMAINDER_TOL * gaps)
-        if loose.size:
-            i = loose[0]
+        bound = deltas**2 * reach * (abs(pair).max(axis=1) + abs(deltas) * largest_d)
+        loose = bound > REMAINDER_TOL * gaps
+        if loose.any():
+            i = loose.argmax()  # the first point over its tolerance
             raise ValueError(
                 f"Loewdin remainder bound {bound[i]:.3g} rad/s at offset {deltas[i]:.6g} rad/s "
                 f"exceeds {REMAINDER_TOL:g} of the gap {gaps[i]:.6g} rad/s "
                 f"(eigh round-off {roundoff:.3g} rad/s)"
             )
-        pair_weights.append(weight.min())
+        pair_weights.append(held.sum(axis=1).min())
         state_weights.append(held.min())
         bounds.append(bound.max())
         return gaps
@@ -412,12 +455,14 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
 
 
 def _truncation_bound(even: np.ndarray, kept: np.ndarray, dropped: np.ndarray,
-                      levels: np.ndarray, vecs: np.ndarray, in_p: np.ndarray,
+                      model: np.ndarray, others: np.ndarray, v_p: np.ndarray,
                       rotation: float, shift: float) -> float:
     """Bound (rad/s) on how far the `dropped` states of the even block move
-    any model level of the solve (levels, vecs) of its `kept` states, at
-    every scan offset |delta| <= delta_max; inf where a separation it needs
-    is not proven. `rotation` is delta_max |Dt_QP|, `shift` delta_max max D.
+    any model level of the solve of its `kept` states, at every scan offset
+    |delta| <= delta_max; inf where a separation it needs is not proven.
+    That solve's model levels are `model`, with eigenvectors V_P = `v_p`,
+    and its other levels `others`; `rotation` is delta_max |Dt_QP|, `shift`
+    delta_max max D.
 
     Lemma (quadratic residual bound; Mathias, SIAM J. Matrix Anal. Appl.
     19, 541 (1998)): let A = [[A1, E^T], [E, A2]] be real symmetric and every
@@ -446,26 +491,32 @@ def _truncation_bound(even: np.ndarray, kept: np.ndarray, dropped: np.ndarray,
     |H_DK| is bounded by sqrt(|H_DK|_1 |H_DK|_inf), and the bound is
     (|H_DK V_P| + |H_DK| rotation / eta_1)^2 / eta_2.
     """
-    rows = even[dropped]
-    h_dk, h_dd = rows[:, kept], rows[:, dropped]
-    model = levels[in_p]
+    h_dk = even[np.ix_(dropped, kept)]
+    h_dd = even[np.ix_(dropped, dropped)]  # a copy, so its absolute value is taken in place
+    centre = h_dd.diagonal().copy()
+    radius = np.abs(h_dd, out=h_dd).sum(axis=1) - abs(centre)
     lo, hi = model.min(), model.max()
 
     def distance(low: np.ndarray, high: np.ndarray) -> float:
         """Smallest distance of the intervals [low, high] from [lo, hi]; 0 if one meets it."""
         return float(np.maximum(np.maximum(lo - high, low - hi), 0.0).min())
 
-    centre = h_dd.diagonal()
-    radius = abs(h_dd).sum(axis=1) - abs(centre)
-    to_rest = distance(levels[~in_p], levels[~in_p])
+    to_rest = distance(others, others)
     to_dropped = distance(centre - radius, centre + radius)
     norm_dk = np.sqrt(abs(h_dk).sum(axis=0).max() * abs(h_dk).sum(axis=1).max())
     eta_1 = to_rest - 2.0 * shift
     eta_2 = min(to_rest, to_dropped) - 2.0 * shift - norm_dk
     if not min(eta_1, eta_2) > 0.0:
         return np.inf
-    residual = np.linalg.norm(h_dk @ vecs[:, in_p], 2) + norm_dk * rotation / eta_1
+    residual = _two_norm(h_dk @ v_p) + norm_dk * rotation / eta_1
     return float(residual**2 / eta_2)
+
+
+def _two_norm(matrix: np.ndarray) -> float:
+    """The spectral norm, as the square root of the largest eigenvalue of the
+    Gram matrix on the shorter side of `matrix`."""
+    gram = matrix @ matrix.T if matrix.shape[0] <= matrix.shape[1] else matrix.T @ matrix
+    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
 def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> float:
@@ -489,7 +540,8 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     built is H on the hop space of that truncation: the two model states and
     the states one element of V from either (34 with a coupler), not the
     122-state even block. Raises ValueError when h or g do not fit the
-    spectrum, when that matrix is not symmetric, and, before any term is
+    spectrum, when an element of that matrix would leave the floating-point
+    range or it is not symmetric, and, before any term is
     formed, when an intermediate state mixes with the model space by
     MIXING_LIMIT or more.
     """

@@ -62,13 +62,14 @@ class ModeSpectrum:
         object.__setattr__(self, "kerr", np.asarray(self.kerr, dtype=float))
         if self.omega.shape != self.kerr.shape:
             raise ValueError("omega and kerr must have matching shapes")
-        if not (np.all(np.isfinite(self.omega)) and np.all(np.isfinite(self.kerr))):
+        omega = self.omega.ravel().tolist()
+        if not all(map(math.isfinite, omega + self.kerr.ravel().tolist())):
             raise ValueError("mode frequencies and Kerr coefficients must be finite")
-        if self.coupler_kerr is not None and not np.isfinite(self.coupler_kerr):
+        if self.coupler_kerr is not None and not math.isfinite(self.coupler_kerr):
             raise ValueError("coupler Kerr coefficient must be finite")
-        if np.any(self.omega <= 0):
+        if any(w <= 0.0 for w in omega):
             raise ValueError("mode frequencies must be positive")
-        if self.coupler_omega is not None and not 0.0 < self.coupler_omega < np.inf:
+        if self.coupler_omega is not None and not 0.0 < self.coupler_omega < math.inf:
             raise ValueError("coupler frequency must be positive and finite")
 
     @property
@@ -93,7 +94,7 @@ class CouplingGraph:
         object.__setattr__(self, "h", h)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("h must be square")
-        if not np.all(np.isfinite(h)):
+        if not all(map(math.isfinite, h.ravel().tolist())):
             raise ValueError("h must be finite")
         if not np.all(abs(h - h.T) <= 1e-8 + 1e-5 * abs(h.T)):  # np.allclose(h, h.T)
             raise ValueError("h must be symmetric")
@@ -107,7 +108,7 @@ class CouplingGraph:
                 s = np.array([1.0, 1.0, -1.0, -1.0])
             s = np.asarray(s, dtype=float)
             object.__setattr__(self, "s", s)
-            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(s))):
+            if not all(map(math.isfinite, g.ravel().tolist() + s.ravel().tolist())):
                 raise ValueError("g and s must be finite")
             if s.shape != g.shape:
                 raise ValueError(f"s has shape {s.shape} but g has shape {g.shape}")

@@ -540,11 +540,32 @@ def test_basis_arrays_are_read_only(fresh_basis):
     basis = fresh_basis(5, 3)
     assert len(basis.steps) == 10
     arrays = [basis.occupations, basis.position, basis.pair, basis.number, basis.kerr,
-              basis.hop, *basis.block_states, *basis.capped,
+              basis.hop, *basis.block_states,
+              *(x for block in basis.scan for x in block if x is not None),
               *(x for blocks in basis.steps.values() for block in blocks for x in block)]
+    # eight arrays, the scan's five and four (the whole block drops none)
+    # and two per pair of modes and space
+    assert len(arrays) == 8 + 5 + 4 + 10 * 3 * 2
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+@pytest.mark.parametrize("n_modes, d", [(4, 4), (5, 3)])
+def test_scan_blocks_are_read_off_the_occupations(fresh_basis, n_modes, d):
+    basis = fresh_basis(n_modes, d)
+    occupations = basis.occupations[:, basis.block_states[0]]
+    capped, whole = basis.scan
+    assert whole.dropped is None
+    np.testing.assert_array_equal(whole.kept, np.arange(occupations.shape[1]))
+    np.testing.assert_array_equal(capped.kept, np.flatnonzero(_capped(n_modes, d)))
+    np.testing.assert_array_equal(np.sort(np.concatenate([capped.kept, capped.dropped])),
+                                  whole.kept)
+    for block in basis.scan:
+        occ = occupations[:, block.kept]
+        np.testing.assert_array_equal(block.half_pair_number, 0.5 * occ[:2].sum(axis=0))
+        np.testing.assert_array_equal(block.two_quanta, occ.sum(axis=0) == 2)
+        np.testing.assert_array_equal(block.kept[block.pair], basis.pair)
 
 
 def test_builds_on_a_cached_basis_match_cold_builds(fresh_basis):
@@ -794,6 +815,78 @@ def test_gap_scan_diagonalizes_the_even_block_once(monkeypatch, case):
     # centred on the pair's energy the bound stays near 1e-6 rad/s; about
     # the mean of the manifold it would reach 1e-4 rad/s with the coupler
     assert 0.0 < result["remainder_bound"] < 1e-5
+
+
+@pytest.mark.parametrize("case", ["seeded-ladders", "with-coupler-d4"])
+def test_gram_norms_match_the_svd_norm_on_the_scans_matrices(monkeypatch, case):
+    systems = _seeded_ladders(20) if case == "seeded-ladders" else [_coupler_system(4)]
+    manifold = 10 if case == "seeded-ladders" else 15
+    two_norm, seen = oracle._two_norm, []
+
+    def recorded(matrix):
+        seen.append((matrix, two_norm(matrix)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(oracle, "_two_norm", recorded)
+    for spectrum, couplings, d in systems:
+        four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    # per scan, Dt_PQ (a row per model state), then H_DK V_P (a column per one)
+    assert len(seen) == 2 * len(systems)
+    assert all(m.shape[0] == manifold for m, _ in seen[0::2])
+    assert all(m.shape[1] == manifold for m, _ in seen[1::2])
+    for matrix, norm in seen:
+        assert norm > 0.0
+        assert norm == pytest.approx(np.linalg.norm(matrix, 2), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("relative, refused", [(1e-13, False), (1e-11, True)],
+                         ids=["round-off", "fault"])
+def test_hermitian_check_tolerates_round_off_alone(relative, refused):
+    # one element of a built block moved by a fraction of its largest
+    # element: not exactly symmetric, so the tolerant test decides
+    matrix = build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3).even.copy()
+    matrix[0, 1] += relative * abs(matrix).max()
+    assert not np.array_equal(matrix, matrix.T)
+    if refused:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            oracle._check_hermitian(matrix)
+    else:
+        oracle._check_hermitian(matrix)
+
+
+# finite frequencies whose sum over the modes of a state leaves the float
+# range: the dressed frequencies had come out NaN, the Kerr-dressed estimate
+# 9.1e-294, and the scan had blamed a manifold not separated
+_OVERFLOWING = ModeSpectrum(omega=5e307 * np.array([1.0, 0.97, 0.99, 0.98]), kerr=_ladder().kerr)
+
+
+@pytest.mark.parametrize("entry", ["dressed-frequencies", "gap-scan", "kerr-dressed"])
+def test_an_overflowing_diagonal_is_refused(entry):
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    calls = {
+        "dressed-frequencies":
+            lambda: dressed_frequencies_exact(build_hamiltonian(_OVERFLOWING, couplings, d=3)),
+        "gap-scan":
+            lambda: four_body_from_gap(_OVERFLOWING, couplings, d=4, scan_halfwidth=3 * MHZ),
+        "kerr-dressed": lambda: four_body_kerr_dressed(_OVERFLOWING, couplings),
+    }
+    with pytest.raises(ValueError, match="diagonal of the Hamiltonian overflows the "
+                                         "floating-point range"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("coupler", [False, True], ids=["kpo-kpo", "kpo-coupler"])
+def test_an_overflowing_coupling_is_refused(coupler):
+    # 1e308 rad/s times an element product of up to 2 at d = 3
+    if coupler:
+        spectrum = _with_coupler(_ladder())
+        couplings, modes = CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 1e308)), "(0, 4)"
+    else:
+        spectrum, couplings, modes = _ladder(), CouplingGraph(h=_full_h(1e308)), "(0, 1)"
+    with pytest.raises(ValueError, match=re.escape(f"coupling of modes {modes} overflows")):
+        build_hamiltonian(spectrum, couplings, d=3)
+    with pytest.raises(ValueError, match="overflows the floating-point range"):
+        four_body_kerr_dressed(spectrum, couplings)
 
 
 def test_gap_raises_when_remainder_bound_exceeds_tolerance(monkeypatch):
