@@ -19,6 +19,7 @@ from kpokit.perturbation import (
     h4_general,
     h4_snail,
     h4_tilde,
+    ladder_frequencies,
     sw_mixing,
     transform_kerr,
 )
@@ -46,9 +47,7 @@ print()
 
 # exact engine check at eps = 100 MHz: transform the Kerr Hamiltonian
 # under the mixing substitution and read the a1+ a2+ a3 a4 coefficient
-eps = 100 * MHZ
-w1 = 10 * GHZ
-omega = np.array([w1, w1 - 3 * eps, w1 - eps, w1 - 2 * eps])
+omega = np.array(ladder_frequencies(100 * MHZ, 10 * GHZ))
 spectrum = ModeSpectrum(omega=omega, kerr=p["kerr_squid"])
 h = np.full((4, 4), 5 * MHZ)
 np.fill_diagonal(h, 0.0)

@@ -26,6 +26,7 @@ from kpokit.perturbation import (
     CouplingGraph,
     ModeSpectrum,
     h4_general,
+    ladder_frequencies,
     mixing_from_frequencies,
 )
 
@@ -54,9 +55,7 @@ h = np.full((4, 4), 5.0 * MHZ)
 np.fill_diagonal(h, 0.0)
 print("eps/2pi   exact |h_eff|   perturbative   deviation")
 for eps_mhz in (100.0, 200.0, 300.0):
-    eps = eps_mhz * MHZ
-    w1 = 10 * GHZ
-    omega = np.array([w1, w1 - 3 * eps, w1 - eps, w1 - 2 * eps])
+    omega = np.array(ladder_frequencies(eps_mhz * MHZ, 10 * GHZ))
     spectrum = ModeSpectrum(omega=omega, kerr=kerr4)
     result = four_body_from_gap(spectrum, CouplingGraph(h=h), d=4, scan_halfwidth=3 * MHZ)
     predicted = abs(h4_general(kerr4, mixing_from_frequencies(h, omega)))

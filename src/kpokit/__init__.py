@@ -66,10 +66,9 @@ _EXPORTS = {
         "h4_double_tilde",
         "h4_general",
         "h4_snail",
-        "h4_symmetric",
         "h4_tilde",
         "invert_dressed",
-        "ladder_deltas",
+        "ladder_frequencies",
         "mixing_from_frequencies",
         "rwa_filter",
         "sw_mixing",

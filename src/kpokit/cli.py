@@ -156,6 +156,11 @@ def _snail_design_kerr() -> float:
     return fit.kerr_at(10.0 * GHZ)
 
 
+# the SQUID system of the detuning ladder, shared by `sweep` (h4_squid) and `oracle`
+LADDER_KERR_MHZ = (5.1, 20.0, 20.0, 5.1)
+LADDER_COUPLING = 5.0 * MHZ
+
+
 def sweep_parameter_sets() -> dict:
     """Fixed 10 GHz design values behind the coupling-vs-detuning sweep.
 
@@ -176,13 +181,13 @@ def sweep_parameter_sets() -> dict:
     scale = math.sqrt(200.0 * 500.0)
     return {
         "g_g": 5.0 * MHZ,
-        "h_q": 5.0 * MHZ,
+        "h_q": LADDER_COUPLING,
         "h_qn": h_qn,
         "h_nn": h_qn * scale / 200.0,
         "h_qq": h_qn * scale / 500.0,
         "k_g_kpo": k_g_kpo,
         "k_g_transmon": k_g_transmon,
-        "kerr_squid": np.array([5.1, 20.0, 20.0, 5.1]) * MHZ,
+        "kerr_squid": np.array(LADDER_KERR_MHZ) * MHZ,
         "kerr_snail": np.array([k_snail, 20.0 * MHZ, 20.0 * MHZ, k_snail]),
         "k4": 20.0 * MHZ,
     }
@@ -343,19 +348,16 @@ def cmd_fit(args, out) -> int:
 
 def cmd_oracle(args, out) -> int:
     from .oracle import four_body_from_gap
-    from .perturbation import CouplingGraph, ModeSpectrum, h4_general, mixing_from_frequencies
+    from .perturbation import (CouplingGraph, ModeSpectrum, h4_general, ladder_frequencies,
+                               mixing_from_frequencies)
 
-    eps = args.eps_mhz * MHZ
-    omega1 = 10.0 * GHZ
-    omega = np.array([omega1, omega1 - 3 * eps, omega1 - eps, omega1 - 2 * eps])
-    kerr = np.array([5.1, 20.0, 20.0, 5.1]) * MHZ
-    h_q = 5.0 * MHZ
-    h = np.full((4, 4), h_q)
+    omega = np.array(ladder_frequencies(args.eps_mhz * MHZ, 10.0 * GHZ))
+    kerr = np.array(LADDER_KERR_MHZ) * MHZ
+    h = np.full((4, 4), LADDER_COUPLING)
     np.fill_diagonal(h, 0.0)
-    spectrum = ModeSpectrum(omega=omega, kerr=kerr)
-    couplings = CouplingGraph(h=h)
     result = four_body_from_gap(
-        spectrum, couplings, d=args.truncation, scan_halfwidth=args.scan_mhz * MHZ
+        ModeSpectrum(omega=omega, kerr=kerr), CouplingGraph(h=h), d=args.truncation,
+        scan_halfwidth=args.scan_mhz * MHZ,
     )
     prediction = abs(h4_general(kerr, mixing_from_frequencies(h, omega)))
     meta = _meta("oracle", args) + [

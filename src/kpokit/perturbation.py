@@ -13,16 +13,16 @@ every transformed operator holds annihilators only. The closed forms
 evaluations of specific monomial coefficients of that expansion, so the
 two routes can be cross-checked to machine precision.
 
-Of the four-body closed forms, three are independent: h4_general (the
-four-term mixing-ratio sum for any coupling matrix), h4_symmetric (its
-closed form for h12 = h34, h13 = h14 = h23 = h24) and g4_closed_form /
-g4_symmetric (the coupler path). The others are special cases:
-h4_detuning is h4_symmetric on the detuning ladder, h4_double_tilde is
-h4_symmetric with K2 = K3 = 0, and h4_snail is h4_general on the SNAIL
-circuit's coupling matrix. h4_tilde (only K4 nonzero) is h4_symmetric
-with K1 = K2 = K3 = 0 but keeps its own formula: routed through
-h4_symmetric it moves the last printed digit of a `sweep` row that sits
-on an exact rounding tie.
+The four-body closed forms are two sums: h4_general over the KPO Kerr
+terms and g4_closed_form over the coupler's. The named circuits evaluate
+them on the detuning ladder of ladder_frequencies (g4_symmetric: KPOs
+detuned from the coupler by +-2 eps, +-eps), where they reduce to
+
+    h4_detuning       h_q^3 [(K2 - K1) + 3 (K3 - K4)] / (3 eps^3)
+    h4_snail          h_QN^2 [-h_NN (K1 + 3 K4) + h_QQ (K2 + 3 K3)] / (3 eps^3)
+    h4_tilde          -h'^3 K4 / eps^3
+    h4_double_tilde   -h''^3 (K1 + 3 K4) / (3 eps^3)
+    g4_symmetric      g^4 K_g / (2 eps^4)
 """
 
 from __future__ import annotations
@@ -174,24 +174,39 @@ class FourBodyReport:
 # mixing coefficients
 # --------------------------------------------------------------------------
 
-def mixing_from_frequencies(h: np.ndarray, omega: np.ndarray) -> np.ndarray:
+def _finite_floats(values, what: str, shape: tuple[int, ...] | None = None) -> list:
+    """`values` as (nested) Python floats; ValueError unless finite and of
+    `shape` (by default, one-dimensional)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (shape or (values.size,)):
+        raise ValueError(f"{what} must have shape {shape or '(n,)'}, got {values.shape}")
+    if not all(map(math.isfinite, values.ravel().tolist())):
+        raise ValueError(f"{what} must be finite")
+    return values.tolist()
+
+
+def mixing_from_frequencies(h, omega, *, coupler: bool = False) -> np.ndarray:
     """htilde_jk = h_jk/(w_j - w_k) for every nonzero coupling.
 
-    Raises DegenerateModesError when a coupled pair is exactly degenerate;
+    With `coupler`, the last mode is a coupler and errors name it so.
+    Raises ValueError on a non-finite coupling or frequency and
+    DegenerateModesError when a coupled pair is exactly degenerate;
     applies no perturbative-validity limit (sw_mixing adds those).
     """
+    omega = _finite_floats(omega, "mode frequencies")
     n = len(omega)
-    h_tilde = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j != k and h[j, k] != 0.0:
-                delta = omega[j] - omega[k]
+    h = _finite_floats(h, "couplings", (n, n))
+    h_tilde = [[0.0] * n for _ in range(n)]
+    for j, (row, w_j) in enumerate(zip(h, omega)):
+        for k, (h_jk, w_k) in enumerate(zip(row, omega)):
+            if h_jk != 0.0 and j != k:
+                delta = w_j - w_k
                 if delta == 0.0:
-                    raise DegenerateModesError(
-                        f"KPOs {j + 1} and {k + 1} are degenerate with h != 0"
-                    )
-                h_tilde[j, k] = h[j, k] / delta
-    return h_tilde
+                    pair = (f"KPO {j + 1} and the coupler" if coupler and k == n - 1
+                            else f"KPOs {j + 1} and {k + 1}")
+                    raise DegenerateModesError(f"{pair} are degenerate with a nonzero coupling")
+                h_tilde[j][k] = h_jk / delta
+    return np.array(h_tilde)
 
 
 def check_coupling_shapes(spectrum: ModeSpectrum, couplings: CouplingGraph) -> None:
@@ -214,22 +229,16 @@ def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoeffic
     """
     check_coupling_shapes(spectrum, couplings)
     n = spectrum.n_kpo
-    h_tilde = mixing_from_frequencies(couplings.h, spectrum.omega)
-    g_tilde = None
+    h, omega = couplings.h, spectrum.omega
     if couplings.g is not None:
-        g_tilde = np.zeros(n)
-        for j in range(n):
-            if couplings.g[j] == 0.0:
-                continue
-            delta = spectrum.omega[j] - spectrum.coupler_omega
-            if delta == 0.0:
-                raise DegenerateModesError(f"KPO {j + 1} degenerate with the coupler")
-            g_tilde[j] = couplings.g[j] / delta
+        # the coupler is mode n of one (n + 1)-mode coupling matrix
+        h = np.zeros((n + 1, n + 1))
+        h[:n, :n] = couplings.h
+        h[:n, n] = h[n, :n] = couplings.g
+        omega = np.append(omega, spectrum.coupler_omega)
+    ratios = mixing_from_frequencies(h, omega, coupler=couplings.g is not None)
 
-    worst = max(
-        np.max(np.abs(h_tilde), initial=0.0),
-        np.max(np.abs(g_tilde), initial=0.0) if g_tilde is not None else 0.0,
-    )
+    worst = np.max(np.abs(ratios), initial=0.0)
     if worst >= MIXING_LIMIT:
         raise ValueError(f"mixing ratio {worst:.3f} >= {MIXING_LIMIT}: not perturbative")
     if worst > MIXING_WARN:
@@ -237,7 +246,8 @@ def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoeffic
             f"mixing ratio {worst:.3f} exceeds {MIXING_WARN}; first-order results degrade",
             stacklevel=2,
         )
-    return MixingCoefficients(h_tilde=h_tilde, g_tilde=g_tilde, s=couplings.s)
+    g_tilde = None if couplings.g is None else ratios[:n, n]
+    return MixingCoefficients(h_tilde=ratios[:n, :n], g_tilde=g_tilde, s=couplings.s)
 
 
 # --------------------------------------------------------------------------
@@ -356,22 +366,15 @@ def rwa_filter(
 # closed forms
 # --------------------------------------------------------------------------
 
-def g4_closed_form(kerr_g: float, g_tilde: np.ndarray) -> float:
+def g4_closed_form(kerr_g: float, g_tilde) -> float:
     """Coupler-mediated four-body coupling 2*prod(gtilde_j)*K_g."""
-    g_tilde = np.asarray(g_tilde, dtype=float)
-    if len(g_tilde) != 4:
-        raise ValueError("need exactly four mixing ratios")
-    return 2.0 * float(np.prod(g_tilde)) * kerr_g
+    g_tilde = _finite_floats(g_tilde, "the four mixing ratios", (4,))
+    if not math.isfinite(kerr_g):
+        raise ValueError(f"coupler Kerr coefficient must be finite, got {kerr_g}")
+    return 2.0 * math.prod(g_tilde) * kerr_g
 
 
-def g4_symmetric(g_g: float, epsilon: float, kerr_g: float) -> float:
-    """g4 on the symmetric detuning ladder (Delta_j = +-2eps, +-eps)."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"unit detuning must be positive and finite, got {epsilon}")
-    return g_g**4 / (2.0 * epsilon**4) * kerr_g
-
-
-def h4_general(kerr: np.ndarray, h_tilde: np.ndarray) -> float:
+def h4_general(kerr, h_tilde) -> float:
     """KPO-nonlinearity four-body coupling, the four-term mixing-ratio sum.
 
     h4 = sum_j 2 K_j * prod_{k != j} htilde_kj over the four KPOs.
@@ -381,82 +384,71 @@ def h4_general(kerr: np.ndarray, h_tilde: np.ndarray) -> float:
     oracle.four_body_kerr_dressed keeps the Kerr energies in the
     denominators and carries the next order.
     """
-    kerr = np.asarray(kerr, dtype=float)
-    h_tilde = np.asarray(h_tilde, dtype=float)
-    if kerr.shape != (4,) or h_tilde.shape != (4, 4):
-        raise ValueError("h4_general expects 4 KPOs")
+    kerr = _finite_floats(kerr, "the four Kerr coefficients", (4,))
+    h_tilde = _finite_floats(h_tilde, "the 4x4 mixing ratios", (4, 4))
     total = 0.0
-    for j in range(4):
-        prod = 1.0
-        for k in range(4):
-            if k != j:
-                prod *= h_tilde[k, j]
-        total += 2.0 * kerr[j] * prod
+    for j, column in enumerate(zip(*h_tilde)):
+        total += 2.0 * kerr[j] * math.prod(column[:j] + column[j + 1:])
     return total
 
 
-def h4_symmetric(h12: float, h13: float, kerr: np.ndarray, deltas: dict) -> float:
-    """Symmetric-circuit closed form (h12 = h34, h13 = h14 = h23 = h24).
-
-    h4 = 2 h12 h13^2 [(K2-K1) D34 + (K3-K4) D12] / (D12 D13 D14 D34),
-    valid under the frequency condition w1 + w2 = w3 + w4.
-    """
-    k1, k2, k3, k4 = np.asarray(kerr, dtype=float)
-    d12, d13, d14, d34 = deltas["d12"], deltas["d13"], deltas["d14"], deltas["d34"]
-    for name, d in (("d12", d12), ("d13", d13), ("d14", d14), ("d34", d34)):
-        if d == 0.0:
-            raise DegenerateModesError(f"{name} vanishes")
-    return 2.0 * h12 * h13**2 * ((k2 - k1) * d34 + (k3 - k4) * d12) / (d12 * d13 * d14 * d34)
-
-
-def ladder_deltas(epsilon: float) -> dict:
-    """Frequency differences on the ladder w2 = w1-3e, w3 = w1-e, w4 = w1-2e."""
+def _unit_detuning(epsilon: float) -> float:
     if not 0 < epsilon < math.inf:
         raise ValueError(f"unit detuning must be positive and finite, got {epsilon}")
-    return {"d12": 3 * epsilon, "d13": epsilon, "d14": 2 * epsilon, "d34": epsilon}
+    return epsilon
 
 
-def h4_detuning(h_q: float, epsilon: float, kerr: np.ndarray) -> float:
-    """Detuning-ladder form, h4_symmetric with every coupling h_q:
-    h_q^3 [(K2-K1) + 3(K3-K4)] / (3 eps^3)."""
-    return h4_symmetric(h_q, h_q, kerr, ladder_deltas(epsilon))
+def ladder_frequencies(epsilon: float, omega1: float = 0.0) -> list[float]:
+    """The detuning ladder w1, w1 - 3 eps, w1 - eps, w1 - 2 eps, which meets
+    w1 + w2 = w3 + w4."""
+    epsilon = _unit_detuning(epsilon)
+    return [omega1 + step * epsilon for step in (0.0, -3.0, -1.0, -2.0)]
 
 
-def h4_snail(h_qn: float, h_nn: float, h_qq: float, kerr: np.ndarray, epsilon: float) -> float:
+def _ladder_mixing(epsilon: float, h: float, h14: float, h23: float) -> np.ndarray:
+    """Mixing ratios on the detuning ladder: h14 and h23 on their pairs, h on the rest."""
+    couplings = [[0.0, h, h, h14], [h, 0.0, h23, h], [h, h23, 0.0, h], [h14, h, h, 0.0]]
+    return mixing_from_frequencies(couplings, ladder_frequencies(epsilon))
+
+
+def g4_symmetric(g_g: float, epsilon: float, kerr_g: float) -> float:
+    """g4_closed_form with coupling g_g to each KPO, the KPOs detuned from
+    the coupler by (2, -2, 1, -1) eps: g_g^4 K_g / (2 eps^4)."""
+    epsilon = _unit_detuning(epsilon)
+    h = [[0.0] * 4 + [g_g] for _ in range(4)] + [[g_g] * 4 + [0.0]]
+    omega = [2.0 * epsilon, -2.0 * epsilon, epsilon, -epsilon, 0.0]
+    return g4_closed_form(kerr_g, mixing_from_frequencies(h, omega)[:4, 4])
+
+
+def h4_detuning(h_q: float, epsilon: float, kerr) -> float:
+    """h4_general on the detuning ladder with every coupling h_q:
+    h_q^3 [(K2 - K1) + 3 (K3 - K4)] / (3 eps^3)."""
+    return h4_general(kerr, _ladder_mixing(epsilon, h_q, h_q, h_q))
+
+
+def h4_snail(h_qn: float, h_nn: float, h_qq: float, kerr, epsilon: float) -> float:
     """SNAIL/SQUID mixed circuit on the detuning ladder.
 
     h4_general with h14 = h_NN, h23 = h_QQ and h_QN on every other pair:
-    h4 = h_QN^2 [-h_NN (K1 + 3 K4) + h_QQ (K2 + 3 K3)] / (3 eps^3);
+    h_QN^2 [-h_NN (K1 + 3 K4) + h_QQ (K2 + 3 K3)] / (3 eps^3);
     KPOs 1 and 4 are the SNAILs, 2 and 3 the SQUIDs.
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"unit detuning must be positive and finite, got {epsilon}")
-    h = np.full((4, 4), h_qn)
-    np.fill_diagonal(h, 0.0)
-    h[0, 3] = h[3, 0] = h_nn
-    h[1, 2] = h[2, 1] = h_qq
-    omega = epsilon * np.array([0.0, -3.0, -1.0, -2.0])
-    return h4_general(kerr, mixing_from_frequencies(h, omega))
+    return h4_general(kerr, _ladder_mixing(epsilon, h_qn, h_nn, h_qq))
 
 
 def h4_tilde(h_prime: float, kerr4: float, epsilon: float) -> float:
     """Single-nonlinearity circuit on the detuning ladder: only K4 couples
-    (KPO 4 mediates).
-
-    -2 h'^3 K4 / (D13 D14 D34), which reduces to -h'^3 K4 / eps^3.
-    """
-    deltas = ladder_deltas(epsilon)
-    d13, d14, d34 = deltas["d13"], deltas["d14"], deltas["d34"]
-    return -2.0 * h_prime**3 * kerr4 / (d13 * d14 * d34)
+    (KPO 4 mediates). h4_general with every coupling h':
+    -h'^3 K4 / eps^3."""
+    return h4_general((0.0, 0.0, 0.0, kerr4),
+                      _ladder_mixing(epsilon, h_prime, h_prime, h_prime))
 
 
-def h4_double_tilde(h_pp: float, kerr1: float, kerr4: float, deltas: dict) -> float:
-    """Two-nonlinearity circuit (h23 suppressed): K1 and K4 both couple.
-
-    h4_symmetric with K2 = K3 = 0:
-    -2 h''^3 (K1 D34 + K4 D12) / (D12 D13 D14 D34), under w1+w2 = w3+w4.
-    """
-    return h4_symmetric(h_pp, h_pp, (kerr1, 0.0, 0.0, kerr4), deltas)
+def h4_double_tilde(h_pp: float, kerr1: float, kerr4: float, epsilon: float) -> float:
+    """Two-nonlinearity circuit on the detuning ladder: K1 and K4 both
+    couple. h4_general with every coupling h'' (h23 does not enter):
+    -h''^3 (K1 + 3 K4) / (3 eps^3)."""
+    return h4_general((kerr1, 0.0, 0.0, kerr4), _ladder_mixing(epsilon, h_pp, h_pp, h_pp))
 
 
 # --------------------------------------------------------------------------

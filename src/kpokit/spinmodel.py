@@ -359,8 +359,11 @@ def estimate_h4(
     """|h4| from the fitted eta/nu4 ratio (inverse temperature cancels).
 
     nu4 = 2*beta*eps4*alpha4 and eta is beta times the rule's four-body
-    term, so |h4| = |eta/nu4| * 2*eps4*alpha4 / |that term at h4 = 1|.
+    term, so |h4| = |eta/nu4| * |2*eps4*alpha4| / |that term at h4 = 1|.
+    Raises ValueError when eta, nu4, eps4 or the estimate is not finite.
     """
+    if not all(map(math.isfinite, (eta, nu4, epsilon4))):
+        raise ValueError(f"eta, nu4 and epsilon4 must be finite, got {eta}, {nu4}, {epsilon4}")
     if nu4 == 0.0:
         raise ValueError("nu4 must be nonzero to form the ratio")
     alpha = np.asarray(alpha, dtype=float)
@@ -371,4 +374,7 @@ def estimate_h4(
     if not (np.isfinite(unit) and unit != 0.0):
         raise ValueError(f"four-body coefficient vanishes or overflows at this pump phase "
                          f"({unit:g} * h4)")
-    return abs(eta / nu4) * 2.0 * epsilon4 * alpha[3] / abs(unit)
+    estimate = abs(eta / nu4) * abs(2.0 * epsilon4 * alpha[3]) / abs(unit)
+    if not math.isfinite(estimate):
+        raise ValueError(f"|h4| overflows the floating-point range (eta/nu4 = {eta / nu4:g})")
+    return estimate

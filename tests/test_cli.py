@@ -726,6 +726,15 @@ def test_oracle_rejects_non_positive_scan_width(capsys, scan_mhz):
     assert err.startswith(f"{ERROR_PREFIX}: scan half-width must be positive")
 
 
+@pytest.mark.parametrize("eps_mhz", ["0", "-50"])
+def test_oracle_rejects_a_non_positive_detuning(capsys, eps_mhz):
+    # the ladder's one detuning check; -50 had scanned the mirrored ladder
+    code, out, err = _run(capsys, ["oracle", "--truncation", "3", "--eps-mhz", eps_mhz])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: unit detuning must be positive and finite")
+
+
 def test_oracle_rejects_a_scan_too_narrow_to_see_the_crossing(capsys):
     # +-1e-9 MHz: the gaps vary by ~0.01 rad/s, and half the unshifted gap
     # (39x the avoided-crossing value) must not be reported as |h_eff|

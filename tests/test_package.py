@@ -25,8 +25,8 @@ PUBLIC_NAMES = [
     "effective_coefficients", "estimate_h4", "extract_bare", "fit_energy_model",
     "four_body_from_gap", "four_body_kerr_dressed", "g4_closed_form", "g4_symmetric",
     "ground_capacitances", "h4_detuning", "h4_double_tilde", "h4_general", "h4_snail",
-    "h4_symmetric", "h4_tilde", "invert_capacitance", "invert_dressed", "kpo_mode_params",
-    "ladder_deltas", "lhz_frequencies", "lhz_plan", "load_netlist", "mixing_from_frequencies",
+    "h4_tilde", "invert_capacitance", "invert_dressed", "kpo_mode_params",
+    "ladder_frequencies", "lhz_frequencies", "lhz_plan", "load_netlist", "mixing_from_frequencies",
     "mode_reduce", "model_from_coefficients", "parity_curve", "parity_split", "rwa_filter",
     "snail_equilibrium_phase", "snail_expansion", "snail_flux_sweep",
     "snail_kerr_frequency_fit", "snail_mode_params", "squid_inductance_for_frequency",

@@ -19,10 +19,9 @@ from kpokit.perturbation import (
     h4_double_tilde,
     h4_general,
     h4_snail,
-    h4_symmetric,
     h4_tilde,
     invert_dressed,
-    ladder_deltas,
+    ladder_frequencies,
     mixing_from_frequencies,
     rwa_filter,
     sw_mixing,
@@ -67,6 +66,14 @@ def test_degenerate_pair_raises():
     h = np.array([[0.0, 5.0], [5.0, 0.0]]) * MHZ
     with pytest.raises(DegenerateModesError, match="1 and 2"):
         sw_mixing(spectrum, CouplingGraph(h=h))
+
+
+def test_kpo_degenerate_with_the_coupler_raises():
+    spectrum = ModeSpectrum(omega=np.array([10.0, 9.9]) * GHZ, kerr=np.zeros(2),
+                            coupler_omega=9.9 * GHZ, coupler_kerr=0.0)
+    couplings = CouplingGraph(h=np.zeros((2, 2)), g=np.full(2, 5.0 * MHZ), s=np.ones(2))
+    with pytest.raises(DegenerateModesError, match=r"KPO 2\b.*the coupler"):
+        sw_mixing(spectrum, couplings)
 
 
 @pytest.mark.parametrize("coupler_omega", [0.0, -1.0 * GHZ, float("nan"), float("inf")],
@@ -368,10 +375,33 @@ def test_h4_tilde_anchor_and_near_agreement():
     assert abs(squid) == pytest.approx(val, rel=0.01)
 
 
-def test_h4_symmetric_vanishes_for_pairwise_equal_kerr():
-    deltas = ladder_deltas(50 * MHZ)
-    val = h4_symmetric(5 * MHZ, 5 * MHZ, np.array([20, 20, 5.1, 5.1]) * MHZ, deltas)
-    assert val == 0.0
+def test_ladder_frequencies():
+    eps, w1 = 50 * MHZ, 10 * GHZ
+    assert ladder_frequencies(eps, w1) == [w1, w1 - 3 * eps, w1 - eps, w1 - 2 * eps]
+    assert ladder_frequencies(eps) == [0.0, -3 * eps, -eps, -2 * eps]
+
+
+@pytest.mark.parametrize("kerr_mhz", [(5.1, 20.0, 20.0, 5.1), (-7.3, 20.0, 18.0, -6.1),
+                                      (20.0, 0.0, 0.0, 5.1)])
+@pytest.mark.parametrize("eps_mhz", [20.0, 100.0, 500.0])
+def test_ladder_forms_match_their_reduced_closed_forms(kerr_mhz, eps_mhz):
+    # the hand-reduced formula each docstring states, as an independent reference
+    k1, k2, k3, k4 = kerr = np.array(kerr_mhz) * MHZ
+    h, eps = 5 * MHZ, eps_mhz * MHZ
+    assert h4_detuning(h, eps, kerr) == pytest.approx(
+        h**3 * ((k2 - k1) + 3 * (k3 - k4)) / (3 * eps**3), rel=1e-12)
+    assert h4_tilde(h, k4, eps) == pytest.approx(-h**3 * k4 / eps**3, rel=1e-12)
+    assert h4_double_tilde(h, k1, k4, eps) == pytest.approx(
+        -h**3 * (k1 + 3 * k4) / (3 * eps**3), rel=1e-12)
+    assert g4_symmetric(h, eps, k2) == pytest.approx(h**4 * k2 / (2 * eps**4), rel=1e-12)
+
+
+def test_h4_general_vanishes_for_pairwise_equal_kerr():
+    # K1 = K2 and K3 = K4 on the ladder: the four terms cancel in pairs
+    kerr = np.array([20, 20, 5.1, 5.1]) * MHZ
+    ht = mixing_from_frequencies(_full_h(5 * MHZ), ladder_frequencies(50 * MHZ))
+    scale = 2 * 20 * MHZ * (5 / 50) ** 3
+    assert abs(h4_general(kerr, ht)) < 1e-12 * scale
 
 
 def test_h4_general_symmetric_cancellation():
@@ -382,25 +412,20 @@ def test_h4_general_symmetric_cancellation():
     assert abs(h4_general(spectrum.kerr, ht)) < 1e-12 * scale
 
 
-def test_h4_symmetric_index_swap_invariance():
-    eps = 50 * MHZ
+def test_h4_general_index_swap_invariance():
+    # swapping KPOs 1 and 2, or 3 and 4, leaves the a1+ a2+ a3 a4 coefficient
     kerr = np.array([5.1, 20.0, 13.0, 7.0]) * MHZ
-    omega = np.array([10 * GHZ, 10 * GHZ - 3 * eps, 10 * GHZ - eps, 10 * GHZ - 2 * eps])
-    d = lambda j, k: omega[j] - omega[k]
-    base = h4_symmetric(
-        5 * MHZ, 4 * MHZ, kerr,
-        {"d12": d(0, 1), "d13": d(0, 2), "d14": d(0, 3), "d34": d(2, 3)},
-    )
-    swapped_12 = h4_symmetric(
-        5 * MHZ, 4 * MHZ, kerr[[1, 0, 2, 3]],
-        {"d12": d(1, 0), "d13": d(1, 2), "d14": d(1, 3), "d34": d(2, 3)},
-    )
-    swapped_34 = h4_symmetric(
-        5 * MHZ, 4 * MHZ, kerr[[0, 1, 3, 2]],
-        {"d12": d(0, 1), "d13": d(0, 3), "d14": d(0, 2), "d34": d(3, 2)},
-    )
-    assert swapped_12 == pytest.approx(base, rel=1e-12)
-    assert swapped_34 == pytest.approx(base, rel=1e-12)
+    omega = np.array(ladder_frequencies(50 * MHZ, 10 * GHZ))
+    h = _full_h(4 * MHZ)
+    h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = 5 * MHZ
+
+    def h4(order):
+        return h4_general(kerr[order], mixing_from_frequencies(h[np.ix_(order, order)],
+                                                               omega[order]))
+
+    base = h4([0, 1, 2, 3])
+    assert h4([1, 0, 2, 3]) == pytest.approx(base, rel=1e-12)
+    assert h4([0, 1, 3, 2]) == pytest.approx(base, rel=1e-12)
 
 
 def test_h4_snail_sign_structure():
@@ -423,23 +448,52 @@ def test_h4_snail_matches_its_ladder_closed_form():
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -50 * MHZ])
 @pytest.mark.parametrize("form", [
     lambda eps: g4_symmetric(5 * MHZ, eps, 20 * MHZ),
-    ladder_deltas,
+    ladder_frequencies,
     lambda eps: h4_detuning(5 * MHZ, eps, np.array([5.1, 20.0, 20.0, 5.1]) * MHZ),
     lambda eps: h4_tilde(5 * MHZ, 20 * MHZ, eps),
+    lambda eps: h4_double_tilde(5 * MHZ, 5.1 * MHZ, 20 * MHZ, eps),
     lambda eps: h4_snail(5 * MHZ, 7.9 * MHZ, 3.2 * MHZ, np.array([-7.3, 20.0, 18.0, -6.1]) * MHZ,
                          eps),
-], ids=["g4_symmetric", "ladder_deltas", "h4_detuning", "h4_tilde", "h4_snail"])
+], ids=["g4_symmetric", "ladder_frequencies", "h4_detuning", "h4_tilde", "h4_double_tilde",
+        "h4_snail"])
 def test_ladder_forms_refuse_a_detuning_that_is_not_positive_and_finite(form, eps):
     # before, a NaN detuning passed the `epsilon <= 0` check and came out as NaN
     with pytest.raises(ValueError, match="unit detuning must be positive and finite"):
         form(eps)
 
 
+def _kerr_with(bad):
+    return np.array([5.1, 20.0, 20.0, bad]) * MHZ
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("form", [
+    lambda bad: h4_general(_kerr_with(bad), np.full((4, 4), 0.05)),
+    lambda bad: h4_general(_kerr_with(20.0), np.where(np.eye(4) > 0, 0.0, bad)),
+    lambda bad: g4_closed_form(bad, np.full(4, 0.05)),
+    lambda bad: g4_closed_form(20 * MHZ, np.array([0.05, bad, 0.05, 0.05])),
+    lambda bad: mixing_from_frequencies(_full_h(5 * MHZ), [10 * GHZ, 9.9 * GHZ, bad, 9.8 * GHZ]),
+    lambda bad: mixing_from_frequencies(_full_h(bad), [10 * GHZ, 9.9 * GHZ, 9.7 * GHZ, 9.8 * GHZ]),
+    lambda bad: h4_detuning(5 * MHZ, 50 * MHZ, _kerr_with(bad)),
+    lambda bad: h4_snail(5 * MHZ, 7.9 * MHZ, 3.2 * MHZ, _kerr_with(bad), 50 * MHZ),
+    lambda bad: h4_tilde(bad, 20 * MHZ, 50 * MHZ),
+    lambda bad: h4_double_tilde(5 * MHZ, bad, 20 * MHZ, 50 * MHZ),
+    lambda bad: g4_symmetric(bad, 50 * MHZ, 20 * MHZ),
+    lambda bad: g4_symmetric(5 * MHZ, 50 * MHZ, bad),
+], ids=["h4_general-kerr", "h4_general-ratio", "g4_closed_form-kerr", "g4_closed_form-ratio",
+        "mixing-omega", "mixing-coupling", "h4_detuning-kerr", "h4_snail-kerr",
+        "h4_tilde-coupling", "h4_double_tilde-kerr", "g4_symmetric-coupling",
+        "g4_symmetric-kerr"])
+def test_closed_forms_refuse_non_finite_input(form, bad):
+    # before, a NaN passed through as a NaN coupling and an inf as an inf one
+    with pytest.raises(ValueError, match="finite"):
+        form(bad)
+
+
 def test_closed_forms_match_engine_on_structured_systems():
     # each specialised formula against the engine coefficient of
     # a1+ a2+ a3 a4 on a system satisfying its assumptions
     eps = 100 * MHZ
-    deltas = ladder_deltas(eps)
 
     only_k4 = _ladder_spectrum(kerr_mhz=(0, 0, 0, 20.0))
     mix = sw_mixing(only_k4, CouplingGraph(h=_full_h(5.0 * MHZ)))
@@ -450,7 +504,7 @@ def test_closed_forms_match_engine_on_structured_systems():
     mix = sw_mixing(k1_and_k4, CouplingGraph(h=_full_h(5.0 * MHZ)))
     engine = transform_kerr(k1_and_k4, mix).coefficient((1, 1, 0, 0), (0, 0, 1, 1))
     assert -engine == pytest.approx(
-        h4_double_tilde(5 * MHZ, 5.1 * MHZ, 20 * MHZ, deltas), rel=1e-12
+        h4_double_tilde(5 * MHZ, 5.1 * MHZ, 20 * MHZ, eps), rel=1e-12
     )
 
     squid = _ladder_spectrum(kerr_mhz=(5.1, 20, 20, 5.1))
@@ -458,9 +512,6 @@ def test_closed_forms_match_engine_on_structured_systems():
     engine = transform_kerr(squid, mix).coefficient((1, 1, 0, 0), (0, 0, 1, 1))
     assert -engine == pytest.approx(
         h4_detuning(5 * MHZ, eps, squid.kerr), rel=1e-12
-    )
-    assert -engine == pytest.approx(
-        h4_symmetric(5 * MHZ, 5 * MHZ, squid.kerr, deltas), rel=1e-12
     )
 
 

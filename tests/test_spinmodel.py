@@ -474,9 +474,10 @@ def test_fit_system_matches_the_per_point_loop_bit_for_bit():
 # interaction-strength estimation
 # --------------------------------------------------------------------------
 
-def test_estimate_h4_round_trip():
+@pytest.mark.parametrize("eps4", [20 * KHZ, -20 * KHZ], ids=["positive", "negative"])
+def test_estimate_h4_round_trip(eps4):
+    # nu4 carries the drive's sign, so a negative drive still gives +|h4|
     h4 = 0.1 * MHZ
-    eps4 = 20 * KHZ
     cfg = OscillationConfig(
         alpha=ALPHA,
         epsilon_d=np.array([0.0, 0.0, 0.0, eps4]),
@@ -490,6 +491,16 @@ def test_estimate_h4_round_trip():
     assert estimate == pytest.approx(h4, rel=1e-6)
 
 
+@pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                  (1.0, 1.0, math.inf), (1.0, 1.0, -math.inf),
+                                  (1.0, math.nan, 1.0)],
+                         ids=["eta-nan", "nu4-inf", "eps4-inf", "eps4-minus-inf", "nu4-nan"])
+def test_estimate_h4_refuses_non_finite_input(args):
+    # before, eta = NaN gave NaN, eps4 = inf gave inf and nu4 = inf gave 0.0
+    with pytest.raises(ValueError, match="must be finite"):
+        estimate_h4(*args, ALPHA)
+
+
 def test_estimate_h4_errors():
     with pytest.raises(ValueError, match="nonzero"):
         estimate_h4(1.0, 0.0, 1.0, ALPHA)
@@ -497,6 +508,8 @@ def test_estimate_h4_errors():
         estimate_h4(1.0, 1.0, 1.0, np.array([1.0, 0.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="overflows"):
         estimate_h4(1.0, 1.0, 1.0, np.array([1e200, 1e200, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="overflows the floating-point range"):
+        estimate_h4(1e300, 1e-300, 1.0, ALPHA)
     for alpha in (ALPHA[:3], np.append(ALPHA, 2.0)):
         with pytest.raises(ValueError, match="four entries"):
             estimate_h4(1.0, 1.0, 1.0, alpha)
