@@ -351,6 +351,9 @@ def cmd_oracle(args, out) -> int:
     from .perturbation import (CouplingGraph, ModeSpectrum, h4_general, ladder_frequencies,
                                mixing_from_frequencies)
 
+    if not args.eps_mhz > 0:
+        raise ValueError("unit detuning must be positive and finite, "
+                         f"got --eps-mhz {args.eps_mhz:g}")
     omega = np.array(ladder_frequencies(args.eps_mhz * MHZ, 10.0 * GHZ))
     kerr = np.array(LADDER_KERR_MHZ) * MHZ
     h = np.full((4, 4), LADDER_COUPLING)

@@ -199,9 +199,12 @@ def mode_reduce(
     discarded, flagged high-frequency when its capacitance C+ is small.
     """
     index = {n: i for i, n in enumerate(g.node_order)}
-    for n in tuple(kpo_nodes) + tuple(coupler_node_pair):
+    nodes = tuple(kpo_nodes) + tuple(coupler_node_pair)
+    for n in nodes:
         if n not in index:
             raise ValueError(f"node {n!r} not in the inverse-matrix ordering")
+        if nodes.count(n) > 1:
+            raise ValueError(f"node {n!r} is named more than once among the KPO and coupler nodes")
     if len(kpo_nodes) != 4 or len(coupler_node_pair) != 2:
         raise ValueError("expected four KPO nodes and two coupler nodes")
     kq = [index[n] for n in kpo_nodes]

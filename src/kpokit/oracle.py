@@ -1,18 +1,16 @@
 """Exact-diagonalization verification on a truncated Fock space.
 
-Builds the full lab-frame Hamiltonian (self-Kerr plus beam-splitter couplings
-including their counter-rotating parts) by index lookup on the table of
-occupation numbers, stored as its two dense blocks of even and odd total
-excitation number, or as the even block alone where only that is read. It
-gives dressed frequencies and effective four-body couplings
-nonperturbatively, for cross-checking the perturbative module, and a
-Kerr-dressed third-order four-body estimate, which builds H on its one-hop
-space alone: |1100>, |0011> and the states one coupling away from them. The
-gap scan diagonalizes the even states of at most six total quanta, and the
-whole even block only where a quadratic residual bound does not prove that
-the states left out move each level it reads by at most that solve's
-round-off. The gap scan's model-space solve and the estimate take their
-terms from one routine, `_lowdin_terms`.
+The lab-frame Hamiltonian (self-Kerr plus beam-splitter couplings with their
+counter-rotating parts) is a BosonicPolynomial; one builder makes each of its
+matrices by one rule: prod_j a_j+^c_j a_j^a_j links |n> to |n - a + c> by the
+product, in mode order, of the single-mode elements of a+^c a^a, and elements
+at one position are summed in the polynomial's order. It builds the blocks of
+even and odd total excitation number and the hop space of the Kerr-dressed
+four-body estimate: |1100>, |0011> and the states one coupling from them. The
+gap scan diagonalizes the even states of at most six quanta, and the whole
+even block only where a quadratic residual bound does not prove that the
+states left out move each level it reads by at most that solve's round-off.
+The scan's model-space solve and the estimate share `_lowdin_terms`.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .operators import BosonicPolynomial
 from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum, check_coupling_shapes
 
 DENSE_LIMIT = 2048
@@ -51,80 +50,129 @@ def build_hamiltonian(
     """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} h_jk (a_j - a_j+)(a_k - a_k+)
     - sum_j s_j g_j (a_j - a_j+)(a_g - a_g+), counter-rotating parts kept.
 
-    The index structure comes from the basis of its shape (`_fock_basis`),
-    made once: the diagonal is summed from the single-mode diagonals of a+ a
-    and a+ a+ a a, and each two-mode term is one scaled scatter of its
-    element products into the blocks. With odd=False only the even block,
-    which holds the ground state and every two-quantum state, is built and
-    checked, and `odd` is None. Raises ValueError when h, g or the coupler
-    mode do not match the spectrum, when an element would leave the
-    floating-point range, when a built block is not symmetric, and, before
-    any basis is made, when the even block would exceed DENSE_LIMIT states.
+    H is a polynomial (`_polynomial`); by the one rule of `_build`, each element
+    is the sum, over the monomials at its position in the polynomial's order,
+    of the coefficient times the product, in mode order, of the monomial's
+    single-mode elements. With odd=False only the even block, which holds the
+    ground state and every two-quantum state, is built and checked, and `odd`
+    is None. Raises ValueError when h, g or the coupler mode do not match the
+    spectrum, when an element or the diagonal leaves the floating-point range,
+    when a block is not symmetric, and, before any basis is made, when the
+    even block would exceed DENSE_LIMIT states.
     """
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
     check_coupling_shapes(spectrum, couplings)
-    n_kpo = spectrum.n_kpo
-    n_modes = n_kpo + 1 if spectrum.has_coupler else n_kpo
+    n_modes = spectrum.n_kpo + 1 if spectrum.has_coupler else spectrum.n_kpo
     # the even block is the larger one, by one state when d is odd
-    dim = d**n_modes
-    if (dim + 1) // 2 > DENSE_LIMIT:
-        raise ValueError(
-            f"the even block of the {d}**{n_modes}-state space holds {(dim + 1) // 2} states, "
-            f"above DENSE_LIMIT = {DENSE_LIMIT}; lower the truncation"
-        )
-
-    blocks = _assemble(spectrum, couplings, _fock_basis(n_modes, d), (0, 1) if odd else (0,))
-    return FockHamiltonian(n_modes=n_modes, truncation=d, even=blocks[0],
-                           odd=blocks[1] if odd else None)
+    states = (d**n_modes + 1) // 2
+    if states > DENSE_LIMIT:
+        raise ValueError(f"the even block of the {d}**{n_modes}-state space holds {states} "
+                         f"states, above DENSE_LIMIT = {DENSE_LIMIT}; lower the truncation")
+    blocks = _build(_polynomial(spectrum, couplings), d, (0, 1) if odd else (0,))
+    return FockHamiltonian(n_modes, d, blocks[0], blocks[1] if odd else None)
 
 
-def _assemble(spectrum: ModeSpectrum, couplings: CouplingGraph, basis: _FockBasis,
-              spaces: tuple) -> list:
-    """H on each of `spaces` of `basis`: 0 and 1 are the even and odd blocks,
-    2 the hop space. The diagonal is summed from the single-mode diagonals
-    of a+ a and a+ a+ a a, and each nonzero two-mode coupling is one scaled
-    scatter of its element products; ValueError where an element would
-    leave the floating-point range, and unless each matrix is symmetric."""
-    n_kpo, n_modes = spectrum.n_kpo, len(basis.number)
-    omega = [*spectrum.omega, spectrum.coupler_omega][:n_modes]
-    kerr = [*spectrum.kerr, spectrum.coupler_kerr or 0.0][:n_modes]
+def _polynomial(spectrum: ModeSpectrum, couplings: CouplingGraph) -> BosonicPolynomial:
+    """H of `build_hamiltonian` in the order its matrices sum it: per mode,
+    w a+ a and then -(K/2) a+^2 a^2; then the four monomials of
+    -c (a_j - a_j+)(a_k - a_k+) for each nonzero coupling c, the KPO pairs
+    first and then c = s_j g_j to the coupler, the last mode."""
+    n_kpo, n_modes = spectrum.n_kpo, spectrum.n_kpo + spectrum.has_coupler
+    omega = [*spectrum.omega.tolist(), spectrum.coupler_omega][:n_modes]
+    kerr = [*spectrum.kerr.tolist(), spectrum.coupler_kerr or 0.0][:n_modes]
     h = couplings.h.tolist()
-    terms = [((j, k), h[j][k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
+    pairs = [((j, k), h[j][k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
     if couplings.g is not None:
-        terms += [((j, n_kpo), s * g)
+        pairs += [((j, n_kpo), s * g)
                   for j, (s, g) in enumerate(zip(couplings.s.tolist(), couplings.g.tolist()))]
-    for modes, c in terms:
-        # where |c| times the largest |product| is finite, so is each element of the term
-        if not math.isfinite(abs(c) * basis.largest_product):
-            raise ValueError(f"the coupling of modes {modes} overflows the floating-point "
-                             f"range: {c:.3g} rad/s times elements up to "
-                             f"{basis.largest_product:.3g}")
-    diagonal = np.zeros(len(basis.position))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below, per space
-        for m in range(n_modes):
-            diagonal += omega[m] * basis.number[m]
-            diagonal -= 0.5 * kerr[m] * basis.kerr[m]
+    pairs = [(modes, c) for modes, c in pairs if c != 0.0]
+    coefficients = [x for w, k in zip(omega, kerr) for x in (w, -0.5 * k)]
+    # -c (a_j - a_j+)(a_k - a_k+) = -c a_j a_k - c a_j+ a_k+ + c a_j+ a_k + c a_k+ a_j
+    coefficients += [x for _, c in pairs for x in (-c, -c, c, c)]
+    monomials = _monomials(n_modes, tuple(modes for modes, _ in pairs))
+    return BosonicPolynomial(n_modes, dict(zip(monomials, coefficients)))
+
+
+@functools.lru_cache(maxsize=16)
+def _monomials(n_modes: int, pairs: tuple) -> tuple:
+    """The monomials of `_polynomial`, in its order, for couplings on `pairs`."""
+    def exponents(*modes: int) -> tuple:
+        return tuple(modes.count(m) for m in range(n_modes))
+
+    out = [(exponents(*e), exponents(*e)) for m in range(n_modes) for e in ((m,), (m, m))]
+    for j, k in pairs:
+        none, one_j, one_k, both = exponents(), exponents(j), exponents(k), exponents(j, k)
+        out += [(none, both), (both, none), (one_j, one_k), (one_k, one_j)]
+    return tuple(out)
+
+
+def _build(polynomial: BosonicPolynomial, d: int, spaces: tuple) -> list:
+    """The real matrix of `polynomial` on each of `spaces` of the d**n_modes
+    basis (0 and 1 the even and odd blocks, 2 the hop space): coefficient
+    times element, summed per position in the order of `_elements`.
+    ValueError where an element or a sum leaves the floating-point range,
+    naming the term's modes or the diagonal, and unless it is symmetric."""
+    monomials = tuple(polynomial.terms)
+    coefficients = np.array(list(polynomial.terms.values()))
     matrices = []
     for space in spaces:
-        values = diagonal[(*basis.block_states, basis.hop)[space]]
-        if not np.isfinite(values).all():
-            raise ValueError("the diagonal of the Hamiltonian overflows the floating-point "
-                             "range: the mode frequencies or Kerr coefficients are too large")
-        matrix = np.diag(values)
-        for modes, c in terms:
-            if c != 0.0:
-                flat, product = basis.steps[modes][space]
-                matrix.ravel()[flat] = -(c * product)  # a view: np.diag returns a contiguous array
+        size, flat, element, term = _elements(polynomial.n_modes, d, space, monomials)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            weights = coefficients[term] * element
+        matrix = np.bincount(flat, weights, size * size).reshape(size, size)
+        finite = np.isfinite(matrix.ravel()[flat])  # a position no element reaches holds 0
+        if not finite.all():
+            # the first term at the first position out of range
+            t = term[np.argmax(flat == flat[~finite].min())]
+            creation, annihilation = monomials[t]
+            modes = tuple(m for m, ca in enumerate(zip(creation, annihilation)) if any(ca))
+            what = ("the diagonal of the Hamiltonian" if creation == annihilation else
+                    f"the term of modes {modes}, of coefficient {coefficients[t]:.3g} rad/s,")
+            raise ValueError(f"{what} overflows the floating-point range")
         _check_hermitian(matrix)
         matrices.append(matrix)
     return matrices
 
 
+@functools.lru_cache(maxsize=16)
+def _elements(n_modes: int, d: int, space: int, monomials: tuple) -> tuple:
+    """The size of space `space` of the d**n_modes basis, then the flat position,
+    value and monomial of each element of `monomials` there, in their order;
+    read-only, made once per shape, space and monomials. a+^c a^a is read off
+    the product of its a+ and a matrices from the left, so a+^2 a^2 is
+    ((a+ a+) a) a, not n (n - 1): sqrt(2) * sqrt(2) is not exactly 2.
+    ValueError for a monomial that changes the total quanta by an odd number."""
+    basis = _fock_basis(n_modes, d)
+    states = basis.spaces[space]
+    index = np.full(d**n_modes, -1)
+    index[states] = np.arange(len(states))
+    occ = basis.occupations[:, states]
+    adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
+    single = functools.cache(lambda c, a: functools.reduce(
+        np.matmul, [adag] * c + [adag.T] * a, np.eye(d)))
+    parts = []
+    for t, (creation, annihilation) in enumerate(monomials):
+        if (sum(creation) - sum(annihilation)) % 2:
+            raise ValueError("Hamiltonian couples even and odd total excitation numbers")
+        target = occ + np.subtract(creation, annihilation)[:, None]
+        inside = np.flatnonzero(((target >= 0) & (target < d)).all(axis=0))
+        element = np.ones(len(inside))
+        for m, ca in enumerate(zip(creation, annihilation)):
+            element = element * single(*ca)[target[m, inside], occ[m, inside]]
+        rows = index[np.ravel_multi_index(target[:, inside], (d,) * n_modes)]
+        keep = (element != 0.0) & (rows >= 0)
+        parts.append((len(states) * rows[keep] + inside[keep], element[keep],
+                      np.full(np.count_nonzero(keep), t)))
+    arrays = [np.concatenate(part) for part in zip(*parts)]
+    for array in arrays:
+        array.flags.writeable = False
+    return (len(states), *arrays)
+
+
 def _check_hermitian(matrix: np.ndarray) -> None:
     """ValueError unless the real matrix is symmetric to 1e-12 of its largest
-    element. An assembled block is exactly symmetric by construction, so the
-    tolerant test runs only when the exact one fails."""
+    element; the tolerant test runs only when the exact one fails."""
     if np.array_equal(matrix, matrix.T):
         return
     if abs(matrix - matrix.T).max() > 1e-12 * max(abs(matrix).max(), 1.0):
@@ -148,92 +196,33 @@ class _FockBasis:
     it depends on no frequency or coupling. Every array is read-only."""
 
     occupations: np.ndarray  # (n_modes, d**n_modes)
-    block_states: tuple      # the states of even, then of odd total excitation number
-    position: np.ndarray     # each state's index within the block of its parity
+    spaces: tuple            # the ascending states of the even block, the odd block, the hop space
     pair: np.ndarray         # even-block indices of |1100>, |0011>; empty below 4 modes
     scan: tuple              # _ScanBlock of at most _QUANTA_CAP total quanta, then of all
-    number: np.ndarray       # (n_modes, d**n_modes), the diagonal of a+ a per mode
-    kerr: np.ndarray         # likewise of a+ a+ a a
-    steps: dict              # (j, k) -> per block, then the hop space: flat positions, products
-    largest_product: float   # the largest |element product| of any mode pair; 0 for one mode
-    hop: np.ndarray          # ascending: |1100>, |0011> and each state one element from either
 
 
 @functools.lru_cache(maxsize=8)
 def _fock_basis(n_modes: int, d: int) -> _FockBasis:
-    """The basis of the d**n_modes space, made once per shape. Each term of H
-    keeps the parity of the total excitation number and moves its own pair
-    of modes; ValueError if an element links the parities or two share a position."""
+    """The basis of the d**n_modes space, made once per shape."""
     occ = np.indices((d,) * n_modes).reshape(n_modes, -1)
     parity = occ.sum(axis=0) % 2
-    position = np.where(parity, np.cumsum(parity), np.cumsum(1 - parity)) - 1
-    block_states = tuple(np.flatnonzero(parity == p) for p in (0, 1))
-    elements = _pair_elements(occ, d)
-    rows, cols = (np.concatenate([np.arange(d**n_modes)] + [e[i] for e in elements.values()])
-                  for i in (0, 1))
-    if np.any(parity[rows] != parity[cols]):
-        raise ValueError("Hamiltonian couples even and odd total excitation numbers")
-    if not np.all(np.diff(np.sort(rows * d**n_modes + cols))):
-        raise ValueError("two Hamiltonian elements share a position")
     pad = (0,) * (n_modes - 4)
-    bare = np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad])
-    bare = np.ravel_multi_index(bare, (d,) * n_modes) if n_modes >= 4 else []
-    pair = position[bare]
-    block_occ = occ[:, block_states[0]]
+    bare = (np.transpose([(1, 1, 0, 0) + pad, (0, 0, 1, 1) + pad]) if n_modes >= 4
+            else np.zeros((n_modes, 0), dtype=int))
+    # the hop space: |1100>, |0011> and each state one (+-1, +-1) step of two modes from either
+    hop = np.isin(((occ[:, :, None] - bare[:, None, :]) ** 2).sum(axis=0), (0, 2)).any(axis=1)
+    spaces = tuple(np.flatnonzero(member) for member in (parity == 0, parity == 1, hop))
+    pair = np.searchsorted(spaces[0], np.ravel_multi_index(bare, (d,) * n_modes))
+    block_occ = occ[:, spaces[0]]
     low = block_occ.sum(axis=0) <= _QUANTA_CAP
     scan = tuple(
         _ScanBlock(kept, dropped, 0.5 * block_occ[:2, kept].sum(axis=0),
                    block_occ[:, kept].sum(axis=0) == 2, np.searchsorted(kept, pair))
         for kept, dropped in ((np.flatnonzero(low), np.flatnonzero(~low)),
                               (np.arange(len(low)), None)))
-    # the hop space: the two bare states and every state an element links to either
-    near = np.zeros(d**n_modes, dtype=bool)
-    near[bare] = True
-    in_hop = near.copy()
-    for r, c, _ in elements.values():
-        in_hop[r[near[c]]] = in_hop[c[near[r]]] = True
-    steps = {modes: () for modes in elements}
-    for member in (parity == 0, parity == 1, in_hop):
-        index = np.cumsum(member) - 1  # a member's index within its space
-        for modes, (r, c, product) in elements.items():
-            keep = member[r] & member[c]
-            flat = np.count_nonzero(member) * index[r[keep]] + index[c[keep]]
-            steps[modes] += ((flat, product[keep]),)
-    largest = max((float(abs(product).max()) for _, _, product in elements.values()), default=0.0)
-    # the diagonals are read off the operator products themselves, not
-    # computed as n and n(n-1): sqrt(2) * sqrt(2) is not exactly 2
-    adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
-    a = adag.T
-    basis = _FockBasis(occ, block_states, position, pair, scan, np.diag(adag @ a)[occ],
-                       np.diag(adag @ adag @ a @ a)[occ], steps, largest, np.flatnonzero(in_hop))
-    for array in (occ, position, pair, basis.number, basis.kerr, basis.hop, *block_states,
-                  *(x for block in scan for x in block if x is not None),
-                  *(x for blocks in steps.values() for block in blocks for x in block)):
+    for array in (occ, pair, *spaces, *(x for block in scan for x in block if x is not None)):
         array.flags.writeable = False
-    return basis
-
-
-def _pair_elements(occ: np.ndarray, d: int) -> dict:
-    """Rows, columns and elements of (a_j - a_j+)(a_k - a_k+) in the full
-    space, for every mode pair j < k, over its four (+-1, +-1) steps."""
-    n_modes, dim = occ.shape
-    # (a - a+) lowers n by one with element +sqrt(n) and raises it by one
-    # with -sqrt(n + 1); per mode, step (-1, +1) and state: the element and
-    # whether the step stays inside the truncation
-    root = np.sqrt(np.arange(d + 1.0))
-    elements = np.stack([root[occ], -root[occ + 1]], axis=1)
-    allowed = np.stack([occ > 0, occ < d - 1], axis=1)
-    offsets = np.multiply.outer(d ** np.arange(n_modes - 1, -1, -1), [-1, 1])
-    states = np.arange(dim)
-    out = {}
-    for j in range(n_modes):
-        for k in range(j + 1, n_modes):
-            # on the axes (step of mode j, step of mode k, state)
-            ok = allowed[j][:, None] & allowed[k][None, :]
-            shift = offsets[j][:, None, None] + offsets[k][None, :, None]
-            product = elements[j][:, None] * elements[k][None, :]
-            out[j, k] = ((states + shift)[ok], np.broadcast_to(states, ok.shape)[ok], product[ok])
-    return out
+    return _FockBasis(occ, spaces, pair, scan)
 
 
 def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
@@ -243,8 +232,8 @@ def dressed_frequencies_exact(h: FockHamiltonian) -> np.ndarray:
     if h.odd is None:
         raise ValueError("dressed frequencies need the odd block; build it with odd=True")
     n, d = h.n_modes, h.truncation
-    # basis state 0 opens the even block; column m of the identity excites mode m
-    singles = _fock_basis(n, d).position[np.ravel_multi_index(np.eye(n, dtype=int), (d,) * n)]
+    # basis state 0 opens the even block; state d**(n - 1 - m) excites mode m alone
+    singles = np.searchsorted(_fock_basis(n, d).spaces[1], d ** np.arange(n - 1, -1, -1))
     energies, held = [], []
     for block, bare in ((h.even, [0]), (h.odd, singles)):
         vals, vecs = np.linalg.eigh(block)
@@ -541,16 +530,15 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     the states one element of V from either (34 with a coupler), not the
     122-state even block. Raises ValueError when h or g do not fit the
     spectrum, when an element of that matrix would leave the floating-point
-    range or it is not symmetric, and, before any term is
-    formed, when an intermediate state mixes with the model space by
-    MIXING_LIMIT or more.
+    range or it is not symmetric, and, before any term is formed, when an
+    intermediate state mixes with the model space by MIXING_LIMIT or more.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
     check_coupling_shapes(spectrum, couplings)
+    (v,) = _build(_polynomial(spectrum, couplings), _LOWDIN_TRUNCATION, (2,))
     basis = _fock_basis(5 if spectrum.has_coupler else 4, _LOWDIN_TRUNCATION)
-    (v,) = _assemble(spectrum, couplings, basis, (2,))
-    a, b = np.searchsorted(basis.hop, basis.block_states[0][basis.pair])
+    a, b = np.searchsorted(basis.spaces[2], basis.spaces[0][basis.pair])
     energies = v.diagonal().copy()
     np.fill_diagonal(v, 0.0)
     strength = np.maximum(abs(v[a]), abs(v[b]))

@@ -367,11 +367,14 @@ def rwa_filter(
 # --------------------------------------------------------------------------
 
 def g4_closed_form(kerr_g: float, g_tilde) -> float:
-    """Coupler-mediated four-body coupling 2*prod(gtilde_j)*K_g."""
+    """Coupler-mediated four-body coupling 2*prod(gtilde_j)*K_g; ValueError unless finite."""
     g_tilde = _finite_floats(g_tilde, "the four mixing ratios", (4,))
     if not math.isfinite(kerr_g):
         raise ValueError(f"coupler Kerr coefficient must be finite, got {kerr_g}")
-    return 2.0 * math.prod(g_tilde) * kerr_g
+    g4 = 2.0 * math.prod(g_tilde) * kerr_g
+    if not math.isfinite(g4):
+        raise ValueError(f"g4 = {g4} is not finite: it leaves the floating-point range")
+    return g4
 
 
 def h4_general(kerr, h_tilde) -> float:
@@ -389,6 +392,8 @@ def h4_general(kerr, h_tilde) -> float:
     total = 0.0
     for j, column in enumerate(zip(*h_tilde)):
         total += 2.0 * kerr[j] * math.prod(column[:j] + column[j + 1:])
+    if not math.isfinite(total):
+        raise ValueError(f"h4 = {total} is not finite: its terms leave the floating-point range")
     return total
 
 

@@ -518,6 +518,18 @@ def test_couplings_bad_frequencies_rejected(tmp_path, capsys, extra, message):
     assert message in err
 
 
+def test_couplings_refuse_a_node_named_twice(tmp_path, capsys):
+    # q1 twice had printed the diagonal G11 (5000 MHz) as h12 and exited 0
+    code, out, err = _run(
+        capsys,
+        ["couplings", _unit_netlist(tmp_path), "--kpo-nodes", "q1,q1,q3,q4",
+         "--coupler-nodes", "c5,c6", "--freq-ghz", "10,10,10,10", "--coupler-freq-ghz", "10"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: node 'q1' is named more than once")
+
+
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
@@ -528,6 +540,17 @@ def _sweep_table(capsys, argv):
     header = lines[0].split(",")
     data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
     return header, data
+
+
+def test_sweep_refuses_a_range_where_the_couplings_overflow(capsys):
+    # h4 and g4 grow as 1/eps^3 and 1/eps^4: at 1e-100 MHz the table had
+    # printed inf and nan and exited 0
+    code, out, err = _run(
+        capsys, ["sweep", "--start-mhz", "1e-100", "--stop-mhz", "1e-99", "--points", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: ")
+    assert "is not finite" in err
 
 
 def test_sweep_anchor_row(capsys):
@@ -733,6 +756,9 @@ def test_oracle_rejects_a_non_positive_detuning(capsys, eps_mhz):
     assert code == 2
     assert out == ""
     assert err.startswith(f"{ERROR_PREFIX}: unit detuning must be positive and finite")
+    # named as given, in MHz: -50 MHz had been reported as -314159265.3589793 rad/s
+    assert f"got --eps-mhz {eps_mhz}\n" in err
+    assert "314159265" not in err
 
 
 def test_oracle_rejects_a_scan_too_narrow_to_see_the_crossing(capsys):

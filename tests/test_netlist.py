@@ -211,6 +211,19 @@ def test_reduction_topology_errors():
         mode_reduce(g, ("q1", "q2"), COUPLER_NODES)
 
 
+@pytest.mark.parametrize("kpo_nodes, coupler_nodes, node", [
+    (("q1", "q1", "q3", "q4"), COUPLER_NODES, "q1"),
+    (KPO_NODES, ("c5", "c5"), "c5"),
+    (("q1", "q2", "q3", "c5"), COUPLER_NODES, "c5"),
+], ids=["kpo-twice", "coupler-twice", "kpo-and-coupler"])
+def test_reduction_refuses_a_node_named_twice(kpo_nodes, coupler_nodes, node):
+    # q1 twice had read the diagonal G11 as the coupling h12
+    net = unit_circuit(500e-15, 500e-15, 1e-15)
+    g = invert_capacitance(build_capacitance_matrix(net), net)
+    with pytest.raises(ValueError, match=f"node '{node}' is named more than once"):
+        mode_reduce(g, kpo_nodes, coupler_nodes)
+
+
 # --------------------------------------------------------------------------
 # coupling constants
 # --------------------------------------------------------------------------

@@ -78,67 +78,84 @@ def test_hamiltonian_is_hermitian_sparse():
     assert np.count_nonzero(asym) == 0 or abs(asym).max() < 1e-9
 
 
+_CACHES = (oracle._fock_basis, oracle._elements)  # as made, whatever a test patches
+
+
+def _clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture
 def fresh_basis():
-    """No basis made before the test is used in it, and none made in it outlives it."""
-    make = oracle._fock_basis
-    make.cache_clear()
-    yield make
-    make.cache_clear()
+    """No basis or element table made before the test is used in it, and
+    none made in it outlives it."""
+    _clear_caches()
+    yield _CACHES[0]
+    _clear_caches()
+
+
+# a1+ a2 without its adjoint, and a1+ alone, on four modes
+_HOP_WITHOUT_ADJOINT = ((1, 0, 0, 0), (0, 1, 0, 0))
+_ONE_CREATION = ((1, 0, 0, 0), (0, 0, 0, 0))
+_ONE_ANNIHILATION = ((0, 0, 0, 0), (1, 0, 0, 0))
 
 
 @pytest.fixture
-def inject(monkeypatch, fresh_basis):
-    """inject(row, col) makes every basis made after it carry one extra
-    element of product 1 at (row, col), as part of the coupling of modes
-    0 and 1, and drops the bases made before it."""
+def inject(monkeypatch):
+    """inject(monomial) adds 1 MHz times the monomial to the polynomial of
+    every Hamiltonian formed after it."""
 
-    def place(row, col):
-        elements = oracle._pair_elements
+    def place(monomial):
+        polynomial = oracle._polynomial
 
-        def faulty(occ, d):
-            out = elements(occ, d)
-            rows, cols, products = out[0, 1]
-            out[0, 1] = (np.append(rows, row), np.append(cols, col), np.append(products, 1.0))
+        def faulty(spectrum, couplings):
+            out = polynomial(spectrum, couplings)
+            out.terms[monomial] = out.terms.get(monomial, 0.0) + 1.0 * MHZ
             return out
 
-        monkeypatch.setattr(oracle, "_pair_elements", faulty)
-        fresh_basis.cache_clear()
+        monkeypatch.setattr(oracle, "_polynomial", faulty)
 
     return place
 
 
-@pytest.mark.parametrize("element", [(0, 2), (1, 7)], ids=["even", "odd"])
-def test_hermitian_check_raises_on_an_injected_fault(inject, element):
-    # |0000> and |0002> are even, |0001> and |0021> odd; no term links
-    # either pair, so one element there leaves its block asymmetric
+@pytest.mark.parametrize("space", [0, 1, 2], ids=["even", "odd", "hop"])
+def test_hermitian_check_raises_on_an_injected_fault(inject, space):
+    # a1+ a2 moves a quantum from mode 2 to mode 1 in every block, and
+    # |1100> to |2000> in the hop space; without its adjoint each matrix
+    # it reaches is asymmetric
     spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
-    build_hamiltonian(spectrum, couplings, d=3)
-    inject(*element)
+    oracle._build(oracle._polynomial(spectrum, couplings), 3, (space,))
+    inject(_HOP_WITHOUT_ADJOINT)
     with pytest.raises(ValueError, match="not Hermitian"):
-        build_hamiltonian(spectrum, couplings, d=3)
+        oracle._build(oracle._polynomial(spectrum, couplings), 3, (space,))
 
 
 def test_an_even_only_build_still_checks_its_block(inject):
     spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
     build_hamiltonian(spectrum, couplings, d=3, odd=False)
-    inject(0, 2)
+    four_body_kerr_dressed(spectrum, couplings)
+    inject(_HOP_WITHOUT_ADJOINT)
     with pytest.raises(ValueError, match="not Hermitian"):
         build_hamiltonian(spectrum, couplings, d=3, odd=False)
-    # |0000> and |0002> are one element from |0011>, so the estimate's hop
-    # space holds the faulty element and meets the check too
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_hamiltonian(spectrum, couplings, d=3)
+    # the estimate's hop space holds |1100> and |2000>, and meets the check too
     with pytest.raises(ValueError, match="not Hermitian"):
         four_body_kerr_dressed(spectrum, couplings)
 
 
-def test_an_even_only_build_makes_no_odd_block(inject):
-    # an asymmetric odd block (|0001>, |0021>, as above) reaches only a
-    # build that makes that block
+def test_an_even_only_build_makes_no_odd_block(monkeypatch):
+    # the odd block is neither built nor checked: at d = 3 the even block
+    # holds 41 of the 81 states and the odd one 40
     spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(5.0 * MHZ))
-    inject(1, 7)
+    checked, check = [], oracle._check_hermitian
+    monkeypatch.setattr(oracle, "_check_hermitian",
+                        lambda matrix: (checked.append(matrix.shape), check(matrix)))
     assert build_hamiltonian(spectrum, couplings, d=3, odd=False).odd is None
-    with pytest.raises(ValueError, match="not Hermitian"):
-        build_hamiltonian(spectrum, couplings, d=3)
+    assert checked == [(41, 41)]
+    build_hamiltonian(spectrum, couplings, d=3)
+    assert checked == [(41, 41), (41, 41), (40, 40)]
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -271,6 +288,39 @@ def test_direct_assembly_matches_kronecker_reference_on_one_mode():
         graph = CouplingGraph(h=np.zeros((1, 1)))
         _assert_same_bits(_full(build_hamiltonian(spectrum, graph, d)),
                           _kronecker_reference(spectrum, graph, d))
+
+
+def test_the_builder_makes_the_transformed_kerr_quartic():
+    # transform_kerr's sum_j (-K_j/2) b_j+^2 b_j^2, b_j = sum_p U[j, p] a_p,
+    # on four KPOs and a coupler with Kerr: 225 monomials, whose 40860
+    # elements in the even block land on 22331 positions, against the
+    # quartic formed from Kronecker-embedded a and a+ at d = 4
+    from kpokit.perturbation import sw_mixing, transform_kerr
+
+    spectrum = _with_coupler(_ladder(eps_ghz=0.15))
+    couplings = CouplingGraph(h=_random_couplings(np.random.default_rng(3), []),
+                              g=np.array([20.0, 30.0, 25.0, 15.0]) * MHZ)
+    mixing = sw_mixing(spectrum, couplings)
+    quartic = transform_kerr(spectrum, mixing)
+    assert len(quartic.terms) == 225
+    d, n = 4, 5
+    blocks = oracle._build(quartic, d, (0, 1))
+    u = np.eye(n)  # as transform_kerr forms it
+    u[:4, :4] += mixing.h_tilde.T
+    u[:4, 4] = u[4, :4] = -mixing.s * mixing.g_tilde
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    lowering = [sp.kron(sp.kron(sp.identity(d**m), a), sp.identity(d ** (n - 1 - m)))
+                for m in range(n)]
+    reference = sp.csr_matrix((d**n, d**n))
+    for j, kerr in enumerate([*spectrum.kerr, spectrum.coupler_kerr]):
+        b = sum(u[j, p] * lowering[p] for p in range(n))
+        reference = reference - 0.5 * kerr * (b.T @ b.T @ b @ b)
+    reference = reference.toarray()
+    parity = _total_parity(n, d)
+    assert not reference[np.ix_(parity == 0, parity == 1)].any()
+    for p, block in enumerate(blocks):
+        expected = reference[np.ix_(parity == p, parity == p)]
+        assert abs(block - expected).max() <= 1e-12 * abs(expected).max()
 
 
 @pytest.mark.parametrize("coupler", [False, True], ids=["kpos-d4", "with-coupler-d3"])
@@ -512,40 +562,40 @@ def test_refined_gap_does_not_depend_on_the_scan_width(monkeypatch):
 
 
 def test_gap_rejects_hamiltonian_mixing_parity(inject):
-    # one element linking |0000> (even) and |1000> (odd)
-    inject(0, 27)
+    # a1+ links |0000> (even) and |1000> (odd)
+    inject(_ONE_CREATION)
     with pytest.raises(ValueError, match="even and odd"):
         four_body_from_gap(_ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3,
                            scan_halfwidth=3 * MHZ, n_scan=11)
 
 
-@pytest.mark.parametrize("element", [(0, 27), (27, 0)], ids=["even-odd", "odd-even"])
-def test_build_rejects_either_parity_block(inject, element):
-    # without the check the element would land in one block and fail the
-    # Hermitian check instead
-    inject(*element)
+@pytest.mark.parametrize("monomial", [_ONE_CREATION, _ONE_ANNIHILATION],
+                         ids=["creation", "annihilation"])
+def test_build_rejects_either_parity_block(inject, monomial):
+    # refused whichever space is built: an element between the blocks
+    # would land in neither and go unseen
+    inject(monomial)
     with pytest.raises(ValueError, match="even and odd"):
         build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3)
-
-
-def test_build_rejects_two_elements_at_one_position(inject):
-    # (0, 36) = (|0000>, |1100>) already holds the coupling of modes 0 and
-    # 1; a second element of the same value there would be lost unseen
-    inject(0, 36)
-    with pytest.raises(ValueError, match="share a position"):
-        build_hamiltonian(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)), d=3)
+    with pytest.raises(ValueError, match="even and odd"):
+        four_body_kerr_dressed(_ladder(), CouplingGraph(h=_full_h(5.0 * MHZ)))
 
 
 def test_basis_arrays_are_read_only(fresh_basis):
     basis = fresh_basis(5, 3)
-    assert len(basis.steps) == 10
-    arrays = [basis.occupations, basis.position, basis.pair, basis.number, basis.kerr,
-              basis.hop, *basis.block_states,
+    spectrum = _with_coupler(_ladder())
+    monomials = tuple(oracle._polynomial(spectrum, CouplingGraph(
+        h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ))).terms)
+    # 10 diagonal monomials and four for each of 10 pairs of modes
+    assert len(monomials) == 10 + 4 * 10
+    tables = [oracle._elements(5, 3, space, monomials) for space in (0, 1, 2)]
+    assert [table[0] for table in tables] == [122, 121, 34]
+    arrays = [basis.occupations, basis.pair, *basis.spaces,
               *(x for block in basis.scan for x in block if x is not None),
-              *(x for blocks in basis.steps.values() for block in blocks for x in block)]
-    # eight arrays, the scan's five and four (the whole block drops none)
-    # and two per pair of modes and space
-    assert len(arrays) == 8 + 5 + 4 + 10 * 3 * 2
+              *(x for table in tables for x in table[1:])]
+    # five arrays, the scan's five and four (the whole block drops none)
+    # and three per space's element table
+    assert len(arrays) == 5 + 5 + 4 + 3 * 3
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -554,7 +604,7 @@ def test_basis_arrays_are_read_only(fresh_basis):
 @pytest.mark.parametrize("n_modes, d", [(4, 4), (5, 3)])
 def test_scan_blocks_are_read_off_the_occupations(fresh_basis, n_modes, d):
     basis = fresh_basis(n_modes, d)
-    occupations = basis.occupations[:, basis.block_states[0]]
+    occupations = basis.occupations[:, basis.spaces[0]]
     capped, whole = basis.scan
     assert whole.dropped is None
     np.testing.assert_array_equal(whole.kept, np.arange(occupations.shape[1]))
@@ -577,11 +627,14 @@ def test_builds_on_a_cached_basis_match_cold_builds(fresh_basis):
               CouplingGraph(h=_random_couplings(rng, [(0, 2)]), g=rng.uniform(10.0, 90.0, 4) * MHZ)]
     cold = []
     for couplings in graphs:
-        fresh_basis.cache_clear()
+        _clear_caches()
         cold.append(build_hamiltonian(spectrum, couplings, d=3))
-    fresh_basis.cache_clear()
+    _clear_caches()
     warm = [build_hamiltonian(spectrum, couplings, d=3) for couplings in graphs + graphs[:1]]
+    # one basis, and one element table per block of each polynomial: the
+    # second graph has a zero coupling, so its monomials differ
     assert fresh_basis.cache_info().misses == 1
+    assert oracle._elements.cache_info().misses == 4
     for ham, reference in zip(warm, cold + cold[:1]):
         _assert_same_bits(ham.even, reference.even)
         _assert_same_bits(ham.odd, reference.odd)
@@ -593,6 +646,9 @@ def test_scan_and_estimate_make_one_basis_per_shape(fresh_basis):
     four_body_from_gap(spectrum, couplings, d=4, scan_halfwidth=3 * MHZ)
     four_body_kerr_dressed(spectrum, couplings)
     info = fresh_basis.cache_info()
+    assert info.misses == info.currsize == 2
+    # and one element table each: the scan's even block and the estimate's hop space
+    info = oracle._elements.cache_info()
     assert info.misses == info.currsize == 2
 
 
@@ -657,7 +713,7 @@ def _reference_gap_scan(spectrum, couplings, d, scan_halfwidth, n_scan=41):
     norm of the unshifted block."""
     ham = build_hamiltonian(spectrum, couplings, d)
     basis = oracle._fock_basis(ham.n_modes, d)
-    half_pair_number = 0.5 * basis.occupations[:2, basis.block_states[0]].sum(axis=0)
+    half_pair_number = 0.5 * basis.occupations[:2, basis.spaces[0]].sum(axis=0)
     pair = basis.pair
 
     def gap(delta):
@@ -877,16 +933,29 @@ def test_an_overflowing_diagonal_is_refused(entry):
 
 @pytest.mark.parametrize("coupler", [False, True], ids=["kpo-kpo", "kpo-coupler"])
 def test_an_overflowing_coupling_is_refused(coupler):
-    # 1e308 rad/s times an element product of up to 2 at d = 3
+    # 1e308 rad/s times an element product of up to 2 at d = 3; the first
+    # position out of range, in row order, is <0011| a3 a4 |0022> of the
+    # even block, of coefficient -h34, and <00011| a4 a5 |00022> with the
+    # coupler, of coefficient -s4 g4 = g4
     if coupler:
         spectrum = _with_coupler(_ladder())
-        couplings, modes = CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 1e308)), "(0, 4)"
+        couplings = CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 1e308))
+        modes, coefficient = "(3, 4)", "1e+308"
     else:
-        spectrum, couplings, modes = _ladder(), CouplingGraph(h=_full_h(1e308)), "(0, 1)"
-    with pytest.raises(ValueError, match=re.escape(f"coupling of modes {modes} overflows")):
+        spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(1e308))
+        modes, coefficient = "(2, 3)", "-1e+308"
+    with pytest.raises(ValueError, match=re.escape(
+            f"the term of modes {modes}, of coefficient {coefficient} rad/s, overflows the "
+            "floating-point range")):
         build_hamiltonian(spectrum, couplings, d=3)
-    with pytest.raises(ValueError, match="overflows the floating-point range"):
-        four_body_kerr_dressed(spectrum, couplings)
+    if coupler:
+        # the hop space holds at most one coupler quantum, so its coupler
+        # elements reach only sqrt(2) * 1e308; the mixing check refuses instead
+        with pytest.raises(ValueError, match="not perturbative"):
+            four_body_kerr_dressed(spectrum, couplings)
+    else:
+        with pytest.raises(ValueError, match="overflows the floating-point range"):
+            four_body_kerr_dressed(spectrum, couplings)
 
 
 def test_gap_raises_when_remainder_bound_exceeds_tolerance(monkeypatch):
@@ -1113,12 +1182,13 @@ def _brute_force_hop_space(n_modes, d):
 @pytest.mark.parametrize("n_modes", [4, 5], ids=["kpos", "coupler"])
 def test_hop_space_is_the_pair_and_every_state_one_step_away(fresh_basis, d, n_modes):
     basis = fresh_basis(n_modes, d)
-    assert basis.hop.tolist() == _brute_force_hop_space(n_modes, d)
+    even, _, hop = basis.spaces
+    assert hop.tolist() == _brute_force_hop_space(n_modes, d)
     # every hop state has even total excitation number, so the hop space
     # sits inside the even block
-    assert np.all(basis.occupations[:, basis.hop].sum(axis=0) % 2 == 0)
+    assert np.all(basis.occupations[:, hop].sum(axis=0) % 2 == 0)
     if (n_modes, d) == (5, 3):
-        assert (len(basis.hop), len(basis.block_states[0])) == (34, 122)
+        assert (len(hop), len(even)) == (34, 122)
 
 
 @pytest.mark.parametrize("n_modes", [4, 5], ids=["kpos", "coupler"])
@@ -1129,9 +1199,9 @@ def test_hop_space_matrix_is_the_even_block_restricted_to_it(n_modes):
     if n_modes == 5:
         spectrum = _with_coupler(spectrum)
         couplings = CouplingGraph(h=couplings.h, g=rng.uniform(10.0, 90.0, 4) * MHZ)
-    basis = oracle._fock_basis(n_modes, 3)
-    (hop,) = oracle._assemble(spectrum, couplings, basis, (2,))
-    within = basis.position[basis.hop]
+    even_states, _, hop_states = oracle._fock_basis(n_modes, 3).spaces
+    (hop,) = oracle._build(oracle._polynomial(spectrum, couplings), 3, (2,))
+    within = np.searchsorted(even_states, hop_states)
     even = build_hamiltonian(spectrum, couplings, 3, odd=False).even
     _assert_same_bits(hop, even[np.ix_(within, within)])
 

@@ -490,6 +490,20 @@ def test_closed_forms_refuse_non_finite_input(form, bad):
         form(bad)
 
 
+@pytest.mark.parametrize("form", [
+    lambda: g4_closed_form(1.0, [1e100] * 4),
+    lambda: g4_symmetric(1e100, 1.0, 20 * MHZ),
+    lambda: h4_general([1e300] * 4, np.full((4, 4), 1e100)),
+    lambda: h4_detuning(1e7, 1e-290, [1e7, 2e7, 3e7, 4e7]),
+], ids=["g4_closed_form-overflow", "g4_symmetric-overflow", "h4_general-overflow",
+        "h4_detuning-inf-minus-inf"])
+def test_closed_forms_refuse_a_result_that_is_not_finite(form):
+    # from finite input: g4 had come out inf, and h4_detuning NaN, the sum
+    # of an inf and a -inf term
+    with pytest.raises(ValueError, match="is not finite"):
+        form()
+
+
 def test_closed_forms_match_engine_on_structured_systems():
     # each specialised formula against the engine coefficient of
     # a1+ a2+ a3 a4 on a system satisfying its assumptions
