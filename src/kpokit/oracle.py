@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import BosonicPolynomial
-from .perturbation import MIXING_LIMIT, CouplingGraph, ModeSpectrum, check_coupling_shapes
+from .perturbation import (MIXING_LIMIT, CouplingGraph, ModeSpectrum, _coupling_matrix,
+                           _mode_pairs)
 
 DENSE_LIMIT = 2048
 OVERLAP_THRESHOLD = 0.5
@@ -47,8 +48,8 @@ class FockHamiltonian:
 def build_hamiltonian(
     spectrum: ModeSpectrum, couplings: CouplingGraph, d: int, *, odd: bool = True
 ) -> FockHamiltonian:
-    """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} h_jk (a_j - a_j+)(a_k - a_k+)
-    - sum_j s_j g_j (a_j - a_j+)(a_g - a_g+), counter-rotating parts kept.
+    """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} c_jk (a_j - a_j+)(a_k - a_k+)
+    over all modes, the coupler's included (c_jn = s_j g_j), counter-rotating parts kept.
 
     H is a polynomial (`_polynomial`); by the one rule of `_build`, each element
     is the sum, over the monomials at its position in the polynomial's order,
@@ -62,32 +63,27 @@ def build_hamiltonian(
     """
     if d < 3:
         raise ValueError("truncation must be at least 3 to resolve Kerr terms")
-    check_coupling_shapes(spectrum, couplings)
-    n_modes = spectrum.n_kpo + 1 if spectrum.has_coupler else spectrum.n_kpo
+    polynomial = _polynomial(spectrum, couplings)
+    n_modes = polynomial.n_modes
     # the even block is the larger one, by one state when d is odd
     states = (d**n_modes + 1) // 2
     if states > DENSE_LIMIT:
         raise ValueError(f"the even block of the {d}**{n_modes}-state space holds {states} "
                          f"states, above DENSE_LIMIT = {DENSE_LIMIT}; lower the truncation")
-    blocks = _build(_polynomial(spectrum, couplings), d, (0, 1) if odd else (0,))
+    blocks = _build(polynomial, d, (0, 1) if odd else (0,))
     return FockHamiltonian(n_modes, d, blocks[0], blocks[1] if odd else None)
 
 
 def _polynomial(spectrum: ModeSpectrum, couplings: CouplingGraph) -> BosonicPolynomial:
     """H of `build_hamiltonian` in the order its matrices sum it: per mode,
     w a+ a and then -(K/2) a+^2 a^2; then the four monomials of
-    -c (a_j - a_j+)(a_k - a_k+) for each nonzero coupling c, the KPO pairs
-    first and then c = s_j g_j to the coupler, the last mode."""
-    n_kpo, n_modes = spectrum.n_kpo, spectrum.n_kpo + spectrum.has_coupler
-    omega = [*spectrum.omega.tolist(), spectrum.coupler_omega][:n_modes]
-    kerr = [*spectrum.kerr.tolist(), spectrum.coupler_kerr or 0.0][:n_modes]
-    h = couplings.h.tolist()
-    pairs = [((j, k), h[j][k]) for j in range(n_kpo) for k in range(j + 1, n_kpo)]
-    if couplings.g is not None:
-        pairs += [((j, n_kpo), s * g)
-                  for j, (s, g) in enumerate(zip(couplings.s.tolist(), couplings.g.tolist()))]
-    pairs = [(modes, c) for modes, c in pairs if c != 0.0]
-    coefficients = [x for w, k in zip(omega, kerr) for x in (w, -0.5 * k)]
+    -c_jk (a_j - a_j+)(a_k - a_k+) for each nonzero entry of the coupling
+    matrix c (`perturbation._coupling_matrix`), the KPO pairs first and then
+    the coupler's column. ValueError when h or g do not fit the spectrum."""
+    omega, kerr, c = _coupling_matrix(spectrum, couplings)
+    n_modes, c = len(omega), c.tolist()
+    pairs = [((j, k), c[j][k]) for j, k in _mode_pairs(spectrum.n_kpo, n_modes) if c[j][k] != 0.0]
+    coefficients = [x for w, k in zip(omega.tolist(), kerr.tolist()) for x in (w, -0.5 * k)]
     # -c (a_j - a_j+)(a_k - a_k+) = -c a_j a_k - c a_j+ a_k+ + c a_j+ a_k + c a_k+ a_j
     coefficients += [x for _, c in pairs for x in (-c, -c, c, c)]
     monomials = _monomials(n_modes, tuple(modes for modes, _ in pairs))
@@ -535,20 +531,20 @@ def four_body_kerr_dressed(spectrum: ModeSpectrum, couplings: CouplingGraph) -> 
     """
     if spectrum.n_kpo != 4:
         raise ValueError("Kerr-dressed four-body estimate defined for four KPOs")
-    check_coupling_shapes(spectrum, couplings)
-    (v,) = _build(_polynomial(spectrum, couplings), _LOWDIN_TRUNCATION, (2,))
-    basis = _fock_basis(5 if spectrum.has_coupler else 4, _LOWDIN_TRUNCATION)
+    polynomial = _polynomial(spectrum, couplings)
+    (v,) = _build(polynomial, _LOWDIN_TRUNCATION, (2,))
+    basis = _fock_basis(polynomial.n_modes, _LOWDIN_TRUNCATION)
     a, b = np.searchsorted(basis.spaces[2], basis.spaces[0][basis.pair])
     energies = v.diagonal().copy()
     np.fill_diagonal(v, 0.0)
     strength = np.maximum(abs(v[a]), abs(v[b]))
     hop = np.flatnonzero(strength)
     den = energies[[a, b], None] - energies[hop]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite ratio is refused below
         worst = float(np.max(strength[hop] / abs(den), initial=0.0))
     if worst >= MIXING_LIMIT:
         raise ValueError(
-            f"intermediate-state mixing {worst:.3f} >= {MIXING_LIMIT}: not perturbative"
+            f"intermediate-state mixing {worst:.3g} >= {MIXING_LIMIT}: not perturbative"
         )
     terms = _lowdin_terms(v[np.ix_([a, b], hop)], v[np.ix_(hop, hop)], 1.0 / den, 3)
     return float(abs(sum(terms)[0, 1]))

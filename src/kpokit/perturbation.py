@@ -1,12 +1,13 @@
 """First-order Schrieffer-Wolff engine and closed-form coupling constants.
 
-The engine substitutes the first-order transformed annihilation operators
+A coupler is one more mode, the last (n). Every first-order result reads
+the signed coupling matrix c over all modes (c_jk = h_jk between KPOs,
+c_jn = c_nj = s_j g_j) and the mixing matrix R_jk = c_jk / (w_j - w_k), so
+R_jn = s_j gtilde_j = -R_nj. The engine substitutes, for every mode,
 
-    a_j -> a_j + sum_k htilde_kj a_k - s_j gtilde_j a_g,
-    a_g -> a_g - sum_j s_j gtilde_j a_j,
+    a_j -> a_j + sum_k R_kj a_k    (so a_g -> a_g + sum_j s_j gtilde_j a_j)
 
-into every self-Kerr term. The rows of these substitutions form a
-mode-mixing matrix U, and the expansion is the quartic built from it
+into every self-Kerr term: the quartic of U = I + R^T
 (operators.BosonicPolynomial.quartic), normal-ordered as written because
 every transformed operator holds annihilators only. The closed forms
 (four-body, residual, cross-Kerr, dressed spectrum) are independent
@@ -27,6 +28,8 @@ detuned from the coupler by +-2 eps, +-eps), where they reduce to
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -71,6 +74,8 @@ class ModeSpectrum:
             raise ValueError("mode frequencies must be positive")
         if self.coupler_omega is not None and not 0.0 < self.coupler_omega < math.inf:
             raise ValueError("coupler frequency must be positive and finite")
+        if self.coupler_kerr is not None and self.coupler_omega is None:
+            raise ValueError("coupler Kerr coefficient given without a coupler frequency")
 
     @property
     def n_kpo(self) -> int:
@@ -98,6 +103,8 @@ class CouplingGraph:
             raise ValueError("h must be finite")
         if not np.all(abs(h - h.T) <= 1e-8 + 1e-5 * abs(h.T)):  # np.allclose(h, h.T)
             raise ValueError("h must be symmetric")
+        if self.g is None and self.s is not None:
+            raise ValueError("sign factors s given without coupler couplings g")
         if self.g is not None:
             g = np.asarray(self.g, dtype=float)
             object.__setattr__(self, "g", g)
@@ -112,6 +119,8 @@ class CouplingGraph:
                 raise ValueError("g and s must be finite")
             if s.shape != g.shape:
                 raise ValueError(f"s has shape {s.shape} but g has shape {g.shape}")
+            if not np.all(abs(s) == 1.0):
+                raise ValueError(f"sign factors s must be +1 or -1, got {s.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +218,26 @@ def mixing_from_frequencies(h, omega, *, coupler: bool = False) -> np.ndarray:
     return np.array(h_tilde)
 
 
-def check_coupling_shapes(spectrum: ModeSpectrum, couplings: CouplingGraph) -> None:
-    """ValueError unless h and g fit the spectrum's KPOs and g has a coupler mode to couple to."""
+def _modes(spectrum: ModeSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """w and K over all modes, the coupler (if any) last; a missing coupler Kerr is 0."""
+    if not spectrum.has_coupler:
+        return spectrum.omega, spectrum.kerr
+    return (np.append(spectrum.omega, spectrum.coupler_omega),
+            np.append(spectrum.kerr, spectrum.coupler_kerr or 0.0))
+
+
+@functools.lru_cache(maxsize=16)
+def _mode_pairs(n_kpo: int, n_modes: int) -> tuple[tuple[int, int], ...]:
+    """The pairs j < k of all modes: the KPO pairs first, then those of the coupler."""
+    return tuple(sorted(itertools.combinations(range(n_modes), 2), key=lambda jk: jk[1] == n_kpo))
+
+
+def _coupling_matrix(spectrum: ModeSpectrum,
+                     couplings: CouplingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w, K and the signed coupling matrix c over all modes, the coupler
+    (if any) last as mode n: c_jk = h_jk between KPOs, c_jn = c_nj = s_j g_j,
+    and a zero diagonal. ValueError unless h and g fit the spectrum's KPOs
+    and g has a coupler mode to couple to."""
     n = spectrum.n_kpo
     if couplings.h.shape != (n, n):
         raise ValueError(f"h has shape {couplings.h.shape}, expected ({n}, {n}) for {n} KPOs")
@@ -219,59 +246,28 @@ def check_coupling_shapes(spectrum: ModeSpectrum, couplings: CouplingGraph) -> N
             raise ValueError(f"g has shape {couplings.g.shape}, expected ({n},) for {n} KPOs")
         if not spectrum.has_coupler:
             raise ValueError("coupler couplings given but spectrum has no coupler mode")
-
-
-def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoefficients:
-    """First-order mixing ratios for every nonzero coupling.
-
-    Raises DegenerateModesError when a coupled pair is exactly degenerate.
-    Warns when any ratio exceeds the perturbative-validity threshold.
-    """
-    check_coupling_shapes(spectrum, couplings)
-    n = spectrum.n_kpo
-    h, omega = couplings.h, spectrum.omega
+    omega, kerr = _modes(spectrum)
+    c = np.zeros((len(omega), len(omega)))
+    c[:n, :n] = couplings.h
+    c.flat[::len(omega) + 1] = 0.0
     if couplings.g is not None:
-        # the coupler is mode n of one (n + 1)-mode coupling matrix
-        h = np.zeros((n + 1, n + 1))
-        h[:n, :n] = couplings.h
-        h[:n, n] = h[n, :n] = couplings.g
-        omega = np.append(omega, spectrum.coupler_omega)
-    ratios = mixing_from_frequencies(h, omega, coupler=couplings.g is not None)
-
-    worst = np.max(np.abs(ratios), initial=0.0)
-    if worst >= MIXING_LIMIT:
-        raise ValueError(f"mixing ratio {worst:.3f} >= {MIXING_LIMIT}: not perturbative")
-    if worst > MIXING_WARN:
-        warnings.warn(
-            f"mixing ratio {worst:.3f} exceeds {MIXING_WARN}; first-order results degrade",
-            stacklevel=2,
-        )
-    g_tilde = None if couplings.g is None else ratios[:n, n]
-    return MixingCoefficients(h_tilde=ratios[:n, :n], g_tilde=g_tilde, s=couplings.s)
+        c[:n, n] = c[n, :n] = couplings.s * couplings.g
+    return omega, kerr, c
 
 
-# --------------------------------------------------------------------------
-# transformed Kerr terms
-# --------------------------------------------------------------------------
-
-def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> BosonicPolynomial:
-    """All self-Kerr terms with first-order transformed operators substituted.
-
-    Modes 0..n-1 are the KPOs; when the spectrum has a coupler it is mode n.
-    Row j of the mixing matrix U gives a'_j = sum_p U[j, p] a_p, one row per
-    Kerr term (the coupler's only when its Kerr is nonzero), and the result
-    is sum_j (-K_j/2) a'_j^dag^2 a'_j^2: exact to all orders in the mixing
-    ratios of the substituted quartic, Hermitian, and normal-ordered.
-    Raises ValueError when `mixing` does not fit `spectrum` or holds a
-    non-finite ratio or sign.
-    """
+def _mixing_matrix(spectrum: ModeSpectrum,
+                   mixing: MixingCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """K and the mixing matrix R over the modes of `_coupling_matrix`:
+    R_jk = htilde_jk between KPOs and R_jn = s_j gtilde_j = -R_nj.
+    ValueError unless `mixing` fits `spectrum` and is finite."""
     n = spectrum.n_kpo
     if np.shape(mixing.h_tilde) != (n, n):
         raise ValueError(f"h_tilde has shape {np.shape(mixing.h_tilde)}, "
                          f"expected ({n}, {n}) for {n} KPOs")
     if mixing.g_tilde is not None:
         if not spectrum.has_coupler:
-            raise ValueError("mixing has coupler ratios g_tilde but the spectrum has no coupler mode")
+            raise ValueError("mixing has coupler ratios g_tilde but the spectrum "
+                             "has no coupler mode")
         for name in ("g_tilde", "s"):
             value = getattr(mixing, name)
             if value is None or np.shape(value) != (n,):
@@ -283,14 +279,50 @@ def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> Bosoni
         value = getattr(mixing, name)
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
-    u = np.eye(n + 1 if spectrum.has_coupler else n)
-    u[:n, :n] += mixing.h_tilde.T
+    _, kerr = _modes(spectrum)
+    r = np.zeros((len(kerr), len(kerr)))
+    r[:n, :n] = mixing.h_tilde
     if mixing.g_tilde is not None:
-        u[:n, n] = u[n, :n] = -mixing.s * mixing.g_tilde
-    kerr = list(spectrum.kerr)
-    if spectrum.has_coupler and spectrum.coupler_kerr:
-        kerr.append(spectrum.coupler_kerr)
-    return BosonicPolynomial.quartic(u[:len(kerr)], -np.asarray(kerr) / 2.0)
+        r[:n, n] = mixing.s * mixing.g_tilde
+        r[n, :n] = -r[:n, n]
+    return kerr, r
+
+
+def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoefficients:
+    """First-order mixing ratios R_jk = c_jk/(w_j - w_k) for every nonzero
+    coupling of `_coupling_matrix`; gtilde_j = s_j R_jn = g_j/(w_j - w_g).
+
+    Raises DegenerateModesError when a coupled pair is exactly degenerate.
+    Warns when any ratio exceeds the perturbative-validity threshold.
+    """
+    omega, _, c = _coupling_matrix(spectrum, couplings)
+    n = spectrum.n_kpo
+    ratios = mixing_from_frequencies(c, omega, coupler=len(omega) > n)
+    worst = np.max(np.abs(ratios), initial=0.0)
+    if worst >= MIXING_LIMIT:
+        raise ValueError(f"mixing ratio {worst:.3g} >= {MIXING_LIMIT}: not perturbative")
+    if worst > MIXING_WARN:
+        warnings.warn(f"mixing ratio {worst:.3g} exceeds {MIXING_WARN}; first-order results "
+                      "degrade", stacklevel=2)
+    g_tilde = None if couplings.g is None else couplings.s * ratios[:n, n]
+    return MixingCoefficients(h_tilde=ratios[:n, :n], g_tilde=g_tilde, s=couplings.s)
+
+
+# --------------------------------------------------------------------------
+# transformed Kerr terms
+# --------------------------------------------------------------------------
+
+def transform_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> BosonicPolynomial:
+    """All self-Kerr terms with first-order transformed operators substituted.
+
+    Row j of U = I + R^T (`_mixing_matrix`; the coupler, if any, is mode n)
+    gives a'_j = sum_p U[j, p] a_p, and the result is
+    sum_j (-K_j/2) a'_j^dag^2 a'_j^2: exact to all orders in the mixing
+    ratios of the substituted quartic, Hermitian, and normal-ordered.
+    ValueError when `mixing` does not fit `spectrum` or is not finite.
+    """
+    kerr, r = _mixing_matrix(spectrum, mixing)
+    return BosonicPolynomial.quartic(np.eye(len(kerr)) + r.T, -kerr / 2.0)
 
 
 def classify_monomial(creation, annihilation, coupler_mode: int | None = None) -> str:
@@ -325,6 +357,9 @@ def rwa_filter(
     assigned to those modes in order, skipping the coupler. Coefficients of
     size PRUNE_TOL or less are skipped; a non-finite one raises ValueError.
     """
+    if isinstance(coupler_mode, bool) or not isinstance(coupler_mode,
+                                                        (int, np.integer, type(None))):
+        raise ValueError(f"coupler_mode must be an integer mode index, got {coupler_mode!r}")
     if coupler_mode is not None and coupler_mode not in range(poly.n_modes):
         raise ValueError(f"coupler_mode {coupler_mode} is not a mode of a "
                          f"{poly.n_modes}-mode polynomial")
@@ -463,42 +498,23 @@ def h4_double_tilde(h_pp: float, kerr1: float, kerr4: float, epsilon: float) -> 
 def dressed_spectrum(spectrum: ModeSpectrum, couplings: CouplingGraph) -> DressedSpectrum:
     """Perturbatively dressed frequency and Kerr of each KPO.
 
-    omega_dressed = omega - K + Omega with the three-sum coupling shift;
-    kerr_dressed = (1 + 2 sum_k htilde_jk htilde_kj) K.
+    Over all modes, the coupler included (`_coupling_matrix`, `_mixing_matrix`),
+    the coupling shift of the 0 -> 1 line is third order in c:
+    diag(c R^T) + diag(R c R^T) - sum_k c_jk^2 / (w_j + w_k), the last term from
+    the counter-rotating couplings; kerr_dressed = (1 - 2 sum_k R_jk^2) K_j.
+    omega_dressed = omega - K + Omega: lamb_shift = -K reads omega as the
+    plasma frequency, and omega + coupling_shift tracks
+    oracle.dressed_frequencies_exact.
     """
-    mixing = sw_mixing(spectrum, couplings)
+    omega, _, c = _coupling_matrix(spectrum, couplings)
+    _, r = _mixing_matrix(spectrum, sw_mixing(spectrum, couplings))
     n = spectrum.n_kpo
-    h, ht = couplings.h, mixing.h_tilde
-    coupling_shift = np.zeros(n)
-    for j in range(n):
-        s1 = sum(h[j, k] * ht[k, j] for k in range(n) if k != j)
-        s2 = sum(
-            h[j, k] * ht[k, l] * ht[l, j]
-            for k in range(n)
-            for l in range(n)
-            if k != j and l != j and k != l
-        )
-        s3 = sum(
-            ht[j, k] * h[k, l] * ht[l, j]
-            for k in range(n)
-            for l in range(n)
-            if k != j and l != j and k < l
-        )
-        coupling_shift[j] = s1 + s2 - s3
-    kerr_dressed = np.array(
-        [
-            (1.0 + 2.0 * sum(ht[j, k] * ht[k, j] for k in range(n) if k != j))
-            * spectrum.kerr[j]
-            for j in range(n)
-        ]
-    )
+    shift = ((c * r).sum(axis=1) + ((r @ c) * r).sum(axis=1)
+             - (c**2 / np.add.outer(omega, omega)).sum(axis=1))[:n]
     lamb = -spectrum.kerr.copy()
-    return DressedSpectrum(
-        omega_dressed=spectrum.omega + lamb + coupling_shift,
-        kerr_dressed=kerr_dressed,
-        lamb_shift=lamb,
-        coupling_shift=coupling_shift,
-    )
+    return DressedSpectrum(omega_dressed=spectrum.omega + lamb + shift, lamb_shift=lamb,
+                           kerr_dressed=(1.0 - 2.0 * (r**2).sum(axis=1)[:n]) * spectrum.kerr,
+                           coupling_shift=shift)
 
 
 def invert_dressed(omega_dressed: np.ndarray, kerr_dressed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,18 +529,11 @@ def invert_dressed(omega_dressed: np.ndarray, kerr_dressed: np.ndarray) -> tuple
 
 
 def cross_kerr(spectrum: ModeSpectrum, mixing: MixingCoefficients) -> list[dict]:
-    """Cross-Kerr couplings chi = -2 * mixing^2 * (K_a + K_b) for every pair."""
+    """Cross-Kerr couplings chi = -2 R_jk^2 (K_j + K_k) for every pair with
+    R_jk != 0 (`_mixing_matrix`): the KPO pairs first, then each KPO with
+    the coupler, named "coupler"."""
+    kerr, r = _mixing_matrix(spectrum, mixing)
     n = spectrum.n_kpo
-    out = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            if mixing.h_tilde[j, k] != 0.0:
-                chi = -2.0 * mixing.h_tilde[j, k] ** 2 * (spectrum.kerr[j] + spectrum.kerr[k])
-                out.append({"modes": (j, k), "chi": chi})
-    if mixing.g_tilde is not None:
-        coupler_kerr = spectrum.coupler_kerr or 0.0
-        for j in range(n):
-            if mixing.g_tilde[j] != 0.0:
-                chi = -2.0 * mixing.g_tilde[j] ** 2 * (spectrum.kerr[j] + coupler_kerr)
-                out.append({"modes": (j, "coupler"), "chi": chi})
-    return out
+    return [{"modes": (j, "coupler" if k == n else k),
+             "chi": -2.0 * r[j, k] ** 2 * (kerr[j] + kerr[k])}
+            for j, k in _mode_pairs(n, len(kerr)) if r[j, k] != 0.0]

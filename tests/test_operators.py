@@ -103,7 +103,9 @@ def _to_matrix(terms, n_modes, dim):
 
 
 def _reference_transform_kerr(spectrum, mixing):
-    """Each Kerr term (-K/2) a'^dag a'^dag a' a' multiplied out in normal order."""
+    """Each Kerr term (-K/2) a'^dag a'^dag a' a' multiplied out in normal order,
+    with a_j' = a_j + sum_k htilde_kj a_k - s_j gtilde_j a_g for a KPO and
+    a_g' = a_g + sum_j s_j gtilde_j a_j for the coupler."""
     n = spectrum.n_kpo
     m = n + 1 if spectrum.has_coupler else n
     s, g_tilde = mixing.s, mixing.g_tilde
@@ -127,7 +129,7 @@ def _reference_transform_kerr(spectrum, mixing):
         if g_tilde is not None:
             for j in range(n):
                 if g_tilde[j] != 0.0:
-                    a_new = _add(a_new, _annihilation(m, j, -s[j] * g_tilde[j]))
+                    a_new = _add(a_new, _annihilation(m, j, s[j] * g_tilde[j]))
         total = _add(total, quartic(a_new, spectrum.coupler_kerr))
     return _nonzero(total)
 

@@ -307,7 +307,8 @@ def test_the_builder_makes_the_transformed_kerr_quartic():
     blocks = oracle._build(quartic, d, (0, 1))
     u = np.eye(n)  # as transform_kerr forms it
     u[:4, :4] += mixing.h_tilde.T
-    u[:4, 4] = u[4, :4] = -mixing.s * mixing.g_tilde
+    u[:4, 4] = -mixing.s * mixing.g_tilde
+    u[4, :4] = mixing.s * mixing.g_tilde
     a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
     lowering = [sp.kron(sp.kron(sp.identity(d**m), a), sp.identity(d ** (n - 1 - m)))
                 for m in range(n)]

@@ -27,6 +27,7 @@ from kpokit.perturbation import (
     sw_mixing,
     transform_kerr,
 )
+from kpokit.oracle import build_hamiltonian, dressed_frequencies_exact, four_body_kerr_dressed
 from kpokit.pumpplan import PumpAssignment
 
 LADDER_GHZ = (10.0, 10.0 - 0.3, 10.0 - 0.1, 10.0 - 0.2)  # eps = 100 MHz
@@ -113,6 +114,25 @@ def test_coupling_graph_rejects_malformed_input(fields, match):
         CouplingGraph(**{k: v * MHZ if k != "s" else v for k, v in fields.items()})
 
 
+def test_a_coupler_kerr_without_a_coupler_frequency_is_refused():
+    # the Kerr coefficient of a coupler that is not there would never be read
+    with pytest.raises(ValueError, match="coupler Kerr coefficient given without a coupler"):
+        ModeSpectrum(omega=np.array([10.0, 9.9]) * GHZ, kerr=np.zeros(2), coupler_kerr=20.0 * MHZ)
+
+
+@pytest.mark.parametrize(
+    "s, match",
+    [(np.ones(4), "sign factors s given without coupler couplings g"),
+     (np.array([1.0, 1.0, 0.5, -1.0]), r"sign factors s must be \+1 or -1"),
+     (np.array([1.0, 0.0, -1.0, -1.0]), r"sign factors s must be \+1 or -1")],
+    ids=["s-without-g", "half", "zero"],
+)
+def test_coupling_graph_refuses_sign_factors_it_would_not_read_as_signs(s, match):
+    g = None if match.startswith("sign factors s given") else np.full(4, 5.0 * MHZ)
+    with pytest.raises(ValueError, match=match):
+        CouplingGraph(h=np.zeros((4, 4)), g=g, s=s)
+
+
 @pytest.mark.parametrize(
     "couplings",
     [CouplingGraph(h=np.zeros((5, 5))),
@@ -140,6 +160,27 @@ def test_validity_warning_and_limit():
     too_close = ModeSpectrum(omega=np.array([10.0, 9.992]) * GHZ, kerr=np.zeros(2))
     with pytest.raises(ValueError, match="not perturbative"):
         sw_mixing(too_close, CouplingGraph(h=h))
+
+
+@pytest.mark.parametrize("coupler_ghz, ratio", [(11.0, "1.59e+298"), (10.0 + 1e-12, "inf")],
+                         ids=["huge", "infinite"])
+def test_a_refused_mixing_ratio_is_printed_short(coupler_ghz, ratio):
+    # a coupler coupling of 1e308 rad/s to KPO 1, 1 GHz or 1 mrad/s away
+    spectrum = _ladder_spectrum(coupler=(coupler_ghz, 20.0))
+    couplings = CouplingGraph(h=np.zeros((4, 4)), g=np.array([1e308, 0.0, 0.0, 0.0]))
+    for estimate in (sw_mixing, four_body_kerr_dressed):
+        with pytest.raises(ValueError, match="not perturbative") as refused:
+            estimate(spectrum, couplings)
+        message = str(refused.value)
+        assert len(message) < 120
+        assert f"mixing {ratio} >=" in message or f"ratio {ratio} >=" in message
+
+
+def test_the_mixing_warning_is_printed_short():
+    spectrum = ModeSpectrum(omega=np.array([10.0, 9.98]) * GHZ, kerr=np.zeros(2))
+    h = np.array([[0.0, 5.0], [5.0, 0.0]]) * MHZ  # ratio 0.25
+    with pytest.warns(UserWarning, match=r"^mixing ratio 0\.25 exceeds 0\.2; "):
+        sw_mixing(spectrum, CouplingGraph(h=h))
 
 
 def test_device_table_mixing_populated():
@@ -231,6 +272,60 @@ def test_transform_kerr_rejects_non_finite_mixing(name, value):
         transform_kerr(_ladder_spectrum(coupler=(12.0, 20.0)), MixingCoefficients(**fields))
 
 
+def _exact_single_excitation_amplitudes(spectrum, couplings, d):
+    """<G| a_j |E_p> over all modes, the coupler last: G the exact ground state
+    and E_p the exact single-excitation state of mode p, each signed to
+    overlap its bare state positively."""
+    ham = build_hamiltonian(spectrum, couplings, d)
+    n = ham.n_modes
+    occ = np.indices((d,) * n).reshape(n, -1)
+    even, odd = (np.flatnonzero(occ.sum(axis=0) % 2 == p) for p in (0, 1))
+    ground = np.linalg.eigh(ham.even)[1][:, 0]
+    ground = ground * np.sign(ground[0])
+    vecs = np.linalg.eigh(ham.odd)[1]
+    singles = np.searchsorted(odd, d ** np.arange(n - 1, -1, -1))
+    states = vecs[:, abs(vecs[singles]).argmax(axis=1)]
+    states = states * np.sign(states[singles, np.arange(n)])
+    amplitudes = np.zeros((n, n))
+    for j in range(n):
+        # a_j takes odd state i, n_j >= 1, to the even state d**(n - 1 - j) before it
+        lowered = occ[j, odd] >= 1
+        rows = np.searchsorted(even, odd[lowered] - d ** (n - 1 - j))
+        amplitudes[j] = (ground[rows] * np.sqrt(occ[j, odd[lowered]])) @ states[lowered]
+    return amplitudes
+
+
+def test_transformed_operators_match_the_exact_single_excitations():
+    # a_j = sum_p U[j, p] a'_p, so U[j, p] is <G| a_j |E_p> to first order.
+    # transform_kerr with a unit Kerr on mode j alone gives row j of U: the
+    # coefficient of a_j+^2 a_j a_p is 2 U[j, p] that of a_j+^2 a_j^2
+    # (U[j, j] = 1). The coupler at 10 GHz sits between KPOs above and below
+    # it; with no direct KPO coupling, U's only off-diagonal entries are the
+    # coupler's row and column, so a wrong sign in either shows
+    omega = np.array([10.2, 9.9, 10.1, 9.8]) * GHZ
+    spectrum = ModeSpectrum(omega=omega, kerr=np.array([5.1, 20.0, 20.0, 5.1]) * MHZ,
+                            coupler_omega=10.0 * GHZ, coupler_kerr=20.0 * MHZ)
+    couplings = CouplingGraph(h=np.zeros((4, 4)), g=np.full(4, 5.0 * MHZ))
+    mixing = sw_mixing(spectrum, couplings)
+    u = np.zeros((5, 5))
+    for j in range(5):
+        unit = ModeSpectrum(omega=omega, kerr=np.eye(5)[j, :4],
+                            coupler_omega=10.0 * GHZ, coupler_kerr=float(j == 4))
+        poly = transform_kerr(unit, mixing)
+        twice = tuple(2 * np.eye(5, dtype=int)[j])
+        for p in range(5):
+            lowered = tuple(np.eye(5, dtype=int)[j] + np.eye(5, dtype=int)[p])
+            u[j, p] = poly.coefficient(twice, lowered) / poly.coefficient(twice, twice)
+            u[j, p] /= 1.0 if p == j else 2.0
+    assert u[4, 0] == pytest.approx(0.025, rel=1e-12)  # g / (w_1 - w_g), s_1 = +1
+    exact = _exact_single_excitation_amplitudes(spectrum, couplings, 3)
+    assert exact[4, 0] == pytest.approx(0.02503, abs=1e-5)
+    large = abs(u) >= 1e-3
+    assert np.count_nonzero(large) == 13
+    assert np.all(np.sign(u[large]) == np.sign(exact[large]))
+    assert np.all(abs(u - exact)[large] <= 0.1 * abs(exact[large]))
+
+
 def test_rwa_retains_only_matching_four_body_partition():
     spectrum = _ladder_spectrum()
     mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ)))
@@ -295,6 +390,18 @@ def test_rwa_filter_rejects_a_pump_or_coupler_index_that_does_not_fit(n_pumps, c
     pump = PumpAssignment(omega_p=tuple(omega_p[:n_pumps]))
     with pytest.raises(ValueError, match=match):
         rwa_filter(poly, pump, coupler_mode=coupler_mode)
+
+
+@pytest.mark.parametrize("coupler_mode", [True, False, 4.0, "4"],
+                         ids=["true", "false", "float", "str"])
+def test_rwa_filter_refuses_a_coupler_mode_that_is_not_an_integer(coupler_mode):
+    # True is an int, so it would name mode 1 as the coupler
+    spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
+    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    pump = PumpAssignment(omega_p=tuple(2 * w for w in spectrum.omega))
+    with pytest.raises(ValueError, match="coupler_mode must be an integer mode index"):
+        rwa_filter(transform_kerr(spectrum, mix), pump, coupler_mode=coupler_mode)
+    assert rwa_filter(transform_kerr(spectrum, mix), pump, coupler_mode=np.int64(4)).entries
 
 
 @pytest.mark.parametrize("coupler_mode", [0, 2, 4])
@@ -546,6 +653,26 @@ def test_dressed_kerr_reduced_by_coupling():
     dressed = dressed_spectrum(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ)))
     assert np.all(dressed.kerr_dressed < spectrum.kerr)
     assert np.all(dressed.kerr_dressed > 0)
+
+
+@pytest.mark.parametrize("coupler", [False, True], ids=["kpos", "with-coupler"])
+@pytest.mark.parametrize("eps_ghz, bound", [(0.1, 0.06), (0.3, 0.01), (1.0, 0.01)],
+                         ids=["100MHz", "300MHz", "1000MHz"])
+def test_dressed_coupling_shift_matches_the_exact_single_excitations(eps_ghz, bound, coupler):
+    # the oracle ladder, h = 5 MHz, and a coupler 1 GHz above KPO 1 with
+    # g = 20 MHz; the shift is third order in c/Delta with the counter-rotating
+    # term, so what it leaves out (Kerr in the denominators, fourth order)
+    # falls with eps: 2.0%, 0.33%, 0.27% without a coupler, 5.3%, 0.68%,
+    # 0.21% with one
+    spectrum = _ladder_spectrum(eps_ghz, coupler=(11.0, 20.0) if coupler else None)
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ),
+                              g=np.full(4, 20.0 * MHZ) if coupler else None)
+    d_low, d_high = (3, 4) if coupler else (4, 5)
+    exact, converged = (dressed_frequencies_exact(build_hamiltonian(spectrum, couplings, d))[:4]
+                        - spectrum.omega for d in (d_low, d_high))
+    assert np.all(abs(exact - converged) <= 1e-4 * abs(converged))
+    shift = dressed_spectrum(spectrum, couplings).coupling_shift
+    assert np.all(abs(shift - converged) <= bound * abs(converged))
 
 
 def test_invert_dressed_table_row():
