@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import FEMTO, NANO, PICO
 from .elements import JunctionElement, SeriesStack, SingleJunction, Snail, Squid
-from .perturbation import CouplingGraph, ModeSpectrum
+from .perturbation import CouplingGraph, ModeSpectrum, _modes
 
 
 @dataclass(frozen=True)
@@ -99,19 +99,33 @@ class InverseCapacitance:
 class DiscardedMode:
     """Record of the symmetric coupler combination dropped by the reduction."""
 
-    capacitance: float     # farads, C+ = 1/(G55+G56)
+    capacitance: float     # farads, C+ = 2/(G55 + G66 + 2 G56) of (Q5 + Q6)/sqrt(2)
     high_frequency: bool   # True when C+ << effective coupler capacitance
 
 
 @dataclass(frozen=True)
 class ReducedModes:
-    c_q_eff: np.ndarray           # per-KPO effective capacitance [F]
-    c_g_eff: float                # coupler effective capacitance C-/2 [F]
-    g12: float                    # kernel for KPO pairs sharing a coupler node
-    g13: float                    # kernel for cross pairs
-    g_minus: float                # (G15-G16)/sqrt(2), KPO-coupler kernel
+    """G projected onto the five kept charges, KPOs 1-4 then the coupler.
+
+    g_r = T^T G T, T holding the four KPO unit columns and a coupler column
+    of +1 on the first coupler node and -1 on the second, so G_r[j, k] =
+    G_jk, G_r[j, c] = G_j5 - G_j6 and G_r[c, c] = G55 + G66 - 2 G56; every
+    mode's effective capacitance is 1/G_r[j, j].
+    """
+
+    g_r: np.ndarray               # (5, 5) reduced inverse capacitance [1/F]
     discarded: DiscardedMode
     bare: dict = field(default_factory=dict)  # optional C_c, C_q, C_g from the netlist
+
+    @property
+    def c_q_eff(self) -> np.ndarray:
+        """Per-KPO effective capacitance 1/G_r[j, j] [F]."""
+        return 1.0 / np.diag(self.g_r)[:4]
+
+    @property
+    def c_g_eff(self) -> float:
+        """Coupler effective capacitance 1/G_r[c, c], C-/2 [F]."""
+        return 1.0 / float(self.g_r[4, 4])
 
 
 # --------------------------------------------------------------------------
@@ -192,11 +206,12 @@ def mode_reduce(
     coupler_node_pair: tuple[str, str],
     bare: dict | None = None,
 ) -> ReducedModes:
-    """Reduce the two coupler nodes to the antisymmetric charge combination.
+    """Project G onto the four KPO charges and the coupler charge Q_c: G_r = T^T G T.
 
-    The antisymmetric mode (Q5 - Q6)/sqrt(2) becomes the coupler with
-    effective capacitance C-/2; the symmetric combination is recorded as
-    discarded, flagged high-frequency when its capacitance C+ is small.
+    Q_c is +1 on the first coupler node and -1 on the second, the antisymmetric
+    mode (Q5 - Q6)/sqrt(2) of effective capacitance C-/2 = 1/G_r[c, c] (see
+    `ReducedModes`). The symmetric (Q5 + Q6)/sqrt(2) is recorded as discarded,
+    flagged high-frequency when its capacitance C+ is small.
     """
     index = {n: i for i, n in enumerate(g.node_order)}
     nodes = tuple(kpo_nodes) + tuple(coupler_node_pair)
@@ -207,27 +222,18 @@ def mode_reduce(
             raise ValueError(f"node {n!r} is named more than once among the KPO and coupler nodes")
     if len(kpo_nodes) != 4 or len(coupler_node_pair) != 2:
         raise ValueError("expected four KPO nodes and two coupler nodes")
-    kq = [index[n] for n in kpo_nodes]
     c1, c2 = (index[n] for n in coupler_node_pair)
-    m = g.matrix
-
-    c_q_eff = np.array([1.0 / m[j, j] for j in kq])
-    g55, g56 = m[c1, c1], m[c1, c2]
-    if g55 - g56 <= 0 or g55 + g56 <= 0:
+    t = np.zeros((len(g.node_order), 5))
+    t[[index[n] for n in kpo_nodes], range(4)] = 1.0
+    t[[c1, c2], 4] = 1.0, -1.0
+    g_r = t.T @ g.matrix @ t
+    plus = g.matrix[c1, c1] + g.matrix[c2, c2] + 2.0 * g.matrix[c1, c2]
+    if not (g_r[4, 4] > 0 and plus > 0):
         raise ValueError("coupler-node block is not reducible (non-positive modes)")
-    c_minus = 1.0 / (g55 - g56)
-    c_plus = 1.0 / (g55 + g56)
-    c_g_eff = c_minus / 2.0
-    g_minus = (m[kq[0], c1] - m[kq[0], c2]) / np.sqrt(2.0)
+    c_plus = 2.0 / plus
     return ReducedModes(
-        c_q_eff=c_q_eff,
-        c_g_eff=c_g_eff,
-        g12=m[kq[0], kq[1]],
-        g13=m[kq[0], kq[2]],
-        g_minus=g_minus,
-        discarded=DiscardedMode(
-            capacitance=c_plus, high_frequency=c_plus < 0.5 * c_g_eff
-        ),
+        g_r=g_r,
+        discarded=DiscardedMode(capacitance=c_plus, high_frequency=c_plus < 0.5 / g_r[4, 4]),
         bare=dict(bare) if bare else {},
     )
 
@@ -286,40 +292,34 @@ def coupling_constants(
 ) -> dict[str, CouplingGraph]:
     """Exact and approximate two-body couplings of the unit circuit.
 
-    Exact: h_jk = (G_jk/2) sqrt(Cq_j Cq_k w_j w_k) with G12 for pairs
-    sharing a coupler node ((1,2) and (3,4)) and G13 otherwise;
-    g_j = (G-/sqrt(2)) sqrt(Cq_j Cg w_j w_g).
+    Exact, by one rule over the four KPOs and the coupler as the fifth mode:
+    k_jk = (G_r[j, k]/2) sqrt(C_j C_k w_j w_k), C_j = 1/G_r[j, j] (see
+    `ReducedModes`); h_jk = k_jk between KPOs, g_j = |k_jc|, and the sign
+    of G_r[j, c] goes into both graphs as explicit s (-1 where G_r[j, c] < 0,
+    else +1; the default (+1, +1, -1, -1) on the unit circuit).
     Approximate: h_jk = C_c/(8 sqrt(Cq_j Cq_k)) sqrt(w_j w_k);
     g_j = C_c/(4 sqrt(Cq_j Cg)) sqrt(w_j w_g), needing bare capacitances.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("unit circuit has four KPOs")
-    # plain floats: math.sqrt and IEEE arithmetic give NumPy's scalar bits
-    w = spectrum.omega.tolist()
-    wg = float(spectrum.coupler_omega) if spectrum.has_coupler else None
+    omega, _ = _modes(spectrum)
+    n = len(omega)
+    g_r = np.asarray(modes.g_r, dtype=float)[:n, :n]
 
-    def graph(h_jk, g_j) -> CouplingGraph:
-        h = np.array([0.0 if j == k else h_jk(j, k)
-                      for j in range(4) for k in range(4)]).reshape(4, 4)
-        g = np.array([g_j(j) for j in range(4)]) if spectrum.has_coupler else None
-        return CouplingGraph(h=h, g=g)
+    def graph(k: np.ndarray) -> CouplingGraph:
+        k.flat[::n + 1] = 0.0
+        if n == 4:
+            return CouplingGraph(h=k)
+        return CouplingGraph(h=k[:4, :4].copy(), g=abs(k[:4, 4]),
+                             s=np.where(g_r[:4, 4] < 0, -1.0, 1.0))
 
-    cq = np.asarray(modes.c_q_eff, dtype=float).tolist()
-    g12, g13, c_g_eff = float(modes.g12), float(modes.g13), float(modes.c_g_eff)
-    g_minus = float(modes.g_minus) / math.sqrt(2.0)
-    out = {"exact": graph(
-        lambda j, k: 0.5 * (g12 if {j, k} in ({0, 1}, {2, 3}) else g13)
-        * math.sqrt(cq[j] * cq[k] * w[j] * w[k]),
-        lambda j: g_minus * math.sqrt(cq[j] * c_g_eff * w[j] * wg),
-    )}
+    cw = omega / np.diag(g_r)  # C_j w_j
+    out = {"exact": graph(0.5 * g_r * np.sqrt(np.outer(cw, cw)))}
     if modes.bare:
-        c_c = float(modes.bare["c_c"])
-        c_q = np.asarray(modes.bare["c_q"], dtype=float).tolist()
-        out["approx"] = graph(
-            lambda j, k: c_c / (8.0 * math.sqrt(c_q[j] * c_q[k])) * math.sqrt(w[j] * w[k]),
-            lambda j: c_c / (4.0 * math.sqrt(c_q[j] * float(modes.bare["c_g"])))
-            * math.sqrt(w[j] * wg),
-        )
+        # C_g/4 on the coupler's entry turns the h_jk form into the g_j one
+        c = np.append(np.asarray(modes.bare["c_q"], dtype=float), modes.bare["c_g"] / 4.0)[:n]
+        out["approx"] = graph(float(modes.bare["c_c"]) / (8.0 * np.sqrt(np.outer(c, c)))
+                              * np.sqrt(np.outer(omega, omega)))
     return out
 
 

@@ -259,7 +259,7 @@ def _mixing_matrix(spectrum: ModeSpectrum,
                    mixing: MixingCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """K and the mixing matrix R over the modes of `_coupling_matrix`:
     R_jk = htilde_jk between KPOs and R_jn = s_j gtilde_j = -R_nj.
-    ValueError unless `mixing` fits `spectrum` and is finite."""
+    ValueError unless `mixing` fits `spectrum`, is finite and its s are signs."""
     n = spectrum.n_kpo
     if np.shape(mixing.h_tilde) != (n, n):
         raise ValueError(f"h_tilde has shape {np.shape(mixing.h_tilde)}, "
@@ -279,6 +279,8 @@ def _mixing_matrix(spectrum: ModeSpectrum,
         value = getattr(mixing, name)
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
+    if mixing.s is not None and not np.all(np.abs(mixing.s) == 1.0):
+        raise ValueError(f"sign factors s must be +1 or -1, got {np.asarray(mixing.s).tolist()}")
     _, kerr = _modes(spectrum)
     r = np.zeros((len(kerr), len(kerr)))
     r[:n, :n] = mixing.h_tilde

@@ -138,12 +138,14 @@ def test_module_entry_point():
         (["sweep", "--points", "abc"], "argument --points: invalid int value: 'abc'"),
         (["fit"], "the following arguments are required: data"),
         (["boltzmann", "--beta", "1"], "unrecognized arguments: --beta 1"),
+        (["sweep", "--points", "1"], "sweep needs at least 2 points"),
     ],
     ids=["unknown-subcommand", "no-subcommand", "missing-value", "not-an-int",
-         "missing-positional", "unknown-option"],
+         "missing-positional", "unknown-option", "sweep-one-point"],
 )
 def test_usage_errors_keep_the_error_contract(capsys, argv, message):
-    # argparse's own errors end as any bad input does: main returns 2
+    # argparse's own errors end as any bad input does, as does an argument
+    # argparse takes but the subcommand refuses: main returns 2
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -392,10 +394,18 @@ SQUID_BRANCH = _branch_netlist({"kind": "squid", "l_j_ph": 400.0})
          "netlist 'nodes' must hold node names as strings, got ['q']"),
         (_branch_netlist({"kind": "squid", "l_j_ph": 400.0}, node=[["q"]]),
          "netlist branch 'node' must hold node names as strings, got ['q']"),
+        (_branch_netlist({"kind": "capacitor"}), "unknown element kind 'capacitor'"),
+        (dict(SQUID_BRANCH, capacitors=[{"a": "q", "b": "gnd", "f_farads": 500.0},
+                                        {"a": "q", "b": "q", "f_farads": 1.0}]),
+         "capacitor shorted on node q"),
+        (_branch_netlist({"kind": "squid", "l_j_ph": 400.0}, node="r"),
+         "branch references unknown node 'r'"),
+        (dict(SQUID_BRANCH, branches=[]), "netlist has no junction branches to quantize"),
     ],
     ids=["f-farads-string", "capacitor-list", "nodes-number", "l-henries-null",
          "snail-n-string", "elements-string", "snail-in-series", "node-name-list",
-         "branch-node-name-list"],
+         "branch-node-name-list", "unknown-kind", "shorted-capacitor", "branch-unknown-node",
+         "no-junction-branch"],
 )
 def test_netlist_wrong_types_rejected(tmp_path, capsys, doc, message):
     code, out, err = _run(capsys, ["quantize", _write_netlist(tmp_path / "bad.json", doc)])
@@ -516,6 +526,34 @@ def test_couplings_bad_frequencies_rejected(tmp_path, capsys, extra, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+LINKS = [("q1", "c5"), ("q2", "c5"), ("q3", "c6"), ("q4", "c6")]
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        # c5 grounded on its own, so that C stays invertible without the links
+        (LINKS, [{"a": "c5", "b": "gnd", "f_farads": 500.0}],
+         "no KPO-coupler coupling capacitors found"),
+        ([("c5", "c6")], [], "no capacitor between the two coupler nodes"),
+        ([("q4", "gnd")], [], "node 'q4' has no capacitor to ground"),
+    ],
+    ids=["no-links", "no-coupler-capacitor", "kpo-not-grounded"],
+)
+def test_couplings_refuse_a_netlist_without_a_unit_circuit_capacitor(
+        tmp_path, capsys, drop, add, message):
+    doc = json.loads(Path(_unit_netlist(tmp_path)).read_text())
+    doc["capacitors"] = [c for c in doc["capacitors"] if (c["a"], c["b"]) not in drop] + add
+    code, out, err = _run(
+        capsys,
+        ["couplings", _write_netlist(tmp_path / "bad.json", doc), "--kpo-nodes", "q1,q2,q3,q4",
+         "--coupler-nodes", "c5,c6", "--freq-ghz", "10,10,10,10", "--coupler-freq-ghz", "10"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: {message}")
 
 
 def test_couplings_refuse_a_node_named_twice(tmp_path, capsys):

@@ -193,13 +193,13 @@ def test_reduction_transmon_like_values():
 
 
 def test_decoupled_limit():
-    # shrinking the coupling capacitor by 1000x shrinks every coupling
-    # kernel by the same factor, extrapolating to zero at C_c = 0
-    ref = _reduced(500e-15, 500e-15, 1e-15)
-    tiny = _reduced(500e-15, 500e-15, 1e-18)
-    assert abs(tiny.g12) < 2e-3 * abs(ref.g12)
-    assert abs(tiny.g13) < 2e-3 * abs(ref.g13)
-    assert abs(tiny.g_minus) < 2e-3 * abs(ref.g_minus)
+    # shrinking the coupling capacitor by 1000x shrinks every off-diagonal
+    # entry of G_r, each coupling's kernel, at least by that factor,
+    # extrapolating to zero at C_c = 0
+    ref = _reduced(500e-15, 500e-15, 1e-15).g_r
+    tiny = _reduced(500e-15, 500e-15, 1e-18).g_r
+    off = ~np.eye(5, dtype=bool)
+    assert np.all(abs(tiny[off]) < 2e-3 * abs(ref[off]))
 
 
 def test_reduction_topology_errors():
@@ -328,26 +328,79 @@ def test_permutation_invariance():
     assert np.allclose(a["exact"].g, b["exact"].g)
 
 
+def _unequal_unit_circuit(rng, spread, c_c=1e-15):
+    """The unit circuit with each C_q drawn within +-spread of 500 fF: the
+    netlist and its Maxwell matrix written out by hand, nodes q1-q4, c5, c6."""
+    c_q = 500e-15 * (1.0 + rng.uniform(-spread, spread, 4))
+    c_g = rng.uniform(450e-15, 550e-15)
+    links = ((0, 4), (1, 4), (2, 5), (3, 5))
+    nodes = KPO_NODES + COUPLER_NODES
+    caps = [Capacitor(n, "gnd", c) for n, c in zip(KPO_NODES, c_q)]
+    caps += [Capacitor("c5", "c6", c_g)] + [Capacitor(nodes[j], nodes[c], c_c) for j, c in links]
+    maxwell = np.diag(np.append(c_q, [c_g, c_g]))
+    maxwell[4, 5] = maxwell[5, 4] = -c_g
+    for j, c in links:
+        maxwell[j, j] += c_c
+        maxwell[c, c] += c_c
+        maxwell[j, c] = maxwell[c, j] = -c_c
+    return CircuitNetlist(nodes=nodes, ground="gnd", capacitors=tuple(caps)), maxwell
+
+
+@pytest.mark.parametrize("spread", [0.1, 0.3])
+def test_unequal_kpo_capacitances_couple_through_their_own_inverse_entries(spread):
+    # reading every pair off KPO 1's row of G had put h and g up to 29% off
+    # G's own entries at a 10% spread, and up to 127% off approx at 30%
+    rng = np.random.default_rng(int(spread * 100))
+    c_c = 1e-15
+    for _ in range(25):
+        net, maxwell = _unequal_unit_circuit(rng, spread, c_c)
+        modes = mode_reduce(invert_capacitance(build_capacitance_matrix(net), net),
+                            KPO_NODES, COUPLER_NODES,
+                            bare=extract_bare(net, KPO_NODES, COUPLER_NODES))
+        spectrum = _spectrum(freqs_ghz=tuple(rng.uniform(9.0, 11.0, 4)),
+                             coupler_ghz=rng.uniform(10.0, 12.0))
+        graphs = coupling_constants(modes, spectrum)
+        g = np.linalg.inv(maxwell)
+        w = np.append(spectrum.omega, spectrum.coupler_omega)
+        # G_r: the KPO block of G, the coupler column G_j5 - G_j6, G55 + G66 - 2 G56
+        g_r = np.zeros((5, 5))
+        g_r[:4, :4] = g[:4, :4]
+        g_r[:4, 4] = g_r[4, :4] = g[:4, 4] - g[:4, 5]
+        g_r[4, 4] = g[4, 4] + g[5, 5] - 2.0 * g[4, 5]
+        cw = w / np.diag(g_r)
+        k = 0.5 * g_r * np.sqrt(np.outer(cw, cw))
+        exact, approx = graphs["exact"], graphs["approx"]
+        off = ~np.eye(4, dtype=bool)
+        assert exact.h[off] == pytest.approx(k[:4, :4][off], rel=1e-12, abs=0)
+        assert exact.s * exact.g == pytest.approx(k[:4, 4], rel=1e-12, abs=0)
+        assert np.array_equal(approx.s, exact.s)
+        bound = 3 * c_c / min(modes.bare["c_q"])
+        assert np.all(abs(exact.h - approx.h)[off] < bound * abs(exact.h[off]))
+        assert np.all(abs(exact.g - approx.g) < bound * exact.g)
+
+
 def _numpy_scalar_couplings(modes, spectrum):
-    """coupling_constants' loops as first written, np.sqrt on NumPy scalars:
-    the exact and approximate (h, g), g None without a coupler."""
-    w, cq = spectrum.omega, modes.c_q_eff
+    """coupling_constants' rule entry by entry on NumPy scalars, the exact
+    couplings read off G_r with the coupler as mode 4: the exact and
+    approximate (h, g, s), g and s None without a coupler."""
+    w = list(spectrum.omega) + ([spectrum.coupler_omega] if spectrum.has_coupler else [])
+    g_r = modes.g_r
+    cw = [w[j] / g_r[j, j] for j in range(len(w))]  # C_j w_j
     c_c, c_q = modes.bare["c_c"], np.asarray(modes.bare["c_q"], dtype=float)
     h_exact, h_approx = np.zeros((4, 4)), np.zeros((4, 4))
     for j in range(4):
         for k in range(4):
             if j != k:
-                kernel = modes.g12 if {j, k} in ({0, 1}, {2, 3}) else modes.g13
-                h_exact[j, k] = 0.5 * kernel * np.sqrt(cq[j] * cq[k] * w[j] * w[k])
+                h_exact[j, k] = 0.5 * g_r[j, k] * np.sqrt(cw[j] * cw[k])
                 h_approx[j, k] = c_c / (8.0 * np.sqrt(c_q[j] * c_q[k])) * np.sqrt(w[j] * w[k])
     if not spectrum.has_coupler:
-        return {"exact": (h_exact, None), "approx": (h_approx, None)}
+        return {"exact": (h_exact, None, None), "approx": (h_approx, None, None)}
     wg, c_g = spectrum.coupler_omega, modes.bare["c_g"]
-    g_exact = np.array([(modes.g_minus / np.sqrt(2.0)) * np.sqrt(cq[j] * modes.c_g_eff * w[j] * wg)
-                        for j in range(4)])
+    g_exact = np.array([abs(0.5 * g_r[j, 4] * np.sqrt(cw[j] * cw[4])) for j in range(4)])
     g_approx = np.array([c_c / (4.0 * np.sqrt(c_q[j] * c_g)) * np.sqrt(w[j] * wg)
                          for j in range(4)])
-    return {"exact": (h_exact, g_exact), "approx": (h_approx, g_approx)}
+    s = np.array([-1.0 if g_r[j, 4] < 0 else 1.0 for j in range(4)])
+    return {"exact": (h_exact, g_exact, s), "approx": (h_approx, g_approx, s)}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -369,12 +422,13 @@ def test_coupling_constants_bit_identical_to_the_numpy_scalar_loops(seed):
         for coupler_ghz in (rng.uniform(9.0, 13.0), None):
             spectrum = _spectrum(freqs_ghz=freqs, coupler_ghz=coupler_ghz)
             graphs = coupling_constants(modes, spectrum)
-            for name, (h, g) in _numpy_scalar_couplings(modes, spectrum).items():
+            for name, (h, g, s) in _numpy_scalar_couplings(modes, spectrum).items():
                 assert np.array_equal(graphs[name].h.view(np.int64), h.view(np.int64))
                 if g is None:
-                    assert graphs[name].g is None
+                    assert graphs[name].g is None and graphs[name].s is None
                 else:
                     assert np.array_equal(graphs[name].g.view(np.int64), g.view(np.int64))
+                    assert np.array_equal(graphs[name].s, s)
 
 
 # --------------------------------------------------------------------------

@@ -392,6 +392,18 @@ def test_dressed_frequency_shift_matches_perturbation():
     assert dressed[1] - spectrum.omega[1] == pytest.approx(-h_c**2 / delta, rel=0.1)
 
 
+def test_dressed_frequencies_refuse_an_ambiguous_identification():
+    # four degenerate modes in a chain 1-2-3-4: the single excitations are the
+    # chain's standing waves, and mode 1 keeps at most (2/5) sin^2(2 pi/5) =
+    # 0.36 of any one of them, so no eigenstate is mode 1's to report
+    h = np.zeros((4, 4))
+    h[[0, 1, 2], [1, 2, 3]] = h[[1, 2, 3], [0, 1, 2]] = 5.0 * MHZ
+    spectrum = ModeSpectrum(omega=np.full(4, 10.0 * GHZ), kerr=np.full(4, 5.0 * MHZ))
+    with pytest.raises(ValueError, match=r"single-excitation state of mode 0 ambiguous "
+                                         r"\(overlap 0\.36\)"):
+        dressed_frequencies_exact(build_hamiltonian(spectrum, CouplingGraph(h=h), d=3))
+
+
 def test_gap_extraction_zero_couplings_gives_zero():
     spectrum = _ladder()
     result = four_body_from_gap(
@@ -1001,8 +1013,10 @@ def test_gap_raises_when_two_quantum_manifold_not_separated():
         ({"scan_halfwidth": float("nan")}, "positive and finite"),
         ({"scan_halfwidth": float("inf")}, "positive and finite"),
         ({"scan_halfwidth": 2 * MHZ, "n_scan": 2}, "at least 3"),
+        # the gap's minimum sits near -0.24 MHz, outside the scan
+        ({"scan_halfwidth": 0.1 * MHZ}, "no interior gap minimum in the scan range"),
     ],
-    ids=["zero", "negative", "nan", "inf", "two-points"],
+    ids=["zero", "negative", "nan", "inf", "two-points", "minimum-outside"],
 )
 def test_gap_rejects_bad_scan_arguments(kwargs, message):
     with pytest.raises(ValueError, match=message):

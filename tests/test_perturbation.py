@@ -251,7 +251,9 @@ def _coupled_mixing():
     (True, {"g_tilde": np.full(5, 0.01)}, r"g_tilde must have shape \(4,\) .*got \(5,\)"),
     (True, {"s": np.ones(3)}, r"s must have shape \(4,\) .*got \(3,\)"),
     (True, {"s": None}, r"s must have shape \(4,\) .*got None"),
-], ids=["no-coupler", "h-3x3", "h-flat", "g-5", "s-3", "s-missing"])
+    # s = 2 had made 225 terms and a coupler chi 4x the one of signs
+    (True, {"s": np.full(4, 2.0)}, r"sign factors s must be \+1 or -1, got \[2.0, 2.0, 2.0, 2.0\]"),
+], ids=["no-coupler", "h-3x3", "h-flat", "g-5", "s-3", "s-missing", "s-not-signs"])
 def test_transform_kerr_rejects_mixing_that_does_not_fit_the_spectrum(coupler, change, match):
     mix = _coupled_mixing()
     fields = {"h_tilde": mix.h_tilde, "g_tilde": mix.g_tilde, "s": mix.s, **change}
