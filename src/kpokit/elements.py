@@ -142,6 +142,15 @@ def _check_resonator(c: float, l_geom: float) -> None:
         raise ValueError(f"geometric inductance must be non-negative and finite, got {l_geom}")
 
 
+def _resonance(c: float, l_total: float) -> float:
+    """1/sqrt(C L); ValueError when the product C L underflows to 0."""
+    product = c * l_total
+    if product == 0.0:
+        raise ValueError(f"resonance unreachable: C = {c:.6g} F times L = {l_total:.6g} H "
+                         "underflows the floating-point range")
+    return 1.0 / math.sqrt(product)
+
+
 def kpo_mode_params(c_eff: float, l_geom: float, element: JunctionElement) -> ModeParams:
     """Frequency and Kerr of a junction resonator.
 
@@ -156,7 +165,7 @@ def kpo_mode_params(c_eff: float, l_geom: float, element: JunctionElement) -> Mo
     l_total = l_geom + sum(l_js)
     if l_total <= 0:
         raise ValueError("total inductance must be positive")
-    omega = 1.0 / math.sqrt(c_eff * l_total)
+    omega = _resonance(c_eff, l_total)
     kerr = sum(lj**3 for lj in l_js) / l_total**3 * E_CHARGE**2 / (2.0 * c_eff) / HBAR
     return ModeParams(omega=omega, kerr=kerr)
 
@@ -405,7 +414,7 @@ def snail_mode_params(c: float, l_geom: float, element: Snail) -> ModeParams:
     c32 = exp.c3**2 / exp.c2
     bracket = exp.c4 - 3.0 * c32 * (1.0 - p) - (5.0 / 3.0) * c32 * p
     kerr = -(p**3 / exp.c2) * bracket * E_CHARGE**2 / (2.0 * c) / HBAR
-    omega = 1.0 / math.sqrt(c * (l_geom + PHI0_REDUCED / (exp.c2 * element.i0)))
+    omega = _resonance(c, l_geom + PHI0_REDUCED / (exp.c2 * element.i0))
     return ModeParams(omega=omega, kerr=kerr)
 
 

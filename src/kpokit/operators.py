@@ -14,6 +14,7 @@ because every b_j holds annihilators only.
 from __future__ import annotations
 
 import functools
+import itertools
 from numbers import Number
 
 import numpy as np
@@ -44,17 +45,20 @@ class BosonicPolynomial:
         ``np.triu_indices`` order, creation pair outermost; the coefficients
         are Python floats (complex for complex input). A coefficient of size
         PRUNE_TOL or less is left out; a non-finite one is kept, so the
-        polynomial's reader meets it.
+        polynomial's reader meets it. The pair indices and the keys are made
+        once per mode count (`_pair_indices`, `_quartic_keys`), and the terms
+        are kept by one array test of every size.
         """
         u = np.asarray(u)
         n_modes = u.shape[1]
-        p, q = np.triu_indices(n_modes)
+        p, q, off_diagonal = _pair_indices(n_modes)
         pair = u[:, p] * u[:, q]
-        pair[:, p != q] *= 2
+        pair[:, off_diagonal] *= 2
         c = (pair.conj().T * np.asarray(weight)) @ pair
-        c = 0.5 * (c + c.conj().T)
-        return cls(n_modes, {k: v for k, v in zip(_quartic_keys(n_modes), c.ravel().tolist())
-                             if not abs(v) <= PRUNE_TOL})
+        c = (0.5 * (c + c.conj().T)).ravel()
+        kept = ~(_magnitudes(c) <= PRUNE_TOL)
+        return cls(n_modes, dict(itertools.compress(zip(_quartic_keys(n_modes), c.tolist()),
+                                                    kept.tolist())))
 
     def __mul__(self, other):
         if not isinstance(other, Number):
@@ -83,10 +87,28 @@ class BosonicPolynomial:
         return f"BosonicPolynomial({self.n_modes} modes: " + "; ".join(parts) + ")"
 
 
+def _magnitudes(values) -> np.ndarray:
+    """abs of each value, bit for bit as Python's abs gives it: np.abs of a
+    complex array differs from it in the last bit, np.hypot does not."""
+    values = np.asarray(values)
+    return np.hypot(values.real, values.imag)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_indices(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.triu_indices(n_modes)`` and its off-diagonal mask, read-only;
+    made once per mode count."""
+    p, q = np.triu_indices(n_modes)
+    arrays = (p, q, p != q)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=8)
 def _quartic_keys(n_modes: int) -> tuple[Monomial, ...]:
     """The monomial of each element of the quartic's coefficient matrix, in
     ``ravel`` order; made once per mode count."""
-    pairs = [tuple(np.bincount([p, q], minlength=n_modes).tolist())
-             for p, q in zip(*np.triu_indices(n_modes))]
+    p, q, _ = _pair_indices(n_modes)
+    pairs = [tuple(np.bincount([i, j], minlength=n_modes).tolist()) for i, j in zip(p, q)]
     return tuple((kc, ka) for kc in pairs for ka in pairs)

@@ -228,13 +228,19 @@ def lhz_frequencies(base: float, spacing: float) -> dict[int, float]:
         w1 + w2 = w3 + w9,   w1 + w8 = w7 + w9,
         w1 + w4 = w3 + w5,   w1 + w6 = w7 + w5
     leave five free frequencies; the chosen spacing multipliers make all
-    nine distinct.
+    nine distinct; ValueError when rounding merges any (a spacing below the
+    base's float resolution) or a sum overflows.
     """
     if not (math.isfinite(base) and math.isfinite(spacing)):
         raise ValueError("base and spacing must be finite")
     if spacing <= 0 or base <= 0:
         raise ValueError("base and spacing must be positive")
-    return {i: base + k * spacing for i, k in LHZ_MULTIPLIERS.items()}
+    table = {i: base + k * spacing for i, k in LHZ_MULTIPLIERS.items()}
+    distinct = len({w for w in table.values() if w < math.inf})
+    if distinct < len(table):
+        raise ValueError(f"base {base:.6g} rad/s and spacing {spacing:.6g} rad/s give "
+                         f"{distinct} distinct finite pump frequencies, not {len(table)}")
+    return table
 
 
 def lhz_plan(

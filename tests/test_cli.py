@@ -316,11 +316,16 @@ def test_malformed_number_lists_rejected(capsys, argv, message):
         (["parity", "--h4-mhz", "1e-320"], "not finite and nonzero"),
         (["boltzmann", "--eta", "1e308", "--nu", "1e308,-1e308,0,0"],
          "state energies are not finite"),
+        (["snail", "--c-ff", "1e-300"], "C = 1e-315 F times L = 1.10441e-09 H underflows"),
+        (["pump-plan", "--spacing-mhz", "1e-300"], "give 1 distinct finite pump frequencies"),
     ],
-    ids=["alpha-overflows-h4", "h4-underflows-beta", "energies-overflow"],
+    ids=["alpha-overflows-h4", "h4-underflows-beta", "energies-overflow", "snail-c-l-underflows",
+         "pump-plan-spacing-below-an-ulp"],
 )
 def test_overflow_fails_loudly(capsys, argv, message):
-    # each printed nan probabilities with exit 0 before
+    # the first three printed nan probabilities with exit 0 before; the snail
+    # sweep ended in a ZeroDivisionError traceback, and the pump plan printed
+    # nine identical pumps with no violation
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -401,11 +406,13 @@ SQUID_BRANCH = _branch_netlist({"kind": "squid", "l_j_ph": 400.0})
         (_branch_netlist({"kind": "squid", "l_j_ph": 400.0}, node="r"),
          "branch references unknown node 'r'"),
         (dict(SQUID_BRANCH, branches=[]), "netlist has no junction branches to quantize"),
+        (dict(SQUID_BRANCH, capacitors=[{"a": "q", "b": "gnd", "f_farads": 1e-300}]),
+         "resonance unreachable: C = 1e-315 F times L = 5e-10 H underflows"),
     ],
     ids=["f-farads-string", "capacitor-list", "nodes-number", "l-henries-null",
          "snail-n-string", "elements-string", "snail-in-series", "node-name-list",
          "branch-node-name-list", "unknown-kind", "shorted-capacitor", "branch-unknown-node",
-         "no-junction-branch"],
+         "no-junction-branch", "c-l-underflows"],
 )
 def test_netlist_wrong_types_rejected(tmp_path, capsys, doc, message):
     code, out, err = _run(capsys, ["quantize", _write_netlist(tmp_path / "bad.json", doc)])

@@ -119,6 +119,17 @@ def test_frequency_inversion_refuses_bad_input(args, message):
         squid_inductance_for_frequency(*args)
 
 
+@pytest.mark.parametrize("mode_params, args", [
+    (kpo_mode_params, (1e-316, 1e-10, Squid(1e-9))),
+    (kpo_mode_params, (1e-300, 0.0, SingleJunction(1e20))),
+    (snail_mode_params, (1e-315, 1e-10, Snail(i0=3.75e-6, gamma=0.3, n=2, phi_x=2.5))),
+], ids=["squid", "junction-no-l-geom", "snail"])
+def test_resonator_whose_c_times_l_underflows_rejected(mode_params, args):
+    # each raised ZeroDivisionError from 1 / sqrt(0)
+    with pytest.raises(ValueError, match=r"C = .* F times L = .* H underflows"):
+        mode_params(*args)
+
+
 def test_single_junction_stack_reduces_to_coupler_formula():
     # a one-junction series stack with no extra junction inductance must give
     # exactly the single-junction result

@@ -517,6 +517,58 @@ def test_rwa_filter_bit_identical_to_the_pruned_copy_loop(seed):
                     == [(_bits(e.coefficient), _bits(e.rotation_residual)) for e in reference])
 
 
+def _assert_same_entries(entries, reference):
+    assert ([(e.creation, e.annihilation, e.classification) for e in entries]
+            == [(e.creation, e.annihilation, e.classification) for e in reference])
+    assert ([(_bits(e.coefficient), _bits(e.rotation_residual)) for e in entries]
+            == [(_bits(e.coefficient), _bits(e.rotation_residual)) for e in reference])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rwa_filter_matches_the_pruned_copy_loop_at_the_tolerance(seed):
+    # pump 4 stepped one float at a time across the value where the four-body
+    # rotation (w1 + w2 - w3 - w4) / 2, summed in mode order, meets
+    # RESONANCE_TOL: rwa_filter's screen sums it in another order, and only
+    # its margin passes the rotations a few steps below the tolerance
+    near = []
+    for spectrum, couplings, pump, coupler_mode in _seeded_cases(seed):
+        poly = transform_kerr(spectrum, sw_mixing(spectrum, couplings))
+        w1, w2, w3, _ = pump.omega_p
+        w4 = w1 + w2 - w3 - 2.0 * RESONANCE_TOL
+        for _ in range(8):
+            w4 = math.nextafter(w4, -math.inf)
+        for _ in range(17):
+            pumps = PumpAssignment(omega_p=(w1, w2, w3, w4))
+            entries = rwa_filter(poly, pumps, coupler_mode=coupler_mode).entries
+            _assert_same_entries(entries, _pruned_copy_rwa_entries(poly, pumps, coupler_mode))
+            near.append(w1 / 2.0 + w2 / 2.0 - w3 / 2.0 - w4 / 2.0 < RESONANCE_TOL)
+            w4 = math.nextafter(w4, math.inf)
+    assert any(near) and not all(near)
+
+
+def test_rwa_filter_with_the_coupler_inside_the_mode_list():
+    # the coupler moved from mode 4 to mode 2 of 5: the pumps skip it, and the
+    # kept monomials are the coupler-last ones with their modes moved alike
+    order = (0, 1, 4, 2, 3)
+    for spectrum, couplings, pump, coupler_mode in _seeded_cases(0):
+        if coupler_mode is None:
+            continue
+        poly = transform_kerr(spectrum, sw_mixing(spectrum, couplings))
+        moved = BosonicPolynomial(5, {(tuple(c[m] for m in order), tuple(a[m] for m in order)): v
+                                      for (c, a), v in poly.terms.items()})
+        jitter = np.random.default_rng(7).uniform(-0.25, 0.25, 4) * RESONANCE_TOL
+        for pumps in (pump, PumpAssignment(omega_p=tuple(np.add(pump.omega_p, jitter)))):
+            entries = rwa_filter(moved, pumps, coupler_mode=2).entries
+            _assert_same_entries(entries, _pruned_copy_rwa_entries(moved, pumps, 2))
+            last = rwa_filter(poly, pumps, coupler_mode=4).entries
+            assert len(entries) == len(last) > 1
+            for e, f in zip(entries, last):
+                assert e.creation == tuple(f.creation[m] for m in order)
+                assert e.annihilation == tuple(f.annihilation[m] for m in order)
+                assert (_bits(e.coefficient), _bits(e.rotation_residual), e.classification) == (
+                    _bits(f.coefficient), _bits(f.rotation_residual), f.classification)
+
+
 def test_quartic_keeps_a_non_finite_coefficient():
     # a prune by abs(v) > PRUNE_TOL would drop a NaN as if it were 0
     for weight in (math.nan, math.inf):

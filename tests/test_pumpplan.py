@@ -330,6 +330,17 @@ def test_invalid_frequency_parameters():
             lhz_frequencies(TWO_PI * 9e9, bad)
 
 
+@pytest.mark.parametrize("base, spacing, distinct", [
+    (TWO_PI * 9e9, 1e-294, 1), (TWO_PI * 9e9, 4e-6, 7), (1.7e308, 1e307, 1),
+    (1.7e308, 1e306, 8)],
+    ids=["below-an-ulp", "near-an-ulp", "sums-overflow", "last-sum-overflows"])
+def test_lhz_frequencies_refuse_a_table_with_coinciding_pumps(base, spacing, distinct):
+    # each table was returned before: nine equal pumps for the first, an
+    # infinite one for the last
+    with pytest.raises(ValueError, match=f"give {distinct} distinct finite pump frequencies"):
+        lhz_frequencies(base, spacing)
+
+
 def test_user_table_rejects_non_finite_frequencies():
     for bad in (math.nan, math.inf, -math.inf):
         freqs = lhz_frequencies(TWO_PI * 9.0e9, TWO_PI * 20.0e6)
