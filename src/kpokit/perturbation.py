@@ -41,7 +41,6 @@ from .pumpplan import RESONANCE_TOL, PumpAssignment, classify_relation
 
 MIXING_WARN = 0.2   # perturbative-validity warning threshold on |htilde|, |gtilde|
 MIXING_LIMIT = 0.5  # hard validity limit
-_EPS = math.ulp(1.0)
 
 
 class DegenerateModesError(ValueError):
@@ -346,18 +345,16 @@ def classify_monomial(creation, annihilation, coupler_mode: int | None = None) -
 
 @functools.lru_cache(maxsize=16)
 def _monomial_table(keys: tuple, n_modes: int, coupler_mode: int | None) -> tuple:
-    """Per monomial of `keys`: its net exponents c - a over all modes, the
-    same in absolute value, whether it changes the coupler, and its
-    `classify_monomial` class; made once per key tuple and coupler mode,
-    the arrays read-only."""
+    """Per monomial of `keys`: its net exponents c - a over all modes,
+    whether it changes the coupler, and its `classify_monomial` class; made
+    once per key tuple and coupler mode, the arrays read-only."""
     net = np.array([[ci - ai for ci, ai in zip(c, a)] for c, a in keys],
                    dtype=float).reshape(len(keys), n_modes)
     moves_coupler = (net[:, coupler_mode] != 0 if coupler_mode is not None
                      else np.zeros(len(keys), dtype=bool))
-    arrays = (net, np.abs(net), moves_coupler)
-    for array in arrays:
+    for array in (net, moves_coupler):
         array.flags.writeable = False
-    return (*arrays, tuple(classify_monomial(c, a, coupler_mode) for c, a in keys))
+    return net, moves_coupler, tuple(classify_monomial(c, a, coupler_mode) for c, a in keys)
 
 
 def rwa_filter(
@@ -376,11 +373,9 @@ def rwa_filter(
     assigned to those modes in order, skipping the coupler. Coefficients of
     size PRUNE_TOL or less are skipped; a non-finite one raises ValueError.
 
-    One product of the net-exponent table (`_monomial_table`, made once per
-    key tuple) with the half pump frequencies screens every rotation; only
-    the monomials within RESONANCE_TOL plus a rounding margin are then
-    summed term by term in mode order, which fixes the kept set and every
-    bit of `rotation_residual`.
+    Every rotation is summed at once, one column of the net-exponent table
+    (`_monomial_table`, made once per key tuple) per pumped mode in mode
+    order, so each monomial's sum is the term-by-term one, bit for bit.
     """
     if isinstance(coupler_mode, bool) or not isinstance(coupler_mode,
                                                         (int, np.integer, type(None))):
@@ -394,40 +389,24 @@ def rwa_filter(
         raise ValueError(f"{len(omega_p)} pump frequencies for {len(kpo_modes)} KPO modes")
     keys = tuple(poly.terms)
     values = list(poly.terms.values())
-    net, abs_net, moves_coupler, classes = _monomial_table(keys, poly.n_modes, coupler_mode)
+    net, moves_coupler, classes = _monomial_table(keys, poly.n_modes, coupler_mode)
     size = _magnitudes(values)
     non_finite = ~(size <= PRUNE_TOL) & ~(size < math.inf)
     if non_finite.any():
         first = int(non_finite.argmax())
         (c, a), v = keys[first], values[first]
         raise ValueError(f"coefficient {v} of monomial {c}|{a} is not finite")
-    half = np.zeros(poly.n_modes)
-    half[kpo_modes] = omega_p
-    half /= 2.0
-    # Both the product and the loop below round the same t <= n_modes terms
-    # x_m = net_m * w_m / 2 (halving is exact), but the product may add them
-    # in any order, fused or not. Each sum lies within gamma_t * sum|x_m| of
-    # the exact one (gamma_t = t u / (1 - t u), u = eps / 2), so the two
-    # differ by at most 2 gamma_t * sum|x_m| ~ t eps sum|x_m|, and
-    # abs_net @ half gives sum|x_m| to a factor 1 +- gamma_t. Twice that
-    # margin also covers the rounding of the bound. An overflow leaves the
-    # product inf or NaN and the bound inf, and such a monomial passes on.
-    bound = RESONANCE_TOL + (2.0 * poly.n_modes * _EPS) * (abs_net @ half)
-    passes = (size > PRUNE_TOL) & ~moves_coupler & ~(np.abs(net @ half) > bound)
-    pumped = list(zip(kpo_modes, omega_p))
-    entries = []
-    for i in np.flatnonzero(passes).tolist():
-        c, a = keys[i]
-        # a mode the monomial leaves unchanged adds 0 * w / 2 = 0
-        rotation = 0.0
-        for mode, w in pumped:
-            step = c[mode] - a[mode]
-            if step:
-                rotation += step * w / 2.0
-        if abs(rotation) < RESONANCE_TOL:
-            entries.append(ReportEntry(creation=c, annihilation=a, coefficient=values[i],
-                                       classification=classes[i],
-                                       rotation_residual=abs(rotation)))
+    # the pumps are finite and positive, so a mode the monomial leaves
+    # unchanged adds 0.0 exactly; an overflow gives inf or NaN, as on floats
+    rotation = np.zeros(len(keys))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode, w in zip(kpo_modes, omega_p):
+            rotation += net[:, mode] * w / 2.0
+    residual = np.abs(rotation)
+    kept = (size > PRUNE_TOL) & ~moves_coupler & (residual < RESONANCE_TOL)
+    entries = [ReportEntry(creation=keys[i][0], annihilation=keys[i][1], coefficient=values[i],
+                           classification=classes[i], rotation_residual=float(residual[i]))
+               for i in np.flatnonzero(kept).tolist()]
     entries.sort(key=lambda e: -abs(e.coefficient))
     return FourBodyReport(entries=entries)
 

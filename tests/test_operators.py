@@ -528,8 +528,8 @@ def _assert_same_entries(entries, reference):
 def test_rwa_filter_matches_the_pruned_copy_loop_at_the_tolerance(seed):
     # pump 4 stepped one float at a time across the value where the four-body
     # rotation (w1 + w2 - w3 - w4) / 2, summed in mode order, meets
-    # RESONANCE_TOL: rwa_filter's screen sums it in another order, and only
-    # its margin passes the rotations a few steps below the tolerance
+    # RESONANCE_TOL: a sum in any other order (one matrix product, say)
+    # moves some of these rotations across the tolerance
     near = []
     for spectrum, couplings, pump, coupler_mode in _seeded_cases(seed):
         poly = transform_kerr(spectrum, sw_mixing(spectrum, couplings))
