@@ -156,7 +156,8 @@ def kpo_mode_params(c_eff: float, l_geom: float, element: JunctionElement) -> Mo
 
     omega = 1/sqrt(C (L + sum L_J)); hbar*K = (sum L_J^3)/(L_total^3) * e^2/(2C),
     i.e. each junction's inductance enters cubed in the numerator.
-    SNAILs are handled by `snail_mode_params` instead.
+    SNAILs are handled by `snail_mode_params` instead. ValueError where the
+    cube of the total inductance leaves the floating-point range.
     """
     _check_resonator(c_eff, l_geom)
     if isinstance(element, Snail):
@@ -166,7 +167,11 @@ def kpo_mode_params(c_eff: float, l_geom: float, element: JunctionElement) -> Mo
     if l_total <= 0:
         raise ValueError("total inductance must be positive")
     omega = _resonance(c_eff, l_total)
-    kerr = sum(lj**3 for lj in l_js) / l_total**3 * E_CHARGE**2 / (2.0 * c_eff) / HBAR
+    try:
+        kerr = sum(lj**3 for lj in l_js) / l_total**3 * E_CHARGE**2 / (2.0 * c_eff) / HBAR
+    except OverflowError:  # L_total >= every L_J, so its cube overflows first
+        raise ValueError(f"Kerr unreachable: junction inductance {max(l_js):.6g} H (total "
+                         f"{l_total:.6g} H) cubed overflows the floating-point range") from None
     return ModeParams(omega=omega, kerr=kerr)
 
 

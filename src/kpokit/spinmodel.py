@@ -179,20 +179,13 @@ def _vector(model: EffectiveEnergyModel) -> list:
     return [model.eta, *model.lam.values(), *model.mu.values(), *model.nu]
 
 
-def _features(theta_d4) -> np.ndarray:
-    """SPIN_FEATURES at each phase of `theta_d4`, (points, 16, 15), the nu4
-    column scaled by math.sin, whose bits do not depend on NumPy's build."""
-    sin_t = np.array([math.sin(t) for t in np.asarray(theta_d4, dtype=float).tolist()])
-    features = np.repeat(SPIN_FEATURES[np.newaxis], len(sin_t), axis=0)
-    features[:, :, -1] *= sin_t[:, np.newaxis]
-    return features
-
-
 def _energies(columns, theta_d4: float) -> np.ndarray:
     """Dimensionless beta*E of every state, in SPIN_STATES order along the
     last axis, of 15 coefficients in SPIN_FEATURES column order or of rows of them."""
+    features = SPIN_FEATURES.copy()
+    features[:, -1] *= math.sin(theta_d4)  # whose bits do not depend on NumPy's build
     with np.errstate(over="ignore", invalid="ignore"):  # _softmax refuses the overflow
-        return np.asarray(columns, dtype=float) @ _features([theta_d4])[0].T
+        return np.asarray(columns, dtype=float) @ features.T
 
 
 def _softmax(energies: np.ndarray) -> np.ndarray:
@@ -274,9 +267,10 @@ def beta_for_even_parity(
 # fitting
 # --------------------------------------------------------------------------
 
-_REF_STATE = (-1, -1, -1, -1)
-_REF_COL = SPIN_STATES.index(_REF_STATE)
-_OTHER_COLS = [col for col in range(16) if col != _REF_COL]
+# M of fit_energy_model: -(each state's features - the reference's, SPIN_STATES[-1])
+_DESIGN = -(SPIN_FEATURES[:-1] - SPIN_FEATURES[-1])
+_DESIGN.flags.writeable = False
+_NU4_NORM = math.hypot(*_DESIGN[:, -1])
 
 
 @dataclass(frozen=True)
@@ -287,32 +281,19 @@ class FitResult:
     condition_number: float
 
 
-def _fit_system(theta_d4: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least-squares system of fit_energy_model, 15 rows per phase point.
-
-    Built for all points at once: the feature table of every point
-    (`_features`), its differences to the reference state, and the logs of
-    one array of probability ratios (math.log, element by element, whose
-    bits do not depend on NumPy's build). Row i*15 + k holds point i and the
-    k-th state other than the reference.
-    """
-    features = _features(theta_d4)
-    design = -(features[:, _OTHER_COLS] - features[:, _REF_COL, np.newaxis])
-    ratios = probs[:, _OTHER_COLS] / probs[:, _REF_COL, np.newaxis]
-    rhs = np.array([math.log(r) for r in ratios.ravel().tolist()])
-    return design.reshape(-1, SPIN_FEATURES.shape[1]), rhs
-
-
 def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResult:
     """Recover all 15 energy coefficients from probability-vs-phase data.
 
-    `probabilities` is (n_points, 16), columns ordered as SPIN_STATES.
-    The log-ratio ln(p_s/p_ref) = -(beta*E_s - beta*E_ref) is linear in
-    the coefficients, so the fit is a single least-squares solve, whose
-    system is formed for all phase points in one array expression
-    (`_fit_system`) and whose singular values give the condition number;
-    the reference state's own curve is then fitted to A*exp(B sin(theta)+C).
-    Only the product A*exp(C) is identifiable, so C is reported as 0.
+    `probabilities` is (n_points, 16), columns ordered as SPIN_STATES. Each
+    ln(p_s/p_ref) is linear in the coefficients; point i's rows are M with
+    its nu4 column m times s_i = sin(theta_i), so the 15n rows are
+    (Q (x) I) [[r11 M_a, r12 m], [0, r22 m]] for the thin QR [1, s] = Q R.
+    With that rank-one lower block as one row r22 |m| on nu4, 16 rows keep
+    the solution and singular values (condition number below 1e8) and read
+    sums over the points of math.log's log-ratios (bits independent of
+    NumPy). ln p_ref = ln A + C + B sin(theta) is fitted on [1, s],
+    refused where its Frobenius condition number |R|_F^2/det R exceeds 1e8
+    or A overflows; only A*exp(C) is identifiable, so C = 0.
     """
     theta_d4 = np.asarray(theta_d4, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
@@ -320,33 +301,44 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
         raise ValueError("probability table must be (n_points, 16)")
     if len(theta_d4) < 16:
         raise ValueError("need at least 16 phase grid points")
-    if not np.all(np.isfinite(theta_d4)):
+    if not np.isfinite(theta_d4).all():
         raise ValueError("phases theta_d4 must be finite")
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise ValueError("probabilities must be finite")
-    if np.any(probs < 0):
+    if (lowest := probs.min()) < 0:
         raise ValueError("negative probabilities in data")
-    if np.any(probs < PROB_FLOOR):
-        warnings.warn(
-            f"probabilities below {PROB_FLOOR} floored before taking logs",
-            stacklevel=2,
-        )
+    if lowest < PROB_FLOOR:
+        warnings.warn(f"probabilities below {PROB_FLOOR} floored before taking logs", stacklevel=2)
         probs = np.maximum(probs, PROB_FLOOR)
 
-    design, rhs = _fit_system(theta_d4, probs)
+    ratios = probs / probs[:, -1:]  # 15 ratios per point, then p_ref
+    ratios[:, -1] = probs[:, -1]
+    logs = np.fromiter(map(math.log, ratios.ravel().tolist()), float, ratios.size).reshape(-1, 16)
+    sin_t = np.array([math.sin(t) for t in theta_d4.tolist()])
+    n, mean = len(sin_t), sin_t.mean()
+    d = sin_t - mean
+    r11, r22 = math.sqrt(n), math.sqrt(d @ d)
+    totals, moments = logs.sum(axis=0), d @ logs
+    last = r22 * _NU4_NORM  # the rank-one block as a row
+    design = np.append(r11 * _DESIGN, [[0.0] * 14 + [last]], axis=0)
+    design[:15, -1] *= mean  # r12 = r11 * mean
+    rhs = totals / r11
+    rhs[-1] = _DESIGN[:, -1] @ moments[:-1] / last if last else 0.0
     coeffs, _, _, singular = np.linalg.lstsq(design, rhs, rcond=None)
     s_max, s_min = float(singular[0]), float(singular[-1])
     cond = s_max / s_min if s_min else math.inf
     if s_max > 1e8 * s_min:
         raise ValueError(f"ill-conditioned design matrix (condition number {cond:.2e})")
-    residual = float(np.linalg.norm(design @ coeffs - rhs))
+    fitted = _DESIGN[:, :-1] @ coeffs[:-1] + np.outer(coeffs[-1] * sin_t, _DESIGN[:, -1])
+    residual = float(np.linalg.norm(fitted - logs[:, :-1]))
 
-    # reference curve: ln p_ref = ln A + C + B sin(theta)
-    sin_t = np.sin(theta_d4)
-    b, intercept = np.polyfit(sin_t, np.log(probs[:, _REF_COL]), 1)
-    reference = {"A": math.exp(intercept), "B": float(b), "C": 0.0}
-    return FitResult(model=_model(coeffs), reference=reference, residual_norm=residual,
-                     condition_number=cond)
+    if not n + sin_t @ sin_t <= 1e8 * r11 * r22:
+        raise ValueError("reference curve unidentifiable: cond [1, sin(theta_d4)] > 1e8")
+    b = float(moments[-1] / r22**2)
+    if not (ln_a := totals[-1] / n - mean * b) < math.log(np.finfo(float).max):
+        raise ValueError(f"reference amplitude A = exp({ln_a:.3g}) overflows")
+    return FitResult(model=_model(coeffs), reference={"A": math.exp(ln_a), "B": b, "C": 0.0},
+                     residual_norm=residual, condition_number=cond)
 
 
 def estimate_h4(

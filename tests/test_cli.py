@@ -408,11 +408,14 @@ SQUID_BRANCH = _branch_netlist({"kind": "squid", "l_j_ph": 400.0})
         (dict(SQUID_BRANCH, branches=[]), "netlist has no junction branches to quantize"),
         (dict(SQUID_BRANCH, capacitors=[{"a": "q", "b": "gnd", "f_farads": 1e-300}]),
          "resonance unreachable: C = 1e-315 F times L = 5e-10 H underflows"),
+        # raised OverflowError from the cube of the junction inductance
+        (_branch_netlist({"kind": "squid", "l_j_ph": 1e120}),
+         "Kerr unreachable: junction inductance 1e+108 H"),
     ],
     ids=["f-farads-string", "capacitor-list", "nodes-number", "l-henries-null",
          "snail-n-string", "elements-string", "snail-in-series", "node-name-list",
          "branch-node-name-list", "unknown-kind", "shorted-capacitor", "branch-unknown-node",
-         "no-junction-branch", "c-l-underflows"],
+         "no-junction-branch", "c-l-underflows", "kerr-overflows"],
 )
 def test_netlist_wrong_types_rejected(tmp_path, capsys, doc, message):
     code, out, err = _run(capsys, ["quantize", _write_netlist(tmp_path / "bad.json", doc)])
@@ -741,6 +744,19 @@ def test_fit_round_trip_via_file(tmp_path, capsys):
     assert table["eta"] == pytest.approx(-0.3, abs=1e-6)
     assert table["nu4"] == pytest.approx(0.4, abs=1e-6)
     assert table["mu12"] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("thetas", [[0.7] * 20, [0.3, math.pi - 0.3] * 10],
+                         ids=["one-phase", "equal-sines"])
+def test_fit_refuses_an_unidentifiable_reference_curve(tmp_path, capsys, thetas):
+    # every phase has the same sine, so ln A and B of the reference curve
+    # cannot be told apart; before, np.polyfit warned and returned arbitrary ones
+    path = tmp_path / "probs.csv"
+    path.write_text("".join(f"{t!r}," + ",".join(["0.0625"] * 16) + "\n" for t in thetas))
+    code, out, err = _run(capsys, ["fit", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: reference curve unidentifiable")
 
 
 def test_fit_rejects_malformed_rows(tmp_path, capsys):

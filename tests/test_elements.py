@@ -130,6 +130,17 @@ def test_resonator_whose_c_times_l_underflows_rejected(mode_params, args):
         mode_params(*args)
 
 
+@pytest.mark.parametrize("args", [(500e-15, 1e-10, SingleJunction(1e-300)),
+                                  (500e-15, 1e-10, Squid(1e120)),
+                                  (500e-15, 1e120, Squid(1e-9))],
+                         ids=["junction", "squid", "l-geom"])
+def test_resonator_whose_inductance_cubed_overflows_rejected(args):
+    # each raised OverflowError from the cube of the junction or total inductance
+    with pytest.raises(ValueError, match=r"Kerr unreachable: junction inductance .* H "
+                                         r"\(total .* H\) cubed overflows"):
+        kpo_mode_params(*args)
+
+
 def test_single_junction_stack_reduces_to_coupler_formula():
     # a one-junction series stack with no extra junction inductance must give
     # exactly the single-junction result

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpokit import spinmodel
@@ -451,23 +451,107 @@ def _seeded_fit_tables():
     return tables
 
 
-def test_fit_system_matches_the_per_point_loop_bit_for_bit():
+def _two_solves_apart(matrix, rhs, rounding):
+    """How far two backward-stable least-squares solutions of (matrix, rhs)
+    may lie apart when each is exact for data perturbed by at most `rounding`
+    relative: twice kappa e (2 |x| + (kappa + 1) |r| / s_max) / (1 - kappa e)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 20.1),
+    with x, r, kappa and s_max of the exact solve."""
+    x, _, _, singular = np.linalg.lstsq(matrix, rhs, rcond=None)
+    kappa, residual = singular[0] / singular[-1], np.linalg.norm(matrix @ x - rhs)
+    spread = 2 * np.linalg.norm(x) + (kappa + 1) * residual / singular[0]
+    return 2 * kappa * rounding * spread / (1 - kappa * rounding)
+
+
+def _check_against_per_point_fit(theta, probs):
+    """fit_energy_model agrees with _per_point_fit, and its reference curve
+    with np.polyfit, as far as two backward-stable solves may differ. Each
+    is exact for data perturbed by at most one eps per term of its longest
+    inner product, relative: the per-point system's Householder reflections
+    run over its 15n rows, the 16-row system's sums over the n points."""
+    design, rhs, coeffs, residual, cond = _per_point_fit(theta, probs)
+    fit = fit_energy_model(theta, probs)
+    rounding = len(rhs) * np.finfo(float).eps
+    bound = _two_solves_apart(design, rhs, rounding)
+    assert np.linalg.norm(spinmodel._vector(fit.model) - coeffs) <= bound
+    # both residuals are |A x - y| of solutions within `bound`, each rounded
+    s_max = cond * np.linalg.svd(design, compute_uv=False)[-1]
+    assert abs(fit.residual_norm - residual) <= s_max * bound + rounding * np.linalg.norm(rhs)
+    # each singular value moves by at most rounding * s_max, in either solve
+    assert abs(fit.condition_number - cond) <= 4 * cond * cond * rounding
+    floored = np.log(np.maximum(probs[:, -1], PROB_FLOOR))
+    sines = np.column_stack([np.ones(len(theta)), np.sin(theta)])
+    b, intercept = np.polyfit(np.sin(theta), floored, 1)
+    bound = _two_solves_apart(sines, floored, rounding)
+    ln_a = math.log(fit.reference["A"])  # exp then log: two more roundings
+    bound += 2 * rounding * (1 + abs(ln_a))
+    assert math.hypot(ln_a - intercept, fit.reference["B"] - b) <= bound
+    return fit
+
+
+def test_fit_matches_the_per_point_solve_within_its_error_bound():
+    # the 16-row solve against the 15n-row one it replaced
     floored = 0
     for theta, probs in _seeded_fit_tables():
-        design, rhs, coeffs, residual, cond = _per_point_fit(theta, probs)
-        ours = spinmodel._fit_system(theta, np.maximum(probs, PROB_FLOOR))
-        # same shapes and bits, signed zeros included
-        for got, want in zip(ours, (design, rhs)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit = fit_energy_model(theta, probs)
+            _check_against_per_point_fit(theta, probs)
         floored += len(caught)
-        m = fit.model
-        assert [m.eta, *m.lam.values(), *m.mu.values(), *m.nu] == coeffs.tolist()
-        assert fit.residual_norm == residual
-        assert fit.condition_number == cond
     assert floored == 1
+
+
+@st.composite
+def _phase_grids(draw):
+    """16-64 phases in any order, with repeats, from a pool whose sines spread
+    by at least 0.1 (both ends of that spread are on the grid)."""
+    pool = draw(st.lists(st.floats(-2 * math.pi, 4 * math.pi), min_size=2, max_size=64,
+                         unique=True))
+    sines = np.sin(pool)
+    assume(np.ptp(sines) >= 0.1)
+    ends = [pool[int(np.argmin(sines))], pool[int(np.argmax(sines))]]
+    grid = draw(st.lists(st.sampled_from(pool), min_size=14, max_size=62)) + ends
+    return np.array(draw(st.permutations(grid)))
+
+
+@given(theta=_phase_grids(), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 0.3),
+       noise=st.sampled_from([0.0, 0.1]))
+@settings(max_examples=60, deadline=None)
+def test_fit_recovers_the_model_on_any_grid(theta, seed, scale, noise):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, scale=scale)
+    probs = np.array([[boltzmann_probabilities(model, theta_d4=t)[s] for s in SPIN_STATES]
+                      for t in theta])
+    # noisy tables have no exact fit, so the residual and the solve's
+    # sensitivity to it are exercised too
+    probs *= np.exp(noise * rng.normal(size=probs.shape))
+    fit = _check_against_per_point_fit(theta, probs)
+    if noise == 0.0:
+        # exact tables carry only the softmax's round-off, near 1e-15
+        got, want = spinmodel._vector(fit.model), spinmodel._vector(model)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-9
+        assert fit.residual_norm <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [np.full(20, 0.7), np.array([0.3, math.pi - 0.3] * 10)],
+                         ids=["one-phase", "equal-sines"])
+def test_fit_refuses_an_unidentifiable_reference_curve(theta):
+    # every phase has the same sine (0.3 and pi - 0.3 in all but the last
+    # ulp), so ln A and B cannot be told apart, though the energy
+    # coefficients can (condition numbers 6.0 and 12.8); before, np.polyfit
+    # warned and returned arbitrary ones
+    with pytest.raises(ValueError, match="reference curve unidentifiable"):
+        fit_energy_model(theta, np.full((20, 16), 1 / 16))
+
+
+def test_fit_refuses_a_reference_amplitude_that_overflows():
+    # sines 1e-7 apart pass the conditioning rule, but a p_ref that swings
+    # from 0.9 to 1e-12 across them extrapolates to ln A = 2.3e8 at sin = 0;
+    # before, math.exp raised OverflowError
+    theta = np.array([0.7, 0.7 + 1e-7] * 10)
+    probs = np.full((20, 16), 1 / 16)
+    probs[::2, -1], probs[1::2, -1] = 0.9, 1e-12
+    with pytest.raises(ValueError, match=r"reference amplitude A = exp\(2.3\de\+08\) overflows"):
+        fit_energy_model(theta, probs)
 
 
 # --------------------------------------------------------------------------
