@@ -175,7 +175,10 @@ def invert_capacitance(
     """G = C^-1 via dense factorization, validated to G C = I at 1e-10.
 
     When the matrix is singular or indefinite and the netlist is supplied,
-    the error names the node(s) lacking a ground path.
+    the error names the node(s) lacking a ground path; when a capacitance is
+    so small that G is not finite, it names the node(s) whose capacitance
+    underflows the inversion; a residual that is not finite is refused like
+    one above 1e-10.
     """
     m = c.matrix
     try:
@@ -189,9 +192,20 @@ def invert_capacitance(
             if floating:
                 detail = f": node(s) {floating} have no capacitor path to ground"
         raise ValueError(f"capacitance matrix is not positive definite{detail}")
+    if not np.isfinite(g).all():
+        # a node whose Cholesky pivot has no finite inverse, else each row
+        # that the back substitution carried it into
+        with np.errstate(divide="ignore", over="ignore"):
+            bad = ~np.isfinite(1.0 / lower.diagonal() ** 2)
+        if not bad.any():
+            bad = ~np.isfinite(g).all(axis=1)
+        nodes = ", ".join(f"{c.node_order[i]} ({m[i, i]:.3g} F)" for i in np.flatnonzero(bad))
+        raise ValueError(f"capacitance of node(s) {nodes} underflows the inversion: "
+                         "the inverse is not finite")
     g = 0.5 * (g + g.T)
-    residual = np.max(np.abs(g @ m - np.eye(m.shape[0])))
-    if residual > 1e-10:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
+        residual = np.max(np.abs(g @ m - np.eye(m.shape[0])))
+    if not residual <= 1e-10:
         raise ValueError(f"inversion residual {residual:.2e} exceeds 1e-10")
     return InverseCapacitance(matrix=g, node_order=c.node_order)
 

@@ -7,10 +7,12 @@ product, in mode order, of the single-mode elements of a+^c a^a, and elements
 at one position are summed in the polynomial's order. It builds the blocks of
 even and odd total excitation number and the hop space of the Kerr-dressed
 four-body estimate: |1100>, |0011> and the states one coupling from them. The
-gap scan diagonalizes the even states of at most six quanta, and the whole
-even block only where a quadratic residual bound does not prove that the
-states left out move each level it reads by at most that solve's round-off.
-The scan's model-space solve and the estimate share `_lowdin_terms`.
+gap scan diagonalizes the even states of at most four quanta with the
+six-quanta ones folded in by a Schur complement; then, in turn, the states of
+at most six quanta and the whole even block, each only where a quadratic
+residual bound does not prove that what the tier before left out moves each
+level it reads by at most that solve's round-off. The scan's model-space
+solve and the estimate share `_lowdin_terms`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ OVERLAP_THRESHOLD = 0.5
 REMAINDER_TOL = 1e-8  # largest Loewdin remainder bound of a gap scan point, relative to its gap
 _LOWDIN_TRUNCATION = 3
 _QUANTA_CAP = 6  # most total quanta of a state the gap scan diagonalizes first
+_SWEEPS = 2  # Jacobi sweeps of the fold's lift M after its first estimate
 
 
 @dataclass(frozen=True)
@@ -176,14 +179,16 @@ def _check_hermitian(matrix: np.ndarray) -> None:
 
 
 class _ScanBlock(NamedTuple):
-    """States of the even block that the gap scan diagonalizes, and what it
-    reads of them; each array is read-only."""
+    """States of the even block that one tier of the gap scan solves, and
+    what it reads of them; each array is read-only. The solved vectors have
+    a row per kept state and then, in the fold, per folded state."""
 
     kept: np.ndarray              # the even-block indices diagonalized, ascending
+    folded: np.ndarray | None     # those folded into them by a Schur complement; None if none
     dropped: np.ndarray | None    # the rest; None for the whole block
-    half_pair_number: np.ndarray  # (n1 + n2) / 2 on each kept state
-    two_quanta: np.ndarray        # which kept states hold two total quanta
-    pair: np.ndarray              # the rows of |1100>, |0011> among the kept states
+    half_pair_number: np.ndarray  # (n1 + n2) / 2 on each row
+    two_quanta: np.ndarray        # which rows hold two total quanta
+    pair: np.ndarray              # the rows of |1100>, |0011>
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ class _FockBasis:
     occupations: np.ndarray  # (n_modes, d**n_modes)
     spaces: tuple            # the ascending states of the even block, the odd block, the hop space
     pair: np.ndarray         # even-block indices of |1100>, |0011>; empty below 4 modes
-    scan: tuple              # _ScanBlock of at most _QUANTA_CAP total quanta, then of all
+    scan: tuple              # the _ScanBlock of each tier: fold, cap, whole block
 
 
 @functools.lru_cache(maxsize=8)
@@ -210,12 +215,16 @@ def _fock_basis(n_modes: int, d: int) -> _FockBasis:
     spaces = tuple(np.flatnonzero(member) for member in (parity == 0, parity == 1, hop))
     pair = np.searchsorted(spaces[0], np.ravel_multi_index(bare, (d,) * n_modes))
     block_occ = occ[:, spaces[0]]
-    low = block_occ.sum(axis=0) <= _QUANTA_CAP
-    scan = tuple(
-        _ScanBlock(kept, dropped, 0.5 * block_occ[:2, kept].sum(axis=0),
-                   block_occ[:, kept].sum(axis=0) == 2, np.searchsorted(kept, pair))
-        for kept, dropped in ((np.flatnonzero(low), np.flatnonzero(~low)),
-                              (np.arange(len(low)), None)))
+    total, every = block_occ.sum(axis=0), np.arange(len(spaces[0]))
+
+    def tier(kept, folded, dropped):
+        rows = kept if folded is None else np.concatenate([kept, folded])
+        return _ScanBlock(kept, folded, dropped, 0.5 * block_occ[:2, rows].sum(axis=0),
+                          total[rows] == 2, np.searchsorted(kept, pair))
+
+    above = every[total > _QUANTA_CAP]
+    scan = (tier(every[total < _QUANTA_CAP], every[total == _QUANTA_CAP], above),
+            tier(every[total <= _QUANTA_CAP], None, above), tier(every, None, None))
     for array in (occ, pair, *spaces, *(x for block in scan for x in block if x is not None)):
         array.flags.writeable = False
     return _FockBasis(occ, spaces, pair, scan)
@@ -255,28 +264,38 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     |0011> anticross, and the minimum gap equals twice the effective
     coupling. Only the even block of H in total excitation number, which
     holds both states, is assembled, once; an offset only adds delta * D
-    to that block, D = diag((n1 + n2) / 2). It is diagonalized once on its
-    states of at most _QUANTA_CAP = 6 total quanta (86 of 128 for four KPOs
-    at d = 4): a two-body term changes the total by 0 or 2, so the states
-    above six quanta reach the two-quantum ones only at sixth order in
-    h / 2w. `_truncation_bound` then bounds, from R = H_DK V_P, by the
-    quadratic residual bound (Mathias 1998), how far the dropped states
-    move each model level at any offset of the scan. The capped solve is
-    kept when that bound is at most its own round-off; otherwise the whole
-    even block is diagonalized instead, as one solve.
-    In the eigenbasis V of the solved block, Dt = V^T D V, and each offset is
+    to that block, D = diag((n1 + n2) / 2). It is solved in tiers, each
+    only where the one before is not certified, so once in the end:
+    - the fold (`_fold`): the six-quanta states F are folded into the 42 of
+      at most four quanta K (for four KPOs at d = 4) by one Schur complement
+      at the pair's bare energy E, H_KK + H_KF (E - H_FF)^-1 H_FK, solved as
+      the Ritz problem of H on the kept states lifted by their six-quanta
+      amplitudes. A two-body term changes the total by 0 or 2, so the
+      six-quanta states reach the two-quantum ones only through the
+      four-quanta ones, from about 2w away;
+    - the states of at most _QUANTA_CAP = 6 total quanta (86 of 128);
+    - the whole even block.
+    `_truncation_bound` bounds, by the quadratic residual bound (Mathias
+    1998), how far the states a tier does not diagonalize move each model
+    level at any offset of the scan; a tier is kept when that bound is at
+    most its own round-off. In the fold, it also bounds the share
+    delta^2 k of the second-order term that the six-quanta sector's
+    eigenvectors, never formed, would add, and each point's remainder
+    bound includes it.
+    In the eigenbasis V of the solved block (in the fold, the lifted Ritz
+    vectors), Dt = V^T D V, and each offset is
     solved in the model space P of the eigenstates with more than half
     their weight on two total quanta, the rest Q, by second-order Loewdin
     partitioning (`_lowdin_terms`) about the pair's energy E:
     H_P(delta) = Lambda_P + delta Dt_PP + delta^2 Dt_PQ (E - Lambda_Q)^-1 Dt_QP.
     Its remainder at an eigenvalue theta of the pair is at most
     |delta Dt_PQ|^2 (|theta - E| + |delta| |Dt_QQ|) / min|E - Lambda_Q|^2.
-    The two spectral norms the scan reads, |Dt_PQ| and the bound's
-    |H_DK V_P|, are each the square root of the largest eigenvalue of its
-    Gram matrix on the side of P (`_two_norm`; at most 10 x 10, 15 x 15 with
-    a coupler), not an SVD. The basis shape fixes which states are solved,
-    their (n1 + n2) / 2, which hold two quanta and the rows of the pair
-    (`_FockBasis.scan`), so none of that is recomputed per call.
+    The spectral norms the scan reads, |Dt_PQ| and the bound's residual,
+    are each the square root of the largest eigenvalue of its Gram matrix
+    on the side of P (`_two_norm`; at most 10 x 10, 15 x 15 with a
+    coupler), not an SVD. The basis shape fixes which states each tier
+    solves, their (n1 + n2) / 2, which hold two quanta and the rows of the
+    pair (`_FockBasis.scan`), so none of that is recomputed per call.
     Near the crossing g^2 = c^2 (delta - delta_0)^2 + 4 h^2, so the minimum is
     refined by successive parabolic interpolation on g^2 (Brent's parabolic
     step) inside the bracket of the scan points around the lowest gap, until
@@ -285,11 +304,12 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     accuracy does not depend on the scan's width. The best point is returned.
 
     Returns the scan trace, the refined minimum and |h_eff|, with the size
-    of the diagonalized block (`dimension`), the size of P
+    of the diagonalized block (`dimension`), the number of states folded
+    into it (`folded_dimension`, 0 without the fold), the size of P
     (`manifold_dimension`), the largest remainder bound over the scan and
     the refinement (`remainder_bound`, rad/s), the eigensolve's round-off
     dimension * eps * max|Lambda| (`roundoff`, rad/s), the bound on how far
-    the states left out of it move a model level (`truncation_bound`,
+    the states not diagonalized move a model level (`truncation_bound`,
     rad/s; 0 when the whole even block was diagonalized), and the smallest
     weight, over the same points, that the two chosen eigenstates hold on
     {|1100>, |0011>} (`pair_weight`, at most 2) and on either state alone
@@ -307,12 +327,20 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         raise ValueError(f"gap scan needs at least 3 points, got {n_scan}")
 
     ham = build_hamiltonian(spectrum, couplings, d, odd=False)
-    # the states of at most _QUANTA_CAP quanta first; the whole block only
-    # where the rest are not proven to move each model level by at most the
-    # round-off of that solve
-    for block in _fock_basis(ham.n_modes, d).scan:
-        # a row gather and then a column gather of those rows cost less than one np.ix_
-        levels, vecs = np.linalg.eigh(ham.even.take(block.kept, 0).take(block.kept, 1))
+    basis = _fock_basis(ham.n_modes, d)
+    # the fold first, then the states of at most _QUANTA_CAP quanta, then the
+    # whole block; each tier only where the one before is not proven to move
+    # each model level by at most its round-off
+    for block in basis.scan:
+        if block.folded is None:
+            # a row gather and then a column gather of those rows cost less than one np.ix_
+            levels, vecs = np.linalg.eigh(ham.even.take(block.kept, 0).take(block.kept, 1))
+            fold = None
+        else:
+            solved = _fold(ham.even, block, basis.pair)
+            if solved is None:
+                continue
+            levels, vecs, fold = solved
         roundoff = len(levels) * np.finfo(float).eps * abs(levels).max()
         # P: the eigenstates mostly on two total quanta, as |1100> and |0011> are
         in_p = (vecs[block.two_quanta] ** 2).sum(axis=0) > 0.5
@@ -326,12 +354,11 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         d_pp, d_pq = rotated[:, model], rotated[:, rest]
         norm_pq = _two_norm(d_pq)
         if block.dropped is None:
-            truncation_bound = 0.0
+            truncation_bound = share = 0.0
             break
         # (n1 + n2) / 2 is at most d - 1 on the block
-        truncation_bound = _truncation_bound(
-            ham.even, block.kept, block.dropped, levels[model], levels[rest], v_p,
-            scan_halfwidth * norm_pq, scan_halfwidth * (d - 1))
+        truncation_bound, share = _truncation_bound(
+            ham.even, block, fold, levels, model, rest, v_p, scan_halfwidth, norm_pq, d - 1)
         if truncation_bound <= roundoff:
             break
     if not separated:
@@ -377,7 +404,7 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         pair = theta[points, chosen]
         gaps = abs(pair[:, 0] - pair[:, 1])
         # |Dt_QQ| <= |Dt| = max(half_pair_number), Dt being D rotated
-        bound = deltas**2 * reach * (abs(pair).max(axis=1) + abs(deltas) * largest_d)
+        bound = deltas**2 * (reach * (abs(pair).max(axis=1) + abs(deltas) * largest_d) + share)
         loose = bound > REMAINDER_TOL * gaps
         if loose.any():
             i = loose.argmax()  # the first point over its tolerance
@@ -436,18 +463,95 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
         "truncation_bound": float(truncation_bound),
         "manifold_dimension": len(model),
         "dimension": len(levels),
+        "folded_dimension": 0 if fold is None else len(block.folded),
     }
 
 
-def _truncation_bound(even: np.ndarray, kept: np.ndarray, dropped: np.ndarray,
-                      model: np.ndarray, others: np.ndarray, v_p: np.ndarray,
-                      rotation: float, shift: float) -> float:
-    """Bound (rad/s) on how far the `dropped` states of the even block move
-    any model level of the solve of its `kept` states, at every scan offset
-    |delta| <= delta_max; inf where a separation it needs is not proven.
-    That solve's model levels are `model`, with eigenvectors V_P = `v_p`,
-    and its other levels `others`; `rotation` is delta_max |Dt_QP|, `shift`
-    delta_max max D.
+def _fold(even: np.ndarray, block: _ScanBlock, pair: np.ndarray) -> tuple | None:
+    """The fold tier's solve: the levels and orthonormal vectors (rows: kept
+    states K, then folded ones F) of H compressed onto the kept states lifted
+    by their folded amplitudes at the pair's bare energy E, and what
+    `_truncation_bound` reads of it: M, H on the folded and dropped states
+    (A), H_FK, H_KK, the lower edge of the spectrum outside and the coupling
+    C. None where E does not lie below the Gershgorin discs of H_AA, or the
+    lift is too large for the orthonormalization below.
+
+    M ~ (E - H_FF)^-1 H_FK is H_FK / (E - diag H_FF) refined by _SWEEPS
+    Jacobi sweeps, which converge as E - H_FF is diagonally dominant there,
+    its discs lying above E; with M exact, E + the Ritz matrix
+    below is the Schur complement H_KK + H_KF M, but the solve is a Ritz
+    solve for any M, and the bound reads its true residual. U = [I; M] spans
+    the lifted states; with e = H_FK + (H_FF - E) M (0 for an exact M),
+    U^T (H - E) U = H_KK - E + H_KF M + (H_KF M)^T + M^T (H_FF - E) M
+    = H_KK - E + H_KF M + M^T e exactly. G, the series of
+    (U^T U)^-1/2 = (I + S)^-1/2 (S = M^T M) to S^3, leaves
+    |G U^T U G - I| below |S|^4 <= eps, so W = U G is orthonormal to
+    round-off, and the eigenpairs (theta, Z) of G U^T (H - E) U G are the
+    Ritz pairs of H on span(U): levels E + theta and vectors W Z.
+    """
+    kept, folded = block.kept, block.folded
+    n_f = len(folded)
+    energy = 0.5 * float(even[pair[0], pair[0]] + even[pair[1], pair[1]])
+    above = np.concatenate([folded, block.dropped])
+    h_aa = even.take(above, 0).take(above, 1)
+    edge = _gershgorin(h_aa)[0].min()
+    if not energy < edge:
+        return None
+    h_fk = even.take(folded, 0).take(kept, 1)
+    off = h_aa[:n_f, :n_f].copy()
+    to_folded = energy - off.diagonal()[:, None]
+    np.fill_diagonal(off, 0.0)
+    m = h_fk / to_folded
+    for _ in range(_SWEEPS):
+        m = (h_fk + off @ m) / to_folded
+    norm_m = _norm_bound(m)
+    if not norm_m**8 <= np.finfo(float).eps:
+        return None
+    h_kk = even.take(kept, 0).take(kept, 1)
+    x = h_fk.T @ m
+    # (H - E) U = [X_K; e; H_DF M] with X_K = H_KK - E + H_KF M and
+    # e = H_FK + (H_FF - E) M, where (H_FF - E) M = off M - (E - diag H_FF) M
+    x_k = h_kk + x
+    x_k.flat[::len(kept) + 1] -= energy
+    h_m = off @ m - to_folded * m
+    s = m.T @ m
+    s2 = s @ s
+    g = np.eye(len(kept)) - 0.5 * s + 0.375 * s2 - 0.3125 * (s2 @ s)
+    theta, z = np.linalg.eigh(g @ (x_k + x.T + m.T @ h_m) @ g)
+    c = g @ z
+    # the lowest edge of spec(W^T H W) and the coupling C of `_truncation_bound`
+    norm_fk, norm_x = _norm_bound(h_fk), _norm_bound(x_k)
+    coupling = norm_m * (norm_x + _norm_bound(h_aa[n_f:, :n_f])) + _norm_bound(h_fk + h_m)
+    norm_kk = norm_x + abs(energy) + norm_fk * norm_m
+    low = edge - norm_m * (2.0 * norm_fk + norm_m * (max(edge, 0.0) + norm_kk))
+    return theta + energy, np.concatenate([c, m @ c]), (m, h_aa, h_fk, h_kk, low, coupling)
+
+
+def _gershgorin(matrix: np.ndarray) -> tuple:
+    """The lower and upper edges of the Gershgorin discs of a real matrix."""
+    centre = matrix.diagonal()
+    radius = abs(matrix).sum(axis=1) - abs(centre)
+    return centre - radius, centre + radius
+
+
+def _norm_bound(matrix: np.ndarray) -> float:
+    """sqrt(|A|_1 |A|_inf), an upper bound on the spectral norm."""
+    size = abs(matrix)
+    return math.sqrt(size.sum(axis=0).max() * size.sum(axis=1).max())
+
+
+def _truncation_bound(even: np.ndarray, block: _ScanBlock, fold: tuple | None,
+                      levels: np.ndarray, model: np.ndarray, others: np.ndarray,
+                      v_p: np.ndarray, halfwidth: float, norm_pq: float, largest: float) -> tuple:
+    """Bound (rad/s) on how far the states of the even block outside a tier's
+    solve move any of its model levels, at every scan offset
+    |delta| <= delta_max, and the coefficient k of the share delta^2 k that
+    the scan adds to each point's remainder bound; inf where a separation it
+    needs is not proven. The solve's levels are `levels`, its model ones
+    Theta = levels[model] with vectors V_P = `v_p` (rows as `block`'s), and
+    `fold` what it reads of `_fold`, or None. delta_max = `halfwidth`; with
+    |Dt_QP| = `norm_pq` and max D <= `largest`, rotation = delta_max |Dt_QP|
+    and shift = delta_max max D.
 
     Lemma (quadratic residual bound; Mathias, SIAM J. Matrix Anal. Appl.
     19, 541 (1998)): let A = [[A1, E^T], [E, A2]] be real symmetric and every
@@ -455,46 +559,80 @@ def _truncation_bound(even: np.ndarray, kept: np.ndarray, dropped: np.ndarray,
     eigenvalue of A1 (+) A2 that belongs to A1 is within |E|^2 / eta of the
     eigenvalue of A of the same rank.
 
-    At an offset, take the basis of the kept block's eigenvectors V(delta),
-    model P then rest Q, followed by the dropped states. V(delta)
-    diagonalizes the kept block and delta D is diagonal, so A1 = Theta (the
-    model levels), A2 = [[Lambda_Q, S^T], [S, H_DD + delta D_D]] and
-    E = (0, R) with R = H_DK V_P(delta), S = H_DK V_Q(delta).
+    At an offset, take the basis of the solve's eigenvectors V(delta) at
+    delta, model P then rest Q, followed by an orthonormal basis W of the
+    states outside the solve. In both tiers the solve is the compression of
+    H + delta D onto a fixed space, which V(0) diagonalizes, so
+    A1 = Theta(delta), A2 = [[Lambda_Q(delta), S^T], [S, W^T (H + delta D) W]]
+    and E = W^T (H + delta D) V_P(delta), with S = W^T (H + delta D) V_Q(delta).
+    - Capped tier: W is the dropped states; C = |H_DK| bounds |S| (D is
+      diagonal), spec(W^T H W) lies in the Gershgorin discs of H_DD, the
+      residual is r = |H_DK V_P| and t = 0.
+    - Fold: W spans the vectors x = [-M^T b; b; c] (kept, folded, dropped
+      rows) orthogonal to span(U), |b|, |c| <= 1 for a unit x; H couples no
+      kept state to a dropped one. With z = [0; b; c],
+      x^T H x >= g |z|^2 - 2 |M| |H_KF| - |M|^2 |H_KK|, g the lowest
+      Gershgorin edge of H_AA, H on the folded and dropped states, and
+      |z|^2 >= 1 - |M|^2; so spec(W^T H W) lies above
+      g - |M| (2 |H_KF| + |M| (max(g, 0) + |H_KK|)), with
+      |H_KK| <= |X_K| + |E| + |H_KF| |M|. For a unit w = U a in span(U),
+      |a| <= 1, x^T U = 0 gives x^T H w = x^T (H - E) U a
+      = -b^T M X_K a + b^T e a + c^T H_DF M a, X_K = H_KK - E + H_KF M;
+      so |M| (|X_K| + |H_DF|) + |e|, plus `shift` for delta W^T D W_Q, is
+      C >= |S|.
+      r = |H V_P - V_P Theta| is computed on the whole even block, and
+      t >= |W^T D V_P| is the Frobenius norm of D_F M C_P - M D_K C_P with
+      V_P = [C_P; M C_P]: D V_P is no farther from its projection onto
+      span(U) than from U D_K C_P.
     - eta: Theta lies within `shift` of [lo, hi], the range of the model
       levels at delta = 0, and Lambda_Q within `shift` of the other levels
-      (Weyl). spec(A2) lies within |S| <= |H_DK| of Lambda_Q and
-      spec(H_DD + delta D_D) (Weyl), which lies within `shift` of the
-      Gershgorin discs of H_DD. So eta >= eta_2 = dist([lo, hi], the other
-      levels and the discs) - 2 shift - |H_DK|.
-    - |R|: V_P(delta) = V_P C + V_Q Z with |C| <= 1, and |Z| is the sine of
+      (Weyl). spec(A2) lies within |S| <= C of Lambda_Q and spec(W^T H W),
+      which lies within `shift` of the range above (Weyl). So
+      eta >= eta_2 = dist([lo, hi], the other levels and that range)
+      - 2 shift - C.
+    - |E|: V_P(delta) = V_P X + V_Q Z with |X| <= 1, and |Z| is the sine of
       the largest angle between the model spaces at delta and at 0. In the
-      kept block at delta, V_P has the residual delta V_Q Dt_QP and a
-      Rayleigh quotient with spectrum within `shift` of [lo, hi], so
+      solve at delta, V_P has the residual delta V_Q Dt_QP and a Rayleigh
+      quotient with spectrum within `shift` of [lo, hi], so
       |Z| <= rotation / eta_1 (Davis-Kahan sin-theta theorem), with
       eta_1 = dist([lo, hi], the other levels) - 2 shift. So
-      |R| <= |H_DK V_P| + |H_DK| rotation / eta_1.
-    |H_DK| is bounded by sqrt(|H_DK|_1 |H_DK|_inf), and the bound is
-    (|H_DK V_P| + |H_DK| rotation / eta_1)^2 / eta_2.
+      |E| <= a + |delta| t with a = r + C rotation / eta_1.
+    (a + |delta| t)^2 / eta_2 is (a^2 + 2 a delta_max t) / eta_2, the bound
+    returned, plus delta^2 t^2 / eta_2, the share k = t^2 / eta_2, which the
+    scan adds at each point, where the six-quanta sector's eigenvectors
+    would enter Dt_PQ. |A| is bounded by sqrt(|A|_1 |A|_inf) (`_norm_bound`).
     """
-    h_dk = even[np.ix_(dropped, kept)]
-    h_dd = even[np.ix_(dropped, dropped)]  # a copy, so its absolute value is taken in place
-    centre = h_dd.diagonal().copy()
-    radius = np.abs(h_dd, out=h_dd).sum(axis=1) - abs(centre)
-    lo, hi = model.min(), model.max()
+    theta, rotation, shift = levels[model], halfwidth * norm_pq, halfwidth * largest
+    if fold is None:
+        h_dk = even.take(block.dropped, 0).take(block.kept, 1)
+        low, high = _gershgorin(even.take(block.dropped, 0).take(block.dropped, 1))
+        coupling, leak = _norm_bound(h_dk), 0.0
+        residual = _two_norm(h_dk @ v_p)
+    else:
+        m, h_aa, h_fk, h_kk, low, coupling = fold
+        n_k, n_f = len(block.kept), len(block.folded)
+        c_p, y_p = v_p[:n_k], v_p[n_k:]
+        # H V_P - V_P Theta on the kept, folded and dropped states; H_DK = 0
+        residual = _two_norm(np.concatenate([
+            h_kk @ c_p + h_fk.T @ y_p - c_p * theta,
+            h_fk @ c_p + h_aa[:n_f, :n_f] @ y_p - y_p * theta,
+            h_aa[n_f:, :n_f] @ y_p]))
+        half = block.half_pair_number[:, None]
+        leak = float(np.linalg.norm(half[n_k:] * y_p - m @ (half[:n_k] * c_p)))
+        low, high, coupling = np.array([low]), np.array([np.inf]), coupling + shift
+    lo, hi = theta.min(), theta.max()
 
     def distance(low: np.ndarray, high: np.ndarray) -> float:
         """Smallest distance of the intervals [low, high] from [lo, hi]; 0 if one meets it."""
         return float(np.maximum(np.maximum(lo - high, low - hi), 0.0).min())
 
-    to_rest = distance(others, others)
-    to_dropped = distance(centre - radius, centre + radius)
-    norm_dk = np.sqrt(abs(h_dk).sum(axis=0).max() * abs(h_dk).sum(axis=1).max())
+    to_rest = distance(levels[others], levels[others])
     eta_1 = to_rest - 2.0 * shift
-    eta_2 = min(to_rest, to_dropped) - 2.0 * shift - norm_dk
+    eta_2 = min(to_rest, distance(low, high)) - 2.0 * shift - coupling
     if not min(eta_1, eta_2) > 0.0:
-        return np.inf
-    residual = _two_norm(h_dk @ v_p) + norm_dk * rotation / eta_1
-    return float(residual**2 / eta_2)
+        return np.inf, np.inf
+    a = residual + coupling * rotation / eta_1
+    return float(a * (a + 2.0 * halfwidth * leak) / eta_2), float(leak * leak / eta_2)
 
 
 def _two_norm(matrix: np.ndarray) -> float:

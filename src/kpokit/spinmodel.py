@@ -293,7 +293,8 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
     sums over the points of math.log's log-ratios (bits independent of
     NumPy). ln p_ref = ln A + C + B sin(theta) is fitted on [1, s],
     refused where its Frobenius condition number |R|_F^2/det R exceeds 1e8
-    or A overflows; only A*exp(C) is identifiable, so C = 0.
+    or A overflows or underflows past the smallest normal float; only
+    A*exp(C) is identifiable, so C = 0.
     """
     theta_d4 = np.asarray(theta_d4, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
@@ -335,8 +336,10 @@ def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResu
     if not n + sin_t @ sin_t <= 1e8 * r11 * r22:
         raise ValueError("reference curve unidentifiable: cond [1, sin(theta_d4)] > 1e8")
     b = float(moments[-1] / r22**2)
-    if not (ln_a := totals[-1] / n - mean * b) < math.log(np.finfo(float).max):
-        raise ValueError(f"reference amplitude A = exp({ln_a:.3g}) overflows")
+    ln_a = totals[-1] / n - mean * b
+    if not math.log(np.finfo(float).tiny) <= ln_a < math.log(np.finfo(float).max):
+        raise ValueError(f"reference amplitude A = exp({ln_a:.3g}) "
+                         f"{'overflows' if ln_a > 0 else 'underflows'}")
     return FitResult(model=_model(coeffs), reference={"A": math.exp(ln_a), "B": b, "C": 0.0},
                      residual_norm=residual, condition_number=cond)
 

@@ -424,6 +424,27 @@ def test_netlist_wrong_types_rejected(tmp_path, capsys, doc, message):
     assert err.startswith(f"{ERROR_PREFIX}: {message}")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [(dict(SQUID_BRANCH, nodes=["q", "x"], capacitors=[
+        *SQUID_BRANCH["capacitors"], {"a": "x", "b": "gnd", "f_farads": 1e-300}]),
+      "capacitance of node(s) x (1e-315 F) underflows the inversion"),
+     (dict(SQUID_BRANCH, capacitors=[{"a": "q", "b": "gnd", "f_farads": 1e-300}]),
+      "capacitance of node(s) q (1e-315 F) underflows the inversion")],
+    ids=["isolated-node", "c-l-underflows"],
+)
+def test_effective_quantize_names_the_node_whose_capacitance_underflows(
+        tmp_path, capsys, doc, message):
+    # before, the isolated node's inverse capacitance was inf and the mode of
+    # q printed with exit 0; a lone 1e-300 fF node was refused only as
+    # "inversion residual inf exceeds 1e-10"
+    argv = ["quantize", "--effective", _write_netlist(tmp_path / "tiny.json", doc)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: {message}")
+
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -757,6 +778,20 @@ def test_fit_refuses_an_unidentifiable_reference_curve(tmp_path, capsys, thetas)
     assert code == 2
     assert out == ""
     assert err.startswith(f"{ERROR_PREFIX}: reference curve unidentifiable")
+
+
+def test_fit_refuses_a_reference_amplitude_that_underflows(tmp_path, capsys):
+    # p_ref swinging from 1e-12 to 0.9 across sines 1e-7 apart extrapolates
+    # to ln A = -2.3e8; before, the fit printed A = 0 and B = 3.6e8, exit 0
+    path = tmp_path / "probs.csv"
+    path.write_text("".join(
+        f"{t!r}," + ",".join(["0.0625"] * 15 + [p]) + "\n"
+        for t, p in [(0.7, "1e-12"), (0.7 + 1e-7, "0.9")] * 10))
+    code, out, err = _run(capsys, ["fit", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: reference amplitude A = exp(-2.3")
+    assert "underflows" in err
 
 
 def test_fit_rejects_malformed_rows(tmp_path, capsys):

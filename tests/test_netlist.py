@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,27 @@ def test_inverse_identity_residual():
     g = invert_capacitance(c)
     residual = np.max(np.abs(g.matrix @ c.matrix - np.eye(6)))
     assert residual < 1e-10
+
+
+@pytest.mark.parametrize("diagonal, node", [((1e-315, 5e-13), "a"), ((5e-13, 1e-315), "b")])
+def test_inversion_names_the_node_whose_capacitance_underflows(diagonal, node):
+    # 1 / 1e-315 F overflows; before, the inverse held inf and the NaN
+    # residual of its product with C passed the check
+    c = CapacitanceMatrix(np.diag(diagonal), ("a", "b"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"capacitance of node(s) {node} (1e-315 F) underflows the inversion")):
+        invert_capacitance(c)
+
+
+def test_inversion_refuses_a_residual_that_is_not_finite(monkeypatch):
+    # a finite inverse whose product with C overflows: summed as inf - inf
+    # it is NaN, which passed the check before (NaN > 1e-10 is False); a
+    # fused multiply-add rounds it to inf instead
+    c = CapacitanceMatrix(np.array([[10.0, 10.0], [10.0, 20.0]]), ("a", "b"))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([[6e307, -6e307],
+                                                                   [-6e307, 6e307]]))
+    with pytest.raises(ValueError, match="inversion residual (nan|inf) exceeds 1e-10"):
+        invert_capacitance(c)
 
 
 def test_floating_node_diagnosed():

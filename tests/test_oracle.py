@@ -45,10 +45,10 @@ def _total_parity(n_modes, d):
     return occupations.sum(axis=0) % 2
 
 
-def _capped(n_modes, d):
-    """Which states of the even block hold at most six quanta."""
+def _capped(n_modes, d, cap=6):
+    """Which states of the even block hold at most `cap` quanta."""
     total = np.indices((d,) * n_modes).reshape(n_modes, -1).sum(axis=0)
-    return total[total % 2 == 0] <= 6
+    return total[total % 2 == 0] <= cap
 
 
 def _full(ham):
@@ -521,9 +521,12 @@ def test_gap_trace_matches_full_space_rebuild(coupler):
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ, n_scan=11)
     expected = [_full_space_gap(spectrum, couplings, d, x) for x in result["offsets"]]
     assert result["gaps"] == pytest.approx(expected, rel=1e-8)
-    # the block actually diagonalized: the even states of at most six quanta
+    # the block actually diagonalized: the even states of at most four quanta,
+    # with those of six folded in
     n_modes = 5 if coupler else 4
-    assert result["dimension"] == np.count_nonzero(_capped(n_modes, d)) == (86 if d == 4 else 106)
+    expected = (61, 45) if coupler else (42, 44)
+    assert (result["dimension"], result["folded_dimension"]) == expected
+    assert result["dimension"] == np.count_nonzero(_capped(n_modes, d, 4))
     assert result["truncation_bound"] <= result["roundoff"]
     assert 2 * oracle.OVERLAP_THRESHOLD < result["pair_weight"] <= 2.0 + 1e-12
 
@@ -606,9 +609,9 @@ def test_basis_arrays_are_read_only(fresh_basis):
     arrays = [basis.occupations, basis.pair, *basis.spaces,
               *(x for block in basis.scan for x in block if x is not None),
               *(x for table in tables for x in table[1:])]
-    # five arrays, the scan's five and four (the whole block drops none)
-    # and three per space's element table
-    assert len(arrays) == 5 + 5 + 4 + 3 * 3
+    # five arrays, the scan's six (fold), five (cap; it folds none) and
+    # four (the whole block drops none) and three per space's element table
+    assert len(arrays) == 5 + 6 + 5 + 4 + 3 * 3
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -618,14 +621,19 @@ def test_basis_arrays_are_read_only(fresh_basis):
 def test_scan_blocks_are_read_off_the_occupations(fresh_basis, n_modes, d):
     basis = fresh_basis(n_modes, d)
     occupations = basis.occupations[:, basis.spaces[0]]
-    capped, whole = basis.scan
-    assert whole.dropped is None
+    fold, capped, whole = basis.scan
+    assert capped.folded is whole.folded is whole.dropped is None
     np.testing.assert_array_equal(whole.kept, np.arange(occupations.shape[1]))
     np.testing.assert_array_equal(capped.kept, np.flatnonzero(_capped(n_modes, d)))
-    np.testing.assert_array_equal(np.sort(np.concatenate([capped.kept, capped.dropped])),
-                                  whole.kept)
+    np.testing.assert_array_equal(fold.kept, np.flatnonzero(_capped(n_modes, d, 4)))
+    np.testing.assert_array_equal(fold.folded, np.flatnonzero(_capped(n_modes, d) & ~_capped(
+        n_modes, d, 4)))
+    np.testing.assert_array_equal(fold.dropped, capped.dropped)
+    for parts in ([capped.kept, capped.dropped], [fold.kept, fold.folded, fold.dropped]):
+        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), whole.kept)
     for block in basis.scan:
-        occ = occupations[:, block.kept]
+        rows = block.kept if block.folded is None else np.concatenate([block.kept, block.folded])
+        occ = occupations[:, rows]
         np.testing.assert_array_equal(block.half_pair_number, 0.5 * occ[:2].sum(axis=0))
         np.testing.assert_array_equal(block.two_quanta, occ.sum(axis=0) == 2)
         np.testing.assert_array_equal(block.kept[block.pair], basis.pair)
@@ -818,19 +826,101 @@ def _oracle_ladders():
             for eps_mhz in (50, 100, 200, 300, 500) for d in (4, 5, 6)]
 
 
-@pytest.mark.parametrize("case", ["seeded-ladders", "oracle-ladders", "with-coupler-d4-d5"])
-def test_gap_scan_keeps_the_capped_block_on_the_suites_systems(case):
-    # the bound reads 1.5e-6 to 5e-6 rad/s on the ladders against a round-off
-    # of 7e-3 to 1e-2 rad/s, and 1e-3 to 2e-3 rad/s with the coupler against 2e-2
+def _reference_fold(spectrum, couplings, d):
+    """The fold's levels found another way: M = (E - H_FF)^-1 H_FK from one
+    solve, an orthonormal basis of span([I; M]) from a QR factorization,
+    and the eigenvalues of H compressed onto it."""
+    even = build_hamiltonian(spectrum, couplings, d, odd=False).even
+    basis = oracle._fock_basis(5 if spectrum.has_coupler else 4, d)
+    fold = basis.scan[0]
+    energy = even[basis.pair, basis.pair].mean()
+    h_ff = even[np.ix_(fold.folded, fold.folded)]
+    m = np.linalg.solve(energy * np.eye(len(h_ff)) - h_ff, even[np.ix_(fold.folded, fold.kept)])
+    q, _ = np.linalg.qr(np.vstack([np.eye(len(fold.kept)), m]))
+    lifted = np.concatenate([fold.kept, fold.folded])
+    return np.linalg.eigvalsh(q.T @ even[np.ix_(lifted, lifted)] @ q)
+
+
+def _whole_block_scan(monkeypatch, spectrum, couplings, d, halfwidth):
+    """The scan with every tier's bound read as infinite, so that it solves
+    the whole even block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_truncation_bound", lambda *args: (np.inf, np.inf))
+        return four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
+
+
+@pytest.mark.parametrize("case", ["seeded-ladders", "oracle-ladders", "with-coupler-d3-d5"])
+def test_gap_scan_tiers_on_the_suites_systems_match_the_whole_block(monkeypatch, case):
+    # the fold's bound reads 6e-6 to 1e-3 rad/s on the ladders against a
+    # round-off of 2.3e-3 to 2.6e-3 rad/s, and 3.2e-3 against 3.4e-3 with the
+    # coupler at d = 3; at d = 4 and 5 it exceeds the fold's round-off, and
+    # the capped solve's reads 1.2e-3 and 2.1e-3 rad/s against 1.8e-2 and 2.3e-2
     systems, halfwidth = {"seeded-ladders": (_seeded_ladders(20), 3 * MHZ),
                           "oracle-ladders": (_oracle_ladders(), 2 * MHZ),
-                          "with-coupler-d4-d5": ([_coupler_system(4), _coupler_system(5)],
+                          "with-coupler-d3-d5": ([_coupler_system(d) for d in (3, 4, 5)],
                                                  3 * MHZ)}[case]
     for spectrum, couplings, d in systems:
         result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
         n_modes = 5 if spectrum.has_coupler else 4
-        assert result["dimension"] == np.count_nonzero(_capped(n_modes, d))
+        if spectrum.has_coupler and d > 3:
+            # the even states of at most six quanta
+            tier = (np.count_nonzero(_capped(n_modes, d)), 0)
+        else:
+            # those of at most four, and the six-quanta ones folded in
+            tier = (np.count_nonzero(_capped(n_modes, d, 4)),
+                    np.count_nonzero(_capped(n_modes, d) & ~_capped(n_modes, d, 4)))
+        assert (result["dimension"], result["folded_dimension"]) == tier
         assert 0.0 < result["truncation_bound"] <= result["roundoff"]
+        # the gaps and |h_eff| of the whole block, within the tolerance of
+        # `test_one_eigensolve_scan_matches_per_point_dense_scan`, whose
+        # round-off floor 4 eps |H| on a gap is 2 eps |H| on h_eff = gap / 2:
+        # at 500 MHz and d = 6, h_eff is 130 rad/s and the capped and whole
+        # solves differ by 1.6e-4 rad/s, 1.2e-6 of it, against 5e-4 rad/s
+        whole = _whole_block_scan(monkeypatch, spectrum, couplings, d, halfwidth)
+        even = build_hamiltonian(spectrum, couplings, d, odd=False).even
+        assert (whole["dimension"], whole["truncation_bound"]) == (len(even), 0.0)
+        floor = 4 * np.finfo(float).eps * np.linalg.norm(even, 2)
+        tolerance = np.maximum(1e-8 * whole["gaps"], floor)
+        assert np.all(abs(result["gaps"] - whole["gaps"]) <= tolerance)
+        assert abs(result["h_eff"] - whole["h_eff"]) <= max(1e-6 * whole["h_eff"], floor / 2)
+
+
+def test_fold_bounds_the_share_of_the_six_quanta_sector(monkeypatch):
+    # the share of delta^2 Dt_PQ (E - Lambda_Q)^-1 Dt_QP that the six-quanta
+    # sector's eigenvectors add, from the capped block's own eigenvectors,
+    # on the `oracle` ladder at 300 MHz: the fold's bound on it is about
+    # 4e6 times larger, and still 2e-9 rad/s at the half-width
+    spectrum, couplings, d = _oracle_ladders()[9]
+    halfwidth, bound, seen = 2 * MHZ, oracle._truncation_bound, []
+
+    def recorded(*args):
+        seen.append(bound(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_truncation_bound", recorded)
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
+    assert result["folded_dimension"] == 44 and len(seen) == 1
+    share = seen[0][1]
+    basis = oracle._fock_basis(4, d)
+    capped = basis.scan[1]
+    even = build_hamiltonian(spectrum, couplings, d, odd=False).even
+    levels, vecs = np.linalg.eigh(even[np.ix_(capped.kept, capped.kept)])
+    total = basis.occupations[:, basis.spaces[0][capped.kept]].sum(axis=0)
+    model, six = ((vecs[total == q] ** 2).sum(axis=0) > 0.5 for q in (2, 6))
+    assert np.count_nonzero(six) == 44
+    dt = vecs[:, model].T @ (capped.half_pair_number[:, None] * vecs[:, six])
+    pair = vecs[np.ix_(capped.pair, np.flatnonzero(model))] ** 2
+    energy = np.sum(pair * levels[model]) / np.sum(pair)
+    exact = np.linalg.norm(dt, 2) ** 2 / np.min(abs(energy - levels[six]))
+    assert 0.0 < exact <= share
+    assert share * halfwidth**2 < 1e-8
+    # and every point's remainder bound holds it: raised by 1 / halfwidth^2,
+    # the share adds 1 rad/s at the ends of the scan
+    monkeypatch.setattr(oracle, "_truncation_bound",
+                        lambda *args: (bound(*args)[0], bound(*args)[1] + halfwidth**-2))
+    monkeypatch.setattr(oracle, "REMAINDER_TOL", 1.0)
+    raised = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
+    assert 1.0 <= raised["remainder_bound"] <= 1.0 + 2 * result["remainder_bound"]
 
 
 def test_gap_scan_solves_the_whole_block_when_the_bound_exceeds_roundoff(monkeypatch):
@@ -852,8 +942,9 @@ def test_gap_scan_solves_the_whole_block_when_the_bound_exceeds_roundoff(monkeyp
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(oracle, "_truncation_bound", recorded)
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    # the fold is not tried: its lift M is too large for its orthonormalization
     assert [shape for shape in shapes if shape != (10, 10)] == [(86, 86), (128, 128)]
-    assert len(bounds) == 1 and bounds[0] > 1.0
+    assert len(bounds) == 1 and bounds[0][0] > 1.0
     assert result["dimension"] == 128
     assert result["truncation_bound"] == 0.0
 
@@ -873,9 +964,10 @@ def test_gap_scan_diagonalizes_the_even_block_once(monkeypatch, case):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
-    # the even states of at most six quanta, of 128 and 122
+    # the states of at most four quanta with those of six folded in: 42 of
+    # 128 even states, and 61 of 122 with the coupler
     block = (result["dimension"],) * 2
-    assert block[0] == {"kpos-d4": 86, "with-coupler-d3": 106}[case]
+    assert block[0] == {"kpos-d4": 42, "with-coupler-d3": 61}[case]
     assert shapes.count(block) == 1
     # every other solve is in the two-quantum manifold: C(n + 1, 2) states
     manifold = {"kpos-d4": 10, "with-coupler-d3": 15}[case]
@@ -899,8 +991,9 @@ def test_gram_norms_match_the_svd_norm_on_the_scans_matrices(monkeypatch, case):
     monkeypatch.setattr(oracle, "_two_norm", recorded)
     for spectrum, couplings, d in systems:
         four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
-    # per scan, Dt_PQ (a row per model state), then H_DK V_P (a column per one)
-    assert len(seen) == 2 * len(systems)
+    # per tier tried, Dt_PQ (a row per model state), then the bound's
+    # residual (a column per one); with the coupler the fold and the cap
+    assert len(seen) == (2 if case == "seeded-ladders" else 4) * len(systems)
     assert all(m.shape[0] == manifold for m, _ in seen[0::2])
     assert all(m.shape[1] == manifold for m, _ in seen[1::2])
     for matrix, norm in seen:
@@ -984,10 +1077,9 @@ def test_gap_scan_records_its_roundoff_and_names_it_when_refused(monkeypatch):
     spectrum, couplings = _ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ))
     kwargs = dict(d=3, scan_halfwidth=3 * MHZ, n_scan=11)
     roundoff = four_body_from_gap(spectrum, couplings, **kwargs)["roundoff"]
-    # of the block actually diagonalized: the even states of at most six quanta
-    kept = _capped(4, 3)
-    even = build_hamiltonian(spectrum, couplings, d=3).even
-    levels = np.linalg.eigvalsh(even[np.ix_(kept, kept)])
+    # of the block actually diagonalized: the fold's 30 states
+    levels = _reference_fold(spectrum, couplings, 3)
+    assert len(levels) == 30
     assert roundoff == pytest.approx(len(levels) * np.finfo(float).eps * abs(levels).max(),
                                      rel=1e-12)
     monkeypatch.setattr(oracle, "REMAINDER_TOL", 1e-14)

@@ -554,6 +554,32 @@ def test_fit_refuses_a_reference_amplitude_that_overflows():
         fit_energy_model(theta, probs)
 
 
+def _reference_curve(ln_a):
+    """A flat table whose p_ref follows ln A + 720 sin(theta) from 1e-12 to
+    0.6, on 20 sines near 0.95 to 0.98."""
+    theta = np.arcsin(np.linspace((-27.0 - ln_a) / 720.0, (-0.5 - ln_a) / 720.0, 20))
+    probs = np.full((20, 16), 1 / 16)
+    probs[:, -1] = np.exp(ln_a + 720.0 * np.sin(theta))
+    return theta, probs
+
+
+def test_fit_refuses_a_reference_amplitude_that_underflows():
+    # the overflowing table with p_ref swung the other way extrapolates to
+    # ln A = -2.3e8: before, A came out 0.0 (with B = 3.6e8) unrefused
+    theta = np.array([0.7, 0.7 + 1e-7] * 10)
+    probs = np.full((20, 16), 1 / 16)
+    probs[::2, -1], probs[1::2, -1] = 1e-12, 0.9
+    with pytest.raises(ValueError, match=r"reference amplitude A = exp\(-2.3\de\+08\) underflows"):
+        fit_energy_model(theta, probs)
+    # a smooth curve through ln A = -708.5 would give a subnormal A; at
+    # -708.0 A is normal and kept
+    with pytest.raises(ValueError, match=r"reference amplitude A = exp\(-708\) underflows"):
+        fit_energy_model(*_reference_curve(-708.5))
+    fit = fit_energy_model(*_reference_curve(-708.0))
+    assert fit.reference["A"] == pytest.approx(math.exp(-708.0), rel=1e-9)
+    assert fit.reference["B"] == pytest.approx(720.0, rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # interaction-strength estimation
 # --------------------------------------------------------------------------
