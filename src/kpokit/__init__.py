@@ -120,3 +120,38 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+class _Record:
+    """Base of the package's immutable records. A subclass names its fields
+    in ``__slots__``, in the order of its ``__init__``, which sets each with
+    ``object.__setattr__``. A record compares and hashes by its class and
+    fields (one holding an array or a dict is unhashable), reprs as
+    ``Name(field=value, ...)``, refuses assignment, and pickles and copies
+    by calling its class on its fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()

@@ -79,6 +79,9 @@ def cmd_quantize(args, out) -> int:
     if not branches:
         raise ValueError("netlist has no junction branches to quantize")
     for br in branches:
+        if len(br.nodes) != 1:
+            raise ValueError(f"branch across nodes {', '.join(br.nodes)}: quantize reads "
+                             "branches from one node to ground")
         node = br.nodes[0]
         if use_effective:
             idx = g.node_order.index(node)

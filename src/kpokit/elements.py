@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _Record
 from .constants import E_CHARGE, HBAR, PHI0_REDUCED
 
 _MAX_FLUX = 5000.0  # rad, largest |phi_x| the flux continuation follows: 10**5 steps of 0.05 rad
@@ -22,22 +21,22 @@ _MAX_FLUX = 5000.0  # rad, largest |phi_x| the flux continuation follows: 10**5 
 # element variants
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Squid:
+class Squid(_Record):
     """Flux-tunable SQUID, modeled by its effective Josephson inductance."""
 
-    l_j: float  # henries
+    __slots__ = ("l_j",)
 
-    def __post_init__(self):
+    def __init__(self, l_j: float):
+        object.__setattr__(self, "l_j", l_j)  # henries
         if not 0 < self.l_j < math.inf:
             raise ValueError(f"SQUID inductance must be positive and finite, got {self.l_j}")
 
 
-@dataclass(frozen=True)
-class SingleJunction:
-    i0: float  # critical current, amperes
+class SingleJunction(_Record):
+    __slots__ = ("i0",)
 
-    def __post_init__(self):
+    def __init__(self, i0: float):
+        object.__setattr__(self, "i0", i0)  # critical current, amperes
         if not 0 < self.i0 < math.inf:
             raise ValueError(f"critical current must be positive and finite, got {self.i0}")
 
@@ -46,27 +45,27 @@ class SingleJunction:
         return PHI0_REDUCED / self.i0
 
 
-@dataclass(frozen=True)
-class SeriesStack:
-    elements: tuple
+class SeriesStack(_Record):
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
+    def __init__(self, elements: tuple):
+        object.__setattr__(self, "elements", elements)
         if not self.elements:
             raise ValueError("series stack needs at least one element")
         if any(isinstance(e, Snail) for e in self.elements):
             raise ValueError("a series stack holds SQUIDs and junctions, not a SNAIL")
 
 
-@dataclass(frozen=True)
-class Snail:
+class Snail(_Record):
     """n junctions (critical current i0) in a loop with one gamma*i0 junction."""
 
-    i0: float           # amperes
-    gamma: float        # critical-current ratio, 0 < gamma < 1
-    n: int = 2          # junction count on the large branch
-    phi_x: float = 0.0  # external flux phase, radians
+    __slots__ = ("i0", "gamma", "n", "phi_x")
 
-    def __post_init__(self):
+    def __init__(self, i0: float, gamma: float, n: int = 2, phi_x: float = 0.0):
+        object.__setattr__(self, "i0", i0)        # amperes
+        object.__setattr__(self, "gamma", gamma)  # critical-current ratio, 0 < gamma < 1
+        object.__setattr__(self, "n", n)          # junction count on the large branch
+        object.__setattr__(self, "phi_x", phi_x)  # external flux phase, radians
         if not 0 < self.i0 < math.inf:
             raise ValueError(f"critical current must be positive and finite, got {self.i0}")
         if not 0 < self.gamma < 1:
@@ -98,32 +97,36 @@ def junction_inductances(element: JunctionElement) -> list[float]:
 # results
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModeParams:
-    omega: float  # rad/s
-    kerr: float   # rad/s, signed
+class ModeParams(_Record):
+    __slots__ = ("omega", "kerr")
 
-    def __post_init__(self):
+    def __init__(self, omega: float, kerr: float):
+        object.__setattr__(self, "omega", omega)  # rad/s
+        object.__setattr__(self, "kerr", kerr)    # rad/s, signed
         if not 0 < self.omega < math.inf:
             raise ValueError(f"resonance frequency must be positive and finite, got {self.omega}")
         if not -math.inf < self.kerr < math.inf:
             raise ValueError(f"Kerr coefficient must be finite, got {self.kerr}")
 
 
-@dataclass(frozen=True)
-class SnailExpansion:
-    phi_bar: float  # equilibrium phase, radians
-    c2: float
-    c3: float
-    c4: float
-    participation: float  # inductive participation p
+class SnailExpansion(_Record):
+    __slots__ = ("phi_bar", "c2", "c3", "c4", "participation")
+
+    def __init__(self, phi_bar: float, c2: float, c3: float, c4: float, participation: float):
+        object.__setattr__(self, "phi_bar", phi_bar)  # equilibrium phase, radians
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
+        object.__setattr__(self, "c4", c4)
+        object.__setattr__(self, "participation", participation)  # inductive participation p
 
 
-@dataclass(frozen=True)
-class LinearFit:
-    slope: float       # d kerr / d omega, dimensionless
-    intercept: float   # rad/s
-    residual_norm: float  # rad/s
+class LinearFit(_Record):
+    __slots__ = ("slope", "intercept", "residual_norm")
+
+    def __init__(self, slope: float, intercept: float, residual_norm: float):
+        object.__setattr__(self, "slope", slope)  # d kerr / d omega, dimensionless
+        object.__setattr__(self, "intercept", intercept)  # rad/s
+        object.__setattr__(self, "residual_norm", residual_norm)  # rad/s
 
     def kerr_at(self, omega: float) -> float:
         return self.slope * omega + self.intercept

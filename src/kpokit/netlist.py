@@ -10,22 +10,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _Record
 from .constants import FEMTO, NANO, PICO
 from .elements import JunctionElement, SeriesStack, SingleJunction, Snail, Squid
-from .perturbation import CouplingGraph, ModeSpectrum, _modes
+
+if TYPE_CHECKING:
+    from .perturbation import CouplingGraph, ModeSpectrum
 
 
-@dataclass(frozen=True)
-class Capacitor:
-    node_a: str
-    node_b: str          # may be the ground node
-    capacitance: float   # farads
+class Capacitor(_Record):
+    __slots__ = ("node_a", "node_b", "capacitance")
 
-    def __post_init__(self):
+    def __init__(self, node_a: str, node_b: str, capacitance: float):
+        object.__setattr__(self, "node_a", node_a)
+        object.__setattr__(self, "node_b", node_b)  # may be the ground node
+        object.__setattr__(self, "capacitance", capacitance)  # farads
         if not 0 < self.capacitance < math.inf:
             raise ValueError(f"capacitance {self.node_a}-{self.node_b} must be positive and "
                              f"finite, got {self.capacitance}")
@@ -33,15 +36,16 @@ class Capacitor:
             raise ValueError(f"capacitor shorted on node {self.node_a}")
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Record):
     """Inductive branch: a junction element plus linear series inductance."""
 
-    nodes: tuple[str, ...]        # (node,) to ground or (node_a, node_b)
-    element: JunctionElement | None
-    l_series: float = 0.0         # henries
+    __slots__ = ("nodes", "element", "l_series")
 
-    def __post_init__(self):
+    def __init__(self, nodes: tuple[str, ...], element: JunctionElement | None,
+                 l_series: float = 0.0):
+        object.__setattr__(self, "nodes", nodes)  # (node,) to ground or (node_a, node_b)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "l_series", l_series)  # henries
         if len(self.nodes) not in (1, 2):
             raise ValueError("branch connects one node (to ground) or two nodes")
         if not 0 <= self.l_series < math.inf:
@@ -49,14 +53,15 @@ class Branch:
                 f"series inductance must be non-negative and finite, got {self.l_series}")
 
 
-@dataclass(frozen=True)
-class CircuitNetlist:
-    nodes: tuple[str, ...]
-    ground: str
-    capacitors: tuple[Capacitor, ...]
-    branches: tuple[Branch, ...] = ()
+class CircuitNetlist(_Record):
+    __slots__ = ("nodes", "ground", "capacitors", "branches")
 
-    def __post_init__(self):
+    def __init__(self, nodes: tuple[str, ...], ground: str, capacitors: tuple[Capacitor, ...],
+                 branches: tuple[Branch, ...] = ()):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "capacitors", capacitors)
+        object.__setattr__(self, "branches", branches)
         if len(set(self.nodes)) != len(self.nodes):
             dupes = sorted({n for n in self.nodes if self.nodes.count(n) > 1})
             raise ValueError(f"duplicate node identifiers: {dupes}")
@@ -71,40 +76,44 @@ class CircuitNetlist:
                     raise ValueError(f"branch references unknown node {n!r}")
 
 
-@dataclass(frozen=True)
-class CapacitanceMatrix:
+class CapacitanceMatrix(_Record):
     """Maxwell capacitance matrix over the non-ground nodes [farads]."""
 
-    matrix: np.ndarray
-    node_order: tuple[str, ...]
+    __slots__ = ("matrix", "node_order")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix: np.ndarray, node_order: tuple[str, ...]):
+        m = np.asarray(matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "node_order", node_order)
         if not np.all(np.isfinite(m)):
             raise ValueError("capacitance matrix must be finite")
         if not np.all(abs(m - m.T) <= 1e-8 + 1e-5 * abs(m.T)):  # np.allclose(m, m.T)
             raise ValueError("capacitance matrix must be symmetric")
 
 
-@dataclass(frozen=True)
-class InverseCapacitance:
+class InverseCapacitance(_Record):
     """G = C^-1 [1/farads], rows and columns in node_order."""
 
-    matrix: np.ndarray
-    node_order: tuple[str, ...]
+    __slots__ = ("matrix", "node_order")
+
+    def __init__(self, matrix: np.ndarray, node_order: tuple[str, ...]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "node_order", node_order)
 
 
-@dataclass(frozen=True)
-class DiscardedMode:
+class DiscardedMode(_Record):
     """Record of the symmetric coupler combination dropped by the reduction."""
 
-    capacitance: float     # farads, C+ = 2/(G55 + G66 + 2 G56) of (Q5 + Q6)/sqrt(2)
-    high_frequency: bool   # True when C+ << effective coupler capacitance
+    __slots__ = ("capacitance", "high_frequency")
+
+    def __init__(self, capacitance: float, high_frequency: bool):
+        # farads, C+ = 2/(G55 + G66 + 2 G56) of (Q5 + Q6)/sqrt(2)
+        object.__setattr__(self, "capacitance", capacitance)
+        # True when C+ << effective coupler capacitance
+        object.__setattr__(self, "high_frequency", high_frequency)
 
 
-@dataclass(frozen=True)
-class ReducedModes:
+class ReducedModes(_Record):
     """G projected onto the five kept charges, KPOs 1-4 then the coupler.
 
     g_r = T^T G T, T holding the four KPO unit columns and a coupler column
@@ -113,9 +122,13 @@ class ReducedModes:
     mode's effective capacitance is 1/G_r[j, j].
     """
 
-    g_r: np.ndarray               # (5, 5) reduced inverse capacitance [1/F]
-    discarded: DiscardedMode
-    bare: dict = field(default_factory=dict)  # optional C_c, C_q, C_g from the netlist
+    __slots__ = ("g_r", "discarded", "bare")
+
+    def __init__(self, g_r: np.ndarray, discarded: DiscardedMode, bare: dict | None = None):
+        object.__setattr__(self, "g_r", g_r)  # (5, 5) reduced inverse capacitance [1/F]
+        object.__setattr__(self, "discarded", discarded)
+        # optional C_c, C_q, C_g from the netlist
+        object.__setattr__(self, "bare", {} if bare is None else bare)
 
     @property
     def c_q_eff(self) -> np.ndarray:
@@ -314,6 +327,8 @@ def coupling_constants(
     Approximate: h_jk = C_c/(8 sqrt(Cq_j Cq_k)) sqrt(w_j w_k);
     g_j = C_c/(4 sqrt(Cq_j Cg)) sqrt(w_j w_g), needing bare capacitances.
     """
+    from .perturbation import CouplingGraph, _modes
+
     if spectrum.n_kpo != 4:
         raise ValueError("unit circuit has four KPOs")
     omega, _ = _modes(spectrum)

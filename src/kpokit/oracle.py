@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _Record
 from .operators import BosonicPolynomial
 from .perturbation import (MIXING_LIMIT, CouplingGraph, ModeSpectrum, _coupling_matrix,
                            _mode_pairs)
@@ -36,12 +36,15 @@ _QUANTA_CAP = 6  # most total quanta of a state the gap scan diagonalizes first
 _SWEEPS = 2  # Jacobi sweeps of the fold's lift M after its first estimate
 
 
-@dataclass(frozen=True)
-class FockHamiltonian:
-    n_modes: int
-    truncation: int
-    even: np.ndarray  # rad/s, the states of even total excitation number, in lexicographic order
-    odd: np.ndarray | None  # rad/s, the odd states likewise; None when not built
+class FockHamiltonian(_Record):
+    __slots__ = ("n_modes", "truncation", "even", "odd")
+
+    def __init__(self, n_modes: int, truncation: int, even: np.ndarray, odd: np.ndarray | None):
+        object.__setattr__(self, "n_modes", n_modes)
+        object.__setattr__(self, "truncation", truncation)
+        # rad/s, the states of even total excitation number, in lexicographic order
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd", odd)  # rad/s, the odd states likewise; None when not built
 
     @property
     def dimension(self) -> int:
@@ -191,15 +194,19 @@ class _ScanBlock(NamedTuple):
     pair: np.ndarray              # the rows of |1100>, |0011>
 
 
-@dataclass(frozen=True)
-class _FockBasis:
+class _FockBasis(_Record):
     """Index structure of the d**n_modes Fock space in lexicographic order;
     it depends on no frequency or coupling. Every array is read-only."""
 
-    occupations: np.ndarray  # (n_modes, d**n_modes)
-    spaces: tuple            # the ascending states of the even block, the odd block, the hop space
-    pair: np.ndarray         # even-block indices of |1100>, |0011>; empty below 4 modes
-    scan: tuple              # the _ScanBlock of each tier: fold, cap, whole block
+    __slots__ = ("occupations", "spaces", "pair", "scan")
+
+    def __init__(self, occupations: np.ndarray, spaces: tuple, pair: np.ndarray, scan: tuple):
+        object.__setattr__(self, "occupations", occupations)  # (n_modes, d**n_modes)
+        # the ascending states of the even block, the odd block, the hop space
+        object.__setattr__(self, "spaces", spaces)
+        # even-block indices of |1100>, |0011>; empty below 4 modes
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "scan", scan)  # each tier's _ScanBlock: fold, cap, whole block
 
 
 @functools.lru_cache(maxsize=8)
@@ -316,8 +323,10 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     (`state_weight`, at most 1). Raises ValueError when that state weight
     falls below OVERLAP_THRESHOLD, where a third level takes part in the
     crossing; when the remainder bound exceeds REMAINDER_TOL of a point's
-    gap; when P is not as large as the two-quantum manifold; and when the
-    gaps barely vary over the scan, which is then too narrow to resolve it.
+    gap; when P is not as large as the two-quantum manifold; when
+    scan_halfwidth * max (n1 + n2)/2 is not below the distance from E to the
+    nearest level outside P; and when the gaps barely vary over the scan,
+    which is then too narrow to resolve it.
     """
     if spectrum.n_kpo != 4:
         raise ValueError("gap extraction defined for four KPOs")
@@ -372,10 +381,18 @@ def four_body_from_gap(spectrum: ModeSpectrum, couplings: CouplingGraph, d: int,
     # mean, so |theta - E| and with it the remainder stay small
     energy = float(np.sum(amplitudes**2 * levels[model]) / np.sum(amplitudes**2))
     to_rest = energy - levels[rest]
+    separation = float(np.min(abs(to_rest)))
+    largest_d = float(block.half_pair_number.max())
+    # the expansion about E holds only while no offset's shift delta * D
+    # reaches the nearest level outside P
+    if not scan_halfwidth * largest_d < separation:
+        raise ValueError(
+            f"scan half-width {scan_halfwidth:.6g} rad/s times max (n1 + n2)/2 = {largest_d:g} "
+            f"is {scan_halfwidth * largest_d:.6g} rad/s, not below the {separation:.6g} rad/s "
+            "from the pair's energy to the nearest level outside the model space")
     (second,) = _lowdin_terms(d_pq, None, 1.0 / to_rest, 2)
-    reach = norm_pq**2 / np.min(abs(to_rest)) ** 2
+    reach = norm_pq**2 / separation**2
     base = np.diag(levels[model] - energy)
-    largest_d = block.half_pair_number.max()
     pair_weights, state_weights, bounds = [], [], []
 
     def gap(deltas: np.ndarray) -> np.ndarray:

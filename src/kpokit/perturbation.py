@@ -32,10 +32,9 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from . import _Record
 from .operators import PRUNE_TOL, BosonicPolynomial, _magnitudes
 from .pumpplan import RESONANCE_TOL, PumpAssignment, classify_relation
 
@@ -51,18 +50,17 @@ class DegenerateModesError(ValueError):
 # domain types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModeSpectrum:
+class ModeSpectrum(_Record):
     """Per-KPO frequency/Kerr, plus an optional coupler mode."""
 
-    omega: np.ndarray  # rad/s
-    kerr: np.ndarray   # rad/s, signed
-    coupler_omega: float | None = None
-    coupler_kerr: float | None = None
+    __slots__ = ("omega", "kerr", "coupler_omega", "coupler_kerr")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "kerr", np.asarray(self.kerr, dtype=float))
+    def __init__(self, omega: np.ndarray, kerr: np.ndarray, coupler_omega: float | None = None,
+                 coupler_kerr: float | None = None):
+        object.__setattr__(self, "omega", np.asarray(omega, dtype=float))  # rad/s
+        object.__setattr__(self, "kerr", np.asarray(kerr, dtype=float))    # rad/s, signed
+        object.__setattr__(self, "coupler_omega", coupler_omega)
+        object.__setattr__(self, "coupler_kerr", coupler_kerr)
         if self.omega.shape != self.kerr.shape:
             raise ValueError("omega and kerr must have matching shapes")
         omega = self.omega.ravel().tolist()
@@ -86,17 +84,16 @@ class ModeSpectrum:
         return self.coupler_omega is not None
 
 
-@dataclass(frozen=True)
-class CouplingGraph:
+class CouplingGraph(_Record):
     """Two-body couplings: KPO-KPO matrix h and optional KPO-coupler vector g."""
 
-    h: np.ndarray                 # (n, n) symmetric, rad/s, zero diagonal
-    g: np.ndarray | None = None   # (n,) rad/s
-    s: np.ndarray | None = None   # sign factors; default (+1, +1, -1, -1)
+    __slots__ = ("h", "g", "s")
 
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        object.__setattr__(self, "h", h)
+    def __init__(self, h: np.ndarray, g: np.ndarray | None = None, s: np.ndarray | None = None):
+        h = np.asarray(h, dtype=float)
+        object.__setattr__(self, "h", h)  # (n, n) symmetric, rad/s, zero diagonal
+        object.__setattr__(self, "g", g)  # (n,) rad/s
+        object.__setattr__(self, "s", s)  # sign factors; default (+1, +1, -1, -1)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("h must be square")
         if not all(map(math.isfinite, h.ravel().tolist())):
@@ -123,35 +120,47 @@ class CouplingGraph:
                 raise ValueError(f"sign factors s must be +1 or -1, got {s.tolist()}")
 
 
-@dataclass(frozen=True)
-class MixingCoefficients:
+class MixingCoefficients(_Record):
     """Dimensionless first-order mixing ratios htilde_jk = h_jk/(w_j - w_k)."""
 
-    h_tilde: np.ndarray            # (n, n) antisymmetric
-    g_tilde: np.ndarray | None = None  # (n,)
-    s: np.ndarray | None = None
+    __slots__ = ("h_tilde", "g_tilde", "s")
+
+    def __init__(self, h_tilde: np.ndarray, g_tilde: np.ndarray | None = None,
+                 s: np.ndarray | None = None):
+        object.__setattr__(self, "h_tilde", h_tilde)  # (n, n) antisymmetric
+        object.__setattr__(self, "g_tilde", g_tilde)  # (n,)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class DressedSpectrum:
-    omega_dressed: np.ndarray    # rad/s
-    kerr_dressed: np.ndarray     # rad/s
-    lamb_shift: np.ndarray       # rad/s (the -K_j term)
-    coupling_shift: np.ndarray   # rad/s (Omega_j)
+class DressedSpectrum(_Record):
+    __slots__ = ("omega_dressed", "kerr_dressed", "lamb_shift", "coupling_shift")
+
+    def __init__(self, omega_dressed: np.ndarray, kerr_dressed: np.ndarray,
+                 lamb_shift: np.ndarray, coupling_shift: np.ndarray):
+        object.__setattr__(self, "omega_dressed", omega_dressed)    # rad/s
+        object.__setattr__(self, "kerr_dressed", kerr_dressed)      # rad/s
+        object.__setattr__(self, "lamb_shift", lamb_shift)          # rad/s (the -K_j term)
+        object.__setattr__(self, "coupling_shift", coupling_shift)  # rad/s (Omega_j)
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    creation: tuple[int, ...]
-    annihilation: tuple[int, ...]
-    coefficient: complex          # rad/s
-    classification: str
-    rotation_residual: float      # rad/s
+class ReportEntry(_Record):
+    __slots__ = ("creation", "annihilation", "coefficient", "classification",
+                 "rotation_residual")
+
+    def __init__(self, creation: tuple[int, ...], annihilation: tuple[int, ...],
+                 coefficient: complex, classification: str, rotation_residual: float):
+        object.__setattr__(self, "creation", creation)
+        object.__setattr__(self, "annihilation", annihilation)
+        object.__setattr__(self, "coefficient", coefficient)  # rad/s
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "rotation_residual", rotation_residual)  # rad/s
 
 
-@dataclass(frozen=True)
-class FourBodyReport:
-    entries: list[ReportEntry] = field(default_factory=list)
+class FourBodyReport(_Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[ReportEntry] | None = None):
+        object.__setattr__(self, "entries", [] if entries is None else entries)
 
     def by_class(self, name: str) -> list[ReportEntry]:
         return [e for e in self.entries if e.classification == name]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
+
+from . import _Record
 
 # rad/s, the one stationarity tolerance: a pump relation |sum n_j w_j|, a
 # plaquette pairing residual or a monomial's rotation in the omega_p/2 frame
@@ -27,21 +27,19 @@ LHZ_PATTERN = ((1, 3, 7), (9, 2, 8), (5, 4, 6))
 PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
-@dataclass(frozen=True)
-class PumpAssignment:
+class PumpAssignment(_Record):
     """Pump frequencies and phases, one per KPO."""
 
-    omega_p: tuple[float, ...]           # rad/s
-    theta_p: tuple[float, ...] = None    # radians
+    __slots__ = ("omega_p", "theta_p")
 
-    def __post_init__(self):
-        omega = tuple(float(w) for w in self.omega_p)
-        object.__setattr__(self, "omega_p", omega)
+    def __init__(self, omega_p: tuple[float, ...], theta_p: tuple[float, ...] = None):
+        omega = tuple(float(w) for w in omega_p)
+        object.__setattr__(self, "omega_p", omega)  # rad/s
         if not omega:
             raise ValueError("omega_p must hold at least one pump frequency")
         if not all(math.isfinite(w) and w > 0 for w in omega):
             raise ValueError("pump frequencies must be finite and positive")
-        theta = self.theta_p
+        theta = theta_p  # radians
         if theta is None:
             theta = (0.0,) * len(omega)
         else:
@@ -61,25 +59,31 @@ class PumpAssignment:
         return t[0] + t[1] - t[2] - t[3]
 
 
-@dataclass(frozen=True)
-class ResonanceCondition:
+class ResonanceCondition(_Record):
     """Primitive integer relation sum_j n_j omega_pj = 0."""
 
-    coefficients: tuple[int, ...]
-    residual: float  # rad/s, |sum n_j omega_pj|
-    classification: str
+    __slots__ = ("coefficients", "residual", "classification")
+
+    def __init__(self, coefficients: tuple[int, ...], residual: float, classification: str):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "residual", residual)  # rad/s, |sum n_j omega_pj|
+        object.__setattr__(self, "classification", classification)
 
     @property
     def order(self) -> int:
         return sum(abs(n) for n in self.coefficients)
 
 
-@dataclass(frozen=True)
-class LhzPlan:
-    sites: dict          # (x, y) -> pump index 1..9
-    frequencies: dict    # pump index -> rad/s
-    plaquettes: list     # dicts with corners, indices, condition, residual
-    spurious: list = field(default_factory=list)
+class LhzPlan(_Record):
+    __slots__ = ("sites", "frequencies", "plaquettes", "spurious")
+
+    def __init__(self, sites: dict, frequencies: dict, plaquettes: list,
+                 spurious: list | None = None):
+        object.__setattr__(self, "sites", sites)              # (x, y) -> pump index 1..9
+        object.__setattr__(self, "frequencies", frequencies)  # pump index -> rad/s
+        # dicts with corners, indices, condition, residual
+        object.__setattr__(self, "plaquettes", plaquettes)
+        object.__setattr__(self, "spurious", [] if spurious is None else spurious)
 
     def violations(self) -> list:
         return [p for p in self.plaquettes if p["residual"] >= RESONANCE_TOL]
@@ -131,6 +135,8 @@ def _exact_rescale(omega: tuple[float, ...]) -> list | None:
     None when no modest-denominator grid exists (generic inputs). A looser
     match would let the rounding break a true relation among the integers.
     """
+    from fractions import Fraction
+
     scale = max(omega)
     fracs = []
     for w in omega:

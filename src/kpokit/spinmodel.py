@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+
+from . import _Record
 
 PROB_FLOOR = 1e-12
 
@@ -48,18 +49,17 @@ _COLUMNS = {name: _SPIN_PRODUCTS.index("".join(str(j + 1) for j in range(4) if (
             for name, ((c, a), _) in MONOMIALS.items()}
 
 
-@dataclass(frozen=True)
-class OscillationConfig:
+class OscillationConfig(_Record):
     """Per-KPO oscillation amplitude and drive/pump phases."""
 
-    alpha: np.ndarray    # dimensionless, >= 0
-    epsilon_d: np.ndarray  # rad/s coherent-drive amplitude
-    theta_d: np.ndarray  # radians, drive phases
-    theta_p: np.ndarray  # radians, pump phases
+    __slots__ = ("alpha", "epsilon_d", "theta_d", "theta_p")
 
-    def __post_init__(self):
-        for name in ("alpha", "epsilon_d", "theta_d", "theta_p"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+    def __init__(self, alpha: np.ndarray, epsilon_d: np.ndarray, theta_d: np.ndarray,
+                 theta_p: np.ndarray):
+        # alpha dimensionless, >= 0; epsilon_d the coherent-drive amplitude, rad/s;
+        # theta_d and theta_p the drive and pump phases, radians
+        for name, value in zip(self.__slots__, (alpha, epsilon_d, theta_d, theta_p)):
+            arr = np.asarray(value, dtype=float)
             object.__setattr__(self, name, arr)
             if arr.shape != (4,):
                 raise ValueError(f"{name} must have four entries")
@@ -69,31 +69,35 @@ class OscillationConfig:
             raise ValueError("oscillation amplitudes must be non-negative")
 
 
-@dataclass(frozen=True)
-class InteractionSet:
+class InteractionSet(_Record):
     """Rotating-frame interaction strengths [rad/s], one per MONOMIALS entry."""
 
-    h4: float = 0.0
-    g1: float = 0.0  # a1+ a4+ a2^2 type
-    g2: float = 0.0  # a1^2 a2+ a3+ type
-    g3: float = 0.0  # a1+^3 a3^2 a4 type
-    g4: float = 0.0  # a2+^3 a3 a4^2 type
+    __slots__ = ("h4", "g1", "g2", "g3", "g4")
+
+    def __init__(self, h4: float = 0.0, g1: float = 0.0, g2: float = 0.0, g3: float = 0.0,
+                 g4: float = 0.0):
+        object.__setattr__(self, "h4", h4)
+        object.__setattr__(self, "g1", g1)  # a1+ a4+ a2^2 type
+        object.__setattr__(self, "g2", g2)  # a1^2 a2+ a3+ type
+        object.__setattr__(self, "g3", g3)  # a1+^3 a3^2 a4 type
+        object.__setattr__(self, "g4", g4)  # a2+^3 a3 a4^2 type
 
 
-@dataclass(frozen=True)
-class EffectiveEnergyModel:
+class EffectiveEnergyModel(_Record):
     """Dimensionless effective-energy coefficients (inverse temperature
     absorbed): beta*E = eta*s1s2s3s4 + three-body + two-body + fields,
     with the nu4 field multiplied by sin(theta_d4)."""
 
-    eta: float = 0.0
-    lam: dict = field(default_factory=dict)  # keys "234","134","124","123"
-    mu: dict = field(default_factory=dict)   # keys "12".."34"
-    nu: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    __slots__ = ("eta", "lam", "mu", "nu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", {k: self.lam.get(k, 0.0) for k in THREE_BODY_KEYS})
-        object.__setattr__(self, "mu", {k: self.mu.get(k, 0.0) for k in TWO_BODY_KEYS})
+    def __init__(self, eta: float = 0.0, lam: dict | None = None, mu: dict | None = None,
+                 nu: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)):
+        lam, mu = lam or {}, mu or {}
+        object.__setattr__(self, "eta", eta)
+        # keys "234","134","124","123"
+        object.__setattr__(self, "lam", {k: lam.get(k, 0.0) for k in THREE_BODY_KEYS})
+        object.__setattr__(self, "mu", {k: mu.get(k, 0.0) for k in TWO_BODY_KEYS})  # "12".."34"
+        object.__setattr__(self, "nu", nu)
         if not all(map(math.isfinite, _vector(self))):
             raise ValueError("energy coefficients must be finite")
 
@@ -273,12 +277,16 @@ _DESIGN.flags.writeable = False
 _NU4_NORM = math.hypot(*_DESIGN[:, -1])
 
 
-@dataclass(frozen=True)
-class FitResult:
-    model: EffectiveEnergyModel
-    reference: dict          # A, B, C of p_ref = A exp(B sin(theta) + C)
-    residual_norm: float
-    condition_number: float
+class FitResult(_Record):
+    __slots__ = ("model", "reference", "residual_norm", "condition_number")
+
+    def __init__(self, model: EffectiveEnergyModel, reference: dict, residual_norm: float,
+                 condition_number: float):
+        object.__setattr__(self, "model", model)
+        # A, B, C of p_ref = A exp(B sin(theta) + C)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "residual_norm", residual_norm)
+        object.__setattr__(self, "condition_number", condition_number)
 
 
 def fit_energy_model(theta_d4: np.ndarray, probabilities: np.ndarray) -> FitResult:

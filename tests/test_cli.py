@@ -197,19 +197,29 @@ def loaded(package):
 def scipy_modules():
     return loaded("scipy")
 
+# no kpokit process generates dataclass code or parses exact fractions
+UNUSED = ["dataclasses", "fractions"]
+
+def unused_modules():
+    return [m for m in UNUSED if m in sys.modules]
+
 # the bare package loads none of its modules, nor NumPy
 import kpokit
 assert loaded("kpokit") == ["kpokit"], loaded("kpokit")
 assert "numpy" not in sys.modules
+# what the CLI imports besides kpokit loads neither
+import argparse, csv, hashlib, numpy
+assert unused_modules() == [], unused_modules()
 import kpokit.cli
 assert loaded("kpokit") == ["kpokit", "kpokit.cli", "kpokit.constants"], loaded("kpokit")
+assert unused_modules() == [], unused_modules()
 
 # each subcommand loads only the library modules it uses; kpokit's modules
 # are dropped before each, as if it ran in a fresh `kpokit` process
 DATA = sys.argv[1]
 PERTURBATION = ["operators", "perturbation", "pumpplan"]
 LOADS = [
-    (["quantize", f"{DATA}/unit.json"], ["elements", "netlist", *PERTURBATION]),
+    (["quantize", f"{DATA}/unit.json"], ["elements", "netlist"]),
     (["couplings", f"{DATA}/unit.json", "--kpo-nodes", "q1,q2,q3,q4", "--coupler-nodes",
       "c5,c6", "--freq-ghz", "10,10,10,10"], ["elements", "netlist", *PERTURBATION]),
     (["sweep", "--points", "3"], ["elements", *PERTURBATION]),
@@ -228,6 +238,7 @@ for argv, modules in LOADS:
         assert kpokit.cli.main(argv) == 0, argv
     expected = ["kpokit", "kpokit.cli", "kpokit.constants"] + [f"kpokit.{m}" for m in modules]
     assert loaded("kpokit") == sorted(expected), (argv, loaded("kpokit"))
+    assert unused_modules() == [], (argv, unused_modules())
 assert scipy_modules() == [], scipy_modules()
 
 # a bare `import kpokit` reaches a module as an attribute
@@ -501,6 +512,22 @@ def test_quantize_plaquette_kerr_column(tmp_path, capsys):
     assert code == 0
     kerr = [float(l.split(",")[2]) for l in _data_lines(out)[1:]]
     assert kerr == pytest.approx([5.101655, 20.0297287, 20.0297287, 5.101655], rel=1e-5)
+
+
+@pytest.mark.parametrize("effective", [False, True], ids=["quantize", "effective"])
+def test_quantize_refuses_a_branch_across_two_nodes(tmp_path, capsys, effective):
+    # before, the branch was quantized on c5 alone: with --effective its row
+    # printed with exit 0, while the coupler mode across c5, c6 sits elsewhere
+    doc = json.loads((DATA_DIR / "unit.json").read_text())
+    doc["branches"].append({"node": ["c5", "c6"], "l_henries": 100.0,
+                            "element": {"kind": "squid", "l_j_ph": SQUID_20MHZ_PH}})
+    argv = ["quantize", *(["--effective"] if effective else []),
+            _write_netlist(tmp_path / "coupler-branch.json", doc)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"{ERROR_PREFIX}: branch across nodes c5, c6: quantize reads branches "
+                   "from one node to ground\n")
 
 
 def test_quantize_missing_ground_capacitor(tmp_path, capsys):
@@ -855,6 +882,18 @@ def test_oracle_rejects_a_non_positive_detuning(capsys, eps_mhz):
     # named as given, in MHz: -50 MHz had been reported as -314159265.3589793 rad/s
     assert f"got --eps-mhz {eps_mhz}\n" in err
     assert "314159265" not in err
+
+
+def test_oracle_refuses_a_scan_that_reaches_outside_the_model_space(capsys):
+    # it once overflowed in the scan's delta**2 and ended in "KPOKIT-ERROR:
+    # Eigenvalues did not converge"
+    code, out, err = _run(capsys, ["oracle", "--scan-mhz", "1e300"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{ERROR_PREFIX}: scan half-width 6.28319e+306 rad/s times max "
+                          "(n1 + n2)/2 = 3 is 1.88496e+307 rad/s, not below the ")
+    assert err.endswith(" rad/s from the pair's energy to the nearest level outside the "
+                        "model space\n")
 
 
 def test_oracle_rejects_a_scan_too_narrow_to_see_the_crossing(capsys):

@@ -468,9 +468,9 @@ def test_snail_is_built_only_for_the_bracket_search(monkeypatch):
     nearest_root = elements._nearest_root
 
     class CountingSnail(Snail):
-        def __post_init__(self):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             built.append(self.phi_x)
-            super().__post_init__()
 
     def counting(snapshot, guess, grid_step):
         searched.append(snapshot.phi_x)

@@ -1087,6 +1087,24 @@ def test_gap_scan_records_its_roundoff_and_names_it_when_refused(monkeypatch):
         four_body_from_gap(spectrum, couplings, **kwargs)
 
 
+def test_gap_scan_refuses_a_half_width_that_reaches_outside_the_model_space():
+    # 1e300 rad/s once passed the finiteness check and overflowed in the
+    # scan's delta**2, ending in "Eigenvalues did not converge"
+    couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
+    prefix = r"scan half-width 1e\+300 rad/s times max \(n1 \+ n2\)/2 = 2 is 2e\+300 rad/s, "
+    with pytest.raises(ValueError, match=prefix + r"not below the (\S+) rad/s from the pair's "
+                       "energy to the nearest level outside the model space") as refused:
+        four_body_from_gap(_ladder(), couplings, d=3, scan_halfwidth=1e300)
+    separation = float(re.search(r"below the (\S+) rad/s", str(refused.value)).group(1))
+    # the two-quantum pair sits about 2 w from the vacuum and the four quanta
+    assert 1.1e11 < separation < 1.3e11
+    # the limit is delta_max * 2 < separation, on the block every such scan solves
+    with pytest.raises(ValueError, match="not below the"):
+        four_body_from_gap(_ladder(), couplings, d=3, scan_halfwidth=1.001 * separation / 2)
+    with pytest.raises(ValueError, match="Loewdin remainder bound"):
+        four_body_from_gap(_ladder(), couplings, d=3, scan_halfwidth=0.999 * separation / 2)
+
+
 def test_gap_raises_when_two_quantum_manifold_not_separated():
     # 100 MHz couplings between modes at 210-300 MHz mix two quanta with
     # zero and four, so fewer than 10 eigenstates stay mostly in the manifold
