@@ -15,13 +15,13 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from .constants import GHZ, MHZ, PHI0_REDUCED
 
-# Each subcommand imports the library modules it uses, so a `kpokit` process
-# loads only those (`parity` loads spinmodel alone).
+# Each subcommand imports the library modules it uses, and NumPy only where
+# it handles arrays, so a `kpokit` process loads only those: `parity` loads
+# spinmodel alone, and `quantize`, `pump-plan` and an input refused before
+# any array is made load no NumPy.
 
 ERROR_PREFIX = "KPOKIT-ERROR"
 
@@ -35,8 +35,11 @@ def _emit(out, meta: list[str], header: list[str], rows: list[list]) -> None:
         out.write(f"# {line}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
+    # a NumPy scalar can reach here only once NumPy is loaded
+    np = sys.modules.get("numpy")
+    numeric = (int, float) if np is None else (int, float, np.floating)
     for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v for v in row])
+        writer.writerow([_fmt(v) if isinstance(v, numeric) else v for v in row])
 
 
 def _four_floats(text: str, option: str) -> list[float]:
@@ -78,11 +81,17 @@ def cmd_quantize(args, out) -> int:
     branches = [b for b in net.branches if b.element is not None]
     if not branches:
         raise ValueError("netlist has no junction branches to quantize")
+    quantized = set()
     for br in branches:
         if len(br.nodes) != 1:
             raise ValueError(f"branch across nodes {', '.join(br.nodes)}: quantize reads "
                              "branches from one node to ground")
         node = br.nodes[0]
+        if node in quantized:
+            # one node is one mode, its branches' inductances in parallel
+            raise ValueError(f"node {node!r} has more than one junction branch: quantize "
+                             "reads one branch per node")
+        quantized.add(node)
         if use_effective:
             idx = g.node_order.index(node)
             c_eff = 1.0 / g.matrix[idx, idx]
@@ -100,6 +109,8 @@ def cmd_quantize(args, out) -> int:
 
 
 def cmd_couplings(args, out) -> int:
+    import numpy as np
+
     from .netlist import (
         build_capacitance_matrix,
         coupling_constants,
@@ -148,6 +159,8 @@ def cmd_couplings(args, out) -> int:
 def _snail_design_kerr() -> float:
     """SNAIL KPO Kerr [rad/s] at the 10 GHz design frequency, from the
     linear Kerr-vs-frequency fit over the operating flux window."""
+    import numpy as np
+
     from .elements import Snail, snail_flux_sweep, snail_kerr_frequency_fit
 
     element = Snail(i0=1250e-9, gamma=0.3, n=2)
@@ -171,6 +184,8 @@ def sweep_parameter_sets() -> dict:
     capacitors are chosen for that); the SNAIL-circuit neighbors scale
     with the KPO capacitance ratio sqrt(C_qj C_qk).
     """
+    import numpy as np
+
     from .elements import SingleJunction, kpo_mode_params
 
     k_g_kpo = kpo_mode_params(
@@ -204,6 +219,8 @@ def _i0_for(c: float, l_geom: float) -> float:
 
 
 def cmd_sweep(args, out) -> int:
+    import numpy as np
+
     from .perturbation import g4_symmetric, h4_detuning, h4_snail, h4_tilde
 
     if args.start_mhz <= 0 or args.stop_mhz <= args.start_mhz:
@@ -239,6 +256,8 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_snail(args, out) -> int:
+    import numpy as np
+
     from .elements import Snail, snail_flux_sweep, snail_kerr_frequency_fit
 
     element = Snail(i0=args.i0_na * 1e-9, gamma=args.gamma, n=args.n)
@@ -257,9 +276,17 @@ def cmd_snail(args, out) -> int:
     return 0
 
 
+# the largest `pump-plan --rows`: the table holds (rows + 1)^2 sites, so 100
+# rows print about 81 kB in about 0.3 s, while the time and the output grow
+# as rows^2 (1,000 rows: 24 s and 9.8 MB)
+PUMP_PLAN_MAX_ROWS = 100
+
+
 def cmd_pump_plan(args, out) -> int:
     from .pumpplan import lhz_plan
 
+    if args.rows > PUMP_PLAN_MAX_ROWS:
+        raise ValueError(f"--rows {args.rows} exceeds the limit of {PUMP_PLAN_MAX_ROWS} rows")
     plan = lhz_plan(args.rows, base=args.base_ghz * GHZ, spacing=args.spacing_mhz * MHZ)
     meta = _meta("pump-plan", args)
     for i in sorted(plan.frequencies):
@@ -279,6 +306,8 @@ def cmd_pump_plan(args, out) -> int:
 
 
 def cmd_parity(args, out) -> int:
+    import numpy as np
+
     from .spinmodel import InteractionSet, OscillationConfig, beta_for_even_parity, parity_curve
 
     if args.points < 2:
@@ -318,6 +347,8 @@ def cmd_boltzmann(args, out) -> int:
 
 
 def cmd_fit(args, out) -> int:
+    import numpy as np
+
     from .spinmodel import fit_energy_model
 
     thetas, table = [], []
@@ -350,6 +381,8 @@ def cmd_fit(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
+    import numpy as np
+
     from .oracle import four_body_from_gap
     from .perturbation import (CouplingGraph, ModeSpectrum, h4_general, ladder_frequencies,
                                mixing_from_frequencies)
@@ -433,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_snail)
 
     p = sub.add_parser("pump-plan", help="nine-frequency lattice pump plan")
-    p.add_argument("--rows", type=int, default=3)
+    p.add_argument("--rows", type=int, default=3,
+                   help=f"plaquette rows, 2 to {PUMP_PLAN_MAX_ROWS} (default 3)")
     p.add_argument("--base-ghz", type=float, default=9.0)
     p.add_argument("--spacing-mhz", type=float, default=20.0)
     p.set_defaults(func=cmd_pump_plan)

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _Record
 from .constants import E_CHARGE, HBAR, PHI0_REDUCED
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_FLUX = 5000.0  # rad, largest |phi_x| the flux continuation follows: 10**5 steps of 0.05 rad
 
@@ -220,7 +223,14 @@ def snail_current(phi: np.ndarray | float, element: Snail) -> np.ndarray | float
     This is dU/dphi of the two-branch potential. The condition is
     gamma*sin(phi) - sin((phi_X - phi)/n) = 0.
     """
+    import numpy as np
+
     return element.gamma * np.sin(phi) - np.sin((element.phi_x - phi) / element.n)
+
+
+def _current(gamma: float, n: int, phi_x: float, phi: float) -> float:
+    """`snail_current` of SNAIL (gamma, n, phi_x) at one float phase, on `math`'s sin."""
+    return gamma * math.sin(phi) - math.sin((phi_x - phi) / n)
 
 
 def snail_current_slope(phi: float, element: Snail) -> float:
@@ -276,7 +286,7 @@ def _equilibrium_phase(element: Snail) -> float:
             pass
     if phi_bar is None:
         phi_bar = _continued_phase(element)
-    residual = abs(snail_current(phi_bar, element))
+    residual = abs(_current(gamma, n, target, phi_bar))
     if residual >= 1e-10:
         raise RuntimeError(f"equilibrium residual {residual:.3e} exceeds 1e-10")
     return float(phi_bar)
@@ -298,6 +308,8 @@ def _continued_phase(element: Snail) -> float:
     bracketed on a 1e-3 rad grid (`_nearest_root`), on a `Snail` built for
     that flux step alone.
     """
+    import numpy as np
+
     target = element.phi_x
     if abs(target) > _MAX_FLUX:
         raise ValueError(
@@ -341,6 +353,8 @@ def _nearest_root(element: Snail, guess: float, grid_step: float) -> float:
     do not depend on the guess's last bits. It is searched whole: the
     continuation's brackets resolve most flux steps, so this search is rare.
     """
+    import numpy as np
+
     half = round(1.5 / grid_step)
     grid = guess + grid_step * np.arange(-half, half + 1)
     vals = snail_current(grid, element)
@@ -365,18 +379,17 @@ def _refine_root(gamma: float, n: int, phi_x: float, lo: float, hi: float) -> fl
     ulp exceeds 1e-13 rad, so no nonzero step there is that small. It
     raises ValueError when the current does not change sign across [lo, hi].
     """
-    f_lo = gamma * math.sin(lo) - math.sin((phi_x - lo) / n)
+    f_lo = _current(gamma, n, phi_x, lo)
     if f_lo == 0.0:
         return lo
-    f_hi = gamma * math.sin(hi) - math.sin((phi_x - hi) / n)
+    f_hi = _current(gamma, n, phi_x, hi)
     if f_hi == 0.0:
         return hi
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise ValueError("the current does not change sign across the bracket")
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        arg = (phi_x - x) / n
-        f = gamma * math.sin(x) - math.sin(arg)
+        f = _current(gamma, n, phi_x, x)
         if f == 0.0:
             return x
         if (f < 0.0) == (f_lo < 0.0):
@@ -384,7 +397,7 @@ def _refine_root(gamma: float, n: int, phi_x: float, lo: float, hi: float) -> fl
         else:
             hi = x
         x_next = 0.5 * (lo + hi)
-        slope = gamma * math.cos(x) + math.cos(arg) / n
+        slope = gamma * math.cos(x) + math.cos((phi_x - x) / n) / n
         if slope != 0.0 and lo <= x - f / slope <= hi:
             x_next = x - f / slope
         if abs(x_next - x) <= max(1e-13, math.ulp(x)):
@@ -399,10 +412,10 @@ def snail_expansion(element: Snail, phi_bar: float, l_geom: float = 0.0) -> Snai
     c_k = (1/phi0*I0) d^k U / dphi^k |_{phi_bar}; participation
     p = phi0/(phi0 + c2*L*I0).
     """
-    residual = abs(snail_current(phi_bar, element))
+    gamma, n, phi_x = element.gamma, element.n, element.phi_x
+    residual = abs(_current(gamma, n, phi_x, phi_bar))
     if residual >= 1e-10:
         raise ValueError(f"phi_bar is not an equilibrium (residual {residual:.3e})")
-    gamma, n, phi_x = element.gamma, element.n, element.phi_x
     arg = (phi_x - phi_bar) / n
     c2 = snail_current_slope(phi_bar, element)
     c3 = -gamma * math.sin(phi_bar) + math.sin(arg) / n**2
@@ -438,6 +451,8 @@ def snail_flux_sweep(
 
 def snail_kerr_frequency_fit(sweep: list[ModeParams]) -> LinearFit:
     """Least-squares line K(omega) through a flux sweep."""
+    import numpy as np
+
     if len(sweep) < 3:
         raise ValueError("need at least 3 sweep points")
     omegas = np.array([m.omega for m in sweep])

@@ -12,13 +12,13 @@ import json
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import _Record
 from .constants import FEMTO, NANO, PICO
 from .elements import JunctionElement, SeriesStack, SingleJunction, Snail, Squid
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .perturbation import CouplingGraph, ModeSpectrum
 
 
@@ -82,6 +82,8 @@ class CapacitanceMatrix(_Record):
     __slots__ = ("matrix", "node_order")
 
     def __init__(self, matrix: np.ndarray, node_order: tuple[str, ...]):
+        import numpy as np
+
         m = np.asarray(matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "node_order", node_order)
@@ -133,6 +135,8 @@ class ReducedModes(_Record):
     @property
     def c_q_eff(self) -> np.ndarray:
         """Per-KPO effective capacitance 1/G_r[j, j] [F]."""
+        import numpy as np
+
         return 1.0 / np.diag(self.g_r)[:4]
 
     @property
@@ -148,6 +152,8 @@ class ReducedModes(_Record):
 def build_capacitance_matrix(netlist: CircuitNetlist) -> CapacitanceMatrix:
     """Maxwell form: diagonal = sum of attached capacitances, off-diagonal
     = minus the direct capacitance between the node pair."""
+    import numpy as np
+
     order = netlist.nodes
     index = {n: i for i, n in enumerate(order)}
     n = len(order)
@@ -193,6 +199,8 @@ def invert_capacitance(
     underflows the inversion; a residual that is not finite is refused like
     one above 1e-10.
     """
+    import numpy as np
+
     m = c.matrix
     try:
         lower = np.linalg.cholesky(m)
@@ -240,6 +248,8 @@ def mode_reduce(
     `ReducedModes`). The symmetric (Q5 + Q6)/sqrt(2) is recorded as discarded,
     flagged high-frequency when its capacitance C+ is small.
     """
+    import numpy as np
+
     index = {n: i for i, n in enumerate(g.node_order)}
     nodes = tuple(kpo_nodes) + tuple(coupler_node_pair)
     for n in nodes:
@@ -284,6 +294,8 @@ def extract_bare(netlist: CircuitNetlist, kpo_nodes, coupler_node_pair) -> dict:
     nodes, and C_c is the KPO-coupler link (assumed equal for all links,
     validated).
     """
+    import numpy as np
+
     to_ground = ground_capacitances(netlist)
     links = []
     c_g = None
@@ -327,6 +339,8 @@ def coupling_constants(
     Approximate: h_jk = C_c/(8 sqrt(Cq_j Cq_k)) sqrt(w_j w_k);
     g_j = C_c/(4 sqrt(Cq_j Cg)) sqrt(w_j w_g), needing bare capacitances.
     """
+    import numpy as np
+
     from .perturbation import CouplingGraph, _modes
 
     if spectrum.n_kpo != 4:
@@ -415,7 +429,7 @@ def _element_from_dict(d: dict) -> JunctionElement:
             i0=_field(d, "i0_na", what) * NANO,
             gamma=_field(d, "gamma", what),
             n=_field(d, "n", what, default=2),
-            phi_x=_field(d, "phi_x_turns", what, default=0.0) * 2.0 * np.pi,
+            phi_x=_field(d, "phi_x_turns", what, default=0.0) * 2.0 * math.pi,
         )
     raise ValueError(f"unknown element kind {kind!r}")
 

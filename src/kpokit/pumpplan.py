@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+import numbers
+import sys
+from typing import TYPE_CHECKING
 
 from . import _Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # rad/s, the one stationarity tolerance: a pump relation |sum n_j w_j|, a
 # plaquette pairing residual or a monomial's rotation in the omega_p/2 frame
 # counts as stationary when it is below this
-RESONANCE_TOL = 2.0 * np.pi * 1e3
+RESONANCE_TOL = 2.0 * math.pi * 1e3
 
 # periodic 3x3 pump-index pattern; row y, column x
 LHZ_PATTERN = ((1, 3, 7), (9, 2, 8), (5, 4, 6))
@@ -141,7 +145,7 @@ def _exact_rescale(omega: tuple[float, ...]) -> list | None:
     fracs = []
     for w in omega:
         f = Fraction(w / scale).limit_denominator(10**6)
-        if abs(float(f) - w / scale) > 4 * np.finfo(float).eps:
+        if abs(float(f) - w / scale) > 4 * sys.float_info.epsilon:
             return None
         fracs.append(f)
     denom = math.lcm(*(f.denominator for f in fracs))
@@ -158,6 +162,8 @@ def _relation_candidates(n: int, max_order: int) -> np.ndarray:
     It depends on (n, max_order) alone, so it is made once per shape and
     shared by every call: building it is most of a `detect_residual` call.
     """
+    import numpy as np
+
     rows = np.zeros((1, 0), dtype=np.int8)
     left = np.array([max_order])
     for _ in range(n):
@@ -192,7 +198,9 @@ def detect_residual(pump: PumpAssignment, max_order: int = 8) -> list[ResonanceC
     grid's Python integers (they can exceed 2**63), and one that holds
     exactly there gets residual 0.0 instead of its float rounding.
     """
-    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
+    import numpy as np
+
+    if isinstance(max_order, bool) or not isinstance(max_order, numbers.Integral):
         raise ValueError(f"max_order must be an integer, got {max_order!r}")
     if max_order > 8:
         raise ValueError("max_order capped at 8 (exhaustive enumeration bound)")
@@ -251,8 +259,8 @@ def lhz_frequencies(base: float, spacing: float) -> dict[int, float]:
 
 def lhz_plan(
     rows: int,
-    base: float = 2.0 * np.pi * 9.0e9,
-    spacing: float = 2.0 * np.pi * 20.0e6,
+    base: float = 2.0 * math.pi * 9.0e9,
+    spacing: float = 2.0 * math.pi * 20.0e6,
     frequencies: dict[int, float] | None = None,
 ) -> LhzPlan:
     """Tile a rows x rows plaquette lattice with the nine-frequency pattern.
@@ -263,7 +271,7 @@ def lhz_plan(
     every plaquette residual, so injected violations are reported rather
     than assumed away.
     """
-    if isinstance(rows, bool) or not isinstance(rows, (int, np.integer)):
+    if isinstance(rows, bool) or not isinstance(rows, numbers.Integral):
         raise ValueError(f"rows must be an integer, got {rows!r}")
     if rows < 2:
         raise ValueError("need at least a 2x2 plaquette lattice")

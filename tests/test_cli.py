@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kpokit.cli import ERROR_PREFIX, main
+from kpokit.cli import ERROR_PREFIX, PUMP_PLAN_MAX_ROWS, main
 
 SQUID_20MHZ_PH = 406.6059182   # 10 GHz with 500 fF / 100 pH
 SQUID_RETUNED_PH = 187.2019326  # same frequency with a 1500 nA junction in series
@@ -207,11 +207,12 @@ def unused_modules():
 import kpokit
 assert loaded("kpokit") == ["kpokit"], loaded("kpokit")
 assert "numpy" not in sys.modules
-# what the CLI imports besides kpokit loads neither
-import argparse, csv, hashlib, numpy
-assert unused_modules() == [], unused_modules()
 import kpokit.cli
 assert loaded("kpokit") == ["kpokit", "kpokit.cli", "kpokit.constants"], loaded("kpokit")
+assert "numpy" not in sys.modules
+assert unused_modules() == [], unused_modules()
+# what the CLI imports besides kpokit, and NumPy, load neither
+import argparse, csv, hashlib, numpy
 assert unused_modules() == [], unused_modules()
 
 # each subcommand loads only the library modules it uses; kpokit's modules
@@ -282,6 +283,44 @@ def test_no_scipy_module_is_loaded():
     proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(data)], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# runs each argv of sys.argv[1] (JSON) through kpokit.cli.main in a process
+# where any NumPy import raises, and prints their stdout, stderr and codes
+NUMPY_BLOCKED = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+sys.modules["numpy"] = None
+from kpokit.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_numpy_free_invocations_run_without_numpy(tmp_path, capsys):
+    # quantize, pump-plan and the refused inputs use no array, so a `kpokit`
+    # process of theirs must not pay for NumPy's import
+    doc = json.loads((DATA_DIR / "unit.json").read_text())
+    del doc["capacitors"][0]["f_farads"]
+    invocations = [
+        ["quantize", str(DATA_DIR / "unit.json")],
+        ["pump-plan"],
+        ["quantize", _write_netlist(tmp_path / "missing-key.json", doc)],
+        ["sweep", "--start-mhz", "nan"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps(invocations)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert blocked == [list(_run(capsys, argv)) for argv in invocations]
+    assert [code for code, _, _ in blocked] == [0, 0, 2, 2]
 
 
 @pytest.mark.parametrize(
@@ -530,6 +569,22 @@ def test_quantize_refuses_a_branch_across_two_nodes(tmp_path, capsys, effective)
                    "from one node to ground\n")
 
 
+@pytest.mark.parametrize("effective", [False, True], ids=["quantize", "effective"])
+def test_quantize_refuses_two_junction_branches_on_one_node(tmp_path, capsys, effective):
+    # before, each branch was quantized as if the other were absent, and q1's
+    # row printed twice with exit 0; the node has one mode, the two
+    # inductances in parallel
+    doc = json.loads((DATA_DIR / "unit.json").read_text())
+    doc["branches"].insert(1, doc["branches"][0])
+    argv = ["quantize", *(["--effective"] if effective else []),
+            _write_netlist(tmp_path / "two-branches.json", doc)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"{ERROR_PREFIX}: node 'q1' has more than one junction branch: quantize "
+                   "reads one branch per node\n")
+
+
 def test_quantize_missing_ground_capacitor(tmp_path, capsys):
     doc = {
         "nodes": ["q", "r"],
@@ -738,6 +793,18 @@ def test_pump_plan_rejects_small_lattice(capsys):
     code, _, err = _run(capsys, ["pump-plan", "--rows", "1"])
     assert code == 2
     assert "at least" in err
+
+
+def test_pump_plan_rows_limit(capsys):
+    # the table grows as rows^2: 1,000 rows took 24 s and printed 9.8 MB
+    code, out, _ = _run(capsys, ["pump-plan", "--rows", str(PUMP_PLAN_MAX_ROWS)])
+    assert code == 0
+    assert len(_data_lines(out)) == 1 + (PUMP_PLAN_MAX_ROWS + 1) ** 2
+    code, out, err = _run(capsys, ["pump-plan", "--rows", str(PUMP_PLAN_MAX_ROWS + 1)])
+    assert code == 2
+    assert out == ""
+    assert err == (f"{ERROR_PREFIX}: --rows {PUMP_PLAN_MAX_ROWS + 1} exceeds the limit of "
+                   f"{PUMP_PLAN_MAX_ROWS} rows\n")
 
 
 # --------------------------------------------------------------------------
