@@ -97,8 +97,6 @@ _EXPORTS = {
         "fit_energy_model",
         "model_from_coefficients",
         "parity_curve",
-        "parity_split",
-        "state_energy",
     ),
 }
 

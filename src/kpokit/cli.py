@@ -72,37 +72,37 @@ def cmd_quantize(args, out) -> int:
     )
 
     net = load_netlist(args.netlist)
-    use_effective = args.effective
-    g = None
-    if use_effective:
-        g = invert_capacitance(build_capacitance_matrix(net), net)
-    to_ground = ground_capacitances(net)
-    rows = []
-    branches = [b for b in net.branches if b.element is not None]
-    if not branches:
+    if not net.branches:
         raise ValueError("netlist has no junction branches to quantize")
+    # every branch is checked before C is inverted, so a refusal loads no NumPy
     quantized = set()
-    for br in branches:
+    for br in net.branches:
         if len(br.nodes) != 1:
             raise ValueError(f"branch across nodes {', '.join(br.nodes)}: quantize reads "
                              "branches from one node to ground")
         node = br.nodes[0]
+        if br.element is None:
+            raise ValueError(f"branch on node {node!r} has no junction element: quantize "
+                             "reads junction branches")
         if node in quantized:
             # one node is one mode, its branches' inductances in parallel
             raise ValueError(f"node {node!r} has more than one junction branch: quantize "
                              "reads one branch per node")
         quantized.add(node)
-        if use_effective:
-            idx = g.node_order.index(node)
-            c_eff = 1.0 / g.matrix[idx, idx]
-        else:
-            if node not in to_ground:
-                raise ValueError(f"node {node!r} has no capacitor to ground")
-            c_eff = to_ground[node]
+    if args.effective:
+        g = invert_capacitance(build_capacitance_matrix(net), net)
+        capacitance = {n: 1.0 / g.matrix[i, i] for i, n in enumerate(g.node_order)}
+    else:
+        capacitance = ground_capacitances(net)
+    rows = []
+    for br in net.branches:
+        node = br.nodes[0]
+        if node not in capacitance:
+            raise ValueError(f"node {node!r} has no capacitor to ground")
         if isinstance(br.element, Snail):
-            mode = snail_mode_params(c_eff, br.l_series, br.element)
+            mode = snail_mode_params(capacitance[node], br.l_series, br.element)
         else:
-            mode = kpo_mode_params(c_eff, br.l_series, br.element)
+            mode = kpo_mode_params(capacitance[node], br.l_series, br.element)
         rows.append([node, mode.omega / GHZ, mode.kerr / MHZ])
     _emit(out, _meta("quantize", args), ["node", "freq_GHz", "kerr_MHz"], rows)
     return 0

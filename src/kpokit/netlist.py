@@ -72,6 +72,9 @@ class CircuitNetlist(_Record):
                     raise ValueError(f"capacitor references unknown node {n!r}")
         for br in self.branches:
             for n in br.nodes:
+                if n == self.ground:
+                    raise ValueError(f"branch references the ground node {n!r}: a branch to "
+                                     "ground names its other node alone")
                 if n not in known:
                     raise ValueError(f"branch references unknown node {n!r}")
 

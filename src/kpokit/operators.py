@@ -67,18 +67,6 @@ class BosonicPolynomial:
 
     __rmul__ = __mul__
 
-    def pruned(self, tol: float = PRUNE_TOL) -> "BosonicPolynomial":
-        return BosonicPolynomial(
-            self.n_modes, {k: v for k, v in self.terms.items() if abs(v) > tol}
-        )
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        scale = max((abs(v) for v in self.terms.values()), default=1.0)
-        for (c, a), v in self.terms.items():
-            if abs(self.terms.get((a, c), 0.0) - np.conj(v)) > tol * scale:
-                return False
-        return True
-
     def coefficient(self, creation: tuple[int, ...], annihilation: tuple[int, ...]) -> complex:
         return self.terms.get((tuple(creation), tuple(annihilation)), 0.0)
 

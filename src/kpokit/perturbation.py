@@ -162,30 +162,11 @@ class FourBodyReport(_Record):
     def __init__(self, entries: list[ReportEntry] | None = None):
         object.__setattr__(self, "entries", [] if entries is None else entries)
 
-    def by_class(self, name: str) -> list[ReportEntry]:
-        return [e for e in self.entries if e.classification == name]
-
     def coefficient(self, creation, annihilation) -> complex:
         for e in self.entries:
             if e.creation == tuple(creation) and e.annihilation == tuple(annihilation):
                 return e.coefficient
         return 0.0
-
-    def to_rows(self) -> list[dict]:
-        """Serialize entries (coefficients quoted as value/2pi in MHz)."""
-        rows = []
-        for e in self.entries:
-            mono = "".join(f"+{m}^{c}" for m, c in enumerate(e.creation, 1) if c) + \
-                   "".join(f"-{m}^{a}" for m, a in enumerate(e.annihilation, 1) if a)
-            rows.append(
-                {
-                    "monomial": mono or "1",
-                    "class": e.classification,
-                    "coefficient_MHz": e.coefficient / (2 * np.pi * 1e6),
-                    "rotation_residual_Hz": e.rotation_residual / (2 * np.pi),
-                }
-            )
-        return rows
 
 
 # --------------------------------------------------------------------------

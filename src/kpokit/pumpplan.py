@@ -32,35 +32,17 @@ PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 class PumpAssignment(_Record):
-    """Pump frequencies and phases, one per KPO."""
+    """Pump frequencies, one per KPO."""
 
-    __slots__ = ("omega_p", "theta_p")
+    __slots__ = ("omega_p",)
 
-    def __init__(self, omega_p: tuple[float, ...], theta_p: tuple[float, ...] = None):
+    def __init__(self, omega_p: tuple[float, ...]):
         omega = tuple(float(w) for w in omega_p)
         object.__setattr__(self, "omega_p", omega)  # rad/s
         if not omega:
             raise ValueError("omega_p must hold at least one pump frequency")
         if not all(math.isfinite(w) and w > 0 for w in omega):
             raise ValueError("pump frequencies must be finite and positive")
-        theta = theta_p  # radians
-        if theta is None:
-            theta = (0.0,) * len(omega)
-        else:
-            theta = tuple(float(t) for t in theta)
-            if len(theta) != len(omega):
-                raise ValueError("theta_p length must match omega_p")
-            if not all(math.isfinite(t) for t in theta):
-                raise ValueError("pump phases must be finite")
-        object.__setattr__(self, "theta_p", theta)
-
-    @property
-    def theta_p_aggregate(self) -> float:
-        """Plaquette pump phase theta_p1 + theta_p2 - theta_p3 - theta_p4."""
-        t = self.theta_p
-        if len(t) != 4:
-            raise ValueError("aggregate phase defined for 4 KPOs")
-        return t[0] + t[1] - t[2] - t[3]
 
 
 class ResonanceCondition(_Record):

@@ -102,10 +102,6 @@ class EffectiveEnergyModel(_Record):
             raise ValueError("energy coefficients must be finite")
 
 
-def parity(s: tuple[int, ...]) -> int:
-    return s[0] * s[1] * s[2] * s[3]
-
-
 # --------------------------------------------------------------------------
 # forward model
 # --------------------------------------------------------------------------
@@ -202,21 +198,11 @@ def _softmax(energies: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def state_energy(model: EffectiveEnergyModel, s: tuple[int, ...], theta_d4: float = math.pi / 2.0) -> float:
-    """Dimensionless beta*E of one spin state."""
-    return float(_energies(_vector(model), theta_d4)[SPIN_STATES.index(tuple(s))])
-
-
 def boltzmann_probabilities(
     model: EffectiveEnergyModel, theta_d4: float = math.pi / 2.0
 ) -> dict[tuple[int, ...], float]:
     """p_s = exp(-beta*E_s)/Z over the 16 states; overflow-safe."""
     return dict(zip(SPIN_STATES, _softmax(_energies(_vector(model), theta_d4))))
-
-
-def parity_split(probs: dict[tuple[int, ...], float]) -> tuple[float, float]:
-    even = sum(p for s, p in probs.items() if parity(s) == 1)
-    return even, 1.0 - even
 
 
 def parity_curve(

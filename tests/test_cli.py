@@ -285,6 +285,20 @@ def test_no_scipy_module_is_loaded():
     assert proc.returncode == 0, proc.stderr
 
 
+# a branch that quantize or the netlist refuses, and the refusal naming its node
+REFUSED_BRANCHES = {
+    "linear-branch": {"node": "q3", "l_henries": 100.0},
+    "ground-branch": {"node": "gnd", "l_henries": 100.0,
+                      "element": {"kind": "squid", "l_j_ph": 400.0}},
+}
+REFUSALS = {
+    "linear-branch": "branch on node 'q3' has no junction element: quantize reads junction "
+                     "branches",
+    "ground-branch": "branch references the ground node 'gnd': a branch to ground names its "
+                     "other node alone",
+}
+
+
 # runs each argv of sys.argv[1] (JSON) through kpokit.cli.main in a process
 # where any NumPy import raises, and prints their stdout, stderr and codes
 NUMPY_BLOCKED = """
@@ -309,10 +323,15 @@ def test_numpy_free_invocations_run_without_numpy(tmp_path, capsys):
     # process of theirs must not pay for NumPy's import
     doc = json.loads((DATA_DIR / "unit.json").read_text())
     del doc["capacitors"][0]["f_farads"]
+    refused = [_write_netlist(tmp_path / "missing-key.json", doc)]
+    for name, branch in REFUSED_BRANCHES.items():
+        doc = json.loads((DATA_DIR / "unit.json").read_text())
+        doc["branches"].append(branch)
+        refused.append(_write_netlist(tmp_path / f"{name}.json", doc))
     invocations = [
         ["quantize", str(DATA_DIR / "unit.json")],
         ["pump-plan"],
-        ["quantize", _write_netlist(tmp_path / "missing-key.json", doc)],
+        *(["quantize", *flag, path] for path in refused for flag in ([], ["--effective"])),
         ["sweep", "--start-mhz", "nan"],
     ]
     proc = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED, json.dumps(invocations)],
@@ -320,7 +339,7 @@ def test_numpy_free_invocations_run_without_numpy(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
     assert blocked == [list(_run(capsys, argv)) for argv in invocations]
-    assert [code for code, _, _ in blocked] == [0, 0, 2, 2]
+    assert [code for code, _, _ in blocked] == [0, 0] + [2] * 7
 
 
 @pytest.mark.parametrize(
@@ -583,6 +602,21 @@ def test_quantize_refuses_two_junction_branches_on_one_node(tmp_path, capsys, ef
     assert out == ""
     assert err == (f"{ERROR_PREFIX}: node 'q1' has more than one junction branch: quantize "
                    "reads one branch per node\n")
+
+
+@pytest.mark.parametrize("effective", [False, True], ids=["quantize", "effective"])
+@pytest.mark.parametrize("name", REFUSED_BRANCHES)
+def test_quantize_refuses_a_branch_naming_its_node(tmp_path, capsys, effective, name):
+    # before, a branch with no junction element was dropped with exit 0, and
+    # one on the ground node was refused without its cause
+    doc = json.loads((DATA_DIR / "unit.json").read_text())
+    doc["branches"].append(REFUSED_BRANCHES[name])
+    argv = ["quantize", *(["--effective"] if effective else []),
+            _write_netlist(tmp_path / f"{name}.json", doc)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"{ERROR_PREFIX}: {REFUSALS[name]}\n"
 
 
 def test_quantize_missing_ground_capacitor(tmp_path, capsys):

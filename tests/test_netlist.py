@@ -132,6 +132,13 @@ def test_unknown_node_reference_rejected():
         )
 
 
+@pytest.mark.parametrize("nodes", [("gnd",), ("a", "gnd")], ids=["to-ground", "across"])
+def test_branch_on_the_ground_node_rejected(nodes):
+    with pytest.raises(ValueError, match="branch references the ground node 'gnd'"):
+        CircuitNetlist(nodes=("a",), ground="gnd", capacitors=(Capacitor("a", "gnd", 1e-15),),
+                       branches=(Branch(nodes, Squid(4e-10)),))
+
+
 # --------------------------------------------------------------------------
 # inversion
 # --------------------------------------------------------------------------

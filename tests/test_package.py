@@ -41,10 +41,10 @@ PUBLIC_NAMES = [
     "ground_capacitances", "h4_detuning", "h4_double_tilde", "h4_general", "h4_snail",
     "h4_tilde", "invert_capacitance", "invert_dressed", "kpo_mode_params",
     "ladder_frequencies", "lhz_frequencies", "lhz_plan", "load_netlist", "mixing_from_frequencies",
-    "mode_reduce", "model_from_coefficients", "parity_curve", "parity_split", "rwa_filter",
+    "mode_reduce", "model_from_coefficients", "parity_curve", "rwa_filter",
     "snail_equilibrium_phase", "snail_expansion", "snail_flux_sweep",
     "snail_kerr_frequency_fit", "snail_mode_params", "squid_inductance_for_frequency",
-    "state_energy", "sw_mixing", "transform_kerr", "unit_circuit",
+    "sw_mixing", "transform_kerr", "unit_circuit",
 ]
 
 
@@ -151,8 +151,7 @@ RECORDS = [
     (FourBodyReport, dict(entries=[ReportEntry((1, 1, 0, 0), (0, 0, 1, 1), 2 + 0.5j, "four-body",
                                                0.0)]), False,
      f"FourBodyReport(entries=[{ENTRY}])"),
-    (PumpAssignment, dict(omega_p=(1.0, 2.0), theta_p=(0.0, 0.5)), True,
-     "PumpAssignment(omega_p=(1.0, 2.0), theta_p=(0.0, 0.5))"),
+    (PumpAssignment, dict(omega_p=(1.0, 2.0)), True, "PumpAssignment(omega_p=(1.0, 2.0))"),
     (ResonanceCondition, dict(coefficients=(1, 1, -1, -1), residual=0.0,
                               classification="four-body"), True,
      "ResonanceCondition(coefficients=(1, 1, -1, -1), residual=0.0, classification='four-body')"),

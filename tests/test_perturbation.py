@@ -236,7 +236,10 @@ def test_single_kerr_four_body_coefficient():
 def test_transform_output_hermitian():
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
     mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
-    assert transform_kerr(spectrum, mix).is_hermitian()
+    terms = transform_kerr(spectrum, mix).terms
+    scale = max(map(abs, terms.values()))
+    for (c, a), v in terms.items():
+        assert abs(v - np.conj(terms[(a, c)])) <= 1e-12 * scale
 
 
 def _coupled_mixing():
@@ -339,8 +342,8 @@ def test_rwa_retains_only_matching_four_body_partition():
     assert ((1, 1, 0, 0), (0, 0, 1, 1)) in kept
     assert ((1, 0, 1, 0), (0, 1, 0, 1)) not in kept  # 13|24 partition rotates
     assert ((1, 0, 0, 1), (0, 1, 1, 0)) not in kept  # 14|23 partition rotates
-    four_body = report.by_class("four-body")
-    assert {(e.creation, e.annihilation) for e in four_body} == {
+    assert {(e.creation, e.annihilation) for e in report.entries
+            if e.classification == "four-body"} == {
         ((1, 1, 0, 0), (0, 0, 1, 1)),
         ((0, 0, 1, 1), (1, 1, 0, 0)),
     }
@@ -428,19 +431,7 @@ def test_rwa_filter_assigns_the_pumps_to_the_kpo_modes_in_order(coupler_mode):
                     e.rotation_residual)
         for e in report.entries
     ]
-    assert relabelled.by_class("four-body")
-
-
-def test_report_serialization():
-    spectrum = _ladder_spectrum()
-    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ)))
-    report = rwa_filter(
-        transform_kerr(spectrum, mix),
-        PumpAssignment(omega_p=tuple(2 * w for w in spectrum.omega)),
-    )
-    rows = report.to_rows()
-    assert rows
-    assert {"monomial", "class", "coefficient_MHz", "rotation_residual_Hz"} <= rows[0].keys()
+    assert any(e.classification == "four-body" for e in relabelled.entries)
 
 
 # --------------------------------------------------------------------------

@@ -23,10 +23,7 @@ from kpokit.spinmodel import (
     estimate_h4,
     fit_energy_model,
     model_from_coefficients,
-    parity,
     parity_curve,
-    parity_split,
-    state_energy,
 )
 
 ALPHA = np.array([5.9, 4.5, 1.3, 5.3])
@@ -113,7 +110,7 @@ def test_overflowing_energies_raise():
 def test_energy_spread_past_the_float_range_keeps_the_ground_states():
     # every energy is finite, but their spread is not: the excited states weigh 0
     probs = boltzmann_probabilities(EffectiveEnergyModel(eta=8e307, nu=(8e307, 0.0, 0.0, 0.0)))
-    ground = [s for s in SPIN_STATES if s[0] == -1 and parity(s) == -1]
+    ground = [s for s in SPIN_STATES if s[0] == -1 and math.prod(s) == -1]
     assert [probs[s] for s in ground] == [0.25] * 4
     assert sum(probs.values()) == 1.0
 
@@ -125,20 +122,27 @@ def test_null_model_is_uniform():
 
 def test_strong_four_body_freezes_even_sector():
     probs = boltzmann_probabilities(EffectiveEnergyModel(eta=-30.0))
-    even, odd = parity_split(probs)
+    even = sum(p for s, p in probs.items() if math.prod(s) == 1)
     assert even == pytest.approx(1.0, abs=1e-12)
-    even_states = [s for s in SPIN_STATES if parity(s) == 1]
+    even_states = [s for s in SPIN_STATES if math.prod(s) == 1]
     for s in even_states:
         assert probs[s] == pytest.approx(1 / 8, rel=1e-12)
 
 
+def _state_energies(model, theta_d4):
+    """beta*E of each state from boltzmann_probabilities' log-ratios. Every
+    spin product sums to 0 over the 16 states, so the energies do too."""
+    logs = {s: math.log(p) for s, p in boltzmann_probabilities(model, theta_d4).items()}
+    mean = sum(logs.values()) / len(logs)
+    return {s: mean - v for s, v in logs.items()}
+
+
 def test_state_energy_components():
     model = EffectiveEnergyModel(eta=-1.0, nu=(0.0, 0.0, 0.0, -2.0))
-    e = state_energy(model, (1, 1, 1, 1), theta_d4=math.pi / 2)
-    assert e == pytest.approx(-3.0)
-    e_flip = state_energy(model, (1, 1, 1, -1), theta_d4=math.pi / 2)
-    assert e_flip == pytest.approx(1.0 + 2.0)
-    assert state_energy(model, (1, 1, 1, 1), theta_d4=0.0) == pytest.approx(-1.0)
+    energies = _state_energies(model, theta_d4=math.pi / 2)
+    assert energies[(1, 1, 1, 1)] == pytest.approx(-3.0)
+    assert energies[(1, 1, 1, -1)] == pytest.approx(1.0 + 2.0)
+    assert _state_energies(model, theta_d4=0.0)[(1, 1, 1, 1)] == pytest.approx(-1.0)
 
 
 def test_four_body_coefficient_vanishes_at_pump_phase_pi():
@@ -207,7 +211,8 @@ def _per_point_parity_curve(config, ints, theta_p_grid, beta):
     """parity_curve as first written: one energy model and one Boltzmann
     distribution per grid point."""
     even = np.array([
-        parity_split(boltzmann_probabilities(model, theta_d4=config.theta_d[3]))[0]
+        sum(p for s, p in boltzmann_probabilities(model, theta_d4=config.theta_d[3]).items()
+            if math.prod(s) == 1)
         for model in _per_point_models(config, ints, theta_p_grid, beta)
     ])
     return even, 1.0 - even
@@ -320,12 +325,6 @@ def test_parity_curve_refuses_an_overflow():
         parity_curve(_config(), InteractionSet(h4=0.1 * MHZ), PARITY_GRIDS["0-8pi"], 1e305)
     with pytest.raises(ValueError, match="energy coefficients must be finite"):
         model_from_coefficients(effective_coefficients(_config(), InteractionSet(h4=MHZ)), 1e305)
-
-
-def test_parity_split_complementarity():
-    rng = np.random.default_rng(3)
-    even, odd = parity_split(boltzmann_probabilities(_random_model(rng)))
-    assert even + odd == pytest.approx(1.0, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
