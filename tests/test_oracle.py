@@ -609,28 +609,34 @@ def test_basis_arrays_are_read_only(fresh_basis):
     arrays = [basis.occupations, basis.pair, *basis.spaces,
               *(x for block in basis.scan for x in block if x is not None),
               *(x for table in tables for x in table[1:])]
-    # five arrays, the scan's six (fold), five (cap; it folds none) and
-    # four (the whole block drops none) and three per space's element table
-    assert len(arrays) == 5 + 6 + 5 + 4 + 3 * 3
+    # five arrays, six per fold (of at most 4, 6 and 8 quanta; the last
+    # drops none, and its empty array is read-only too), four for the whole
+    # block (it folds and drops none) and three per space's element table
+    assert [len(block.dropped) for block in basis.scan[:-1]] == [16, 1, 0]
+    assert len(arrays) == 5 + 3 * 6 + 4 + 3 * 3
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
 
-@pytest.mark.parametrize("n_modes, d", [(4, 4), (5, 3)])
-def test_scan_blocks_are_read_off_the_occupations(fresh_basis, n_modes, d):
+@pytest.mark.parametrize("n_modes, d, folds", [(4, 4, (4, 6, 8)), (4, 3, (4, 6)), (5, 3, (4, 6, 8))])
+def test_scan_blocks_are_read_off_the_occupations(fresh_basis, n_modes, d, folds):
+    # tier N keeps the states of at most N quanta and folds in those of
+    # N + 2, for N = 4, 6, 8 where such states exist: at d = 3 four KPOs
+    # hold at most eight quanta, so N = 6 folds |2222> alone
     basis = fresh_basis(n_modes, d)
     occupations = basis.occupations[:, basis.spaces[0]]
-    fold, capped, whole = basis.scan
-    assert capped.folded is whole.folded is whole.dropped is None
+    *ladder, whole = basis.scan
+    assert whole.folded is whole.dropped is None
     np.testing.assert_array_equal(whole.kept, np.arange(occupations.shape[1]))
-    np.testing.assert_array_equal(capped.kept, np.flatnonzero(_capped(n_modes, d)))
-    np.testing.assert_array_equal(fold.kept, np.flatnonzero(_capped(n_modes, d, 4)))
-    np.testing.assert_array_equal(fold.folded, np.flatnonzero(_capped(n_modes, d) & ~_capped(
-        n_modes, d, 4)))
-    np.testing.assert_array_equal(fold.dropped, capped.dropped)
-    for parts in ([capped.kept, capped.dropped], [fold.kept, fold.folded, fold.dropped]):
-        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), whole.kept)
+    assert len(ladder) == len(folds)
+    for n, fold in zip(folds, ladder):
+        np.testing.assert_array_equal(fold.kept, np.flatnonzero(_capped(n_modes, d, n)))
+        np.testing.assert_array_equal(fold.folded, np.flatnonzero(
+            _capped(n_modes, d, n + 2) & ~_capped(n_modes, d, n)))
+        np.testing.assert_array_equal(fold.dropped, np.flatnonzero(~_capped(n_modes, d, n + 2)))
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([fold.kept, fold.folded, fold.dropped])), whole.kept)
     for block in basis.scan:
         rows = block.kept if block.folded is None else np.concatenate([block.kept, block.folded])
         occ = occupations[:, rows]
@@ -803,7 +809,8 @@ def _low_frequency_system():
 def test_one_eigensolve_scan_matches_per_point_dense_scan(case):
     # a gap may move by eigh's own round-off on the full block, 4 eps |H|;
     # the reference solves the whole even block (512 states with the coupler
-    # at d = 4), the scan its 216 states of at most six quanta
+    # at d = 4), the scan its 216 states of at most six quanta with the 155
+    # of eight folded in
     if case == "ladders":
         systems = _seeded_ladders(20)
     elif case == "low-frequency":
@@ -842,19 +849,20 @@ def _reference_fold(spectrum, couplings, d):
 
 
 def _whole_block_scan(monkeypatch, spectrum, couplings, d, halfwidth):
-    """The scan with every tier's bound read as infinite, so that it solves
+    """The scan with every fold's bound read as infinite, so that it solves
     the whole even block."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_truncation_bound", lambda *args: (np.inf, np.inf))
+        patch.setattr(oracle, "_truncation_bound", lambda *args: (np.inf,) * 3)
         return four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
 
 
 @pytest.mark.parametrize("case", ["seeded-ladders", "oracle-ladders", "with-coupler-d3-d5"])
 def test_gap_scan_tiers_on_the_suites_systems_match_the_whole_block(monkeypatch, case):
-    # the fold's bound reads 6e-6 to 1e-3 rad/s on the ladders against a
-    # round-off of 2.3e-3 to 2.6e-3 rad/s, and 3.2e-3 against 3.4e-3 with the
-    # coupler at d = 3; at d = 4 and 5 it exceeds the fold's round-off, and
-    # the capped solve's reads 1.2e-3 and 2.1e-3 rad/s against 1.8e-2 and 2.3e-2
+    # the N = 4 fold's bound reads 6e-6 to 1e-3 rad/s on the ladders against
+    # a round-off of 2.3e-3 to 2.6e-3 rad/s, and 3.206e-3 plus a Galerkin
+    # term of 1.3e-4 against 3.377e-3 with the coupler at d = 3; at d = 4
+    # and 5 it exceeds that fold's round-off, and the N = 6 fold's reads
+    # 1.5e-6 and 2.4e-6 rad/s against 1.8e-2 and 2.3e-2
     systems, halfwidth = {"seeded-ladders": (_seeded_ladders(20), 3 * MHZ),
                           "oracle-ladders": (_oracle_ladders(), 2 * MHZ),
                           "with-coupler-d3-d5": ([_coupler_system(d) for d in (3, 4, 5)],
@@ -862,20 +870,16 @@ def test_gap_scan_tiers_on_the_suites_systems_match_the_whole_block(monkeypatch,
     for spectrum, couplings, d in systems:
         result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
         n_modes = 5 if spectrum.has_coupler else 4
-        if spectrum.has_coupler and d > 3:
-            # the even states of at most six quanta
-            tier = (np.count_nonzero(_capped(n_modes, d)), 0)
-        else:
-            # those of at most four, and the six-quanta ones folded in
-            tier = (np.count_nonzero(_capped(n_modes, d, 4)),
-                    np.count_nonzero(_capped(n_modes, d) & ~_capped(n_modes, d, 4)))
+        # the even states of at most N quanta, those of N + 2 folded in
+        n = 6 if spectrum.has_coupler and d > 3 else 4
+        tier = (np.count_nonzero(_capped(n_modes, d, n)),
+                np.count_nonzero(_capped(n_modes, d, n + 2) & ~_capped(n_modes, d, n)))
         assert (result["dimension"], result["folded_dimension"]) == tier
         assert 0.0 < result["truncation_bound"] <= result["roundoff"]
+        assert 0.0 < result["galerkin_residual"] <= result["roundoff"] - result["truncation_bound"]
         # the gaps and |h_eff| of the whole block, within the tolerance of
         # `test_one_eigensolve_scan_matches_per_point_dense_scan`, whose
-        # round-off floor 4 eps |H| on a gap is 2 eps |H| on h_eff = gap / 2:
-        # at 500 MHz and d = 6, h_eff is 130 rad/s and the capped and whole
-        # solves differ by 1.6e-4 rad/s, 1.2e-6 of it, against 5e-4 rad/s
+        # round-off floor 4 eps |H| on a gap is 2 eps |H| on h_eff = gap / 2
         whole = _whole_block_scan(monkeypatch, spectrum, couplings, d, halfwidth)
         even = build_hamiltonian(spectrum, couplings, d, odd=False).even
         assert (whole["dimension"], whole["truncation_bound"]) == (len(even), 0.0)
@@ -885,9 +889,48 @@ def test_gap_scan_tiers_on_the_suites_systems_match_the_whole_block(monkeypatch,
         assert abs(result["h_eff"] - whole["h_eff"]) <= max(1e-6 * whole["h_eff"], floor / 2)
 
 
+def _roundoff_floor(whole):
+    """4 eps |H|, the round-off floor of a gap, from a whole-block scan: its
+    `roundoff` is dimension * eps * max |Lambda|, and |H| = max |Lambda|."""
+    return 4 * whole["roundoff"] / whole["dimension"]
+
+
+def _linear_coupler_system(g_mhz, d):
+    # the paper's regime: the `oracle` ladder at eps = 100 MHz, no direct
+    # coupling, and a linear coupler 1 GHz above mode 1 coupled at g
+    ladder = _ladder()
+    spectrum = ModeSpectrum(omega=ladder.omega, kerr=ladder.kerr,
+                            coupler_omega=ladder.omega[0] + 1.0 * GHZ, coupler_kerr=0.0)
+    return spectrum, CouplingGraph(h=np.zeros((4, 4)), g=np.full(4, g_mhz * MHZ)), d
+
+
+@pytest.mark.parametrize("g_mhz, d, tier", [(50, 4, (216, 155)), (50, 5, (271, 320)),
+                                            (150, 4, (371, 101)), (150, 5, (591, 381))])
+def test_gap_scan_certifies_a_fold_at_the_papers_coupling(monkeypatch, g_mhz, d, tier):
+    # at g = 150 MHz the states of at most six quanta move |h_eff| by
+    # 0.79 rad/s, 40 times their round-off, so only the N = 8 fold is
+    # certified; a lift of |M| ~ 0.026 also needs more of the series of
+    # (I + S)^-1/2 than S^3. At 50 MHz the N = 4 fold's bound is 2.4 and
+    # 5.9 rad/s against its round-off of about 5e-3 rad/s
+    spectrum, couplings, d = _linear_coupler_system(g_mhz, d)
+    halfwidth = 5 * MHZ
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
+    assert (result["dimension"], result["folded_dimension"]) == tier
+    # the folds of at most 4, 6 and 8 quanta in turn, until one is certified
+    folds = [(np.count_nonzero(_capped(5, d, n)),
+              np.count_nonzero(_capped(5, d, n + 2) & ~_capped(5, d, n))) for n in (4, 6, 8)]
+    assert [t[:2] for t in result["tiers"]] == folds[:folds.index(tier) + 1]
+    assert result["truncation_bound"] + result["galerkin_residual"] <= result["roundoff"]
+    whole = _whole_block_scan(monkeypatch, spectrum, couplings, d, halfwidth)
+    assert whole["dimension"] == (512 if d == 4 else 1563) > sum(tier)
+    floor = _roundoff_floor(whole)
+    assert np.all(abs(result["gaps"] - whole["gaps"]) <= np.maximum(1e-8 * whole["gaps"], floor))
+    assert abs(result["h_eff"] - whole["h_eff"]) <= max(1e-8 * whole["gap_min"], floor)
+
+
 def test_fold_bounds_the_share_of_the_six_quanta_sector(monkeypatch):
     # the share of delta^2 Dt_PQ (E - Lambda_Q)^-1 Dt_QP that the six-quanta
-    # sector's eigenvectors add, from the capped block's own eigenvectors,
+    # sector's eigenvectors add, from those of the states of at most six quanta,
     # on the `oracle` ladder at 300 MHz: the fold's bound on it is about
     # 4e6 times larger, and still 2e-9 rad/s at the half-width
     spectrum, couplings, d = _oracle_ladders()[9]
@@ -901,32 +944,39 @@ def test_fold_bounds_the_share_of_the_six_quanta_sector(monkeypatch):
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
     assert result["folded_dimension"] == 44 and len(seen) == 1
     share = seen[0][1]
+    # the states of at most six quanta, which the N = 6 fold keeps
     basis = oracle._fock_basis(4, d)
-    capped = basis.scan[1]
+    six_cap = basis.scan[1]
     even = build_hamiltonian(spectrum, couplings, d, odd=False).even
-    levels, vecs = np.linalg.eigh(even[np.ix_(capped.kept, capped.kept)])
-    total = basis.occupations[:, basis.spaces[0][capped.kept]].sum(axis=0)
+    levels, vecs = np.linalg.eigh(even[np.ix_(six_cap.kept, six_cap.kept)])
+    total = basis.occupations[:, basis.spaces[0][six_cap.kept]].sum(axis=0)
     model, six = ((vecs[total == q] ** 2).sum(axis=0) > 0.5 for q in (2, 6))
     assert np.count_nonzero(six) == 44
-    dt = vecs[:, model].T @ (capped.half_pair_number[:, None] * vecs[:, six])
-    pair = vecs[np.ix_(capped.pair, np.flatnonzero(model))] ** 2
+    half = six_cap.half_pair_number[:len(six_cap.kept), None]
+    dt = vecs[:, model].T @ (half * vecs[:, six])
+    pair = vecs[np.ix_(six_cap.pair, np.flatnonzero(model))] ** 2
     energy = np.sum(pair * levels[model]) / np.sum(pair)
     exact = np.linalg.norm(dt, 2) ** 2 / np.min(abs(energy - levels[six]))
     assert 0.0 < exact <= share
     assert share * halfwidth**2 < 1e-8
+
+    def raised(*args):
+        bound_, share_, galerkin = bound(*args)
+        return bound_, share_ + halfwidth**-2, galerkin
+
     # and every point's remainder bound holds it: raised by 1 / halfwidth^2,
     # the share adds 1 rad/s at the ends of the scan
-    monkeypatch.setattr(oracle, "_truncation_bound",
-                        lambda *args: (bound(*args)[0], bound(*args)[1] + halfwidth**-2))
+    monkeypatch.setattr(oracle, "_truncation_bound", raised)
     monkeypatch.setattr(oracle, "REMAINDER_TOL", 1.0)
     raised = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
     assert 1.0 <= raised["remainder_bound"] <= 1.0 + 2 * result["remainder_bound"]
 
 
 def test_gap_scan_solves_the_whole_block_when_the_bound_exceeds_roundoff(monkeypatch):
-    # the 2 GHz ladder coupled at 20 MHz: its bound, about 1e2 rad/s, exceeds
-    # the capped solve's round-off, about 1.4e-3 rad/s; the capped gaps would
-    # sit 0.013-2.2 rad/s from the whole block's
+    # the 2 GHz ladder coupled at 20 MHz: the N = 4, 6 and 8 folds' bounds,
+    # about 3e2, 0.70 and 0.42 rad/s, exceed their round-offs of at most
+    # 3.6e-3 rad/s; the states of at most six quanta alone put the gaps
+    # 0.013-2.2 rad/s from the whole block's
     spectrum, couplings, d = _low_frequency_system()
     shapes, bounds = [], []
     eigh, bound = np.linalg.eigh, oracle._truncation_bound
@@ -942,11 +992,108 @@ def test_gap_scan_solves_the_whole_block_when_the_bound_exceeds_roundoff(monkeyp
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(oracle, "_truncation_bound", recorded)
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
-    # the fold is not tried: its lift M is too large for its orthonormalization
-    assert [shape for shape in shapes if shape != (10, 10)] == [(86, 86), (128, 128)]
-    assert len(bounds) == 1 and bounds[0][0] > 1.0
+    # each fold's lift, |M| <= 0.024 to 0.032, needs the series of
+    # (I + S)^-1/2 past S^3, and each is solved
+    assert [shape for shape in shapes if shape != (10, 10)] == [
+        (42, 42), (86, 86), (117, 117), (128, 128)]
+    assert len(bounds) == 3 and all(b[0] > 0.4 for b in bounds)
+    assert result["tiers"] == [(42, 44, bounds[0][0]), (86, 31, bounds[1][0]),
+                               (117, 10, bounds[2][0]), (128, 0, 0.0)]
     assert result["dimension"] == 128
-    assert result["truncation_bound"] == 0.0
+    assert result["truncation_bound"] == result["galerkin_residual"] == 0.0
+
+
+def test_gap_scan_records_each_tier_it_tries(monkeypatch):
+    # the suite's coupler system at d = 4: the N = 4 fold's bound, 2.5e-2
+    # rad/s, exceeds even the N = 6 fold's round-off, 1.8e-2 rad/s
+    spectrum, couplings, d = _coupler_system(4)
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    (kept, folded, refused), last = result["tiers"]
+    assert (kept, folded, last[:2]) == (81, 135, (216, 155))
+    assert refused > result["roundoff"]
+    assert last[2] == result["truncation_bound"] <= result["roundoff"]
+    # on a ladder the N = 4 fold is the one tier tried
+    ladder = four_body_from_gap(_ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)),
+                                d=4, scan_halfwidth=3 * MHZ)
+    assert ladder["tiers"] == [(42, 44, ladder["truncation_bound"])]
+    # a fold refused before its bound is formed is recorded as infinite
+    monkeypatch.setattr(oracle, "_fold", lambda *args: None)
+    whole = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    assert whole["tiers"] == [(81, 135, np.inf), (216, 155, np.inf), (371, 101, np.inf),
+                              (512, 0, 0.0)]
+
+
+@pytest.mark.parametrize("lift", [0.01, 0.5, 0.9, 1.0])
+def test_fold_orthonormalizes_any_lift_below_one(lift):
+    # two kept states at 0, each coupled by `lift` to its own folded state
+    # at 1: M = -lift I, whose series of (I + S)^-1/2 stopped at S^3 leaves
+    # the lifted vectors 2e-3 from orthonormal at lift 0.5; the Ritz value of
+    # H on [1; -lift] is -lift^2 / (1 + lift^2). Where the bound on |M|
+    # reaches 1 the series does not converge, and the fold is refused
+    even = np.zeros((4, 4))
+    even[2, 2] = even[3, 3] = 1.0
+    even[0, 2] = even[2, 0] = even[1, 3] = even[3, 1] = lift
+    block = oracle._ScanBlock(np.array([0, 1]), np.array([2, 3]), np.array([], dtype=int),
+                              None, None, None)
+    solved = oracle._fold(even, block, np.array([0, 1]))
+    if lift >= 1.0:
+        assert solved is None
+        return
+    levels, vecs, _ = solved
+    np.testing.assert_allclose(levels, -lift**2 / (1 + lift**2), rtol=1e-14)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(2), rtol=0.0, atol=1e-14)
+
+
+def test_a_fold_with_nothing_dropped_is_certified(monkeypatch):
+    # four KPOs at d = 3 hold at most eight quanta, so the N = 6 fold folds
+    # |2222> alone and drops nothing: the norm of its empty H_DF is 0
+    assert oracle._norm_bound(np.zeros((0, 1))) == 0.0
+    spectrum, couplings, d = _ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)), 3
+    fold = oracle._fold
+    monkeypatch.setattr(oracle, "_fold", lambda even, block, pair: (
+        None if len(block.kept) == 30 else fold(even, block, pair)))
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    assert result["tiers"] == [(30, 10, np.inf), (40, 1, result["truncation_bound"])]
+    assert 0.0 < result["truncation_bound"] + result["galerkin_residual"] <= result["roundoff"]
+    whole = _whole_block_scan(monkeypatch, spectrum, couplings, d, 3 * MHZ)
+    assert whole["dimension"] == 41
+    tolerance = np.maximum(1e-8 * whole["gaps"], _roundoff_floor(whole))
+    assert np.all(abs(result["gaps"] - whole["gaps"]) <= tolerance)
+
+
+def test_a_wrong_ritz_matrix_leaves_the_fold(monkeypatch):
+    # the fold's vectors taken from a Ritz matrix of H_KK alone, the Schur
+    # term H_KF M dropped: its truncation bound still passes, but the
+    # residual inside the lifted space (the Galerkin term) does not
+    spectrum, couplings, d = _ladder(eps_ghz=0.15), CouplingGraph(h=_full_h(5.0 * MHZ)), 4
+    fold, bound, seen, roundoffs = oracle._fold, oracle._truncation_bound, [], []
+
+    def without_schur_term(even, block, pair):
+        m, h_kk = (solved := fold(even, block, pair))[2][0], solved[2][3]
+        s_vals, s_vecs = np.linalg.eigh(m.T @ m)
+        g = (s_vecs / np.sqrt(1.0 + s_vals)) @ s_vecs.T
+        theta, z = np.linalg.eigh(g @ h_kk @ g)
+        roundoffs.append(len(theta) * np.finfo(float).eps * abs(theta).max())
+        return theta, np.concatenate([g @ z, m @ g @ z]), solved[2]
+
+    def recorded(*args):
+        seen.append(bound(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, "_truncation_bound", recorded)
+    kept = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    assert (kept["dimension"], kept["folded_dimension"]) == (42, 44)
+    assert seen == [(kept["truncation_bound"], seen[0][1], kept["galerkin_residual"])]
+    assert kept["galerkin_residual"] < 0.1 * kept["roundoff"]
+    seen.clear()
+    monkeypatch.setattr(oracle, "_fold", without_schur_term)
+    result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
+    assert seen[0][0] <= roundoffs[0] < seen[0][2]
+    # the N = 6 fold is refused likewise; the N = 8 one folds in states of
+    # ten quanta, whose Schur term moves the model levels by less than its
+    # round-off, and its Galerkin term says so
+    assert [tier[:2] for tier in result["tiers"]] == [(42, 44), (86, 31), (117, 10)]
+    assert roundoffs[1] < seen[1][2] and seen[2][2] < roundoffs[2]
 
 
 @pytest.mark.parametrize("case", ["kpos-d4", "with-coupler-d3"])
@@ -991,11 +1138,12 @@ def test_gram_norms_match_the_svd_norm_on_the_scans_matrices(monkeypatch, case):
     monkeypatch.setattr(oracle, "_two_norm", recorded)
     for spectrum, couplings, d in systems:
         four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ)
-    # per tier tried, Dt_PQ (a row per model state), then the bound's
-    # residual (a column per one); with the coupler the fold and the cap
-    assert len(seen) == (2 if case == "seeded-ladders" else 4) * len(systems)
-    assert all(m.shape[0] == manifold for m, _ in seen[0::2])
-    assert all(m.shape[1] == manifold for m, _ in seen[1::2])
+    # per fold tried, Dt_PQ (a row per model state), then the bound's
+    # residual and its Galerkin part (a column per one); with the coupler
+    # the N = 4 and N = 6 folds
+    assert len(seen) == (3 if case == "seeded-ladders" else 6) * len(systems)
+    assert all(m.shape[0] == manifold for m, _ in seen[0::3])
+    assert all(m.shape[1] == manifold for i in (1, 2) for m, _ in seen[i::3])
     for matrix, norm in seen:
         assert norm > 0.0
         assert norm == pytest.approx(np.linalg.norm(matrix, 2), rel=1e-13, abs=0.0)
