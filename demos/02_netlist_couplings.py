@@ -48,7 +48,7 @@ for label, c_c in (("C_c = 1 fF (coupler-mediated, g)", 1e-15),
             e, a = graphs["exact"].h[j, k] / MHZ, graphs["approx"].h[j, k] / MHZ
             print(f"  h{j + 1}{k + 1}     {e:10.5f}   {a:10.5f}   {abs(e - a) / e:8.2e}")
     for j in range(4):
-        e, a = graphs["exact"].g[j] / MHZ, graphs["approx"].g[j] / MHZ
+        e, a = abs(graphs["exact"].g[j]) / MHZ, abs(graphs["approx"].g[j]) / MHZ
         print(f"  g{j + 1}      {e:10.5f}   {a:10.5f}   {abs(e - a) / e:8.2e}")
     print(f"(agreement bound 3 C_c/C_q = {3 * c_c / 500e-15:.1%})")
     print()

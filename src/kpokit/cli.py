@@ -150,7 +150,8 @@ def cmd_couplings(args, out) -> int:
     if coupler_omega is not None:
         for j in range(4):
             rows.append(
-                [f"g{j + 1}", graphs["exact"].g[j] / MHZ, graphs["approx"].g[j] / MHZ]
+                [f"g{j + 1}", abs(graphs["exact"].g[j]) / MHZ,
+                 abs(graphs["approx"].g[j]) / MHZ]
             )
     _emit(out, _meta("couplings", args), ["coupling", "exact_MHz", "approx_MHz"], rows)
     return 0

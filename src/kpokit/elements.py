@@ -170,8 +170,6 @@ def kpo_mode_params(c_eff: float, l_geom: float, element: JunctionElement) -> Mo
         raise TypeError("use snail_mode_params for SNAIL elements")
     l_js = junction_inductances(element)
     l_total = l_geom + sum(l_js)
-    if l_total <= 0:
-        raise ValueError("total inductance must be positive")
     omega = _resonance(c_eff, l_total)
     try:
         kerr = sum(lj**3 for lj in l_js) / l_total**3 * E_CHARGE**2 / (2.0 * c_eff) / HBAR

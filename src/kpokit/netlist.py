@@ -336,11 +336,11 @@ def coupling_constants(
 
     Exact, by one rule over the four KPOs and the coupler as the fifth mode:
     k_jk = (G_r[j, k]/2) sqrt(C_j C_k w_j w_k), C_j = 1/G_r[j, j] (see
-    `ReducedModes`); h_jk = k_jk between KPOs, g_j = |k_jc|, and the sign
-    of G_r[j, c] goes into both graphs as explicit s (-1 where G_r[j, c] < 0,
-    else +1; the default (+1, +1, -1, -1) on the unit circuit).
+    `ReducedModes`); h_jk = k_jk between KPOs and g_j = k_jc, which carries
+    the sign of G_r[j, c] (+, +, -, - on the unit circuit).
     Approximate: h_jk = C_c/(8 sqrt(Cq_j Cq_k)) sqrt(w_j w_k);
-    g_j = C_c/(4 sqrt(Cq_j Cg)) sqrt(w_j w_g), needing bare capacitances.
+    g_j = C_c/(4 sqrt(Cq_j Cg)) sqrt(w_j w_g), needing bare capacitances,
+    with the sign of G_r[j, c] as well.
     """
     import numpy as np
 
@@ -356,8 +356,7 @@ def coupling_constants(
         k.flat[::n + 1] = 0.0
         if n == 4:
             return CouplingGraph(h=k)
-        return CouplingGraph(h=k[:4, :4].copy(), g=abs(k[:4, 4]),
-                             s=np.where(g_r[:4, 4] < 0, -1.0, 1.0))
+        return CouplingGraph(h=k[:4, :4].copy(), g=np.copysign(k[:4, 4], g_r[:4, 4]))
 
     cw = omega / np.diag(g_r)  # C_j w_j
     out = {"exact": graph(0.5 * g_r * np.sqrt(np.outer(cw, cw)))}

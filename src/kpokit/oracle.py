@@ -53,7 +53,7 @@ def build_hamiltonian(
     spectrum: ModeSpectrum, couplings: CouplingGraph, d: int, *, odd: bool = True
 ) -> FockHamiltonian:
     """H = sum_j [w_j n_j - (K_j/2) a_j+^2 a_j^2] - sum_{j<k} c_jk (a_j - a_j+)(a_k - a_k+)
-    over all modes, the coupler's included (c_jn = s_j g_j), counter-rotating parts kept.
+    over all modes, the coupler's included (c_jn = g_j, signed), counter-rotating parts kept.
 
     H is a polynomial (`_polynomial`); by the one rule of `_build`, each element
     is the sum, over the monomials at its position in the polynomial's order,

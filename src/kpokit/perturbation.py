@@ -2,17 +2,18 @@
 
 A coupler is one more mode, the last (n). Every first-order result reads
 the signed coupling matrix c over all modes (c_jk = h_jk between KPOs,
-c_jn = c_nj = s_j g_j) and the mixing matrix R_jk = c_jk / (w_j - w_k), so
-R_jn = s_j gtilde_j = -R_nj. The engine substitutes, for every mode,
+c_jn = c_nj = g_j, each g_j signed by the coupler node KPO j links to)
+and the mixing matrix R_jk = c_jk / (w_j - w_k), so R_jn = gtilde_j = -R_nj.
+The engine substitutes, for every mode,
 
-    a_j -> a_j + sum_k R_kj a_k    (so a_g -> a_g + sum_j s_j gtilde_j a_j)
+    a_j -> a_j + sum_k R_kj a_k    (so a_g -> a_g + sum_j gtilde_j a_j)
 
 into every self-Kerr term: the quartic of U = I + R^T
 (operators.BosonicPolynomial.quartic), normal-ordered as written because
 every transformed operator holds annihilators only. The closed forms
-(four-body, residual, cross-Kerr, dressed spectrum) are independent
-evaluations of specific monomial coefficients of that expansion, so the
-two routes can be cross-checked to machine precision.
+(four-body, cross-Kerr, dressed spectrum) are independent evaluations of
+specific monomial coefficients of that expansion, so the two routes can be
+cross-checked to machine precision.
 
 The four-body closed forms are two sums: h4_general over the KPO Kerr
 terms and g4_closed_form over the coupler's. The named circuits evaluate
@@ -87,49 +88,32 @@ class ModeSpectrum(_Record):
 class CouplingGraph(_Record):
     """Two-body couplings: KPO-KPO matrix h and optional KPO-coupler vector g."""
 
-    __slots__ = ("h", "g", "s")
+    __slots__ = ("h", "g")
 
-    def __init__(self, h: np.ndarray, g: np.ndarray | None = None, s: np.ndarray | None = None):
+    def __init__(self, h: np.ndarray, g: np.ndarray | None = None):
         h = np.asarray(h, dtype=float)
+        g = None if g is None else np.asarray(g, dtype=float)
         object.__setattr__(self, "h", h)  # (n, n) symmetric, rad/s, zero diagonal
-        object.__setattr__(self, "g", g)  # (n,) rad/s
-        object.__setattr__(self, "s", s)  # sign factors; default (+1, +1, -1, -1)
+        object.__setattr__(self, "g", g)  # (n,) rad/s, signed: the coupling-matrix c_jn
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("h must be square")
         if not all(map(math.isfinite, h.ravel().tolist())):
             raise ValueError("h must be finite")
         if not np.all(abs(h - h.T) <= 1e-8 + 1e-5 * abs(h.T)):  # np.allclose(h, h.T)
             raise ValueError("h must be symmetric")
-        if self.g is None and self.s is not None:
-            raise ValueError("sign factors s given without coupler couplings g")
-        if self.g is not None:
-            g = np.asarray(self.g, dtype=float)
-            object.__setattr__(self, "g", g)
-            s = self.s
-            if s is None:
-                if h.shape[0] != 4:
-                    raise ValueError("default sign factors need exactly 4 KPOs")
-                s = np.array([1.0, 1.0, -1.0, -1.0])
-            s = np.asarray(s, dtype=float)
-            object.__setattr__(self, "s", s)
-            if not all(map(math.isfinite, g.ravel().tolist() + s.ravel().tolist())):
-                raise ValueError("g and s must be finite")
-            if s.shape != g.shape:
-                raise ValueError(f"s has shape {s.shape} but g has shape {g.shape}")
-            if not np.all(abs(s) == 1.0):
-                raise ValueError(f"sign factors s must be +1 or -1, got {s.tolist()}")
+        if g is not None and not all(map(math.isfinite, g.ravel().tolist())):
+            raise ValueError("g must be finite")
 
 
 class MixingCoefficients(_Record):
-    """Dimensionless first-order mixing ratios htilde_jk = h_jk/(w_j - w_k)."""
+    """Dimensionless first-order mixing ratios htilde_jk = h_jk/(w_j - w_k)
+    and gtilde_j = g_j/(w_j - w_g), signed as g is."""
 
-    __slots__ = ("h_tilde", "g_tilde", "s")
+    __slots__ = ("h_tilde", "g_tilde")
 
-    def __init__(self, h_tilde: np.ndarray, g_tilde: np.ndarray | None = None,
-                 s: np.ndarray | None = None):
+    def __init__(self, h_tilde: np.ndarray, g_tilde: np.ndarray | None = None):
         object.__setattr__(self, "h_tilde", h_tilde)  # (n, n) antisymmetric
-        object.__setattr__(self, "g_tilde", g_tilde)  # (n,)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "g_tilde", g_tilde)  # (n,), R_jn
 
 
 class DressedSpectrum(_Record):
@@ -225,7 +209,7 @@ def _mode_pairs(n_kpo: int, n_modes: int) -> tuple[tuple[int, int], ...]:
 def _coupling_matrix(spectrum: ModeSpectrum,
                      couplings: CouplingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """w, K and the signed coupling matrix c over all modes, the coupler
-    (if any) last as mode n: c_jk = h_jk between KPOs, c_jn = c_nj = s_j g_j,
+    (if any) last as mode n: c_jk = h_jk between KPOs, c_jn = c_nj = g_j,
     and a zero diagonal. ValueError unless h and g fit the spectrum's KPOs
     and g has a coupler mode to couple to."""
     n = spectrum.n_kpo
@@ -241,15 +225,15 @@ def _coupling_matrix(spectrum: ModeSpectrum,
     c[:n, :n] = couplings.h
     c.flat[::len(omega) + 1] = 0.0
     if couplings.g is not None:
-        c[:n, n] = c[n, :n] = couplings.s * couplings.g
+        c[:n, n] = c[n, :n] = couplings.g
     return omega, kerr, c
 
 
 def _mixing_matrix(spectrum: ModeSpectrum,
                    mixing: MixingCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """K and the mixing matrix R over the modes of `_coupling_matrix`:
-    R_jk = htilde_jk between KPOs and R_jn = s_j gtilde_j = -R_nj.
-    ValueError unless `mixing` fits `spectrum`, is finite and its s are signs."""
+    R_jk = htilde_jk between KPOs and R_jn = gtilde_j = -R_nj.
+    ValueError unless `mixing` fits `spectrum` and is finite."""
     n = spectrum.n_kpo
     if np.shape(mixing.h_tilde) != (n, n):
         raise ValueError(f"h_tilde has shape {np.shape(mixing.h_tilde)}, "
@@ -258,31 +242,27 @@ def _mixing_matrix(spectrum: ModeSpectrum,
         if not spectrum.has_coupler:
             raise ValueError("mixing has coupler ratios g_tilde but the spectrum "
                              "has no coupler mode")
-        for name in ("g_tilde", "s"):
-            value = getattr(mixing, name)
-            if value is None or np.shape(value) != (n,):
-                raise ValueError(f"{name} must have shape ({n},) for {n} KPOs, got "
-                                 f"{None if value is None else np.shape(value)}")
+        if np.shape(mixing.g_tilde) != (n,):
+            raise ValueError(f"g_tilde must have shape ({n},) for {n} KPOs, got "
+                             f"{np.shape(mixing.g_tilde)}")
     # refused here, where it can be named: a non-finite ratio makes
     # non-finite coefficients, and a prune by size drops a NaN as if it were 0
-    for name in ("h_tilde", "g_tilde", "s"):
+    for name in ("h_tilde", "g_tilde"):
         value = getattr(mixing, name)
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
-    if mixing.s is not None and not np.all(np.abs(mixing.s) == 1.0):
-        raise ValueError(f"sign factors s must be +1 or -1, got {np.asarray(mixing.s).tolist()}")
     _, kerr = _modes(spectrum)
     r = np.zeros((len(kerr), len(kerr)))
     r[:n, :n] = mixing.h_tilde
     if mixing.g_tilde is not None:
-        r[:n, n] = mixing.s * mixing.g_tilde
+        r[:n, n] = mixing.g_tilde
         r[n, :n] = -r[:n, n]
     return kerr, r
 
 
 def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoefficients:
     """First-order mixing ratios R_jk = c_jk/(w_j - w_k) for every nonzero
-    coupling of `_coupling_matrix`; gtilde_j = s_j R_jn = g_j/(w_j - w_g).
+    coupling of `_coupling_matrix`; gtilde_j = R_jn = g_j/(w_j - w_g).
 
     Raises DegenerateModesError when a coupled pair is exactly degenerate.
     Warns when any ratio exceeds the perturbative-validity threshold.
@@ -296,8 +276,8 @@ def sw_mixing(spectrum: ModeSpectrum, couplings: CouplingGraph) -> MixingCoeffic
     if worst > MIXING_WARN:
         warnings.warn(f"mixing ratio {worst:.3g} exceeds {MIXING_WARN}; first-order results "
                       "degrade", stacklevel=2)
-    g_tilde = None if couplings.g is None else couplings.s * ratios[:n, n]
-    return MixingCoefficients(h_tilde=ratios[:n, :n], g_tilde=g_tilde, s=couplings.s)
+    g_tilde = None if couplings.g is None else ratios[:n, n]
+    return MixingCoefficients(h_tilde=ratios[:n, :n], g_tilde=g_tilde)
 
 
 # --------------------------------------------------------------------------
@@ -406,7 +386,8 @@ def rwa_filter(
 # --------------------------------------------------------------------------
 
 def g4_closed_form(kerr_g: float, g_tilde) -> float:
-    """Coupler-mediated four-body coupling 2*prod(gtilde_j)*K_g; ValueError unless finite."""
+    """Coupler-mediated four-body coupling 2*prod(gtilde_j)*K_g over the
+    signed ratios gtilde_j = R_jn of `sw_mixing`; ValueError unless finite."""
     g_tilde = _finite_floats(g_tilde, "the four mixing ratios", (4,))
     if not math.isfinite(kerr_g):
         raise ValueError(f"coupler Kerr coefficient must be finite, got {kerr_g}")

@@ -70,6 +70,9 @@ from kpokit.spinmodel import (
     parity_curve,
 )
 
+# the unit circuit's coupler signs: KPOs 1 and 2 on one coupler node, 3 and 4 on the other
+UNIT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
 KPO_NODES = ("q1", "q2", "q3", "q4")
 COUPLER_NODES = ("c5", "c6")
 
@@ -278,7 +281,7 @@ def test_acceptance_06_closed_forms_match_operator_engine():
                 coupler_omega=rng.uniform(11.5, 12.5) * GHZ,
                 coupler_kerr=rng.uniform(5.0, 30.0) * MHZ,
             )
-            couplings = CouplingGraph(h=h, g=rng.uniform(0.0, 4.0, 4) * MHZ)
+            couplings = CouplingGraph(h=h, g=rng.uniform(0.0, 4.0, 4) * MHZ * UNIT_SIGNS)
         else:
             spectrum = ModeSpectrum(omega=omega, kerr=kerr)
             couplings = CouplingGraph(h=h)

@@ -156,6 +156,12 @@ def test_junction_inductances_flatten():
     assert junction_inductances(stack) == [1e-10, PHI0_REDUCED / 1e-6, 2e-10]
 
 
+def test_a_snail_has_no_junction_inductance_list():
+    # its inductance depends on the flux, so it is expanded about its equilibrium instead
+    with pytest.raises(TypeError, match="has no simple inductance list"):
+        junction_inductances(Snail(i0=1e-6, gamma=0.3))
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         Squid(l_j=-1e-12)
@@ -289,6 +295,13 @@ def test_expansion_requires_equilibrium():
     element = Snail(**DESIGN_SNAIL, phi_x=2 * math.pi * 0.47)
     with pytest.raises(ValueError, match="not an equilibrium"):
         snail_expansion(element, 0.3)
+
+
+def test_expansion_refuses_a_potential_maximum():
+    # at phi_x = pi, phi = pi balances the currents, but there
+    # c2 = gamma cos(pi) + cos(0)/n = -0.8 + 1/3 < 0: the potential's maximum
+    with pytest.raises(ValueError, match=r"c2 = -0\.4667 <= 0: not a stable potential minimum"):
+        snail_expansion(Snail(i0=1e-6, gamma=0.8, n=3, phi_x=math.pi), math.pi)
 
 
 def test_kerr_sign_flips_with_flux():

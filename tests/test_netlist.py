@@ -14,6 +14,7 @@ from kpokit.netlist import (
     CapacitanceMatrix,
     Capacitor,
     CircuitNetlist,
+    InverseCapacitance,
     build_capacitance_matrix,
     coupling_constants,
     extract_bare,
@@ -266,11 +267,25 @@ def _spectrum(freqs_ghz=(10.0,) * 4, coupler_ghz=10.0):
     )
 
 
+def test_reduction_refuses_a_non_positive_coupler_block():
+    # an inverse capacitance of -I gives G_r[c, c] = G55 + G66 - 2 G56 = -2
+    g = InverseCapacitance(matrix=-np.eye(6), node_order=KPO_NODES + COUPLER_NODES)
+    with pytest.raises(ValueError, match=r"coupler-node block is not reducible"):
+        mode_reduce(g, KPO_NODES, COUPLER_NODES)
+
+
+def test_coupling_constants_refuse_three_kpos():
+    spectrum = ModeSpectrum(omega=np.full(3, 10.0 * GHZ), kerr=np.zeros(3))
+    with pytest.raises(ValueError, match="unit circuit has four KPOs"):
+        coupling_constants(_reduced(500e-15, 500e-15, 1e-15), spectrum)
+
+
 def test_coupler_coupling_five_mhz():
     modes = _reduced(500e-15, 500e-15, 1e-15)
     graphs = coupling_constants(modes, _spectrum())
-    assert np.allclose(graphs["approx"].g / MHZ, 5.0, rtol=1e-6)
-    assert np.allclose(graphs["exact"].g / MHZ, 5.0, rtol=0.01)
+    # KPOs 1 and 2 link to coupler node c5, 3 and 4 to c6
+    assert np.allclose(graphs["approx"].g / MHZ, [5.0, 5.0, -5.0, -5.0], rtol=1e-6)
+    assert np.allclose(graphs["exact"].g / MHZ, [5.0, 5.0, -5.0, -5.0], rtol=0.01)
 
 
 def test_direct_coupling_five_mhz():
@@ -296,7 +311,8 @@ def test_exact_approx_agreement_bound():
         for k in range(j + 1, 4):
             exact, approx = graphs["exact"].h[j, k], graphs["approx"].h[j, k]
             assert abs(exact - approx) / abs(exact) < bound
-        assert abs(graphs["exact"].g[j] - graphs["approx"].g[j]) / graphs["exact"].g[j] < bound
+        exact, approx = graphs["exact"].g[j], graphs["approx"].g[j]
+        assert abs(exact - approx) / abs(exact) < bound
 
 
 def test_coupling_symmetry():
@@ -401,17 +417,17 @@ def test_unequal_kpo_capacitances_couple_through_their_own_inverse_entries(sprea
         exact, approx = graphs["exact"], graphs["approx"]
         off = ~np.eye(4, dtype=bool)
         assert exact.h[off] == pytest.approx(k[:4, :4][off], rel=1e-12, abs=0)
-        assert exact.s * exact.g == pytest.approx(k[:4, 4], rel=1e-12, abs=0)
-        assert np.array_equal(approx.s, exact.s)
+        assert exact.g == pytest.approx(k[:4, 4], rel=1e-12, abs=0)
+        assert np.array_equal(np.sign(approx.g), np.sign(exact.g))
         bound = 3 * c_c / min(modes.bare["c_q"])
         assert np.all(abs(exact.h - approx.h)[off] < bound * abs(exact.h[off]))
-        assert np.all(abs(exact.g - approx.g) < bound * exact.g)
+        assert np.all(abs(exact.g - approx.g) < bound * abs(exact.g))
 
 
 def _numpy_scalar_couplings(modes, spectrum):
     """coupling_constants' rule entry by entry on NumPy scalars, the exact
     couplings read off G_r with the coupler as mode 4: the exact and
-    approximate (h, g, s), g and s None without a coupler."""
+    approximate (h, g), g None without a coupler and signed as G_r[j, 4]."""
     w = list(spectrum.omega) + ([spectrum.coupler_omega] if spectrum.has_coupler else [])
     g_r = modes.g_r
     cw = [w[j] / g_r[j, j] for j in range(len(w))]  # C_j w_j
@@ -423,13 +439,13 @@ def _numpy_scalar_couplings(modes, spectrum):
                 h_exact[j, k] = 0.5 * g_r[j, k] * np.sqrt(cw[j] * cw[k])
                 h_approx[j, k] = c_c / (8.0 * np.sqrt(c_q[j] * c_q[k])) * np.sqrt(w[j] * w[k])
     if not spectrum.has_coupler:
-        return {"exact": (h_exact, None, None), "approx": (h_approx, None, None)}
+        return {"exact": (h_exact, None), "approx": (h_approx, None)}
     wg, c_g = spectrum.coupler_omega, modes.bare["c_g"]
-    g_exact = np.array([abs(0.5 * g_r[j, 4] * np.sqrt(cw[j] * cw[4])) for j in range(4)])
+    g_exact = np.array([0.5 * g_r[j, 4] * np.sqrt(cw[j] * cw[4]) for j in range(4)])
     g_approx = np.array([c_c / (4.0 * np.sqrt(c_q[j] * c_g)) * np.sqrt(w[j] * wg)
                          for j in range(4)])
-    s = np.array([-1.0 if g_r[j, 4] < 0 else 1.0 for j in range(4)])
-    return {"exact": (h_exact, g_exact, s), "approx": (h_approx, g_approx, s)}
+    g_approx = np.where(g_r[:4, 4] < 0, -g_approx, g_approx)
+    return {"exact": (h_exact, g_exact), "approx": (h_approx, g_approx)}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -451,13 +467,12 @@ def test_coupling_constants_bit_identical_to_the_numpy_scalar_loops(seed):
         for coupler_ghz in (rng.uniform(9.0, 13.0), None):
             spectrum = _spectrum(freqs_ghz=freqs, coupler_ghz=coupler_ghz)
             graphs = coupling_constants(modes, spectrum)
-            for name, (h, g, s) in _numpy_scalar_couplings(modes, spectrum).items():
+            for name, (h, g) in _numpy_scalar_couplings(modes, spectrum).items():
                 assert np.array_equal(graphs[name].h.view(np.int64), h.view(np.int64))
                 if g is None:
-                    assert graphs[name].g is None and graphs[name].s is None
+                    assert graphs[name].g is None
                 else:
                     assert np.array_equal(graphs[name].g.view(np.int64), g.view(np.int64))
-                    assert np.array_equal(graphs[name].s, s)
 
 
 # --------------------------------------------------------------------------

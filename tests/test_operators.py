@@ -28,6 +28,9 @@ from kpokit.perturbation import (
 )
 from kpokit.pumpplan import RESONANCE_TOL, PumpAssignment
 
+# the unit circuit's coupler signs: KPOs 1 and 2 on one coupler node, 3 and 4 on the other
+UNIT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
 # -- the reference: normal-ordered products on term dicts ------------------
 
 def _annihilation(n_modes, mode, coeff=1.0):
@@ -104,11 +107,11 @@ def _to_matrix(terms, n_modes, dim):
 
 def _reference_transform_kerr(spectrum, mixing):
     """Each Kerr term (-K/2) a'^dag a'^dag a' a' multiplied out in normal order,
-    with a_j' = a_j + sum_k htilde_kj a_k - s_j gtilde_j a_g for a KPO and
-    a_g' = a_g + sum_j s_j gtilde_j a_j for the coupler."""
+    with a_j' = a_j + sum_k htilde_kj a_k - gtilde_j a_g for a KPO and
+    a_g' = a_g + sum_j gtilde_j a_j for the coupler."""
     n = spectrum.n_kpo
     m = n + 1 if spectrum.has_coupler else n
-    s, g_tilde = mixing.s, mixing.g_tilde
+    g_tilde = mixing.g_tilde
 
     def quartic(a_new, kerr):
         adag = _conjugate(a_new)
@@ -122,14 +125,14 @@ def _reference_transform_kerr(spectrum, mixing):
             if k != j and mixing.h_tilde[k, j] != 0.0:
                 a_new = _add(a_new, _annihilation(m, k, mixing.h_tilde[k, j]))
         if g_tilde is not None and g_tilde[j] != 0.0:
-            a_new = _add(a_new, _annihilation(m, n, -s[j] * g_tilde[j]))
+            a_new = _add(a_new, _annihilation(m, n, -g_tilde[j]))
         total = _add(total, quartic(a_new, spectrum.kerr[j]))
     if spectrum.has_coupler and spectrum.coupler_kerr:
         a_new = _annihilation(m, n)
         if g_tilde is not None:
             for j in range(n):
                 if g_tilde[j] != 0.0:
-                    a_new = _add(a_new, _annihilation(m, j, s[j] * g_tilde[j]))
+                    a_new = _add(a_new, _annihilation(m, j, g_tilde[j]))
         total = _add(total, quartic(a_new, spectrum.coupler_kerr))
     return _nonzero(total)
 
@@ -289,7 +292,7 @@ def _seeded_cases(seed):
         h = h + h.T
         h_cut = h.copy()
         h_cut[1, 2] = h_cut[2, 1] = 0.0
-        g = rng.uniform(50.0, 200.0, 4) * MHZ
+        g = rng.uniform(50.0, 200.0, 4) * MHZ * UNIT_SIGNS
         pump = PumpAssignment(omega_p=tuple(2.0 * omega))
         for hh in (h, h_cut):
             cases.append((ModeSpectrum(omega=omega, kerr=kerr), CouplingGraph(h=hh), pump, None))
@@ -343,7 +346,7 @@ def test_transform_kerr_key_order_when_kpo1_is_not_coupled_to_every_mode(cut):
                             coupler_omega=12.0 * GHZ, coupler_kerr=20.0 * MHZ)
     h = np.array([[0.0, 5.0, 4.0, 3.0], [5.0, 0.0, 6.0, 2.0],
                   [4.0, 6.0, 0.0, 5.5], [3.0, 2.0, 5.5, 0.0]]) * MHZ
-    g = np.array([5.0, 6.0, 7.0, 8.0]) * MHZ
+    g = np.array([5.0, 6.0, 7.0, 8.0]) * MHZ * UNIT_SIGNS
     if cut == "h12":
         h[0, 1] = h[1, 0] = 0.0
     elif cut == "g1":
@@ -365,7 +368,7 @@ def test_transform_kerr_and_rwa_order_bit_identical_to_reference():
                             coupler_omega=12.0 * GHZ, coupler_kerr=20.0 * MHZ)
     h = np.full((4, 4), 5.0 * MHZ)
     np.fill_diagonal(h, 0.0)
-    mix = sw_mixing(spectrum, CouplingGraph(h=h, g=np.full(4, 5.0 * MHZ)))
+    mix = sw_mixing(spectrum, CouplingGraph(h=h, g=5.0 * MHZ * UNIT_SIGNS))
     pump = PumpAssignment(omega_p=tuple(2 * w for w in omega))
 
     poly = transform_kerr(spectrum, mix)

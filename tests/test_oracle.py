@@ -78,6 +78,8 @@ def test_hamiltonian_is_hermitian_sparse():
     assert np.count_nonzero(asym) == 0 or abs(asym).max() < 1e-9
 
 
+# the unit circuit's coupler signs: KPOs 1 and 2 on one coupler node, 3 and 4 on the other
+UNIT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _CACHES = (oracle._fock_basis, oracle._elements)  # as made, whatever a test patches
 
 
@@ -166,7 +168,7 @@ def test_an_even_only_build_is_the_even_block_of_a_full_build(d, coupler):
     couplings = CouplingGraph(h=_random_couplings(rng, [(1, 3)]))
     if coupler:
         spectrum = _with_coupler(spectrum)
-        couplings = CouplingGraph(h=couplings.h, g=rng.uniform(10.0, 90.0, 4) * MHZ)
+        couplings = CouplingGraph(h=couplings.h, g=rng.uniform(10.0, 90.0, 4) * MHZ * UNIT_SIGNS)
     full = build_hamiltonian(spectrum, couplings, d)
     even_only = build_hamiltonian(spectrum, couplings, d, odd=False)
     _assert_same_bits(even_only.even, full.even)
@@ -225,7 +227,7 @@ def _kronecker_reference(spectrum, couplings, d):
     if couplings.g is not None and spectrum.has_coupler:
         for j in range(n_kpo):
             if couplings.g[j] != 0.0:
-                total = total - couplings.s[j] * couplings.g[j] * (diff[j] @ diff[n_kpo])
+                total = total - couplings.g[j] * (diff[j] @ diff[n_kpo])
     return total.toarray()
 
 
@@ -264,15 +266,16 @@ def test_direct_assembly_matches_kronecker_reference_on_ladders(d):
 
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize(
-    "s", [None, (1.0, -1.0, 1.0, -1.0), (-1.0, -1.0, -1.0, 1.0)], ids=["default", "alt", "neg"]
+    "signs", [UNIT_SIGNS, (1.0, -1.0, 1.0, -1.0), (-1.0, -1.0, -1.0, 1.0)],
+    ids=["unit", "alt", "neg"]
 )
-def test_direct_assembly_matches_kronecker_reference_with_coupler(d, s):
+def test_direct_assembly_matches_kronecker_reference_with_coupler(d, signs):
     rng = np.random.default_rng(7 * d)
     spectrum = ModeSpectrum(omega=_ladder().omega, kerr=rng.uniform(2.0, 25.0, 4) * MHZ,
                             coupler_omega=11.1 * GHZ, coupler_kerr=rng.uniform(0.5, 3.0) * MHZ)
     g = rng.uniform(10.0, 150.0, 4) * MHZ
     g[2] = 0.0
-    couplings = CouplingGraph(h=_random_couplings(rng, [(0, 1)]), g=g, s=s)
+    couplings = CouplingGraph(h=_random_couplings(rng, [(0, 1)]), g=g * np.array(signs))
     _assert_same_bits(_full(build_hamiltonian(spectrum, couplings, d)),
                       _kronecker_reference(spectrum, couplings, d))
     # a coupler without Kerr and without couplings to it
@@ -299,7 +302,7 @@ def test_the_builder_makes_the_transformed_kerr_quartic():
 
     spectrum = _with_coupler(_ladder(eps_ghz=0.15))
     couplings = CouplingGraph(h=_random_couplings(np.random.default_rng(3), []),
-                              g=np.array([20.0, 30.0, 25.0, 15.0]) * MHZ)
+                              g=np.array([20.0, 30.0, 25.0, 15.0]) * MHZ * UNIT_SIGNS)
     mixing = sw_mixing(spectrum, couplings)
     quartic = transform_kerr(spectrum, mixing)
     assert len(quartic.terms) == 225
@@ -307,8 +310,8 @@ def test_the_builder_makes_the_transformed_kerr_quartic():
     blocks = oracle._build(quartic, d, (0, 1))
     u = np.eye(n)  # as transform_kerr forms it
     u[:4, :4] += mixing.h_tilde.T
-    u[:4, 4] = -mixing.s * mixing.g_tilde
-    u[4, :4] = mixing.s * mixing.g_tilde
+    u[:4, 4] = -mixing.g_tilde
+    u[4, :4] = mixing.g_tilde
     a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
     lowering = [sp.kron(sp.kron(sp.identity(d**m), a), sp.identity(d ** (n - 1 - m)))
                 for m in range(n)]
@@ -331,7 +334,7 @@ def test_gap_scan_unchanged_by_direct_assembly(monkeypatch, coupler):
     d = 4
     if coupler:
         spectrum = _with_coupler(spectrum)
-        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+        couplings = CouplingGraph(h=couplings.h, g=20.0 * MHZ * UNIT_SIGNS)
         d = 3
     kwargs = dict(d=d, scan_halfwidth=3 * MHZ, n_scan=11)
     direct = four_body_from_gap(spectrum, couplings, **kwargs)
@@ -480,7 +483,7 @@ def test_hamiltonian_keeps_excitation_parity(coupler):
     couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
     if coupler:
         spectrum = _with_coupler(spectrum)
-        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+        couplings = CouplingGraph(h=couplings.h, g=20.0 * MHZ * UNIT_SIGNS)
     # the Kronecker reference has no element between the parity sectors
     full = _kronecker_reference(spectrum, couplings, 3)
     parity = _total_parity(5 if coupler else 4, 3)
@@ -516,7 +519,7 @@ def test_gap_trace_matches_full_space_rebuild(coupler):
     d = 4
     if coupler:
         spectrum = _with_coupler(spectrum)
-        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+        couplings = CouplingGraph(h=couplings.h, g=20.0 * MHZ * UNIT_SIGNS)
         d = 3
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=3 * MHZ, n_scan=11)
     expected = [_full_space_gap(spectrum, couplings, d, x) for x in result["offsets"]]
@@ -545,7 +548,7 @@ def test_parabolic_refinement_matches_bounded_brent(case):
     couplings = CouplingGraph(h=_full_h(5.0 * MHZ))
     if case == "with-coupler-d3":
         spectrum = _with_coupler(spectrum)
-        couplings = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+        couplings = CouplingGraph(h=couplings.h, g=20.0 * MHZ * UNIT_SIGNS)
     result = four_body_from_gap(spectrum, couplings, d=d, scan_halfwidth=halfwidth)
     i = int(np.argmin(result["gaps"]))
     brent = minimize_scalar(
@@ -601,7 +604,7 @@ def test_basis_arrays_are_read_only(fresh_basis):
     basis = fresh_basis(5, 3)
     spectrum = _with_coupler(_ladder())
     monomials = tuple(oracle._polynomial(spectrum, CouplingGraph(
-        h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ))).terms)
+        h=_full_h(5.0 * MHZ), g=20.0 * MHZ * UNIT_SIGNS)).terms)
     # 10 diagonal monomials and four for each of 10 pairs of modes
     assert len(monomials) == 10 + 4 * 10
     tables = [oracle._elements(5, 3, space, monomials) for space in (0, 1, 2)]
@@ -650,8 +653,9 @@ def test_builds_on_a_cached_basis_match_cold_builds(fresh_basis):
     # on a freshly made basis
     rng = np.random.default_rng(5)
     spectrum = _with_coupler(_ladder())
-    graphs = [CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)),
-              CouplingGraph(h=_random_couplings(rng, [(0, 2)]), g=rng.uniform(10.0, 90.0, 4) * MHZ)]
+    graphs = [CouplingGraph(h=_full_h(5.0 * MHZ), g=20.0 * MHZ * UNIT_SIGNS),
+              CouplingGraph(h=_random_couplings(rng, [(0, 2)]),
+                            g=rng.uniform(10.0, 90.0, 4) * MHZ * UNIT_SIGNS)]
     cold = []
     for couplings in graphs:
         _clear_caches()
@@ -686,9 +690,9 @@ def test_scan_and_estimate_make_one_basis_per_shape(fresh_basis):
          r"h has shape \(3, 3\), expected \(4, 4\) for 4 KPOs"),
         (False, CouplingGraph(h=_full_h(5.0 * MHZ, n=5)),
          r"h has shape \(5, 5\), expected \(4, 4\) for 4 KPOs"),
-        (True, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(3, 20.0 * MHZ), s=np.ones(3)),
+        (True, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(3, 20.0 * MHZ)),
          r"g has shape \(3,\), expected \(4,\) for 4 KPOs"),
-        (False, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)),
+        (False, CouplingGraph(h=_full_h(5.0 * MHZ), g=20.0 * MHZ * UNIT_SIGNS),
          "coupler couplings given but spectrum has no coupler mode"),
     ],
     ids=["h-3x3", "h-5x5", "g-length-3", "g-without-coupler"],
@@ -789,7 +793,7 @@ def _seeded_ladders(n):
 
 def _coupler_system(d=3):
     spectrum = _with_coupler(_ladder(eps_ghz=0.15))
-    return spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 20.0 * MHZ)), d
+    return spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=20.0 * MHZ * UNIT_SIGNS), d
 
 
 def _low_frequency_system():
@@ -901,7 +905,7 @@ def _linear_coupler_system(g_mhz, d):
     ladder = _ladder()
     spectrum = ModeSpectrum(omega=ladder.omega, kerr=ladder.kerr,
                             coupler_omega=ladder.omega[0] + 1.0 * GHZ, coupler_kerr=0.0)
-    return spectrum, CouplingGraph(h=np.zeros((4, 4)), g=np.full(4, g_mhz * MHZ)), d
+    return spectrum, CouplingGraph(h=np.zeros((4, 4)), g=g_mhz * MHZ * UNIT_SIGNS), d
 
 
 @pytest.mark.parametrize("g_mhz, d, tier", [(50, 4, (216, 155)), (50, 5, (271, 320)),
@@ -1193,7 +1197,7 @@ def test_an_overflowing_coupling_is_refused(coupler):
     # coupler, of coefficient -s4 g4 = g4
     if coupler:
         spectrum = _with_coupler(_ladder())
-        couplings = CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 1e308))
+        couplings = CouplingGraph(h=_full_h(5.0 * MHZ), g=1e308 * UNIT_SIGNS)
         modes, coefficient = "(3, 4)", "1e+308"
     else:
         spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(1e308))
@@ -1326,7 +1330,7 @@ def test_kerr_dressed_coupler_mode_enters_at_fourth_order_only():
         omega=spectrum.omega, kerr=spectrum.kerr,
         coupler_omega=9.3 * GHZ, coupler_kerr=1.0 * MHZ,
     )
-    coupled = CouplingGraph(h=couplings.h, g=np.full(4, 20.0 * MHZ))
+    coupled = CouplingGraph(h=couplings.h, g=20.0 * MHZ * UNIT_SIGNS)
     base = four_body_kerr_dressed(spectrum, couplings)
     assert base > 0
     assert four_body_kerr_dressed(with_coupler, coupled) == pytest.approx(base, rel=1e-9)
@@ -1399,7 +1403,8 @@ def _kerr_dressed_systems(kind):
         spectrum = ModeSpectrum(omega=omega, kerr=kerr,
                                 coupler_omega=omega[0] + rng.uniform(0.5, 1.5) * GHZ,
                                 coupler_kerr=rng.uniform(1.0, 20.0) * MHZ)
-        systems.append((spectrum, CouplingGraph(h=h, g=rng.uniform(10.0, 100.0, 4) * MHZ)))
+        g = rng.uniform(10.0, 100.0, 4) * MHZ * UNIT_SIGNS
+        systems.append((spectrum, CouplingGraph(h=h, g=g)))
     return systems
 
 
@@ -1422,7 +1427,7 @@ def test_kerr_dressed_mixing_error_unchanged_by_truncation(monkeypatch, coupler)
     spectrum, couplings = _ladder(), CouplingGraph(h=_full_h(80.0 * MHZ))
     if coupler:
         spectrum, couplings = _with_coupler(spectrum), CouplingGraph(
-            h=_full_h(1.0 * MHZ), g=np.full(4, 400.0 * MHZ))
+            h=_full_h(1.0 * MHZ), g=400.0 * MHZ * UNIT_SIGNS)
     messages = []
     for d in (3, 4):
         monkeypatch.setattr(oracle, "_LOWDIN_TRUNCATION", d)
@@ -1471,7 +1476,7 @@ def test_hop_space_matrix_is_the_even_block_restricted_to_it(n_modes):
     couplings = CouplingGraph(h=_random_couplings(rng, [(0, 2)]))
     if n_modes == 5:
         spectrum = _with_coupler(spectrum)
-        couplings = CouplingGraph(h=couplings.h, g=rng.uniform(10.0, 90.0, 4) * MHZ)
+        couplings = CouplingGraph(h=couplings.h, g=rng.uniform(10.0, 90.0, 4) * MHZ * UNIT_SIGNS)
     even_states, _, hop_states = oracle._fock_basis(n_modes, 3).spaces
     (hop,) = oracle._build(oracle._polynomial(spectrum, couplings), 3, (2,))
     within = np.searchsorted(even_states, hop_states)
@@ -1520,9 +1525,9 @@ def _coupler_cases():
     spectrum, h = _with_coupler(_ladder()), _full_h(5.0 * MHZ)
     linear = ModeSpectrum(omega=spectrum.omega, kerr=spectrum.kerr,
                           coupler_omega=spectrum.coupler_omega, coupler_kerr=0.0)
-    return [(spectrum, CouplingGraph(h=h, g=np.full(4, 20.0 * MHZ))),
-            (spectrum, CouplingGraph(h=h, g=np.array([0.0, 20.0, 30.0, 40.0]) * MHZ)),
-            (linear, CouplingGraph(h=h, g=np.full(4, 20.0 * MHZ)))]
+    return [(spectrum, CouplingGraph(h=h, g=20.0 * MHZ * UNIT_SIGNS)),
+            (spectrum, CouplingGraph(h=h, g=np.array([0.0, 20.0, 30.0, 40.0]) * MHZ * UNIT_SIGNS)),
+            (linear, CouplingGraph(h=h, g=20.0 * MHZ * UNIT_SIGNS))]
 
 
 @pytest.mark.parametrize("kind", ["ladder", "random", "coupler", "coupler-ladder", "design"])

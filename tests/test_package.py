@@ -138,10 +138,10 @@ RECORDS = [
                         coupler_omega=3.0, coupler_kerr=0.125), False,
      "ModeSpectrum(omega=array([1., 2.]), kerr=array([0.5 , 0.25]), coupler_omega=3.0, "
      "coupler_kerr=0.125)"),
-    (CouplingGraph, dict(h=np.array([[0.0]]), g=np.array([0.5]), s=np.array([-1.0])), False,
-     "CouplingGraph(h=array([[0.]]), g=array([0.5]), s=array([-1.]))"),
-    (MixingCoefficients, dict(h_tilde=np.array([[0.0]]), g_tilde=None, s=None), False,
-     "MixingCoefficients(h_tilde=array([[0.]]), g_tilde=None, s=None)"),
+    (CouplingGraph, dict(h=np.array([[0.0]]), g=np.array([-0.5])), False,
+     "CouplingGraph(h=array([[0.]]), g=array([-0.5]))"),
+    (MixingCoefficients, dict(h_tilde=np.array([[0.0]]), g_tilde=None), False,
+     "MixingCoefficients(h_tilde=array([[0.]]), g_tilde=None)"),
     (DressedSpectrum, dict(omega_dressed=np.array([1.0]), kerr_dressed=np.array([0.5]),
                            lamb_shift=np.array([-0.25]), coupling_shift=np.array([0.125])), False,
      "DressedSpectrum(omega_dressed=array([1.]), kerr_dressed=array([0.5]), "

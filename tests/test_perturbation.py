@@ -1,13 +1,24 @@
 """Mixing coefficients, Kerr transformation, and closed-form couplings."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from kpokit.constants import GHZ, KHZ, MHZ
+from kpokit.netlist import (
+    Capacitor,
+    CircuitNetlist,
+    build_capacitance_matrix,
+    coupling_constants,
+    invert_capacitance,
+    mode_reduce,
+)
 from kpokit.operators import BosonicPolynomial
 from kpokit.perturbation import (
     CouplingGraph,
     DegenerateModesError,
+    FourBodyReport,
     MixingCoefficients,
     ModeSpectrum,
     ReportEntry,
@@ -31,6 +42,8 @@ from kpokit.oracle import build_hamiltonian, dressed_frequencies_exact, four_bod
 from kpokit.pumpplan import PumpAssignment
 
 LADDER_GHZ = (10.0, 10.0 - 0.3, 10.0 - 0.1, 10.0 - 0.2)  # eps = 100 MHz
+# the unit circuit's coupler signs: KPOs 1 and 2 on one coupler node, 3 and 4 on the other
+UNIT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def _ladder_spectrum(eps_ghz=0.1, kerr_mhz=(5.1, 20.0, 20.0, 5.1), coupler=None):
@@ -72,7 +85,7 @@ def test_degenerate_pair_raises():
 def test_kpo_degenerate_with_the_coupler_raises():
     spectrum = ModeSpectrum(omega=np.array([10.0, 9.9]) * GHZ, kerr=np.zeros(2),
                             coupler_omega=9.9 * GHZ, coupler_kerr=0.0)
-    couplings = CouplingGraph(h=np.zeros((2, 2)), g=np.full(2, 5.0 * MHZ), s=np.ones(2))
+    couplings = CouplingGraph(h=np.zeros((2, 2)), g=np.full(2, 5.0 * MHZ))
     with pytest.raises(DegenerateModesError, match=r"KPO 2\b.*the coupler"):
         sw_mixing(spectrum, couplings)
 
@@ -100,18 +113,29 @@ def test_mode_spectrum_rejects_non_finite_input(field, value):
 
 
 @pytest.mark.parametrize(
+    "omega, kerr, match",
+    [([10.0 * GHZ, 9.9 * GHZ], np.zeros(3), "omega and kerr must have matching shapes"),
+     ([10.0 * GHZ, 0.0], np.zeros(2), "mode frequencies must be positive"),
+     ([10.0 * GHZ, -9.9 * GHZ], np.zeros(2), "mode frequencies must be positive")],
+    ids=["shape-mismatch", "zero-frequency", "negative-frequency"],
+)
+def test_mode_spectrum_rejects_a_kerr_of_another_shape_and_a_non_positive_frequency(
+        omega, kerr, match):
+    with pytest.raises(ValueError, match=match):
+        ModeSpectrum(omega=omega, kerr=kerr)
+
+
+@pytest.mark.parametrize(
     "fields, match",
-    [(dict(h=np.zeros((4, 4)), g=np.array([np.nan, 1.0, 1.0, 1.0])), "finite"),
-     (dict(h=np.zeros((4, 4)), g=np.ones(4), s=np.array([1.0, 1.0, np.inf, -1.0])), "finite"),
+    [(dict(h=np.zeros((4, 4)), g=np.array([np.nan, 1.0, 1.0, 1.0])), "g must be finite"),
      (dict(h=np.array([[0.0, np.nan], [np.nan, 0.0]])), "h must be finite"),
-     (dict(h=np.zeros((4, 4)), g=np.ones(4), s=np.ones(3)), "shape"),
-     (dict(h=np.zeros((4, 4)), g=np.ones(5)), "shape"),
-     (dict(h=np.zeros((4, 4)), g=np.ones(3)), "shape")],
-    ids=["g-nan", "s-inf", "h-nan", "s-length-3", "g-length-5", "g-length-3"],
+     (dict(h=np.zeros((2, 3))), "h must be square"),
+     (dict(h=np.array([[0.0, 1.0], [2.0, 0.0]])), "h must be symmetric")],
+    ids=["g-nan", "h-nan", "h-not-square", "h-not-symmetric"],
 )
 def test_coupling_graph_rejects_malformed_input(fields, match):
     with pytest.raises(ValueError, match=match):
-        CouplingGraph(**{k: v * MHZ if k != "s" else v for k, v in fields.items()})
+        CouplingGraph(**{k: v * MHZ for k, v in fields.items()})
 
 
 def test_a_coupler_kerr_without_a_coupler_frequency_is_refused():
@@ -121,23 +145,10 @@ def test_a_coupler_kerr_without_a_coupler_frequency_is_refused():
 
 
 @pytest.mark.parametrize(
-    "s, match",
-    [(np.ones(4), "sign factors s given without coupler couplings g"),
-     (np.array([1.0, 1.0, 0.5, -1.0]), r"sign factors s must be \+1 or -1"),
-     (np.array([1.0, 0.0, -1.0, -1.0]), r"sign factors s must be \+1 or -1")],
-    ids=["s-without-g", "half", "zero"],
-)
-def test_coupling_graph_refuses_sign_factors_it_would_not_read_as_signs(s, match):
-    g = None if match.startswith("sign factors s given") else np.full(4, 5.0 * MHZ)
-    with pytest.raises(ValueError, match=match):
-        CouplingGraph(h=np.zeros((4, 4)), g=g, s=s)
-
-
-@pytest.mark.parametrize(
     "couplings",
     [CouplingGraph(h=np.zeros((5, 5))),
-     CouplingGraph(h=np.zeros((4, 4)), g=np.ones(5) * MHZ, s=np.ones(5)),
-     CouplingGraph(h=np.zeros((4, 4)), g=np.ones(3) * MHZ, s=np.ones(3))],
+     CouplingGraph(h=np.zeros((4, 4)), g=np.ones(5) * MHZ),
+     CouplingGraph(h=np.zeros((4, 4)), g=np.ones(3) * MHZ)],
     ids=["h-5x5", "g-length-5", "g-length-3"],
 )
 def test_sw_mixing_rejects_couplings_of_the_wrong_size(couplings):
@@ -214,14 +225,71 @@ def test_single_mode_transform_is_identity():
 
 def test_coupler_kerr_four_body_coefficient():
     spectrum = _ladder_spectrum(kerr_mhz=(0, 0, 0, 0), coupler=(12.0, 20.0))
-    g = np.full(4, 5.0 * MHZ)
+    g = 5.0 * MHZ * UNIT_SIGNS
     mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((4, 4)), g=g))
     poly = transform_kerr(spectrum, mix)
     engine = poly.coefficient((1, 1, 0, 0, 0), (0, 0, 1, 1, 0))
-    s = np.array([1.0, 1.0, -1.0, -1.0])
-    expected = -2.0 * 20.0 * MHZ * np.prod(s * mix.g_tilde) * np.prod(s)
+    expected = -2.0 * 20.0 * MHZ * np.prod(g / (spectrum.omega - spectrum.coupler_omega))
     assert engine == pytest.approx(expected, rel=1e-12)
     assert engine == pytest.approx(-g4_closed_form(20.0 * MHZ, mix.g_tilde), rel=1e-12)
+
+
+def _coupler_spectrum(kerr_mhz=(5.1, 20.0, 20.0, 5.1)):
+    """KPOs at 10, 9.7, 9.9 and 9.8 GHz and a coupler at 11 GHz with K_g = 20 MHz."""
+    return ModeSpectrum(omega=np.array([10.0, 9.7, 9.9, 9.8]) * GHZ,
+                        kerr=np.array(kerr_mhz) * MHZ, coupler_omega=11.0 * GHZ,
+                        coupler_kerr=20.0 * MHZ)
+
+
+def _engine_and_closed_forms(spectrum, couplings):
+    """The a1+ a2+ a3 a4 coefficient of transform_kerr, and minus the sum of
+    the two four-body closed forms on the same mixing ratios."""
+    mix = sw_mixing(spectrum, couplings)
+    engine = transform_kerr(spectrum, mix).coefficient((1, 1, 0, 0, 0), (0, 0, 1, 1, 0))
+    return engine, (-h4_general(spectrum.kerr, mix.h_tilde)
+                    - g4_closed_form(spectrum.coupler_kerr, mix.g_tilde))
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0), repeat=4)),
+                         ids=lambda signs: "".join("+-"[x < 0] for x in signs))
+def test_the_engine_matches_the_closed_forms_on_every_coupler_sign_pattern(signs):
+    # each g_j carries the sign of the coupler node KPO j links to, so the
+    # coupler-mediated term -2 K_g prod_j g_j/(w_j - w_g) takes the sign of
+    # their product: about -23.434 rad/s when it is +1, +23.434 when -1
+    g = 20.0 * MHZ * np.array(signs)
+    couplings = CouplingGraph(h=np.zeros((4, 4)), g=g)
+    engine, closed = _engine_and_closed_forms(_coupler_spectrum(), couplings)
+    assert engine == pytest.approx(-23.434 * np.prod(signs), rel=1e-4)
+    assert engine == pytest.approx(closed, rel=1e-12)
+    # the engine's coupler operator is a_g + sum_j g_j/(w_j - w_g) a_j, each
+    # ratio signed as its g_j: with the coupler's Kerr alone, a_g+^2 a_g a_j
+    # has the coefficient -K_g g_j/(w_j - w_g)
+    coupler_only = _coupler_spectrum(kerr_mhz=(0.0,) * 4)
+    poly = transform_kerr(coupler_only, sw_mixing(coupler_only, couplings))
+    for j in range(4):
+        lowered = tuple(int(m in (j, 4)) for m in range(5))
+        ratio = g[j] / (coupler_only.omega[j] - coupler_only.coupler_omega)
+        assert poly.coefficient((0, 0, 0, 0, 2), lowered) == pytest.approx(
+            -20.0 * MHZ * ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("links", list(itertools.product(("c5", "c6"), repeat=4)),
+                         ids="-".join)
+def test_the_engine_matches_the_closed_forms_on_every_circuit_linking(links):
+    # KPO j links to coupler node links[j] through C_c = 2 fF (C_q = C_g =
+    # 500 fF), and coupling_constants signs g_j by that node. c5-c5-c6-c6 is
+    # the unit circuit; in the 8 linkings with an odd number of KPOs on c5
+    # the product of the four g_j is negative, and g4 changes sign with it
+    kpos, couplers = ("q1", "q2", "q3", "q4"), ("c5", "c6")
+    caps = [Capacitor(q, "gnd", 500e-15) for q in kpos] + [Capacitor("c5", "c6", 500e-15)]
+    caps += [Capacitor(q, c, 2e-15) for q, c in zip(kpos, links)]
+    net = CircuitNetlist(nodes=kpos + couplers, ground="gnd", capacitors=tuple(caps))
+    modes = mode_reduce(invert_capacitance(build_capacitance_matrix(net), net), kpos, couplers)
+    spectrum = _coupler_spectrum()
+    engine, closed = _engine_and_closed_forms(spectrum,
+                                              coupling_constants(modes, spectrum)["exact"])
+    assert engine == pytest.approx(-14.8e3, rel=0.01)  # rad/s, mostly h4
+    assert engine == pytest.approx(closed, rel=1e-12)
 
 
 def test_single_kerr_four_body_coefficient():
@@ -235,7 +303,7 @@ def test_single_kerr_four_body_coefficient():
 
 def test_transform_output_hermitian():
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
-    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=5.0 * MHZ * UNIT_SIGNS))
     terms = transform_kerr(spectrum, mix).terms
     scale = max(map(abs, terms.values()))
     for (c, a), v in terms.items():
@@ -244,7 +312,7 @@ def test_transform_output_hermitian():
 
 def _coupled_mixing():
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
-    return sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    return sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=5.0 * MHZ * UNIT_SIGNS))
 
 
 @pytest.mark.parametrize("coupler, change, match", [
@@ -252,26 +320,22 @@ def _coupled_mixing():
     (True, {"h_tilde": np.zeros((3, 3))}, r"h_tilde has shape \(3, 3\), expected \(4, 4\)"),
     (True, {"h_tilde": np.zeros(4)}, r"h_tilde has shape \(4,\), expected \(4, 4\)"),
     (True, {"g_tilde": np.full(5, 0.01)}, r"g_tilde must have shape \(4,\) .*got \(5,\)"),
-    (True, {"s": np.ones(3)}, r"s must have shape \(4,\) .*got \(3,\)"),
-    (True, {"s": None}, r"s must have shape \(4,\) .*got None"),
-    # s = 2 had made 225 terms and a coupler chi 4x the one of signs
-    (True, {"s": np.full(4, 2.0)}, r"sign factors s must be \+1 or -1, got \[2.0, 2.0, 2.0, 2.0\]"),
-], ids=["no-coupler", "h-3x3", "h-flat", "g-5", "s-3", "s-missing", "s-not-signs"])
+], ids=["no-coupler", "h-3x3", "h-flat", "g-5"])
 def test_transform_kerr_rejects_mixing_that_does_not_fit_the_spectrum(coupler, change, match):
     mix = _coupled_mixing()
-    fields = {"h_tilde": mix.h_tilde, "g_tilde": mix.g_tilde, "s": mix.s, **change}
+    fields = {"h_tilde": mix.h_tilde, "g_tilde": mix.g_tilde, **change}
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0) if coupler else None)
     with pytest.raises(ValueError, match=match):
         transform_kerr(spectrum, MixingCoefficients(**fields))
 
 
-@pytest.mark.parametrize("name", ["h_tilde", "g_tilde", "s"])
+@pytest.mark.parametrize("name", ["h_tilde", "g_tilde"])
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 def test_transform_kerr_rejects_non_finite_mixing(name, value):
     # a NaN ratio makes NaN coefficients, which a prune by size would drop
     # as if they were 0, leaving a few terms and no error
     mix = _coupled_mixing()
-    fields = {"h_tilde": mix.h_tilde.copy(), "g_tilde": mix.g_tilde.copy(), "s": mix.s.copy()}
+    fields = {"h_tilde": mix.h_tilde.copy(), "g_tilde": mix.g_tilde.copy()}
     fields[name].flat[1] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         transform_kerr(_ladder_spectrum(coupler=(12.0, 20.0)), MixingCoefficients(**fields))
@@ -310,7 +374,7 @@ def test_transformed_operators_match_the_exact_single_excitations():
     omega = np.array([10.2, 9.9, 10.1, 9.8]) * GHZ
     spectrum = ModeSpectrum(omega=omega, kerr=np.array([5.1, 20.0, 20.0, 5.1]) * MHZ,
                             coupler_omega=10.0 * GHZ, coupler_kerr=20.0 * MHZ)
-    couplings = CouplingGraph(h=np.zeros((4, 4)), g=np.full(4, 5.0 * MHZ))
+    couplings = CouplingGraph(h=np.zeros((4, 4)), g=5.0 * MHZ * UNIT_SIGNS)
     mixing = sw_mixing(spectrum, couplings)
     u = np.zeros((5, 5))
     for j in range(5):
@@ -322,7 +386,7 @@ def test_transformed_operators_match_the_exact_single_excitations():
             lowered = tuple(np.eye(5, dtype=int)[j] + np.eye(5, dtype=int)[p])
             u[j, p] = poly.coefficient(twice, lowered) / poly.coefficient(twice, twice)
             u[j, p] /= 1.0 if p == j else 2.0
-    assert u[4, 0] == pytest.approx(0.025, rel=1e-12)  # g / (w_1 - w_g), s_1 = +1
+    assert u[4, 0] == pytest.approx(0.025, rel=1e-12)  # g_1 / (w_1 - w_g), g_1 > 0
     exact = _exact_single_excitation_amplitudes(spectrum, couplings, 3)
     assert exact[4, 0] == pytest.approx(0.02503, abs=1e-5)
     large = abs(u) >= 1e-3
@@ -362,9 +426,17 @@ def test_rwa_incommensurate_keeps_only_number_conserving():
         assert entry.classification in ("cross-kerr", "other")
 
 
+def test_a_report_reads_an_absent_monomial_as_zero():
+    entry = ReportEntry((1, 1, 0, 0), (0, 0, 1, 1), 2.5 * KHZ, "four-body", 0.0)
+    report = FourBodyReport(entries=[entry])
+    assert report.coefficient([1, 1, 0, 0], [0, 0, 1, 1]) == 2.5 * KHZ
+    assert report.coefficient((0, 0, 1, 1), (1, 1, 0, 0)) == 0.0
+    assert FourBodyReport().coefficient((1, 1, 0, 0), (0, 0, 1, 1)) == 0.0
+
+
 def test_rwa_drops_unpaired_coupler_operators():
     spectrum = _ladder_spectrum(kerr_mhz=(0, 0, 0, 0), coupler=(12.0, 20.0))
-    mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((4, 4)), g=np.full(4, 5.0 * MHZ)))
+    mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((4, 4)), g=5.0 * MHZ * UNIT_SIGNS))
     poly = transform_kerr(spectrum, mix)
     pump = PumpAssignment(omega_p=tuple(2 * w for w in spectrum.omega))
     report = rwa_filter(poly, pump, coupler_mode=4)
@@ -389,7 +461,7 @@ def test_rwa_drops_unpaired_coupler_operators():
 def test_rwa_filter_rejects_a_pump_or_coupler_index_that_does_not_fit(n_pumps, coupler_mode,
                                                                      match):
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
-    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=5.0 * MHZ * UNIT_SIGNS))
     poly = transform_kerr(spectrum, mix)
     omega_p = [2 * w for w in spectrum.omega] + [2 * spectrum.coupler_omega]
     pump = PumpAssignment(omega_p=tuple(omega_p[:n_pumps]))
@@ -402,7 +474,7 @@ def test_rwa_filter_rejects_a_pump_or_coupler_index_that_does_not_fit(n_pumps, c
 def test_rwa_filter_refuses_a_coupler_mode_that_is_not_an_integer(coupler_mode):
     # True is an int, so it would name mode 1 as the coupler
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
-    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=5.0 * MHZ * UNIT_SIGNS))
     pump = PumpAssignment(omega_p=tuple(2 * w for w in spectrum.omega))
     with pytest.raises(ValueError, match="coupler_mode must be an integer mode index"):
         rwa_filter(transform_kerr(spectrum, mix), pump, coupler_mode=coupler_mode)
@@ -414,7 +486,7 @@ def test_rwa_filter_assigns_the_pumps_to_the_kpo_modes_in_order(coupler_mode):
     # the coupler moved from mode 4 to coupler_mode, the KPOs keeping their
     # order around it: the same report, its monomials relabelled
     spectrum = _ladder_spectrum(coupler=(12.0, 20.0))
-    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=np.full(4, 5.0 * MHZ)))
+    mix = sw_mixing(spectrum, CouplingGraph(h=_full_h(5.0 * MHZ), g=5.0 * MHZ * UNIT_SIGNS))
     poly = transform_kerr(spectrum, mix)
     pump = PumpAssignment(omega_p=tuple(2 * w for w in spectrum.omega))
 
@@ -457,7 +529,7 @@ def test_g4_forms_agree_on_symmetric_ladder():
     spectrum = ModeSpectrum(
         omega=omega, kerr=np.zeros(4), coupler_omega=w_g, coupler_kerr=kerr_g
     )
-    mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((4, 4)), g=np.full(4, g_g)))
+    mix = sw_mixing(spectrum, CouplingGraph(h=np.zeros((4, 4)), g=g_g * UNIT_SIGNS))
     assert g4_closed_form(kerr_g, mix.g_tilde) == pytest.approx(
         g4_symmetric(g_g, eps, kerr_g), rel=1e-12
     )
@@ -502,6 +574,15 @@ def test_h4_general_vanishes_for_pairwise_equal_kerr():
     ht = mixing_from_frequencies(_full_h(5 * MHZ), ladder_frequencies(50 * MHZ))
     scale = 2 * 20 * MHZ * (5 / 50) ** 3
     assert abs(h4_general(kerr, ht)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("kerr, h_tilde, match", [
+    (np.ones(3), np.zeros((4, 4)), r"four Kerr coefficients must have shape \(4,\), got \(3,\)"),
+    (np.ones(4), np.zeros((3, 3)), r"4x4 mixing ratios must have shape \(4, 4\), got \(3, 3\)"),
+], ids=["three-kerr", "3x3-ratios"])
+def test_h4_general_refuses_inputs_of_the_wrong_shape(kerr, h_tilde, match):
+    with pytest.raises(ValueError, match=match):
+        h4_general(kerr * MHZ, h_tilde)
 
 
 def test_h4_general_symmetric_cancellation():
@@ -659,7 +740,7 @@ def test_dressed_coupling_shift_matches_the_exact_single_excitations(eps_ghz, bo
     # 0.21% with one
     spectrum = _ladder_spectrum(eps_ghz, coupler=(11.0, 20.0) if coupler else None)
     couplings = CouplingGraph(h=_full_h(5.0 * MHZ),
-                              g=np.full(4, 20.0 * MHZ) if coupler else None)
+                              g=20.0 * MHZ * UNIT_SIGNS if coupler else None)
     d_low, d_high = (3, 4) if coupler else (4, 5)
     exact, converged = (dressed_frequencies_exact(build_hamiltonian(spectrum, couplings, d))[:4]
                         - spectrum.omega for d in (d_low, d_high))
@@ -720,7 +801,7 @@ def test_coupler_cross_kerr_matches_engine():
         coupler_omega=12.0 * GHZ,
         coupler_kerr=20.0 * MHZ,
     )
-    couplings = CouplingGraph(h=np.zeros((1, 1)), g=np.array([5.0 * MHZ]), s=np.array([1.0]))
+    couplings = CouplingGraph(h=np.zeros((1, 1)), g=np.array([5.0 * MHZ]))
     mix = sw_mixing(spectrum, couplings)
     poly = transform_kerr(spectrum, mix)
     chi = cross_kerr(spectrum, mix)[0]["chi"]
@@ -731,8 +812,7 @@ def test_cross_kerr_reads_a_missing_coupler_kerr_as_zero():
     def coupler_chi(coupler_kerr):
         spectrum = ModeSpectrum(omega=np.array([10.0 * GHZ]), kerr=np.array([10.0 * MHZ]),
                                 coupler_omega=12.0 * GHZ, coupler_kerr=coupler_kerr)
-        couplings = CouplingGraph(h=np.zeros((1, 1)), g=np.array([5.0 * MHZ]),
-                                  s=np.array([1.0]))
+        couplings = CouplingGraph(h=np.zeros((1, 1)), g=np.array([5.0 * MHZ]))
         return cross_kerr(spectrum, sw_mixing(spectrum, couplings))[0]["chi"]
 
     assert coupler_chi(None) == coupler_chi(0.0)

@@ -43,6 +43,11 @@ def test_mixing_pairings_on_reference_sets():
     assert check_mixing(PumpAssignment(omega_p=SET_C)) == ["12|34"]
 
 
+def test_mixing_check_refuses_three_pumps():
+    with pytest.raises(ValueError, match="mixing check needs exactly four pump frequencies"):
+        check_mixing(PumpAssignment(omega_p=SET_A[:3]))
+
+
 def test_mixing_all_equal_satisfies_every_pairing():
     same = PumpAssignment(omega_p=(18.5 * GHZ,) * 4)
     assert check_mixing(same) == ["12|34", "13|24", "14|23"]
@@ -308,6 +313,19 @@ def test_spurious_report_flags_only_negligible_conditions():
     assert diamonds == []
     quadruples = [s for s in plan.spurious if s["negligible"]]
     assert len(quadruples) == 9
+
+
+def test_spurious_report_flags_the_diamonds_of_a_tiny_spacing():
+    # at a 100 Hz spacing every interior diamond meets a pairing within
+    # RESONANCE_TOL; these are the SIGNIFICANT lines of
+    # `kpokit pump-plan --spacing-mhz 0.0001`
+    plan = lhz_plan(rows=3, spacing=TWO_PI * 100.0)
+    diamonds = [s for s in plan.spurious if not s["negligible"]]
+    assert [(s["kind"], s["center"]) for s in diamonds] == [
+        ("third-order diamond", (1, 1)), ("third-order diamond", (2, 1)),
+        ("third-order diamond", (1, 2)), ("third-order diamond", (2, 2))]
+    assert diamonds[0]["condition"] == "w8+w3=w9+w4"
+    assert sum(s["negligible"] for s in plan.spurious) == 9
 
 
 def test_invalid_frequency_parameters():
